@@ -18,6 +18,7 @@ from .errors import (
     InvalidParams,
     InvariantError,
     NegativeMu,
+    NonFiniteValue,
     NonPositiveHorizon,
     NotSupermartingale,
     ParseError,

@@ -36,11 +36,13 @@ from .errors import (
     StepOutOfRange,
 )
 from .generators import Generator, GeneratorFlags
-from .lattice import AdaptedProcess, Lattice, one_step_expectation, one_step_z
+from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 from .engine import (
     DividendStream,
     MechanismHandle,
     TerminalClaim,
+    _increment_at,
+    _subtree_claim,
     as_mechanism,
     check_domination,
     claim_from_values,
@@ -268,10 +270,6 @@ class DecompositionResult:
     def is_increasing(self, tol: float = 1e-12) -> bool:
         return all(np.all(s >= -tol) for s in self.increments.slices)
 
-    def total_at_root(self) -> float:
-        """Cumulative payout along the all-down path from the root (diagnostic)."""
-        return float(sum(s[0] for s in self.increments.slices))
-
 
 def doob_meyer(
     g: Generator,
@@ -296,19 +294,14 @@ def doob_meyer(
     dt = lattice.dt
 
     incs = []
-    worst = (0.0, None)
     for i in range(y.start, y.stop):
-        m = one_step_expectation(y, i)
-        zz = one_step_z(y, i)
-        dk = dividends.increment(i) if dividends is not None else 0.0
-        a = y.at(i) - m - g(lattice.grid.time(i), y.at(i), zz) * dt - dk
-        j = int(np.argmin(a))
-        if a[j] < worst[0]:
-            worst = (float(a[j]), (i, j))
-        incs.append(a)
-    if worst[0] < -tol:
+        m, zz = one_step_mz(y.at(i + 1), y.lattice.sqrt_dt)
+        dk = _increment_at(dividends, i)
+        incs.append(y.at(i) - m - g(lattice.grid.time(i), y.at(i), zz) * dt - dk)
+    worst, node = _worst_node(incs, y.start)
+    if worst < -tol:
         raise NotSupermartingale(
-            f"one-step defect {worst[0]:.3g} at node {worst[1]}; "
+            f"one-step defect {worst:.3g} at node {node}; "
             "input is not a supermartingale at this tolerance"
         )
 
@@ -321,8 +314,7 @@ def doob_meyer(
     )
     rebuilt = solve_bsde(g, claim_from_values(lattice, y.stop, y.at(y.stop)),
                          total, lattice, t_step=y.stop, s_step=y.start).y
-    err = max(float(np.max(np.abs(rebuilt.at(i) - y.at(i))))
-              for i in range(y.start, y.stop + 1))
+    err = _max_gap(rebuilt.at, y.at, range(y.start, y.stop + 1))
     return DecompositionResult(increments=inc_proc, reconstruction_error=err)
 
 
@@ -343,6 +335,20 @@ class RepresentationResult:
     driver: AdaptedProcess
     integrand: AdaptedProcess
     values: AdaptedProcess
+
+
+def _realized_driver(price, y, m, z, dk, dt: float, mu: float, tol: float,
+                     step: int, what: str) -> np.ndarray:
+    """Realized one-step driver ``(price - m - dk) / dt``; raises
+    :class:`BoundViolated` where it escapes ``mu (|y| + |z|)`` by over ``tol``."""
+    drv = (price - m - dk) / dt
+    excess = np.abs(drv) - mu * (np.abs(y) + np.abs(z))
+    j = int(np.argmax(excess))
+    if excess[j] > tol:
+        raise BoundViolated(
+            f"{what} escapes mu-envelope by {excess[j]:.3g} at node ({step}, {j})"
+        )
+    return drv
 
 
 def represent(
@@ -367,18 +373,10 @@ def represent(
 
     drivers, hedges = [], []
     for i in range(t):
-        m = one_step_expectation(surface, i)
-        zz = one_step_z(surface, i)
-        dk = dividends.increment(i) if dividends is not None else 0.0
-        drv = (surface.at(i) - m - dk) / dt
-        cap = mech.mu * (np.abs(surface.at(i)) + np.abs(zz))
-        excess = float(np.max(np.abs(drv) - cap))
-        if excess > bound_tol:
-            j = int(np.argmax(np.abs(drv) - cap))
-            raise BoundViolated(
-                f"driver escapes mu-envelope by {excess:.3g} at node ({i}, {j})"
-            )
-        drivers.append(drv)
+        m, zz = one_step_mz(surface.at(i + 1), surface.lattice.sqrt_dt)
+        drivers.append(_realized_driver(
+            surface.at(i), surface.at(i), m, zz, _increment_at(dividends, i), dt,
+            mech.mu, bound_tol, i, "driver"))
         hedges.append(zz)
     return RepresentationResult(
         driver=AdaptedProcess(lattice, 0, drivers),
@@ -452,30 +450,15 @@ def infinitesimal_probe(
     j0 = t_step // 2 if anchor is None else anchor
     dt, sdt = lat.dt, lat.sqrt_dt
 
-    # forward Euler on the subtree below the anchor; recombining nodes take
-    # the average of their two parent propagations
-    cur = np.array([float(x)])
-    for k in range(eps_steps):
-        drift = cur + np.asarray(b_fn(cur), float) * dt
-        vol = np.asarray(sigma_fn(cur), float) * sdt
-        down = drift - vol
-        up = drift + vol
-        nxt = np.empty(cur.size + 1)
-        nxt[0] = down[0]
-        nxt[-1] = up[-1]
-        if cur.size > 1:
-            nxt[1:-1] = 0.5 * (down[1:] + up[:-1])
-        cur = nxt
+    # forward Euler on the subtree below the anchor
+    state = _forward_subtree(
+        x, eps_steps,
+        lambda cur: (cur + np.asarray(b_fn(cur), float) * dt,
+                     np.asarray(sigma_fn(cur), float) * sdt))[-1]
 
     t_end = t_step + eps_steps
-    state = np.full(t_end + 1, float(x))
-    state[j0:j0 + eps_steps + 1] = cur
-    # off-subtree nodes clamp to the nearest subtree value
-    state[:j0] = cur[0]
-    state[j0 + eps_steps + 1:] = cur[-1]
-    slice_vals = y + p * (state - x)
-
-    vals = mech.price_at(t_step, t_end, claim_from_values(lat, t_end, slice_vals))
+    claim = _subtree_claim(lat, t_end, j0, y + p * (state - x), f"euler@{t_end}")
+    vals = mech.price_at(t_step, t_end, claim)
     eps = eps_steps * dt
     return (float(vals[j0]) - y) / eps
 
@@ -509,6 +492,23 @@ class ProbePath:
         return len(self.slices) - 1
 
 
+def _forward_subtree(start: float, window: int, move: Callable) -> list:
+    """Forward recursion on the subtree below one node; ``slices[k]`` holds
+    the ``k + 1`` values ``k`` steps on.  ``move(cur)`` gives each node's drift
+    and spread: children sit at ``drift -/+ spread``, and a recombining node
+    averages its two parent propagations."""
+    slices = [np.array([float(start)])]
+    for _ in range(window):
+        drift, spread = move(slices[-1])
+        down, up = drift - spread, drift + spread
+        nxt = np.empty(down.size + 1)
+        nxt[0] = down[0]
+        nxt[-1] = up[-1]
+        nxt[1:-1] = 0.5 * (down[1:] + up[:-1])
+        slices.append(nxt)
+    return slices
+
+
 def build_probe_path(
     lattice: Lattice,
     t_step: int,
@@ -524,39 +524,10 @@ def build_probe_path(
     if not 0 <= j0 <= t_step:
         raise StepOutOfRange(f"anchor {j0} is not a step-{t_step} node")
     dt, sdt = lattice.dt, lattice.sqrt_dt
-
-    slices = [np.array([float(y)])]
-    cur = slices[0]
-    for _ in range(window):
-        drifted = cur - mu * (np.abs(cur) + abs(z)) * dt
-        down = drifted - z * sdt
-        up = drifted + z * sdt
-        nxt = np.empty(cur.size + 1)
-        nxt[0] = down[0]
-        nxt[-1] = up[-1]
-        if cur.size > 1:
-            nxt[1:-1] = 0.5 * (down[1:] + up[:-1])
-        slices.append(nxt)
-        cur = nxt
+    slices = _forward_subtree(
+        y, window, lambda cur: (cur - mu * (np.abs(cur) + abs(z)) * dt, z * sdt))
     return ProbePath(lattice=lattice, t_step=t_step, anchor=j0, y=float(y),
                      z=float(z), mu=float(mu), slices=slices)
-
-
-def _subtree_claim(lattice: Lattice, step: int, anchor: int,
-                   values: np.ndarray) -> TerminalClaim:
-    """Slice claim holding subtree values; off-subtree nodes clamp to the edge.
-
-    Clamped values never influence prices read back at subtree nodes when the
-    mechanism is local, which is what the structural-law suite certifies.
-    """
-    vals = np.asarray(values, dtype=float)
-    hi = vals.size - 1
-
-    def payoff(b):
-        j = lattice.node_index(step, b) - anchor
-        return vals[np.clip(j, 0, hi)]
-
-    return TerminalClaim(payoff, name=f"subtree@{step}")
 
 
 def _decompose_probe(mech: MechanismHandle, probe: ProbePath,
@@ -573,7 +544,7 @@ def _decompose_probe(mech: MechanismHandle, probe: ProbePath,
     for k in range(probe.window - 1, -1, -1):
         big = probe.t_step + k
         nxt = probe.slices[k + 1]
-        claim = _subtree_claim(lat, big + 1, probe.anchor, nxt)
+        claim = _subtree_claim(lat, big + 1, probe.anchor, nxt, f"subtree@{big + 1}")
         one_step = mech.price_at(big, big + 1, claim)[probe.anchor:probe.anchor + k + 1]
         defect = probe.slices[k] - one_step
         j = int(np.argmin(defect))
@@ -583,16 +554,10 @@ def _decompose_probe(mech: MechanismHandle, probe: ProbePath,
                 f"has defect {defect[j]:.3g} at subtree node ({k}, {j}); "
                 f"mechanism is not dominated at mu={mu:g}"
             )
-        mean_next = 0.5 * (nxt[1:] + nxt[:-1])
-        hedge = (nxt[1:] - nxt[:-1]) / (2.0 * sdt)
-        driver = (one_step - mean_next) / dt
-        cap = mu * (np.abs(probe.slices[k]) + np.abs(hedge))
-        excess = float(np.max(np.abs(driver) - cap))
-        if excess > 1e-6:
-            raise BoundViolated(
-                f"probe driver escapes mu-envelope by {excess:.3g} "
-                f"(t_step={probe.t_step}, y={probe.y:g}, z={probe.z:g})"
-            )
+        mean_next, hedge = one_step_mz(nxt, sdt)
+        driver = _realized_driver(
+            one_step, probe.slices[k], mean_next, hedge, 0.0, dt, mu, 1e-6, k,
+            f"probe (t_step={probe.t_step}, y={probe.y:g}, z={probe.z:g}) driver")
         if k == 0:
             first_driver = float(driver[0])
     return first_driver
@@ -818,8 +783,7 @@ def verify_main_theorem(
         claim = random_claim(rng)
         sa = mech.price_surface(n, claim)
         sb = rebuilt.price_surface(n, claim)
-        for i in range(n + 1):
-            worst = max(worst, float(np.max(np.abs(sa.at(i) - sb.at(i)))))
+        worst = max(worst, _max_gap(sa.at, sb.at, range(n + 1)))
     return MainTheoremVerdict(max_discrepancy=worst,
                               axioms_ok=report.all_passed(),
                               domination_ok=dom_ok,

@@ -2,7 +2,8 @@
 
 Reports are JSON by default (sorted keys, so a fixed config and seed gives a
 byte-identical report); the tabular commands also emit CSV.  Exit codes:
-0 pass, 1 numerical failure or failed verdict, 2 usage, 3 bad input data.
+0 pass, 1 numerical failure (including :class:`~gmech.errors.NonFiniteValue`)
+or failed verdict, 2 usage, 3 bad input data.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from .generators import (
     domination_generator,
     zero_generator,
 )
-from .lattice import build_grid, build_lattice
+from .lattice import _max_gap, build_grid, build_lattice
 from .engine import (
     DividendStream,
     TerminalClaim,
     as_mechanism,
     make_underlying_map,
-    price,
     solve_bsde,
 )
 from .analysis import (
@@ -61,13 +61,18 @@ def parse_generator(spec: str) -> Generator:
     if kind == "abs_z":
         return abs_z_generator(float(rest))
     if kind == "bs":
-        kv = dict(item.split("=", 1) for item in rest.split(",") if item)
-        return black_scholes_generator(BSMarketParams(
-            r=float(kv["r"]), b=float(kv["b"]), sigma=float(kv["sigma"])))
+        return black_scholes_generator(_bs_params(rest))
     raise ValueError(f"unknown generator spec {spec!r}")
 
 
-def parse_payoff(spec: str, gen: Generator, args) -> TerminalClaim:
+def _bs_params(rest: str) -> BSMarketParams:
+    """Market parameters of a ``bs:r=..,b=..,sigma=..`` spec, exactly as typed."""
+    kv = dict(item.split("=", 1) for item in rest.split(",") if item)
+    return BSMarketParams(r=float(kv["r"]), b=float(kv["b"]),
+                          sigma=float(kv["sigma"]))
+
+
+def parse_payoff(spec: str, args) -> TerminalClaim:
     """bm | linbm:Z | const:C | call:K | put:K"""
     kind, _, rest = spec.partition(":")
     if kind == "bm":
@@ -82,7 +87,7 @@ def parse_payoff(spec: str, gen: Generator, args) -> TerminalClaim:
                              name=spec)
     if kind in ("call", "put"):
         strike = float(rest)
-        s0, vol, drift = _underlying_args(gen, args)
+        s0, vol, drift = _underlying_args(args)
         to_price = make_underlying_map(s0, vol, args.T - args.t0, drift)
         if kind == "call":
             return TerminalClaim(lambda b: np.maximum(to_price(b) - strike, 0.0),
@@ -92,14 +97,15 @@ def parse_payoff(spec: str, gen: Generator, args) -> TerminalClaim:
     raise ValueError(f"unknown payoff spec {spec!r}")
 
 
-def _underlying_args(gen: Generator, args):
+def _underlying_args(args):
     s0 = args.s0
     vol = args.vol
     drift = args.drift
-    if gen.name.startswith("bs:"):
-        kv = dict(item.split("=", 1) for item in gen.name[3:].split(","))
-        vol = vol if vol is not None else float(kv["sigma"])
-        drift = drift if drift is not None else float(kv["b"])
+    kind, _, rest = args.gen.partition(":")
+    if kind == "bs":
+        params = _bs_params(rest)
+        vol = vol if vol is not None else params.sigma
+        drift = drift if drift is not None else params.b
     if s0 is None or vol is None:
         raise ValueError("call/put payoffs need --s0 and --vol "
                          "(or a bs:... generator)")
@@ -125,7 +131,7 @@ def _lattice(args):
 def cmd_price(args) -> int:
     gen = parse_generator(args.gen)
     lattice = _lattice(args)
-    claim = parse_payoff(args.payoff, gen, args)
+    claim = parse_payoff(args.payoff, args)
     dividends = (DividendStream.from_rate(lattice, args.div_rate)
                  if args.div_rate else None)
     res = solve_bsde(gen, claim, dividends, lattice)
@@ -166,14 +172,11 @@ def cmd_axioms(args) -> int:
 def cmd_decompose(args) -> int:
     gen = parse_generator(args.gen)
     lattice = _lattice(args)
-    claim = parse_payoff(args.payoff, gen, args)
+    claim = parse_payoff(args.payoff, args)
     stream = DividendStream.from_rate(lattice, args.div_rate)
     surface = solve_bsde(gen, claim, stream, lattice).y
     result = doob_meyer(gen, surface, None, lattice)
-    worst = max(
-        float(np.max(np.abs(result.increments.at(i) - stream.increment(i))))
-        for i in range(lattice.n_steps)
-    )
+    worst = _max_gap(result.increments.at, stream.increment, range(lattice.n_steps))
     ok = worst <= 1e-9 and result.reconstruction_error <= 1e-9
     _emit(args, {
         "command": "decompose",

@@ -9,6 +9,13 @@ its martingale-increment coefficient and ``dK_i`` the dividend paid over the
 step.  The fixed point is found by Picard iteration started at ``m``, which
 contracts whenever ``mu * dt < 1``.
 
+One private kernel, ``_backward``, runs this recursion over the last axis of
+its input.  It has two entry points: :func:`solve_bsde` keeps the whole
+``y``/``z`` surface of one claim with its dividends, and
+:func:`solve_terminal_batch` keeps only the root values of many terminal rows.
+A NaN or inf raises :class:`NonFiniteValue` naming the step and node where it
+first appears.
+
 Order-sensitive verdicts (comparison, domination) additionally require the
 monotone-scheme condition ``mu * (sqrt(dt) + dt) <= 1``; without it the
 one-step map need not be nondecreasing in the next-step values and discrete
@@ -17,6 +24,7 @@ order verdicts are unreliable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,12 +34,13 @@ from .errors import (
     BadPartition,
     BadStepOrder,
     ContractionViolation,
+    NonFiniteValue,
     PicardDivergence,
     SchemeNotMonotone,
     StepOutOfRange,
 )
 from .generators import Generator, domination_generator
-from .lattice import AdaptedProcess, Lattice
+from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 
 PICARD_TOL = 1e-12
 PICARD_CAP = 100
@@ -51,7 +60,7 @@ class TerminalClaim:
         raw = np.asarray(self.payoff(lattice.node_values(step)), dtype=float)
         vals = np.array(np.broadcast_to(raw, (step + 1,)), dtype=float)
         if not np.all(np.isfinite(vals)):
-            raise ValueError(f"claim {self.name!r} is not finite on step {step}")
+            raise _non_finite(vals, step, f"claim {self.name!r}")
         return vals
 
 
@@ -64,11 +73,20 @@ def claim_from_values(lattice: Lattice, step: int, values) -> TerminalClaim:
     vals = np.array(values, dtype=float)
     if vals.shape != (step + 1,):
         raise StepOutOfRange(f"need {step + 1} node values, got shape {vals.shape}")
+    return _subtree_claim(lattice, step, 0, vals, f"slice@{step}")
+
+
+def _subtree_claim(lattice: Lattice, step: int, anchor: int, values,
+                   name: str) -> TerminalClaim:
+    """Slice claim on the subtree whose left edge is ``anchor``; off-subtree
+    nodes clamp to the nearest edge value, which a local mechanism never reads."""
+    vals = np.asarray(values, dtype=float)
+    hi = vals.size - 1
 
     def payoff(b):
-        return vals[lattice.node_index(step, b)]
+        return vals[np.clip(lattice.node_index(step, b) - anchor, 0, hi)]
 
-    return TerminalClaim(payoff, name=f"slice@{step}")
+    return TerminalClaim(payoff, name=name)
 
 
 def make_underlying_map(s0: float, sigma: float, horizon: float, drift: float = 0.0):
@@ -179,7 +197,14 @@ def require_monotone(mu: float, lattice: Lattice) -> None:
         )
 
 
-def _implicit_step(g: Generator, t: float, m, z, dk, dt: float):
+def _non_finite(values: np.ndarray, step: int, what: str) -> NonFiniteValue:
+    """Error naming the first NaN or inf entry of a step slice or batch of slices."""
+    where = tuple(int(k) for k in np.argwhere(~np.isfinite(values))[0])
+    row = f"row {where[0]}, " if len(where) > 1 else ""
+    return NonFiniteValue(f"{what} is {values[where]} at step {step}, {row}node {where[-1]}")
+
+
+def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
     """Solve ``y = m + g(t, y, z) dt + dk`` by Picard iteration from ``y0 = m``.
 
     Drivers that carry a closed-form one-step inverse bypass the iteration.
@@ -192,6 +217,8 @@ def _implicit_step(g: Generator, t: float, m, z, dk, dt: float):
     for iters in range(1, PICARD_CAP + 1):
         y_next = m + g(t, y, z) * dt + dk
         resid = float(np.max(np.abs(y_next - y))) if y_next.size else 0.0
+        if not math.isfinite(resid):
+            raise _non_finite(y_next - y, step, "Picard update")
         y = y_next
         if resid <= PICARD_TOL:
             break
@@ -200,6 +227,52 @@ def _implicit_step(g: Generator, t: float, m, z, dk, dt: float):
             f"one-step iteration stuck at residual {resid:.3g} (t={t:.6g})"
         )
     return y, iters, resid
+
+
+# -- the backward kernel ----------------------------------------------------------
+
+def _sweep(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
+           dividends: Optional[DividendStream]):
+    """Yield ``(i, y_i, z_i, iters, resid)`` for steps ``n - 1`` down to ``s``."""
+    dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
+    for i in range(n - 1, s - 1, -1):
+        m, z = one_step_mz(cur, sqrt_dt)
+        cur, iters, resid = _implicit_step(g, i, lattice.grid.time(i), m, z,
+                                           _increment_at(dividends, i), dt)
+        yield i, cur, z, iters, resid
+
+
+def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
+              dividends: Optional[DividendStream], keep_surface: bool):
+    """Backward induction of the step-``n`` values ``cur`` (nodes on the last
+    axis) down to step ``s``.  Returns the ``y`` slices of steps ``s..n``, the
+    ``z`` slices of steps ``s..n-1`` (only the step-``s`` ``y`` unless
+    ``keep_surface``), the worst Picard iteration count and residual.
+
+    Every node feeds the step-``s`` slice, so one check there catches any
+    NaN or inf; only then is the sweep re-run to locate it.
+    """
+    if g.mu * lattice.dt >= 1.0:
+        raise ContractionViolation(
+            f"mu * dt = {g.mu * lattice.dt:.6g} >= 1; refine the grid"
+        )
+    y_slices, z_slices = [cur], []
+    worst_iters, worst_resid = 0, 0.0
+    for _, y, z, iters, resid in _sweep(g, cur, lattice, n, s, dividends):
+        worst_iters = max(worst_iters, iters)
+        worst_resid = max(worst_resid, resid)
+        if keep_surface:
+            z_slices.append(z)
+        else:
+            y_slices.clear()
+        y_slices.append(y)
+    if not np.isfinite(y_slices[-1]).all():
+        for i, y, *_ in _sweep(g, cur, lattice, n, s, dividends):
+            if not np.isfinite(y).all():
+                raise _non_finite(y, i, "price")
+    y_slices.reverse()
+    z_slices.reverse()
+    return y_slices, z_slices, worst_iters, worst_resid
 
 
 # -- full solves ----------------------------------------------------------------
@@ -231,33 +304,11 @@ def solve_bsde(
     n = lattice.n_steps if t_step is None else t_step
     if not 0 <= s_step <= n <= lattice.n_steps:
         raise BadStepOrder(f"need 0 <= s={s_step} <= t={n} <= {lattice.n_steps}")
-    if g.mu * lattice.dt >= 1.0:
-        raise ContractionViolation(
-            f"mu * dt = {g.mu * lattice.dt:.6g} >= 1; refine the grid"
-        )
-
-    dt = lattice.dt
-    y_slices = [claim.values(lattice, n)]
-    z_slices = []
-    worst_iters, worst_resid = 0, 0.0
-    for i in range(n - 1, s_step - 1, -1):
-        cur = y_slices[0]
-        m = 0.5 * (cur[1:] + cur[:-1])
-        zz = (cur[1:] - cur[:-1]) / (2.0 * lattice.sqrt_dt)
-        dk = _increment_at(dividends, i)
-        y, iters, resid = _implicit_step(g, lattice.grid.time(i), m, zz, dk, dt)
-        worst_iters = max(worst_iters, iters)
-        worst_resid = max(worst_resid, resid)
-        y_slices.insert(0, y)
-        z_slices.insert(0, zz)
-
-    y_proc = AdaptedProcess(lattice, s_step, y_slices)
-    if z_slices:
-        z_proc = AdaptedProcess(lattice, s_step, z_slices)
-    else:
-        z_proc = AdaptedProcess(lattice, s_step, [y_slices[0] * 0.0])
-    return PricingResult(y=y_proc, z=z_proc, picard_iters=worst_iters,
-                         residual=worst_resid)
+    y_slices, z_slices, iters, resid = _backward(
+        g, claim.values(lattice, n), lattice, n, s_step, dividends, keep_surface=True)
+    return PricingResult(y=AdaptedProcess(lattice, s_step, y_slices),
+                         z=AdaptedProcess(lattice, s_step, z_slices or [y_slices[0] * 0.0]),
+                         picard_iters=iters, residual=resid)
 
 
 def price(
@@ -271,16 +322,10 @@ def price(
     """Node prices at ``s_step`` of a claim maturing at ``t_step``.
 
     With ``s_step == t_step`` this is the payoff itself (the identity leg of
-    the pricing system).
+    the pricing system): a zero-step solve returns the claim slice bitwise.
     """
-    if not 0 <= s_step <= t_step <= lattice.n_steps:
-        raise BadStepOrder(
-            f"need 0 <= s={s_step} <= t={t_step} <= {lattice.n_steps}"
-        )
-    if s_step == t_step:
-        return claim.values(lattice, t_step)
-    res = solve_bsde(g, claim, dividends, lattice, t_step=t_step, s_step=s_step)
-    return res.y.at(s_step)
+    return solve_bsde(g, claim, dividends, lattice, t_step=t_step,
+                      s_step=s_step).y.at(s_step)
 
 
 def solve_terminal_batch(
@@ -295,19 +340,13 @@ def solve_terminal_batch(
     retention: this is the bulk kernel for inequality audits.
     """
     n = lattice.n_steps if t_step is None else t_step
-    if g.mu * lattice.dt >= 1.0:
-        raise ContractionViolation(
-            f"mu * dt = {g.mu * lattice.dt:.6g} >= 1; refine the grid"
-        )
     cur = np.atleast_2d(np.asarray(terminal, dtype=float))
     if cur.shape[1] != n + 1:
         raise StepOutOfRange(f"terminal rows must have {n + 1} entries")
-    dt = lattice.dt
-    for i in range(n - 1, -1, -1):
-        m = 0.5 * (cur[:, 1:] + cur[:, :-1])
-        zz = (cur[:, 1:] - cur[:, :-1]) / (2.0 * lattice.sqrt_dt)
-        cur, _, _ = _implicit_step(g, lattice.grid.time(i), m, zz, 0.0, dt)
-    return cur[:, 0]
+    if not np.isfinite(cur).all():
+        raise _non_finite(cur, n, "terminal value")
+    (root,), _, _, _ = _backward(g, cur, lattice, n, 0, None, keep_surface=False)
+    return root[:, 0]
 
 
 # -- mechanism handles -----------------------------------------------------------
@@ -390,8 +429,6 @@ def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> Mechan
         return 0
 
     def price_at(s_step, t_step, claim, dividends):
-        if s_step == t_step:
-            return claim.values(lattice, t_step)
         cur_step, cur_claim = t_step, claim
         while cur_step > s_step:
             k = segment_of(cur_step)
@@ -447,12 +484,7 @@ def compare(
 
     ya = solve_bsde(g, claim_a, dividends_a, lattice).y
     yb = solve_bsde(g, claim_b, dividends_b, lattice).y
-    worst_margin, worst_node = np.inf, None
-    for i in range(n + 1):
-        diff = ya.at(i) - yb.at(i)
-        j = int(np.argmin(diff))
-        if diff[j] < worst_margin:
-            worst_margin, worst_node = float(diff[j]), (i, j)
+    worst_margin, worst_node = _worst_node(ya.at(i) - yb.at(i) for i in range(n + 1))
     return ComparisonVerdict(applicable=True, passed=bool(worst_margin >= -tol),
                              worst_margin=worst_margin, worst_node=worst_node)
 
@@ -495,12 +527,8 @@ def check_domination(
     cap = solve_bsde(domination_generator(mu), diff_claim, ka.difference(kb),
                      lattice).y
 
-    worst_margin, worst_node = np.inf, None
-    for i in range(n + 1):
-        margin = cap.at(i) - (sa.at(i) - sb.at(i))
-        j = int(np.argmin(margin))
-        if margin[j] < worst_margin:
-            worst_margin, worst_node = float(margin[j]), (i, j)
+    worst_margin, worst_node = _worst_node(cap.at(i) - (sa.at(i) - sb.at(i))
+                                           for i in range(n + 1))
     return DominationVerdict(passed=bool(worst_margin >= -tol),
                              worst_margin=worst_margin, worst_node=worst_node)
 
@@ -531,6 +559,5 @@ def sign_flip_check(
 
     y = solve_bsde(g, claim, dividends, lattice).y
     y_neg = solve_bsde(reflected, neg_claim, neg_div, lattice).y
-    err = max(float(np.max(np.abs(y_neg.at(i) + y.at(i))))
-              for i in range(lattice.n_steps + 1))
+    err = _max_gap(y_neg.at, lambda i: -y.at(i), range(lattice.n_steps + 1))
     return SignFlipVerdict(passed=bool(err <= tol), max_error=err)

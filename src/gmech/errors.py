@@ -39,6 +39,10 @@ class PicardDivergence(GmechError):
     """Raised when the fixed-point iteration hits its cap with a large residual."""
 
 
+class NonFiniteValue(GmechError):
+    """Raised when a claim, driver or solve yields NaN or inf; names step and node."""
+
+
 class BadStepOrder(GmechError):
     """Raised when pricing steps are not ordered 0 <= s <= t <= n."""
 

@@ -9,7 +9,7 @@ are falsification checks, not proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,8 +28,6 @@ class GeneratorFlags:
 
     zero_at_zero: bool = False
     y_independent: bool = False
-    deterministic: bool = True
-    z_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ def zero_generator() -> Generator:
     return Generator(
         fn=lambda t, y, z: np.zeros(np.broadcast(y, z).shape),
         mu=0.0,
-        flags=GeneratorFlags(zero_at_zero=True, y_independent=True, z_only=True),
+        flags=GeneratorFlags(zero_at_zero=True, y_independent=True),
         name="zero",
         exact_step=lambda t, m, z, dk, dt: m + dk,
     )
@@ -117,7 +115,7 @@ def abs_z_generator(coef: float) -> Generator:
     return Generator(
         fn=lambda t, y, z: coef * np.abs(z) + 0.0 * y,
         mu=coef,
-        flags=GeneratorFlags(zero_at_zero=True, y_independent=True, z_only=True),
+        flags=GeneratorFlags(zero_at_zero=True, y_independent=True),
         name=f"abs_z:{coef:g}",
         exact_step=lambda t, m, z, dk, dt: m + coef * np.abs(z) * dt + dk,
     )
@@ -129,9 +127,7 @@ def linear_generator(a: float, b: float) -> Generator:
     return Generator(
         fn=lambda t, y, z: a * y + b * z,
         mu=max(abs(a), abs(b)),
-        flags=GeneratorFlags(
-            zero_at_zero=True, y_independent=(a == 0.0), z_only=(a == 0.0)
-        ),
+        flags=GeneratorFlags(zero_at_zero=True, y_independent=(a == 0.0)),
         name=f"linear:{a:g},{b:g}",
         exact_step=lambda t, m, z, dk, dt: (m + b * z * dt + dk) / (1.0 - a * dt),
     )
@@ -140,20 +136,13 @@ def linear_generator(a: float, b: float) -> Generator:
 def black_scholes_generator(params: BSMarketParams) -> Generator:
     """Replication driver of the one-stock market: ``-r y - ((b - r)/sigma) z``.
 
-    The declared constant is ``max(r, |b - r| / sigma)``, the Lipschitz
-    constant of the affine map in the sum norm.
+    It is ``linear_generator(-r, -(b - r) / sigma)`` under a ``bs:`` name; the
+    declared constant ``max(r, |b - r| / sigma)`` is the Lipschitz constant
+    of the affine map in the sum norm.
     """
-    r = float(params.r)
     theta = (params.b - params.r) / params.sigma
-    return Generator(
-        fn=lambda t, y, z: -r * y - theta * z,
-        mu=max(abs(r), abs(theta)),
-        flags=GeneratorFlags(
-            zero_at_zero=True, y_independent=(r == 0.0), z_only=(r == 0.0)
-        ),
-        name=f"bs:r={params.r:g},b={params.b:g},sigma={params.sigma:g}",
-        exact_step=lambda t, m, z, dk, dt: (m - theta * z * dt + dk) / (1.0 + r * dt),
-    )
+    return replace(linear_generator(-params.r, -theta),
+                   name=f"bs:r={params.r:g},b={params.b:g},sigma={params.sigma:g}")
 
 
 # -- sampled structural checks -----------------------------------------------
@@ -233,7 +222,6 @@ class StructureReport:
     z_independent: PropertyVerdict
     zero_rate: PropertyVerdict
     sellers_condition: PropertyVerdict
-    deterministic: PropertyVerdict
 
     def as_dict(self) -> dict:
         return {name: asdict(getattr(self, name)) for name in self.__dataclass_fields__}
@@ -258,8 +246,7 @@ def classify_generator(
     """Sampled classification of a driver's structural properties.
 
     Verdicts are deterministic given ``(samples, box, seed)``.  Each failed
-    property carries a witness point.  ``deterministic`` is true by
-    construction here: generators in this library are pure functions.
+    property carries a witness point.
     """
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
@@ -326,5 +313,4 @@ def classify_generator(
         z_independent=_verdict(zind_viol, samples),
         zero_rate=_verdict(zr_viol, samples),
         sellers_condition=_verdict(sell_viol, samples),
-        deterministic=PropertyVerdict(holds=True, checks=0),
     )

@@ -146,22 +146,36 @@ class AdaptedProcess:
         )
 
 
-def one_step_expectation(p: AdaptedProcess, i: int) -> np.ndarray:
-    """Conditional expectation of the step ``i + 1`` slice, seen from step ``i``.
-
-    Each node averages its two children with weight 1/2, so constants map to
-    themselves and the walk itself maps to its current value.
+def one_step_mz(nxt: np.ndarray, sqrt_dt: float):
+    """Child average ``m`` and ``z = (up - down) / (2 sqrt(dt))`` of next-step
+    values on the last axis of ``nxt`` (one slice or a ``(rows, nodes)`` batch).
+    ``z`` is the conditional covariance with the one-step noise over ``dt``.
     """
-    nxt = p.at(i + 1)
-    return 0.5 * (nxt[1:] + nxt[:-1])
+    up, down = nxt[..., 1:], nxt[..., :-1]
+    return 0.5 * (up + down), (up - down) / (2.0 * sqrt_dt)
+
+
+def one_step_expectation(p: AdaptedProcess, i: int) -> np.ndarray:
+    """Conditional expectation of the step ``i + 1`` slice, seen from step ``i``."""
+    return one_step_mz(p.at(i + 1), p.lattice.sqrt_dt)[0]
 
 
 def one_step_z(p: AdaptedProcess, i: int) -> np.ndarray:
-    """Martingale-increment coefficient of the step ``i + 1`` slice.
+    """Martingale-increment coefficient of the step ``i + 1`` slice."""
+    return one_step_mz(p.at(i + 1), p.lattice.sqrt_dt)[1]
 
-    Returns ``(up - down) / (2 sqrt(dt))`` per node, i.e. the conditional
-    covariance with the one-step noise divided by ``dt``; a slice of the form
-    ``c * walk`` yields ``c`` exactly.
-    """
-    nxt = p.at(i + 1)
-    return (nxt[1:] - nxt[:-1]) / (2.0 * p.lattice.sqrt_dt)
+
+def _worst_node(slices, first: int = 0):
+    """Smallest entry over the slices of steps ``first, first + 1, ...`` and
+    its ``(step, node)``; ties keep the earliest."""
+    worst, node = np.inf, None
+    for i, v in enumerate(slices, first):
+        j = int(np.argmin(v))
+        if v[j] < worst:
+            worst, node = float(v[j]), (i, j)
+    return worst, node
+
+
+def _max_gap(a, b, steps) -> float:
+    """Largest ``|a(i) - b(i)|`` over the given steps; ``a``, ``b`` map step to slice."""
+    return max(float(np.max(np.abs(a(i) - b(i)))) for i in steps)

@@ -1,0 +1,63 @@
+"""The traced benchmark wraps gmech names from outside ``src/``.
+
+``bench/tracing.py`` patches functions and methods by name in every gmech
+module that binds them.  Installing and restoring it here makes a refactor
+that drops or renames one of those names fail in the test suite rather than
+in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import gmech
+import gmech.cli
+from gmech import Generator, GeneratorFlags, TerminalClaim
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("gmech_bench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings():
+    """Every name bound in a gmech module or on a gmech class, by identity."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "gmech" or name.startswith("gmech.")):
+            continue
+        for attr, value in vars(mod).items():
+            out[(name, attr)] = value
+            if isinstance(value, type) and value.__module__.startswith("gmech"):
+                for cattr, cvalue in vars(value).items():
+                    out[(value.__module__, value.__qualname__, cattr)] = cvalue
+    return out
+
+
+def test_install_wraps_and_restore_puts_originals_back():
+    tracing = _load_tracing()
+    before = _bindings()
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, gmech)
+    try:
+        assert gmech.engine.solve_bsde is not before[("gmech.engine", "solve_bsde")]
+        lattice = gmech.build_lattice(gmech.build_grid(0.0, 1.0, 4))
+        driver = Generator(fn=lambda t, y, z: 0.1 * np.abs(z) + 0.0 * y, mu=0.1,
+                           flags=GeneratorFlags(zero_at_zero=True))
+        claim = TerminalClaim(lambda b: np.asarray(b, dtype=float))
+        gmech.solve_bsde(driver, claim, None, lattice)
+        summary = tracer.summary()
+        assert summary["engine.solve"]["calls"] == 1
+        assert summary["engine.batch"]["calls"] == 0
+        assert tracer.counters["picard_evals"] > 0
+    finally:
+        installed.restore()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []

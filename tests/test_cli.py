@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from gmech import BSMarketParams, synth_chain
+from gmech import (
+    BSMarketParams,
+    TerminalClaim,
+    black_scholes_generator,
+    build_grid,
+    build_lattice,
+    make_underlying_map,
+    solve_bsde,
+    synth_chain,
+)
 from gmech.cli import main
 
 from util import BS_CALL_ATM
@@ -48,6 +57,27 @@ class TestPrice:
         code, _ = run_cli(capsys, "price", "--gen", "zero",
                           "--payoff", "call:100", "--steps", "4")
         assert code == 2
+
+    def test_bs_parameters_are_used_as_typed(self, capsys):
+        # sigma has more digits than the generator's display name keeps
+        code, out = run_cli(capsys, "price",
+                            "--gen", "bs:r=0.05,b=0.08,sigma=0.123456789",
+                            "--payoff", "call:100", "--s0", "100",
+                            "--steps", "200")
+        assert code == 0
+        params = BSMarketParams(r=0.05, b=0.08, sigma=0.123456789)
+        to_price = make_underlying_map(100.0, params.sigma, 1.0, params.b)
+        claim = TerminalClaim(lambda b: np.maximum(to_price(b) - 100.0, 0.0))
+        lattice = build_lattice(build_grid(0.0, 1.0, 200))
+        want = solve_bsde(black_scholes_generator(params), claim, None,
+                          lattice).y.at(0)[0]
+        assert json.loads(out)["y0"] == want
+        assert want == pytest.approx(7.627153511497915, abs=1e-12)
+
+    def test_non_finite_claim_is_numerical_failure(self, capsys):
+        code, _ = run_cli(capsys, "price", "--gen", "zero",
+                          "--payoff", "const:nan", "--steps", "4")
+        assert code == 1
 
     def test_solver_failure_exit_code(self, capsys):
         # mu * dt >= 1 on a 2-step unit grid

@@ -1,5 +1,7 @@
 """Backward solver, pricing operator, pasting, and order verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gmech import (
     ContractionViolation,
     DividendStream,
     Generator,
+    NonFiniteValue,
     PicardDivergence,
     SchemeNotMonotone,
     TerminalClaim,
@@ -135,8 +138,74 @@ class TestSolveBsde:
         terminal = np.stack([c.values(lat8, 8) for c in claims])
         batch = solve_terminal_batch(g, terminal, lat8)
         for k, c in enumerate(claims):
+            # closed-form rows run the surface solve's kernel: bitwise equal
+            assert batch[k] == solve_bsde(g, c, None, lat8).y.at(0)[0]
+        # Picard stops on the batch's worst row, so rows agree to tolerance
+        g = random_lipschitz_generator(rng)
+        batch = solve_terminal_batch(g, terminal, lat8)
+        for k, c in enumerate(claims):
             assert batch[k] == pytest.approx(
                 solve_bsde(g, c, None, lat8).y.at(0)[0], abs=1e-12)
+
+
+BUILT_IN_DRIVERS = [
+    zero_generator(),
+    domination_generator(0.4),
+    abs_z_generator(0.3),
+    linear_generator(-0.25, 0.35),
+    black_scholes_generator(BSMarketParams(r=0.05, b=0.08, sigma=0.2)),
+]
+
+
+@pytest.mark.parametrize("g", BUILT_IN_DRIVERS, ids=lambda g: g.name)
+def test_closed_form_matches_picard(g, lat16):
+    rng = np.random.default_rng(17)
+    picard = dataclasses.replace(g, exact_step=None)
+    for _ in range(4):
+        claim = random_pwl_claim(rng, bound=2.0, slope=2.0)
+        stream = signed_stream(rng, lat16, scale=0.5)
+        exact = solve_bsde(g, claim, stream, lat16)
+        iterated = solve_bsde(picard, claim, stream, lat16)
+        assert iterated.picard_iters > 1
+        for i in range(17):
+            gap = np.max(np.abs(exact.y.at(i) - iterated.y.at(i)))
+            assert gap <= 1e-12, (i, gap)
+
+
+class TestNonFiniteValues:
+    def test_nan_driver_stops_the_iteration(self, lat8):
+        calls = []
+
+        def nan_fn(t, y, z):
+            calls.append(t)
+            return np.full(np.shape(y), np.nan)
+
+        g = Generator(fn=nan_fn, mu=0.1, name="nan")
+        with pytest.raises(NonFiniteValue, match=r"at step 7, node 0"):
+            solve_bsde(g, WALK, None, lat8)
+        assert len(calls) == 1
+
+    def test_nan_batch_rows(self, lat8):
+        terminal = np.zeros((3, 9))
+        terminal[1, 4] = np.nan
+        for g in (domination_generator(0.4), random_lipschitz_generator(
+                np.random.default_rng(8))):
+            with pytest.raises(NonFiniteValue, match=r"at step 8, row 1, node 4"):
+                solve_terminal_batch(g, terminal, lat8)
+
+    def test_closed_form_non_finite_is_located(self, lat8):
+        arrays = [np.zeros(i + 1) for i in range(8)]
+        arrays[5][2] = np.inf
+        stream = DividendStream.from_arrays(lat8, arrays)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteValue, match=r"price is inf at step 5, node 2"):
+            solve_bsde(domination_generator(0.4), WALK, stream, lat8)
+
+    def test_non_finite_claim(self, lat8):
+        claim = TerminalClaim(lambda b: np.where(np.asarray(b) > 0, np.nan, 0.0),
+                              name="half-nan")
+        with pytest.raises(NonFiniteValue, match=r"at step 8, node 5"):
+            solve_bsde(zero_generator(), claim, None, lat8)
 
 
 class TestPrice:

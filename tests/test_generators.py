@@ -35,7 +35,7 @@ class TestDominationGenerator:
 
     def test_flags(self):
         g = domination_generator(0.5)
-        assert g.flags.zero_at_zero and g.flags.deterministic
+        assert g.flags.zero_at_zero
 
 
 class TestBlackScholesGenerator:
@@ -112,7 +112,7 @@ class TestClassifyGenerator:
 
     def test_abs_z_flags_and_structure(self):
         g = abs_z_generator(0.3)
-        assert g.flags.z_only and g.flags.y_independent
+        assert g.flags.y_independent
         rep = classify_generator(g, samples=200, seed=4)
         assert rep.y_independent.holds
         assert rep.zero_rate.holds
