@@ -183,8 +183,7 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
         ident.record(viol, {"sample": k, "t": t, "violation": viol})
 
         # time consistency: price of the intermediate value slice re-prices
-        mid = mech.price_at(s, t, claim)
-        nested = mech.price_at(r, s, claim_from_values(lattice, s, mid))
+        nested = mech.price_at(r, s, claim_from_values(lattice, s, pa))
         direct = mech.price_at(r, t, claim)
         viol = float(np.max(np.abs(nested - direct)))
         tower.record(viol, {"sample": k, "r": r, "s": s, "t": t,
@@ -306,11 +305,10 @@ def doob_meyer(
         )
 
     inc_proc = AdaptedProcess(lattice, y.start, incs)
-    base = dividends or DividendStream.zero(lattice)
     total = DividendStream.from_arrays(
         lattice,
-        [base.increment(i) + inc_proc.at(i) if y.start <= i <= y.stop - 1
-         else base.increment(i) for i in range(lattice.n_steps)],
+        [_increment_at(dividends, i) + incs[i - y.start] for i in range(y.start, y.stop)],
+        start=y.start,
     )
     rebuilt = solve_bsde(g, claim_from_values(lattice, y.stop, y.at(y.stop)),
                          total, lattice, t_step=y.stop, s_step=y.start).y
@@ -705,16 +703,15 @@ def recover_generator(
             probe = build_probe_path(lat, t_step, yv, zv, mech.mu, window)
             table[row, col] = _decompose_probe(mech, probe, supermartingale_tol)
 
-    # Lipschitz certificate over the tabulated values, per probe time
+    # Lipschitz certificate per probe time; one (P, P) ratio matrix at a time bounds memory
     worst_ratio = 0.0
     pts = np.asarray(points)
-    for row in range(idx.size):
-        for a in range(len(points)):
-            sep = np.abs(pts[:, 0] - pts[a, 0]) + np.abs(pts[:, 1] - pts[a, 1])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.abs(table[row] - table[row, a]) / sep
-            ratios[~np.isfinite(ratios)] = 0.0
-            worst_ratio = max(worst_ratio, float(np.max(ratios)))
+    sep = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
+    for vals in table:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.abs(vals[:, None] - vals[None, :]) / sep
+        ratios[~np.isfinite(ratios)] = 0.0
+        worst_ratio = max(worst_ratio, float(np.max(ratios)))
 
     zero_defect = None
     origin = [c for c, p in enumerate(points) if p == (0.0, 0.0)]

@@ -10,9 +10,10 @@ step.  The fixed point is found by Picard iteration started at ``m``, which
 contracts whenever ``mu * dt < 1``.
 
 One private kernel, ``_backward``, runs this recursion over the last axis of
-its input.  It has two entry points: :func:`solve_bsde` keeps the whole
-``y``/``z`` surface of one claim with its dividends, and
-:func:`solve_terminal_batch` keeps only the root values of many terminal rows.
+its input.  It has two entry points: :func:`solve_bsde` keeps the whole ``y``
+surface of one claim with its dividends, and :func:`solve_terminal_batch`
+keeps only the root values of many terminal rows.  ``z`` is never stored: it
+is read off ``y`` (see :class:`PricingResult`).
 A NaN or inf raises :class:`NonFiniteValue` naming the step and node where it
 first appears.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,7 +42,7 @@ from .errors import (
     StepOutOfRange,
 )
 from .generators import Generator, domination_generator
-from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
+from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz, one_step_z
 
 PICARD_TOL = 1e-12
 PICARD_CAP = 100
@@ -150,10 +152,6 @@ class DividendStream:
         return all(np.all(s >= -tol) for s in self.increments.slices)
 
     @classmethod
-    def zero(cls, lattice: Lattice) -> "DividendStream":
-        return cls(AdaptedProcess.constant(lattice, 0.0, 0, lattice.n_steps - 1))
-
-    @classmethod
     def from_rate(cls, lattice: Lattice, rate: float) -> "DividendStream":
         """Constant payout rate: every node of every step pays ``rate * dt``."""
         return cls(AdaptedProcess.constant(lattice, rate * lattice.dt, 0,
@@ -163,24 +161,25 @@ class DividendStream:
     def from_arrays(cls, lattice: Lattice, arrays: Sequence, start: int = 0) -> "DividendStream":
         return cls(AdaptedProcess(lattice, start, arrays))
 
-    @classmethod
-    def from_function(cls, lattice: Lattice, fn) -> "DividendStream":
-        """Build from ``fn(t_i, node_values) -> increments`` on steps 0..n-1."""
-        return cls(AdaptedProcess.from_function(lattice, fn, 0, lattice.n_steps - 1))
-
     def difference(self, other: "DividendStream") -> "DividendStream":
         """Node-wise increment difference ``self - other`` on steps 0..n-1."""
-        lat = self.lattice
-        return DividendStream.from_arrays(
-            lat,
-            [self.increment(i) - other.increment(i) for i in range(lat.n_steps)],
-        )
+        return _payout_gap(self, other, self.lattice)
 
 
 def _increment_at(dividends: Optional[DividendStream], i: int):
     if dividends is None:
         return 0.0
     return dividends.increment(i)
+
+
+def _payout_gap(a: Optional[DividendStream], b: Optional[DividendStream],
+                lattice: Lattice) -> Optional[DividendStream]:
+    """Node-wise increments ``a - b`` on steps 0..n-1, where ``None`` pays
+    nothing; ``None`` when neither side pays."""
+    if a is None and b is None:
+        return None
+    return DividendStream.from_arrays(
+        lattice, [_increment_at(a, i) - _increment_at(b, i) for i in range(lattice.n_steps)])
 
 
 # -- one-step kernel -----------------------------------------------------------
@@ -233,21 +232,21 @@ def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
 
 def _sweep(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
            dividends: Optional[DividendStream]):
-    """Yield ``(i, y_i, z_i, iters, resid)`` for steps ``n - 1`` down to ``s``."""
+    """Yield ``(i, y_i, iters, resid)`` for steps ``n - 1`` down to ``s``."""
     dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
     for i in range(n - 1, s - 1, -1):
         m, z = one_step_mz(cur, sqrt_dt)
         cur, iters, resid = _implicit_step(g, i, lattice.grid.time(i), m, z,
                                            _increment_at(dividends, i), dt)
-        yield i, cur, z, iters, resid
+        yield i, cur, iters, resid
 
 
 def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
               dividends: Optional[DividendStream], keep_surface: bool):
     """Backward induction of the step-``n`` values ``cur`` (nodes on the last
-    axis) down to step ``s``.  Returns the ``y`` slices of steps ``s..n``, the
-    ``z`` slices of steps ``s..n-1`` (only the step-``s`` ``y`` unless
-    ``keep_surface``), the worst Picard iteration count and residual.
+    axis) down to step ``s``.  Returns the ``y`` slices of steps ``s..n`` (only
+    the step-``s`` one unless ``keep_surface``), the worst Picard iteration
+    count and residual.  The ``z`` of each step is used and dropped.
 
     Every node feeds the step-``s`` slice, so one check there catches any
     NaN or inf; only then is the sweep re-run to locate it.
@@ -256,14 +255,12 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
         raise ContractionViolation(
             f"mu * dt = {g.mu * lattice.dt:.6g} >= 1; refine the grid"
         )
-    y_slices, z_slices = [cur], []
+    y_slices = [cur]
     worst_iters, worst_resid = 0, 0.0
-    for _, y, z, iters, resid in _sweep(g, cur, lattice, n, s, dividends):
+    for _, y, iters, resid in _sweep(g, cur, lattice, n, s, dividends):
         worst_iters = max(worst_iters, iters)
         worst_resid = max(worst_resid, resid)
-        if keep_surface:
-            z_slices.append(z)
-        else:
+        if not keep_surface:
             y_slices.clear()
         y_slices.append(y)
     if not np.isfinite(y_slices[-1]).all():
@@ -271,8 +268,7 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
             if not np.isfinite(y).all():
                 raise _non_finite(y, i, "price")
     y_slices.reverse()
-    z_slices.reverse()
-    return y_slices, z_slices, worst_iters, worst_resid
+    return y_slices, worst_iters, worst_resid
 
 
 # -- full solves ----------------------------------------------------------------
@@ -281,15 +277,22 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
 class PricingResult:
     """Solution of the backward recursion: value process and hedge process.
 
-    ``y.at(i)`` are node prices; ``z.at(i)`` the martingale-increment
-    coefficients used over step ``i``.  The terminal slice of ``y`` equals the
-    claim payoff bitwise.
+    ``y.at(i)`` are node prices; the terminal slice equals the claim payoff
+    bitwise.  ``z.at(i)`` are the martingale-increment coefficients used over
+    step ``i``.  Only ``y`` is stored: ``z`` is derived from it on first read
+    by the kernel's own child operator, so it is bitwise the ``z`` the solve
+    used.  A zero-step solve has one all-zero ``z`` slice.
     """
 
     y: AdaptedProcess
-    z: AdaptedProcess
     picard_iters: int
     residual: float
+
+    @cached_property
+    def z(self) -> AdaptedProcess:
+        y = self.y
+        slices = [one_step_z(y, i) for i in range(y.start, y.stop)]
+        return AdaptedProcess(y.lattice, y.start, slices or [y.at(y.start) * 0.0])
 
 
 def solve_bsde(
@@ -304,10 +307,9 @@ def solve_bsde(
     n = lattice.n_steps if t_step is None else t_step
     if not 0 <= s_step <= n <= lattice.n_steps:
         raise BadStepOrder(f"need 0 <= s={s_step} <= t={n} <= {lattice.n_steps}")
-    y_slices, z_slices, iters, resid = _backward(
+    y_slices, iters, resid = _backward(
         g, claim.values(lattice, n), lattice, n, s_step, dividends, keep_surface=True)
     return PricingResult(y=AdaptedProcess(lattice, s_step, y_slices),
-                         z=AdaptedProcess(lattice, s_step, z_slices or [y_slices[0] * 0.0]),
                          picard_iters=iters, residual=resid)
 
 
@@ -345,7 +347,7 @@ def solve_terminal_batch(
         raise StepOutOfRange(f"terminal rows must have {n + 1} entries")
     if not np.isfinite(cur).all():
         raise _non_finite(cur, n, "terminal value")
-    (root,), _, _, _ = _backward(g, cur, lattice, n, 0, None, keep_surface=False)
+    (root,), _, _ = _backward(g, cur, lattice, n, 0, None, keep_surface=False)
     return root[:, 0]
 
 
@@ -476,9 +478,8 @@ def compare(
     if np.min(xa - xb) < -tol:
         return ComparisonVerdict(applicable=False, passed=None,
                                  reason="terminal payoffs are not ordered")
-    ka = dividends_a or DividendStream.zero(lattice)
-    kb = dividends_b or DividendStream.zero(lattice)
-    if not ka.difference(kb).is_increasing(tol=tol):
+    gap = _payout_gap(dividends_a, dividends_b, lattice)
+    if gap is not None and not gap.is_increasing(tol=tol):
         return ComparisonVerdict(applicable=False, passed=None,
                                  reason="payout difference is not increasing")
 
@@ -522,10 +523,8 @@ def check_domination(
         - np.asarray(claim_b.payoff(b), dtype=float),
         name="difference",
     )
-    ka = dividends_a or DividendStream.zero(lattice)
-    kb = dividends_b or DividendStream.zero(lattice)
-    cap = solve_bsde(domination_generator(mu), diff_claim, ka.difference(kb),
-                     lattice).y
+    cap = solve_bsde(domination_generator(mu), diff_claim,
+                     _payout_gap(dividends_a, dividends_b, lattice), lattice).y
 
     worst_margin, worst_node = _worst_node(cap.at(i) - (sa.at(i) - sb.at(i))
                                            for i in range(n + 1))
@@ -554,8 +553,7 @@ def sign_flip_check(
         name=f"reflected({g.name})",
     )
     neg_claim = TerminalClaim(lambda b: -np.asarray(claim.payoff(b), dtype=float))
-    k = dividends or DividendStream.zero(lattice)
-    neg_div = DividendStream.zero(lattice).difference(k)
+    neg_div = _payout_gap(None, dividends, lattice)
 
     y = solve_bsde(g, claim, dividends, lattice).y
     y_neg = solve_bsde(reflected, neg_claim, neg_div, lattice).y

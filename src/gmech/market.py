@@ -263,10 +263,9 @@ def _scan_anomalies(chain: OptionChain) -> list:
 
 def _max_workers() -> int:
     raw = os.environ.get("GMECH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"GMECH_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def run_domination_test(

@@ -359,6 +359,23 @@ class TestRecoverGenerator:
             assert v == pytest.approx(0.3 * abs(z), abs=1e-9)
         assert rec.lipschitz_ratio <= 0.3 + 1e-9
 
+    def test_lipschitz_certificate_matches_pairwise_loop(self):
+        # duplicate and coincident-coordinate points exercise the 0/0 and x/0
+        # ratios, which the certificate skips
+        lat = build_lattice(build_grid(0.0, 1.0, 32))
+        mech = as_mechanism(random_lipschitz_generator(np.random.default_rng(12)), lat)
+        pts = grid_points([-1, 0, 1], [-1, 0.5]) + [(0.0, 0.5), (1.0, 2.0)]
+        rec = recover_generator(mech, 2, pts, lat)
+        worst = 0.0
+        for row in rec.table:
+            for pa, va in zip(rec.points, row):
+                for pb, vb in zip(rec.points, row):
+                    sep = abs(pa[0] - pb[0]) + abs(pa[1] - pb[1])
+                    if sep > 0.0:
+                        worst = max(worst, abs(va - vb) / sep)
+        assert worst > 0.0
+        assert rec.lipschitz_ratio == worst
+
     def test_interpolated_generator_reprices_claims(self):
         lat = build_lattice(build_grid(0.0, 1.0, 64))
         gen = abs_z_generator(0.3)

@@ -178,6 +178,13 @@ class TestAuditAndSynth:
         assert report["total_violated"] == 0
         assert report["total_tested"] == 4 * 6 * 5
 
+    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, chain_csv):
+        monkeypatch.setenv("GMECH_THREADS", "abc")
+        code = main(["audit", "--chain", chain_csv, "--mu", "0.5", "--steps", "16",
+                     "--vol", "0.2"])
+        assert code == 2
+        assert "GMECH_THREADS" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, capsys):
         code, _ = run_cli(capsys, "audit", "--chain", "/nonexistent.csv",
                           "--mu", "0.5")

@@ -25,6 +25,7 @@ from gmech import (
     claim_from_values,
     compare,
     domination_generator,
+    doob_meyer,
     linear_generator,
     make_underlying_map,
     paste,
@@ -37,6 +38,7 @@ from gmech import (
 
 from util import (
     BS_CALL_ATM,
+    affine_binomial_price,
     increasing_stream,
     ordered_claim_pair,
     random_lipschitz_generator,
@@ -116,6 +118,35 @@ class TestSolveBsde:
             relation = (m + g(lat8.grid.time(i), res.y.at(i), res.z.at(i)) * lat8.dt
                         + stream.increment(i))
             assert np.allclose(res.y.at(i), relation, atol=1e-11, rtol=0)
+        # the z read back off y is the one the closed-form step was given
+        closed_form = [zero_generator(), g, abs_z_generator(0.3),
+                       linear_generator(0.3, -0.4),
+                       black_scholes_generator(BSMarketParams(r=0.05, b=0.08, sigma=0.2))]
+        for h in closed_form:
+            res = solve_bsde(h, claim, stream, lat8)
+            for i in range(8):
+                nxt = res.y.at(i + 1)
+                m = 0.5 * (nxt[1:] + nxt[:-1])
+                step = h.exact_step(lat8.grid.time(i), m, res.z.at(i),
+                                    stream.increment(i), lat8.dt)
+                assert np.asarray(step).tobytes() == res.y.at(i).tobytes()
+
+    def test_zero_step_solve_has_one_zero_hedge_slice(self, lat8):
+        claim = random_pwl_claim(np.random.default_rng(4))
+        res = solve_bsde(domination_generator(0.4), claim, None, lat8,
+                         t_step=5, s_step=5)
+        assert (res.z.start, res.z.stop) == (5, 5)
+        assert np.array_equal(res.z.at(5), np.zeros(6))
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_affine_driver_matches_binomial_oracle(self, n):
+        rng = np.random.default_rng(n)
+        lat = build_lattice(build_grid(0.0, 1.0, n))
+        a, b = rng.uniform(-0.5, 0.5, size=2)
+        claim = random_pwl_claim(rng)
+        got = solve_bsde(linear_generator(a, b), claim, None, lat).y.at(0)[0]
+        assert got == pytest.approx(affine_binomial_price(lat, claim, a, b),
+                                    abs=1e-12, rel=0)
 
     def test_contraction_guard(self):
         lat = build_lattice(build_grid(0.0, 1.0, 2))  # dt = 0.5
@@ -467,6 +498,28 @@ class TestDividendStream:
         b = DividendStream.from_rate(lat8, 0.5)
         d = a.difference(b)
         assert d.increment(3) == pytest.approx(1.5 * lat8.dt)
+
+    def test_absent_payouts_match_a_zero_stream(self, lat8):
+        # ``None`` dividends skip the zero arrays; verdicts must not notice
+        rng = np.random.default_rng(21)
+        zero = DividendStream.from_rate(lat8, 0.0)
+        for g in (domination_generator(0.4), random_lipschitz_generator(rng)):
+            mech = as_mechanism(g, lat8)
+            upper, lower = ordered_claim_pair(rng)
+            stream = increasing_stream(rng, lat8)
+            for ka, kb in ((None, None), (stream, None), (None, stream)):
+                za, zb = ka or zero, kb or zero
+                assert (compare(g, upper, ka, lower, kb, lat8)
+                        == compare(g, upper, za, lower, zb, lat8))
+                assert (check_domination(mech, upper, lower, 0.5, lat8, ka, kb)
+                        == check_domination(mech, upper, lower, 0.5, lat8, za, zb))
+            assert (sign_flip_check(g, upper, None, lat8)
+                    == sign_flip_check(g, upper, zero, lat8))
+            y = solve_bsde(g, upper, stream, lat8, s_step=2).y
+            got, want = doob_meyer(g, y, None, lat8), doob_meyer(g, y, zero, lat8)
+            assert got.reconstruction_error == want.reconstruction_error
+            assert ([s.tobytes() for s in got.increments.slices]
+                    == [s.tobytes() for s in want.increments.slices])
 
     def test_increment_outside_range_is_zero(self, lat8):
         s = DividendStream.from_arrays(lat8, [np.ones(3)], start=2)

@@ -184,6 +184,13 @@ class TestDominationAudit:
         with pytest.raises(EmptyChain):
             run_domination_test(chain, 0.5, 16, 0.2)
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+    def test_thread_count_must_be_a_positive_integer(self, monkeypatch, raw):
+        chain = synth_chain(PARAMS, 100.0, [100.0, 105.0], 0.0, 1.0)
+        monkeypatch.setenv("GMECH_THREADS", raw)
+        with pytest.raises(ValueError, match=f"GMECH_THREADS.*{raw!r}"):
+            run_domination_test(chain, 0.5, 16, 0.2)
+
     def test_threaded_run_matches_sequential(self, monkeypatch):
         chain = synth_chain(PARAMS, 100.0, np.linspace(90, 110, 6), 0.0, 0.5)
         seq = run_domination_test(chain, 0.5, 64, 0.2).as_dict()

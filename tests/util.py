@@ -5,7 +5,7 @@ backward pass: it sums exact path weights, so it can arbitrate the g == 0
 linearity checks.
 """
 
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -29,6 +29,21 @@ def binomial_expectation(lattice, claim: TerminalClaim, step=None) -> float:
     vals = claim.values(lattice, n)
     weights = np.array([comb(n, k) for k in range(n + 1)], dtype=float) / (2.0 ** n)
     return float(weights @ vals)
+
+
+def affine_binomial_price(lattice, claim: TerminalClaim, a: float, b: float) -> float:
+    """Root price under the affine driver ``g = a y + b z`` from path weights.
+
+    The one-step equation ``y (1 - a dt) = p up + (1 - p) down`` with
+    ``p = (1 + b sqrt(dt)) / 2`` unrolls to a binomial sum discounted by
+    ``(1 - a dt)^n``.
+    """
+    n = lattice.n_steps
+    dt = lattice.dt
+    p = 0.5 * (1.0 + b * sqrt(dt))
+    weights = np.array([comb(n, k) * p ** k * (1.0 - p) ** (n - k)
+                        for k in range(n + 1)])
+    return float(weights @ claim.values(lattice, n)) / (1.0 - a * dt) ** n
 
 
 def random_lipschitz_generator(rng, mu_max=0.5, kinks=2) -> Generator:
