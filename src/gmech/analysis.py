@@ -528,22 +528,20 @@ def build_probe_path(
                      z=float(z), mu=float(mu), slices=slices)
 
 
-def _decompose_probe(mech: MechanismHandle, probe: ProbePath,
-                     supermartingale_tol: float):
+def _decompose_probe(probe: ProbePath, one_steps: Sequence, supermartingale_tol: float):
     """Decompose a probe under the mechanism's one-step operator.
 
-    Returns the realized driver at the anchor (first step) after checking the
-    supermartingale property and the driver envelope along the window.
+    ``one_steps[k]`` holds the mechanism's step-``t_step + k`` prices of the
+    probe's next slice on the ``k + 1`` subtree nodes.  Returns the realized
+    driver at the anchor (first step) after checking the supermartingale
+    property and the driver envelope along the window.
     """
     lat = probe.lattice
     dt, sdt = lat.dt, lat.sqrt_dt
     mu = probe.mu
     first_driver = None
     for k in range(probe.window - 1, -1, -1):
-        big = probe.t_step + k
-        nxt = probe.slices[k + 1]
-        claim = _subtree_claim(lat, big + 1, probe.anchor, nxt, f"subtree@{big + 1}")
-        one_step = mech.price_at(big, big + 1, claim)[probe.anchor:probe.anchor + k + 1]
+        nxt, one_step = probe.slices[k + 1], one_steps[k]
         defect = probe.slices[k] - one_step
         j = int(np.argmin(defect))
         if defect[j] < -supermartingale_tol:
@@ -696,12 +694,22 @@ def recover_generator(
     if idx.size == 0 or idx[0] < 0 or idx[-1] >= (1 << level):
         raise InvalidParams(f"time indices must lie in [0, {(1 << level) - 1}]")
 
+    # one price_rows call per probe step prices that step of every sample
+    # point's probe; each row is the probe's clamped subtree slice
     table = np.zeros((idx.size, len(points)))
     for row, i in enumerate(idx):
         t_step = int(i) * window
-        for col, (yv, zv) in enumerate(points):
-            probe = build_probe_path(lat, t_step, yv, zv, mech.mu, window)
-            table[row, col] = _decompose_probe(mech, probe, supermartingale_tol)
+        probes = [build_probe_path(lat, t_step, yv, zv, mech.mu, window)
+                  for yv, zv in points]
+        j0 = probes[0].anchor
+        one_steps = []
+        for k, big in enumerate(range(t_step, t_step + window)):
+            cols = np.clip(np.arange(big + 2) - j0, 0, k + 1)
+            rows = np.stack([p.slices[k + 1][cols] for p in probes])
+            one_steps.append(mech.price_rows(big, big + 1, rows)[:, j0:j0 + k + 1])
+        for col, probe in enumerate(probes):
+            table[row, col] = _decompose_probe(
+                probe, [prices[col] for prices in one_steps], supermartingale_tol)
 
     # Lipschitz certificate per probe time; one (P, P) ratio matrix at a time bounds memory
     worst_ratio = 0.0

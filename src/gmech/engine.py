@@ -10,10 +10,11 @@ step.  The fixed point is found by Picard iteration started at ``m``, which
 contracts whenever ``mu * dt < 1``.
 
 One private kernel, ``_backward``, runs this recursion over the last axis of
-its input.  It has two entry points: :func:`solve_bsde` keeps the whole ``y``
-surface of one claim with its dividends, and :func:`solve_terminal_batch`
-keeps only the root values of many terminal rows.  ``z`` is never stored: it
-is read off ``y`` (see :class:`PricingResult`).
+its input.  It has three entry points: :func:`solve_bsde` keeps the whole
+``y`` surface of one claim with its dividends, :func:`solve_terminal_batch`
+keeps only the root values of many terminal rows, and the ``price_rows`` of an
+:func:`as_mechanism` handle keeps the step-``s`` values of many rows.  ``z``
+is never stored: it is read off ``y`` (see :class:`PricingResult`).
 A NaN or inf raises :class:`NonFiniteValue` naming the step and node where it
 first appears.
 
@@ -199,32 +200,43 @@ def require_monotone(mu: float, lattice: Lattice) -> None:
 def _non_finite(values: np.ndarray, step: int, what: str) -> NonFiniteValue:
     """Error naming the first NaN or inf entry of a step slice or batch of slices."""
     where = tuple(int(k) for k in np.argwhere(~np.isfinite(values))[0])
+    return NonFiniteValue(f"{what} is {values[where]} at {_witness(step, where)}")
+
+
+def _witness(step: int, where: tuple) -> str:
+    """``step i, [row r, ]node j`` for an index into a slice or batch of slices."""
     row = f"row {where[0]}, " if len(where) > 1 else ""
-    return NonFiniteValue(f"{what} is {values[where]} at step {step}, {row}node {where[-1]}")
+    return f"step {step}, {row}node {where[-1]}"
 
 
 def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
     """Solve ``y = m + g(t, y, z) dt + dk`` by Picard iteration from ``y0 = m``.
 
-    Drivers that carry a closed-form one-step inverse bypass the iteration.
+    In a ``(rows, nodes)`` batch each row stops on its own residual and is then
+    frozen, so a row's bits do not depend on its batch.  Drivers that carry a
+    closed-form one-step inverse bypass the iteration.
     """
     if g.exact_step is not None:
         return np.asarray(g.exact_step(t, m, z, dk, dt), dtype=float), 1, 0.0
     y = np.asarray(m, dtype=float)
-    resid = np.inf
-    iters = 0
+    done = None
     for iters in range(1, PICARD_CAP + 1):
         y_next = m + g(t, y, z) * dt + dk
-        resid = float(np.max(np.abs(y_next - y))) if y_next.size else 0.0
+        if done is not None:
+            y_next[done] = y[done]
+        gap = np.abs(y_next - y)
+        resid = float(np.max(gap)) if gap.size else 0.0
         if not math.isfinite(resid):
             raise _non_finite(y_next - y, step, "Picard update")
         y = y_next
         if resid <= PICARD_TOL:
             break
+        if y.ndim > 1:
+            done = np.max(gap, axis=-1) <= PICARD_TOL
     if resid > PICARD_FAIL:
-        raise PicardDivergence(
-            f"one-step iteration stuck at residual {resid:.3g} (t={t:.6g})"
-        )
+        where = np.unravel_index(np.argmax(gap), gap.shape)
+        raise PicardDivergence(f"Picard iteration stuck at residual {resid:.3g} "
+                               f"at {_witness(step, where)} (t={t:.6g})")
     return y, iters, resid
 
 
@@ -358,25 +370,49 @@ class MechanismHandle:
 
     ``price_at(s_step, t_step, claim, dividends)`` returns node values at
     ``s_step``; implementations must be pure and reentrant.  ``mu`` is the
-    declared domination constant (``None`` when unknown).
+    declared domination constant (``None`` when unknown).  ``surface_fn`` and
+    ``rows_fn`` are optional fast paths behind :meth:`price_surface` and
+    :meth:`price_rows`; without them both loop over ``price_at``.
     """
 
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float],
-                 name: str = "", surface_fn: Optional[Callable] = None):
+                 name: str = "", surface_fn: Optional[Callable] = None,
+                 rows_fn: Optional[Callable] = None):
         self.lattice = lattice
         self._price_at = price_at
         self.mu = mu
         self.name = name
         self._surface_fn = surface_fn
+        self._rows_fn = rows_fn
 
-    def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
-                 dividends: Optional[DividendStream] = None) -> np.ndarray:
+    def _check_steps(self, s_step: int, t_step: int) -> None:
         if not 0 <= s_step <= t_step <= self.lattice.n_steps:
             raise BadStepOrder(
                 f"need 0 <= s={s_step} <= t={t_step} <= {self.lattice.n_steps}"
             )
+
+    def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
+                 dividends: Optional[DividendStream] = None) -> np.ndarray:
+        self._check_steps(s_step, t_step)
         return np.asarray(self._price_at(s_step, t_step, claim, dividends),
                           dtype=float)
+
+    def price_rows(self, s_step: int, t_step: int, rows) -> np.ndarray:
+        """Prices at ``s_step`` of a ``(k, t_step + 1)`` batch of terminal node
+        values, as ``(k, s_step + 1)``; row ``r`` equals ``price_at`` of
+        ``claim_from_values(lattice, t_step, rows[r])``."""
+        self._check_steps(s_step, t_step)
+        rows = np.array(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != t_step + 1:
+            raise StepOutOfRange(f"rows must have {t_step + 1} entries, got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise _non_finite(rows, t_step, "terminal value")
+        if self._rows_fn is not None:
+            return self._rows_fn(s_step, t_step, rows)
+        out = np.empty((rows.shape[0], s_step + 1))
+        for r, row in enumerate(rows):
+            out[r] = self.price_at(s_step, t_step, claim_from_values(self.lattice, t_step, row))
+        return out
 
     def price_surface(self, t_step: int, claim: TerminalClaim,
                       dividends: Optional[DividendStream] = None) -> AdaptedProcess:
@@ -398,8 +434,12 @@ def as_mechanism(g: Generator, lattice: Lattice) -> MechanismHandle:
         res = solve_bsde(g, claim, dividends, lattice, t_step=t_step, s_step=0)
         return res.y
 
-    return MechanismHandle(lattice, price_at, mu=g.mu,
-                           name=g.name or "mechanism", surface_fn=surface_fn)
+    def rows_fn(s_step, t_step, rows):
+        (y,), _, _ = _backward(g, rows, lattice, t_step, s_step, None, keep_surface=False)
+        return y
+
+    return MechanismHandle(lattice, price_at, mu=g.mu, name=g.name or "mechanism",
+                           surface_fn=surface_fn, rows_fn=rows_fn)
 
 
 def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> MechanismHandle:

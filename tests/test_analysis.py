@@ -396,6 +396,32 @@ class TestRecoverGenerator:
         with pytest.raises(DominationViolated):
             recover_generator(mech, 5, [(0.0, 2.0)], lat)
 
+    @pytest.mark.parametrize("gen", [
+        random_lipschitz_generator(np.random.default_rng(37)), abs_z_generator(0.3),
+    ], ids=lambda g: g.name)
+    def test_price_at_only_handle_recovers_the_same_table(self, gen):
+        # price_rows of as_mechanism runs the kernel on all sample points at
+        # once; the default loop prices one claim per price_at call
+        lat = build_lattice(build_grid(0.0, 1.0, 64))
+        mech = as_mechanism(gen, lat)
+        plain = MechanismHandle(lat, mech.price_at, mu=mech.mu)
+        pts = grid_points([-2, 0, 1], [-1, 0, 2])
+        fast = recover_generator(mech, 4, pts, lat)
+        slow = recover_generator(plain, 4, pts, lat)
+        assert fast.table.tobytes() == slow.table.tobytes()
+        assert fast.lipschitz_ratio == slow.lipschitz_ratio
+
+    def test_price_at_only_handle_raises_the_same_violation(self):
+        lat = build_lattice(build_grid(0.0, 1.0, 64))
+        rogue = as_mechanism(abs_z_generator(1.0), lat)
+        rogue.mu = 0.5
+        messages = []
+        for handle in (rogue, MechanismHandle(lat, rogue.price_at, mu=0.5)):
+            with pytest.raises(DominationViolated) as err:
+                recover_generator(handle, 4, grid_points([-1, 0, 1], [0, 2]), lat)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_singleton_axis_grid_interpolates(self):
         # a 1 x N grid is still a grid; interpolation degenerates cleanly
         lat = build_lattice(build_grid(0.0, 1.0, 16))

@@ -2,8 +2,8 @@
 
 ``bench/tracing.py`` patches functions and methods by name in every gmech
 module that binds them.  Installing and restoring it here makes a refactor
-that drops or renames one of those names fail in the test suite rather than
-in a benchmark run.
+that drops or renames one of those names, or that changes which layers a
+workload reaches, fail in the test suite rather than in a benchmark run.
 """
 
 import importlib.util
@@ -15,6 +15,9 @@ import numpy as np
 import gmech
 import gmech.cli
 from gmech import Generator, GeneratorFlags, TerminalClaim
+from gmech.analysis import grid_points
+
+from util import random_lipschitz_generator
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -61,3 +64,25 @@ def test_install_wraps_and_restore_puts_originals_back():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_traced_recovery_bypasses_the_batch_entry_point():
+    # the blackbox workload predicts engine.batch.calls == 0 and a nonzero
+    # analysis.probe.builds; recovery prices through price_rows, which
+    # reaches the kernel without solve_terminal_batch
+    tracing = _load_tracing()
+    lattice = gmech.build_lattice(gmech.build_grid(0.0, 1.0, 16))
+    mech = gmech.as_mechanism(random_lipschitz_generator(np.random.default_rng(41)), lattice)
+    pts = grid_points([-1, 0, 1], [0, 1])
+    untraced = gmech.recover_generator(mech, 3, pts, lattice)
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, gmech)
+    try:
+        traced = gmech.recover_generator(mech, 3, pts, lattice)
+    finally:
+        installed.restore()
+    summary = tracer.summary()
+    assert summary["engine.batch"]["calls"] == 0
+    assert summary["analysis.recover"]["calls"] == 1
+    assert summary["analysis.probe"]["calls"] >= 1
+    assert traced.table.tobytes() == untraced.table.tobytes()

@@ -12,9 +12,11 @@ from gmech import (
     ContractionViolation,
     DividendStream,
     Generator,
+    MechanismHandle,
     NonFiniteValue,
     PicardDivergence,
     SchemeNotMonotone,
+    StepOutOfRange,
     TerminalClaim,
     abs_z_generator,
     as_mechanism,
@@ -159,8 +161,20 @@ class TestSolveBsde:
         lat = build_lattice(build_grid(0.0, 1.0, 4))
         lying = Generator(fn=lambda t, y, z: 10.0 * np.asarray(y, float),
                           mu=0.1, name="understated")
-        with pytest.raises(PicardDivergence):
+        with pytest.raises(PicardDivergence,
+                           match=r"stuck at residual \S+ at step 3, node \d+ \(t="):
             solve_bsde(lying, WALK, None, lat)
+
+    def test_divergent_batch_row_is_named(self):
+        # the all-zero row converges at once and is frozen; only row 1 diverges
+        lat = build_lattice(build_grid(0.0, 1.0, 4))
+        lying = Generator(fn=lambda t, y, z: 10.0 * np.asarray(y, float),
+                          mu=0.1, name="understated")
+        rows = np.stack([np.zeros(5), WALK.values(lat, 4)])
+        with pytest.raises(PicardDivergence, match=r"at step 3, row 1, node \d+ "):
+            solve_terminal_batch(lying, rows, lat)
+        with pytest.raises(PicardDivergence, match=r"at step 3, row 1, node \d+ "):
+            as_mechanism(lying, lat).price_rows(0, 4, rows)
 
     def test_batch_matches_single(self, lat8):
         rng = np.random.default_rng(3)
@@ -171,12 +185,12 @@ class TestSolveBsde:
         for k, c in enumerate(claims):
             # closed-form rows run the surface solve's kernel: bitwise equal
             assert batch[k] == solve_bsde(g, c, None, lat8).y.at(0)[0]
-        # Picard stops on the batch's worst row, so rows agree to tolerance
+        # each Picard row stops on its own residual and is then frozen, so
+        # it takes the iterates of its single solve: bitwise equal too
         g = random_lipschitz_generator(rng)
         batch = solve_terminal_batch(g, terminal, lat8)
         for k, c in enumerate(claims):
-            assert batch[k] == pytest.approx(
-                solve_bsde(g, c, None, lat8).y.at(0)[0], abs=1e-12)
+            assert batch[k] == solve_bsde(g, c, None, lat8).y.at(0)[0]
 
 
 BUILT_IN_DRIVERS = [
@@ -201,6 +215,64 @@ def test_closed_form_matches_picard(g, lat16):
         for i in range(17):
             gap = np.max(np.abs(exact.y.at(i) - iterated.y.at(i)))
             assert gap <= 1e-12, (i, gap)
+
+
+@pytest.mark.parametrize(
+    "g", BUILT_IN_DRIVERS + [random_lipschitz_generator(np.random.default_rng(23))],
+    ids=lambda g: g.name)
+def test_price_rows_matches_price_at(g, lat16):
+    rng = np.random.default_rng(29)
+    mech = as_mechanism(g, lat16)
+    pairs = [(0, 0), (0, 16), (7, 7), (16, 16), (15, 16)]
+    pairs += [tuple(sorted(int(v) for v in rng.integers(0, 17, size=2))) for _ in range(8)]
+    pairs += [(0, int(t)) for t in rng.integers(1, 17, size=3)]
+    for s, t in pairs:
+        rows = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 6)), t + 1))
+        got = mech.price_rows(s, t, rows)
+        want = np.stack([mech.price_at(s, t, claim_from_values(lat16, t, row))
+                         for row in rows])
+        assert got.shape == want.shape == (rows.shape[0], s + 1)
+        assert got.tobytes() == want.tobytes(), (s, t)
+
+
+def _price_at_only(mech):
+    """The same mechanism behind a handle that has ``price_at`` alone."""
+    calls = []
+
+    def price_at(s, t, claim, dividends=None):
+        calls.append((s, t))
+        return mech.price_at(s, t, claim, dividends)
+
+    return MechanismHandle(mech.lattice, price_at, mu=mech.mu, name="plain"), calls
+
+
+def test_price_rows_default_loops_over_price_at(lat8):
+    rng = np.random.default_rng(31)
+    mech = as_mechanism(random_lipschitz_generator(rng), lat8)
+    plain, calls = _price_at_only(mech)
+    for s, t in ((2, 6), (0, 8), (5, 5)):
+        rows = rng.uniform(-2.0, 2.0, size=(3, t + 1))
+        calls.clear()
+        assert plain.price_rows(s, t, rows).tobytes() == mech.price_rows(s, t, rows).tobytes()
+        assert calls == [(s, t)] * 3
+    assert plain.price_rows(1, 3, np.zeros((0, 4))).shape == (0, 2)
+
+
+def test_price_rows_validation(lat8):
+    mech = as_mechanism(domination_generator(0.3), lat8)
+    for handle in (mech, _price_at_only(mech)[0]):
+        with pytest.raises(BadStepOrder):
+            handle.price_rows(5, 4, np.zeros((1, 5)))
+        with pytest.raises(BadStepOrder):
+            handle.price_rows(0, 9, np.zeros((1, 10)))
+        with pytest.raises(StepOutOfRange, match="5 entries"):
+            handle.price_rows(2, 4, np.zeros((2, 6)))
+        with pytest.raises(StepOutOfRange, match="5 entries"):
+            handle.price_rows(2, 4, np.zeros(5))
+        rows = np.zeros((3, 5))
+        rows[2, 1] = np.nan
+        with pytest.raises(NonFiniteValue, match="at step 4, row 2, node 1$"):
+            handle.price_rows(0, 4, rows)
 
 
 class TestNonFiniteValues:
