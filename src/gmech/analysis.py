@@ -42,7 +42,9 @@ from .engine import (
     MechanismHandle,
     TerminalClaim,
     _increment_at,
+    _own_lattice,
     _subtree_claim,
+    _witness,
     as_mechanism,
     check_domination,
     claim_from_values,
@@ -141,7 +143,9 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
 
     Claims are random piecewise-linear payoffs; events are random node
     subsets at the evaluation step.  Deterministic given ``seed``.
+    ``lattice`` must be the handle's own.
     """
+    _own_lattice(mech, lattice)
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -336,15 +340,17 @@ class RepresentationResult:
 
 
 def _realized_driver(price, y, m, z, dk, dt: float, mu: float, tol: float,
-                     step: int, what: str) -> np.ndarray:
-    """Realized one-step driver ``(price - m - dk) / dt``; raises
-    :class:`BoundViolated` where it escapes ``mu (|y| + |z|)`` by over ``tol``."""
+                     step: int, what: str, first_node: int = 0) -> np.ndarray:
+    """Realized one-step driver ``(price - m - dk) / dt`` on the step-``step``
+    nodes from ``first_node`` on; raises :class:`BoundViolated` where it
+    escapes ``mu (|y| + |z|)`` by over ``tol``."""
     drv = (price - m - dk) / dt
     excess = np.abs(drv) - mu * (np.abs(y) + np.abs(z))
     j = int(np.argmax(excess))
     if excess[j] > tol:
         raise BoundViolated(
-            f"{what} escapes mu-envelope by {excess[j]:.3g} at node ({step}, {j})"
+            f"{what} {drv[j]:.6g} escapes mu-envelope by {excess[j]:.3g} "
+            f"at {_witness(step, (first_node + j,))}"
         )
     return drv
 
@@ -362,7 +368,9 @@ def represent(
     Needs a declared ``mech.mu``; raises :class:`BoundViolated` when the
     extracted driver escapes the envelope by more than ``bound_tol`` (the
     declared constant is too small, or the mechanism is not dominated).
+    ``lattice`` must be the handle's own.
     """
+    _own_lattice(mech, lattice)
     if mech.mu is None:
         raise InvalidParams("mechanism must declare a domination constant mu")
     t = lattice.n_steps if t_step is None else t_step
@@ -467,13 +475,14 @@ def infinitesimal_probe(
 
 @dataclass
 class ProbePath:
-    """Forward probe with constant hedge level ``z`` and extremal drift.
+    """One-step forward probe with constant hedge level ``z`` and extremal drift.
 
-    Starts at value ``y`` on one anchor node and evolves on the subtree below
-    it by ``Y_{k+1} = Y_k - g_mu(Y_k, z) dt + z dB``; recombining nodes take
-    the parent average.  ``slices[k]`` holds the ``k + 1`` subtree values at
-    lattice step ``t_step + k``.  By construction the probe is a price path
-    of the extremal-driver system, hence a supermartingale under any
+    Starts at value ``y`` on one anchor node at lattice step ``t_step``; its
+    two children at ``t_step + 1`` are ``y - g_mu(y, z) dt -/+ z sqrt(dt)``.
+    ``slices`` is ``[[y], [down, up]]``.  By construction ``y`` solves
+    ``y = m + mu (|y| + |z|) dt`` with the children's own ``m`` and ``z``, a
+    fixed point that is unique while ``mu dt < 1``: the probe is a one-step
+    price path of the extremal-driver system, hence a supermartingale under any
     mechanism dominated at level ``mu``.
     """
 
@@ -484,10 +493,6 @@ class ProbePath:
     z: float
     mu: float
     slices: list
-
-    @property
-    def window(self) -> int:
-        return len(self.slices) - 1
 
 
 def _forward_subtree(start: float, window: int, move: Callable) -> list:
@@ -513,50 +518,41 @@ def build_probe_path(
     y: float,
     z: float,
     mu: float,
-    window: int,
     anchor: int | None = None,
 ) -> ProbePath:
-    if window < 1 or t_step + window > lattice.n_steps:
-        raise StepOutOfRange("probe window must fit inside the lattice")
+    """The one-step extremal-drift probe from ``(t_step, y)`` at hedge ``z``."""
+    if t_step >= lattice.n_steps:
+        raise StepOutOfRange("probe step must fit inside the lattice")
     j0 = t_step // 2 if anchor is None else int(anchor)
     if not 0 <= j0 <= t_step:
         raise StepOutOfRange(f"anchor {j0} is not a step-{t_step} node")
     dt, sdt = lattice.dt, lattice.sqrt_dt
     slices = _forward_subtree(
-        y, window, lambda cur: (cur - mu * (np.abs(cur) + abs(z)) * dt, z * sdt))
+        y, 1, lambda cur: (cur - mu * (np.abs(cur) + abs(z)) * dt, z * sdt))
     return ProbePath(lattice=lattice, t_step=t_step, anchor=j0, y=float(y),
                      z=float(z), mu=float(mu), slices=slices)
 
 
-def _decompose_probe(probe: ProbePath, one_steps: Sequence, supermartingale_tol: float):
+def _decompose_probe(probe: ProbePath, one_step: float, supermartingale_tol: float):
     """Decompose a probe under the mechanism's one-step operator.
 
-    ``one_steps[k]`` holds the mechanism's step-``t_step + k`` prices of the
-    probe's next slice on the ``k + 1`` subtree nodes.  Returns the realized
-    driver at the anchor (first step) after checking the supermartingale
-    property and the driver envelope along the window.
+    ``one_step`` is the mechanism's step-``t_step`` price at the anchor of the
+    probe's children.  Returns the realized driver there after checking the
+    supermartingale property and the driver envelope.
     """
     lat = probe.lattice
-    dt, sdt = lat.dt, lat.sqrt_dt
-    mu = probe.mu
-    first_driver = None
-    for k in range(probe.window - 1, -1, -1):
-        nxt, one_step = probe.slices[k + 1], one_steps[k]
-        defect = probe.slices[k] - one_step
-        j = int(np.argmin(defect))
-        if defect[j] < -supermartingale_tol:
-            raise DominationViolated(
-                f"probe (t_step={probe.t_step}, y={probe.y:g}, z={probe.z:g}) "
-                f"has defect {defect[j]:.3g} at subtree node ({k}, {j}); "
-                f"mechanism is not dominated at mu={mu:g}"
-            )
-        mean_next, hedge = one_step_mz(nxt, sdt)
-        driver = _realized_driver(
-            one_step, probe.slices[k], mean_next, hedge, 0.0, dt, mu, 1e-6, k,
-            f"probe (t_step={probe.t_step}, y={probe.y:g}, z={probe.z:g}) driver")
-        if k == 0:
-            first_driver = float(driver[0])
-    return first_driver
+    what = f"probe (y={probe.y:g}, z={probe.z:g})"
+    defect = probe.y - one_step
+    if defect < -supermartingale_tol:
+        raise DominationViolated(
+            f"{what} has defect {defect:.3g} at {_witness(probe.t_step, (probe.anchor,))}; "
+            f"mechanism is not dominated at mu={probe.mu:g}"
+        )
+    mean_next, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
+    driver = _realized_driver(np.array([one_step]), probe.slices[0], mean_next, hedge,
+                              0.0, lat.dt, probe.mu, 1e-6, probe.t_step,
+                              f"{what} driver", probe.anchor)
+    return float(driver[0])
 
 
 @dataclass
@@ -665,18 +661,19 @@ def recover_generator(
     """Tabulate the generating function of a dominated mechanism.
 
     For every dyadic time ``t_i = i T / 2^level`` and every sample point
-    ``(y, z)``: launch the extremal-drift probe from ``(t_i, y)`` at hedge
-    level ``z``, decompose it as a supermartingale under the mechanism's
+    ``(y, z)``: launch the one-step extremal-drift probe from ``(t_i, y)`` at
+    hedge level ``z``, decompose it as a supermartingale under the mechanism's
     one-step operator, and record the realized driver at the probe's start.
-    The probe window is one dyadic interval, which is exactly the span the
-    tabulation consumes.
+    One ``price_rows`` call per dyadic time prices the probes of all sample
+    points.  ``lattice`` defaults to the handle's own; any other raises
+    :class:`InvalidParams`.
 
     The lattice step count must be divisible by ``2^level`` so dyadic times
     sit on the grid.  A probe whose one-step defect dips below the tolerance
     raises :class:`DominationViolated`: the mechanism is not dominated at its
     declared ``mu``.
     """
-    lat = lattice or mech.lattice
+    lat = _own_lattice(mech, lattice)
     if mech.mu is None:
         raise InvalidParams("mechanism must declare a domination constant mu")
     if level < 0 or lat.n_steps % (1 << level) != 0:
@@ -688,28 +685,24 @@ def recover_generator(
     if not points:
         raise InvalidParams("need at least one sample point")
 
-    window = lat.n_steps // (1 << level)
+    stride = lat.n_steps // (1 << level)
     idx = (np.arange(1 << level, dtype=int) if time_indices is None
            else np.asarray(sorted(set(int(i) for i in time_indices)), dtype=int))
     if idx.size == 0 or idx[0] < 0 or idx[-1] >= (1 << level):
         raise InvalidParams(f"time indices must lie in [0, {(1 << level) - 1}]")
 
-    # one price_rows call per probe step prices that step of every sample
-    # point's probe; each row is the probe's clamped subtree slice
+    # one price_rows call per dyadic time prices every sample point's probe;
+    # each row is the probe's two children, clamped across the whole slice
     table = np.zeros((idx.size, len(points)))
     for row, i in enumerate(idx):
-        t_step = int(i) * window
-        probes = [build_probe_path(lat, t_step, yv, zv, mech.mu, window)
-                  for yv, zv in points]
+        t_step = int(i) * stride
+        probes = [build_probe_path(lat, t_step, yv, zv, mech.mu) for yv, zv in points]
         j0 = probes[0].anchor
-        one_steps = []
-        for k, big in enumerate(range(t_step, t_step + window)):
-            cols = np.clip(np.arange(big + 2) - j0, 0, k + 1)
-            rows = np.stack([p.slices[k + 1][cols] for p in probes])
-            one_steps.append(mech.price_rows(big, big + 1, rows)[:, j0:j0 + k + 1])
+        cols = np.clip(np.arange(t_step + 2) - j0, 0, 1)
+        rows = np.stack([p.slices[1][cols] for p in probes])
+        one_steps = mech.price_rows(t_step, t_step + 1, rows)[:, j0]
         for col, probe in enumerate(probes):
-            table[row, col] = _decompose_probe(
-                probe, [prices[col] for prices in one_steps], supermartingale_tol)
+            table[row, col] = _decompose_probe(probe, one_steps[col], supermartingale_tol)
 
     # Lipschitz certificate per probe time; one (P, P) ratio matrix at a time bounds memory
     worst_ratio = 0.0
@@ -726,7 +719,7 @@ def recover_generator(
     if origin:
         zero_defect = float(np.max(np.abs(table[:, origin[0]])))
 
-    times = np.array([lat.grid.time(int(i) * window) for i in idx])
+    times = np.array([lat.grid.time(int(i) * stride) for i in idx])
     return RecoveredGenerator(
         level=level, mu=float(mech.mu), times=times, time_indices=idx,
         points=points, table=table, lipschitz_ratio=worst_ratio,
@@ -761,9 +754,10 @@ def verify_main_theorem(
     Preconditions are exercised first at small sample counts: the structural
     laws and the domination cap on random claim pairs.  Then random bounded
     claims are priced under both the black box and the rebuilt system and the
-    worst node discrepancy over all steps is reported.
+    worst node discrepancy over all steps is reported.  ``lattice`` defaults to
+    the handle's own; any other raises :class:`InvalidParams`.
     """
-    lat = lattice or mech.lattice
+    lat = _own_lattice(mech, lattice)
     if mech.mu is None:
         raise InvalidParams("mechanism must declare a domination constant mu")
     if level is None:

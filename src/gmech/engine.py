@@ -37,6 +37,7 @@ from .errors import (
     BadPartition,
     BadStepOrder,
     ContractionViolation,
+    InvalidParams,
     NonFiniteValue,
     PicardDivergence,
     SchemeNotMonotone,
@@ -424,6 +425,14 @@ class MechanismHandle:
         return AdaptedProcess(self.lattice, 0, slices)
 
 
+def _own_lattice(mech: MechanismHandle, lattice: Optional[Lattice]) -> Lattice:
+    """The handle's lattice, which ``lattice`` must equal unless ``None``."""
+    if lattice is not None and lattice != mech.lattice:
+        raise InvalidParams(f"lattice {lattice.grid} is not the mechanism's "
+                            f"lattice {mech.lattice.grid}")
+    return mech.lattice
+
+
 def as_mechanism(g: Generator, lattice: Lattice) -> MechanismHandle:
     """Wrap a driver's backward solver as a pricing mechanism on the lattice."""
 
@@ -552,7 +561,9 @@ def check_domination(
     At every node of every step the spread ``mech(A) - mech(B)`` must not
     exceed the extremal-driver price of the difference claim (with the
     difference payout stream); the worst margin ``cap - spread`` is reported.
+    ``lattice`` must be the handle's own.
     """
+    _own_lattice(mech, lattice)
     require_monotone(mu, lattice)
     n = lattice.n_steps
     sa = mech.price_surface(n, claim_a, dividends_a)

@@ -241,23 +241,17 @@ def _scan_anomalies(chain: OptionChain) -> list:
     of either order cannot come from any monotone pricing map.
     """
     out = []
+    families = (("call", chain.call_mids, 1.0), ("put", chain.put_mids, -1.0))
     for k in range(chain.n_strikes - 1):
-        if chain.call_mids[k] < chain.call_mids[k + 1]:
-            out.append({
-                "family": "call", "i": k, "j": k + 1,
-                "strike_i": float(chain.strikes[k]),
-                "strike_j": float(chain.strikes[k + 1]),
-                "price_i": float(chain.call_mids[k]),
-                "price_j": float(chain.call_mids[k + 1]),
-            })
-        if chain.put_mids[k] > chain.put_mids[k + 1]:
-            out.append({
-                "family": "put", "i": k, "j": k + 1,
-                "strike_i": float(chain.strikes[k]),
-                "strike_j": float(chain.strikes[k + 1]),
-                "price_i": float(chain.put_mids[k]),
-                "price_j": float(chain.put_mids[k + 1]),
-            })
+        for family, mids, sign in families:
+            if sign * mids[k] < sign * mids[k + 1]:
+                out.append({
+                    "family": family, "i": k, "j": k + 1,
+                    "strike_i": float(chain.strikes[k]),
+                    "strike_j": float(chain.strikes[k + 1]),
+                    "price_i": float(mids[k]),
+                    "price_j": float(mids[k + 1]),
+                })
     return out
 
 

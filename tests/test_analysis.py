@@ -9,6 +9,7 @@ from gmech import (
     BoundViolated,
     DividendStream,
     DominationViolated,
+    Generator,
     MechanismHandle,
     NotSupermartingale,
     TerminalClaim,
@@ -20,6 +21,7 @@ from gmech import (
     build_grid,
     build_lattice,
     build_probe_path,
+    check_domination,
     doob_meyer,
     domination_generator,
     infinitesimal_probe,
@@ -250,7 +252,8 @@ class TestRepresent:
         mech = as_mechanism(abs_z_generator(0.5), lat8)
         mech.mu = 0.05
         steep = TerminalClaim(lambda b: np.abs(np.asarray(b, dtype=float)))
-        with pytest.raises(BoundViolated):
+        with pytest.raises(BoundViolated,
+                           match=r"^driver \S+ escapes mu-envelope by \S+ at step \d+, node \d+$"):
             represent(mech, steep, None, lat8)
 
 
@@ -327,15 +330,13 @@ class TestInfinitesimalProbe:
 
 class TestProbePath:
     def test_shape_and_start(self, lat16):
-        probe = build_probe_path(lat16, 4, y=1.5, z=-0.5, mu=0.4, window=6)
+        probe = build_probe_path(lat16, 4, y=1.5, z=-0.5, mu=0.4)
         assert probe.slices[0][0] == 1.5
-        assert probe.window == 6
-        for k, s in enumerate(probe.slices):
-            assert s.shape == (k + 1,)
+        assert [s.shape for s in probe.slices] == [(1,), (2,)]
 
     def test_first_step_values(self, lat16):
         y, z, mu = 1.0, 2.0, 0.5
-        probe = build_probe_path(lat16, 0, y, z, mu, window=1)
+        probe = build_probe_path(lat16, 0, y, z, mu)
         drifted = y - mu * (abs(y) + abs(z)) * lat16.dt
         assert probe.slices[1][1] == pytest.approx(drifted + z * lat16.sqrt_dt)
         assert probe.slices[1][0] == pytest.approx(drifted - z * lat16.sqrt_dt)
@@ -393,8 +394,46 @@ class TestRecoverGenerator:
         lat = build_lattice(build_grid(0.0, 1.0, 32))
         mech = as_mechanism(abs_z_generator(1.0), lat)
         mech.mu = 0.3  # declared cap far below the true constant
-        with pytest.raises(DominationViolated):
+        with pytest.raises(DominationViolated, match=r"^probe \(y=0, z=2\) has defect "
+                           r"-\S+ at step 0, node 0; mechanism is not dominated at mu=0\.3$"):
             recover_generator(mech, 5, [(0.0, 2.0)], lat)
+
+    def test_probe_envelope_violation_names_the_lattice_node(self):
+        # a negative driver passes the defect check but escapes the envelope;
+        # time index 3 of 16 puts the probe at step 12, anchor node 6
+        lat = build_lattice(build_grid(0.0, 1.0, 64))
+        neg = Generator(fn=lambda t, y, z: -np.abs(np.asarray(z, float)), mu=1.0,
+                        name="neg_abs_z")
+        mech = as_mechanism(neg, lat)
+        mech.mu = 0.3
+        with pytest.raises(BoundViolated, match=r"^probe \(y=0, z=2\) driver -2 escapes "
+                           r"mu-envelope by \S+ at step 12, node 6$"):
+            recover_generator(mech, 4, [(0.0, 2.0)], lat, time_indices=[3])
+
+    @pytest.mark.parametrize("steps, level", [(64, 4), (128, 5), (256, 6), (64, 2)])
+    def test_extremal_driver_recovered_when_intervals_span_steps(self, steps, level):
+        # the probe is one lattice step whatever the dyadic interval spans, so
+        # the extremal driver is a supermartingale under itself and reads exactly
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        pts = grid_points([-2, -1, 0, 1, 2], [-2, -1, 0, 1, 2])
+        rec = recover_generator(as_mechanism(domination_generator(0.5), lat),
+                                level, pts, lat)
+        want = np.array([0.5 * (abs(y) + abs(z)) for y, z in pts])
+        assert np.max(np.abs(rec.table - want[None, :])) <= 1e-12
+
+    def test_price_at_only_handle_prices_one_step_per_dyadic_time(self):
+        lat = build_lattice(build_grid(0.0, 1.0, 64))
+        mech = as_mechanism(random_lipschitz_generator(np.random.default_rng(41)), lat)
+        calls = []
+
+        def price_at(s, t, claim, dividends=None):
+            calls.append((s, t))
+            return mech.price_at(s, t, claim, dividends)
+
+        pts = grid_points([-2, 0, 1], [-1, 0, 2])
+        recover_generator(MechanismHandle(lat, price_at, mu=mech.mu), 4, pts, lat)
+        assert len(calls) == 16 * len(pts)
+        assert all(t == s + 1 for s, t in calls)
 
     @pytest.mark.parametrize("gen", [
         random_lipschitz_generator(np.random.default_rng(37)), abs_z_generator(0.3),
@@ -460,6 +499,37 @@ class TestRecoverGenerator:
         assert len(rows) == 12
         d = rec.as_dict()
         assert d["level"] == 4 and len(d["rows"]) == 12
+
+
+WALK = TerminalClaim(lambda b: np.asarray(b, dtype=float), name="walk")
+
+LATTICE_CALLS = {
+    "axiom_suite": lambda mech, lat: axiom_suite(mech, lat, samples=4),
+    "represent": lambda mech, lat: represent(mech, WALK, None, lat),
+    "check_domination": lambda mech, lat: check_domination(mech, WALK, WALK, 0.3, lat),
+    "recover_generator": lambda mech, lat: recover_generator(
+        mech, 4, grid_points([0, 1], [-1, 1]), lat),
+    "verify_main_theorem": lambda mech, lat: verify_main_theorem(
+        mech, lat, samples=4, level=4),
+}
+
+
+class TestLatticeMismatch:
+    """Routines that take a lattice beside the handle accept only its own."""
+
+    @pytest.mark.parametrize("name", list(LATTICE_CALLS))
+    def test_other_lattice_raises(self, name, lat16):
+        mech = as_mechanism(abs_z_generator(0.3), lat16)
+        other = build_lattice(build_grid(0.0, 4.0, 16))
+        with pytest.raises(InvalidParams, match=r"T=4\.0, n_steps=16\) is not the "
+                           r"mechanism's lattice TimeGrid\(t0=0\.0, T=1\.0"):
+            LATTICE_CALLS[name](mech, other)
+
+    @pytest.mark.parametrize("name", list(LATTICE_CALLS))
+    def test_equal_lattice_is_accepted(self, name, lat16):
+        # equality, not identity: a second build of the same grid is the same lattice
+        mech = as_mechanism(abs_z_generator(0.3), lat16)
+        LATTICE_CALLS[name](mech, build_lattice(build_grid(0.0, 1.0, 16)))
 
 
 class TestVerifyMainTheorem:

@@ -144,6 +144,16 @@ class TestDecomposeProbeRecover:
         assert by_point[(1.0, 1.0)] == pytest.approx(0.3, abs=1e-9)
         assert by_point[(0.0, 0.0)] == pytest.approx(0.0, abs=1e-12)
 
+    def test_recover_extremal_driver_on_multi_step_intervals(self, capsys):
+        # 64 steps at level 4: each dyadic interval spans four lattice steps
+        code, out = run_cli(capsys, "recover", "--gen-hidden", "gmu:0.5",
+                            "--level", "4", "--steps", "64")
+        assert code == 0
+        report = json.loads(out)
+        assert report["certificate_ok"] is True
+        assert max(abs(r["g"] - 0.5 * (abs(r["y"]) + abs(r["z"])))
+                   for r in report["rows"]) <= 1e-12
+
     def test_recover_csv_header(self, capsys):
         code, out = run_cli(capsys, "recover", "--gen-hidden", "zero",
                             "--level", "3", "--y-grid", "0", "--z-grid", "1",

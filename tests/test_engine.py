@@ -150,6 +150,27 @@ class TestSolveBsde:
         assert got == pytest.approx(affine_binomial_price(lat, claim, a, b),
                                     abs=1e-12, rel=0)
 
+    def test_power_claim_converges_at_order_one(self):
+        # S_T^2 under the Black-Scholes driver prices to s0^2 exp((r + sigma^2) T);
+        # binomial BSDE schemes converge at order 1 in 1/n (Briand, Delyon and
+        # Memin, ECP 2001).  A smooth payoff keeps the error free of the
+        # strike-grid oscillation a call payoff shows.
+        params = BSMarketParams(r=0.05, b=0.08, sigma=0.2)
+        s0, horizon = 100.0, 1.0
+        stock = make_underlying_map(s0, params.sigma, horizon, params.b)
+        power = TerminalClaim(lambda b: stock(b) ** 2, name="power")
+        want = s0 ** 2 * np.exp((params.r + params.sigma ** 2) * horizon)
+        ns = [32, 64, 128, 256, 512, 1024]
+        errs = []
+        for n in ns:
+            lat = build_lattice(build_grid(0.0, horizon, n))
+            got = solve_bsde(black_scholes_generator(params), power, None, lat).y.at(0)[0]
+            errs.append(abs(got - want))
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(1.9 <= r <= 2.1 for r in ratios), ratios
+        order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
+        assert 0.95 <= order <= 1.05, order
+
     def test_contraction_guard(self):
         lat = build_lattice(build_grid(0.0, 1.0, 2))  # dt = 0.5
         with pytest.raises(ContractionViolation):
