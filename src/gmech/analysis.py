@@ -41,11 +41,11 @@ from .engine import (
     DividendStream,
     MechanismHandle,
     TerminalClaim,
+    _backward,
     _increment_at,
     _own_lattice,
     _subtree_claim,
     _witness,
-    as_mechanism,
     check_domination,
     claim_from_values,
     random_claim,
@@ -130,11 +130,24 @@ class _LawTally:
 
 def _reach_mask(step_s: int, step_t: int, nodes_s: np.ndarray) -> np.ndarray:
     """Terminal-node mask of the cone reachable from the given step-s nodes."""
-    mask = np.zeros(step_t + 1, dtype=bool)
-    width = step_t - step_s
-    for j in nodes_s:
-        mask[j:j + width + 1] = True
-    return mask
+    hit = np.zeros(step_s + 1)
+    hit[nodes_s] = 1.0
+    return np.convolve(hit, np.ones(step_t - step_s + 1)) > 0
+
+
+def _price_legs(mech: MechanismHandle, legs: list) -> list:
+    """Prices of ``legs[k]``, sample ``k``'s list of ``(s, t, row)``, in the
+    same nesting; one ``price_rows`` call per distinct ``(s, t)``."""
+    groups = {}
+    for k, sample in enumerate(legs):
+        for m, (s, t, row) in enumerate(sample):
+            groups.setdefault((s, t), []).append((k, m, row))
+    out = [[None] * len(sample) for sample in legs]
+    for (s, t), members in groups.items():
+        prices = mech.price_rows(s, t, [row for _, _, row in members])
+        for (k, m, _), p in zip(members, prices):
+            out[k][m] = p
+    return out
 
 
 def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
@@ -144,6 +157,15 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
     Claims are random piecewise-linear payoffs; events are random node
     subsets at the evaluation step.  Deterministic given ``seed``.
     ``lattice`` must be the handle's own.
+
+    Every sample is drawn first and kept as terminal node rows (all samples'
+    rows are held at once).  The rows are then priced in two waves with one
+    ``price_rows`` call per distinct ``(s, t)`` in each: first the rows that
+    need no price (the ``(s, t)`` legs, the identity leg ``(t, t)`` and the
+    direct leg ``(r, t)``), then the nested leg ``(r, s)`` on the step-``s``
+    prices of the claim.  The laws are tallied in sample order.  A black box
+    is therefore called in a different order than sample by sample; it must
+    be pure, as every handle must.
     """
     _own_lattice(mech, lattice)
     if samples < 1:
@@ -153,6 +175,34 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
     if n < 3:
         raise InvalidParams("lattice must have at least 3 steps for nested checks")
 
+    draws, legs = [], []
+    for _ in range(samples):
+        t = int(rng.integers(2, n + 1))
+        s = int(rng.integers(1, t))
+        r = int(rng.integers(0, s))
+        x_vals = random_claim(rng).values(lattice, t)
+        # monotonicity: subtract a nonnegative payoff
+        lower = x_vals - np.abs(random_claim(rng, bound=0.5, slope=0.5).values(lattice, t))
+        event = np.flatnonzero(rng.random(s + 1) < 0.5)
+        if event.size == 0:
+            event = np.array([int(rng.integers(0, s + 1))])
+        cone = _reach_mask(s, t, event)
+        # locality: perturb the payoff outside the event's cone
+        bump = np.where(cone, 0.0, rng.normal(size=t + 1))
+        other_vals = random_claim(rng).values(lattice, t)
+        rows = [x_vals, lower, x_vals + bump, np.zeros(t + 1), np.where(cone, x_vals, 0.0)]
+        # splitting: a claim assembled from two claims along the event cone
+        # (the claims agree where the cones overlap, which is the
+        # measurability constraint of the lattice)
+        comp = np.setdiff1d(np.arange(s + 1), event)
+        if comp.size:
+            other_vals = np.where(cone & _reach_mask(s, t, comp), x_vals, other_vals)
+            rows += [other_vals, np.where(cone, x_vals, other_vals)]
+        draws.append((s, t, r, x_vals, event, cone))
+        legs.append([(s, t, row) for row in rows] + [(t, t, x_vals), (r, t, x_vals)])
+    priced = _price_legs(mech, legs)
+    nested = _price_legs(mech, [[(r, s, p[0])] for (s, t, r, *_), p in zip(draws, priced)])
+
     mono = _LawTally("monotonicity")
     ident = _LawTally("identity")
     tower = _LawTally("time_consistency")
@@ -160,82 +210,39 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
     split = _LawTally("splitting")
     zero = _LawTally("zero_preservation")
     local0 = _LawTally("locality_with_zero")
-
-    zero_claim = TerminalClaim(lambda b: np.zeros_like(np.asarray(b, float)),
-                               name="zero")
-
-    for k in range(samples):
-        t = int(rng.integers(2, n + 1))
-        s = int(rng.integers(1, t))
-        r = int(rng.integers(0, s))
-        claim = random_claim(rng)
-        x_vals = claim.values(lattice, t)
-
-        # monotonicity: subtract a nonnegative payoff and require lower prices
-        drop = random_claim(rng, bound=0.5, slope=0.5)
-        lower = TerminalClaim(lambda b, c=claim, d=drop:
-                              np.asarray(c.payoff(b), float)
-                              - np.abs(np.asarray(d.payoff(b), float)))
-        pa = mech.price_at(s, t, claim)
-        pb = mech.price_at(s, t, lower)
-        viol = float(np.max(pb - pa))
+    for k, ((s, t, r, x_vals, event, cone), p, (pn,)) in enumerate(zip(draws, priced, nested)):
+        pa, pb, pp, pz, pk, *split_prices, same, direct = p
+        viol = float(np.max(pb - pa))  # monotonicity: the lowered claim prices lower
         mono.record(viol, {"sample": k, "s": s, "t": t, "violation": viol})
 
         # identity: pricing at its own maturity returns the payoff
-        same = mech.price_at(t, t, claim)
         viol = float(np.max(np.abs(same - x_vals)))
         ident.record(viol, {"sample": k, "t": t, "violation": viol})
 
         # time consistency: price of the intermediate value slice re-prices
-        nested = mech.price_at(r, s, claim_from_values(lattice, s, pa))
-        direct = mech.price_at(r, t, claim)
-        viol = float(np.max(np.abs(nested - direct)))
-        tower.record(viol, {"sample": k, "r": r, "s": s, "t": t,
-                            "violation": viol})
+        viol = float(np.max(np.abs(pn - direct)))
+        tower.record(viol, {"sample": k, "r": r, "s": s, "t": t, "violation": viol})
 
-        # locality: perturbing the payoff outside an event's cone must not
-        # move prices on the event
-        event = np.flatnonzero(rng.random(s + 1) < 0.5)
-        if event.size == 0:
-            event = np.array([int(rng.integers(0, s + 1))])
-        cone = _reach_mask(s, t, event)
-        bump = np.where(cone, 0.0, rng.normal(size=t + 1))
-        perturbed = claim_from_values(lattice, t, x_vals + bump)
-        pp = mech.price_at(s, t, perturbed)
+        # locality: prices on the event ignore the payoff outside its cone
         viol = float(np.max(np.abs(pp[event] - pa[event])))
         local.record(viol, {"sample": k, "s": s, "t": t,
                             "event": event.tolist(), "violation": viol})
 
-        # splitting: a claim assembled from two claims along the event cone
-        # prices to the assembled prices (the claims agree where the cones
-        # overlap, which is the measurability constraint of the lattice)
-        other_vals = random_claim(rng).values(lattice, t)
-        comp = np.setdiff1d(np.arange(s + 1), event)
-        if comp.size:
-            cone_c = _reach_mask(s, t, comp)
-            overlap = cone & cone_c
-            other_vals = np.where(overlap, x_vals, other_vals)
-            blend_vals = np.where(cone, x_vals, other_vals)
-            po = mech.price_at(s, t, claim_from_values(lattice, t, other_vals))
-            pblend = mech.price_at(s, t, claim_from_values(lattice, t, blend_vals))
+        if split_prices:
+            po, pblend = split_prices
             expected = np.where(np.isin(np.arange(s + 1), event), pa, po)
             viol = float(np.max(np.abs(pblend - expected)))
             split.record(viol, {"sample": k, "s": s, "t": t,
                                 "event": event.tolist(), "violation": viol})
 
-        # zero preservation
-        pz = mech.price_at(s, t, zero_claim)
         viol = float(np.max(np.abs(pz)))
         zero.record(viol, {"sample": k, "s": s, "t": t, "violation": viol})
 
         # locality with zero: kill the payoff outside the cone; prices on the
-        # event are unchanged and prices on nodes with disjoint cones vanish
-        killed = claim_from_values(lattice, t, np.where(cone, x_vals, 0.0))
-        pk = mech.price_at(s, t, killed)
+        # event are unchanged and prices on nodes whose cones miss it vanish
         viol = float(np.max(np.abs(pk[event] - pa[event])))
-        outside = [j for j in range(s + 1)
-                   if j not in event and not _reach_mask(s, t, np.array([j]))[cone].any()]
-        if outside:
+        outside = np.convolve(cone, np.ones(t - s + 1), "valid") == 0
+        if outside.any():
             viol = max(viol, float(np.max(np.abs(pk[outside]))))
         local0.record(viol, {"sample": k, "s": s, "t": t,
                              "event": event.tolist(), "violation": viol})
@@ -290,7 +297,11 @@ def doob_meyer(
     the unique extra payout making ``y`` the one-step price of the next
     slice.  Nonnegative defects at every node are exactly the supermartingale
     property; a defect below ``-tol`` raises :class:`NotSupermartingale`.
+    ``lattice`` must equal ``y``'s own.
     """
+    if lattice != y.lattice:
+        raise InvalidParams(f"lattice {lattice.grid} is not the process's "
+                            f"lattice {y.lattice.grid}")
     require_monotone(g.mu, lattice)
     if y.stop - y.start < 1:
         raise StepOutOfRange("need at least one step to decompose")
@@ -298,7 +309,7 @@ def doob_meyer(
 
     incs = []
     for i in range(y.start, y.stop):
-        m, zz = one_step_mz(y.at(i + 1), y.lattice.sqrt_dt)
+        m, zz = one_step_mz(y.at(i + 1), lattice.sqrt_dt)
         dk = _increment_at(dividends, i)
         incs.append(y.at(i) - m - g(lattice.grid.time(i), y.at(i), zz) * dt - dk)
     worst, node = _worst_node(incs, y.start)
@@ -753,7 +764,8 @@ def verify_main_theorem(
 
     Preconditions are exercised first at small sample counts: the structural
     laws and the domination cap on random claim pairs.  Then random bounded
-    claims are priced under both the black box and the rebuilt system and the
+    claims are priced under both the black box (one ``price_surface`` each)
+    and the rebuilt system (one batched kernel pass for all claims) and the
     worst node discrepancy over all steps is reported.  ``lattice`` defaults to
     the handle's own; any other raises :class:`InvalidParams`.
     """
@@ -774,15 +786,18 @@ def verify_main_theorem(
             break
 
     recovered = recover_generator(mech, level, grid_points(ys, zs), lat)
-    rebuilt = as_mechanism(recovered.to_generator(), lat)
 
-    worst = 0.0
+    # the rebuilt side is the lab's own: one kept-surface kernel pass prices
+    # every claim, each row bitwise its single solve
     n = lat.n_steps
-    for _ in range(samples):
-        claim = random_claim(rng)
+    claims = [random_claim(rng) for _ in range(samples)]
+    rows = np.array([c.values(lat, n) for c in claims]).reshape(len(claims), n + 1)
+    rebuilt, _, _ = _backward(recovered.to_generator(), rows, lat, n, 0, None,
+                              keep_surface=True)
+    worst = 0.0
+    for k, claim in enumerate(claims):
         sa = mech.price_surface(n, claim)
-        sb = rebuilt.price_surface(n, claim)
-        worst = max(worst, _max_gap(sa.at, sb.at, range(n + 1)))
+        worst = max(worst, _max_gap(sa.at, lambda i: rebuilt[i][k], range(n + 1)))
     return MainTheoremVerdict(max_discrepancy=worst,
                               axioms_ok=report.all_passed(),
                               domination_ok=dom_ok,

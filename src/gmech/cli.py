@@ -9,6 +9,7 @@ or failed verdict, 2 usage, 3 bad input data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -113,13 +114,15 @@ def _underlying_args(args):
 
 
 def _emit(args, payload: dict | str) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(
-        payload, sort_keys=True, indent=2)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Write the report to ``--out`` or stdout.  JSON is streamed: a recovery
+    table would otherwise be held as megabytes of string chunks."""
+    out = getattr(args, "out", None)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _lattice(args):

@@ -463,7 +463,7 @@ def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> Mechan
         raise BadPartition("need at least one mechanism")
     lattice = mechs[0].lattice
     for m in mechs:
-        if m.lattice is not lattice:
+        if m.lattice != lattice:
             raise BadPartition("all mechanisms must share one lattice")
     cuts = [int(c) for c in boundaries]
     n = lattice.n_steps

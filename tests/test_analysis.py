@@ -1,5 +1,7 @@
 """Law suite, decomposition, representation, probes, and recovery."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ from gmech import (
     z_probe,
     zero_generator,
 )
-from gmech.analysis import grid_points
+from gmech.analysis import _reach_mask, grid_points
 
 from util import (
     increasing_stream,
@@ -71,6 +73,34 @@ class TestAxiomSuite:
         a = axiom_suite(mech, lat8, samples=25, seed=9).as_dict()
         b = axiom_suite(mech, lat8, samples=25, seed=9).as_dict()
         assert a == b
+
+    def test_reach_mask_is_the_union_of_node_cones(self):
+        # node j at step s reaches terminal nodes j .. j + (t - s)
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            t = int(rng.integers(1, 20))
+            s = int(rng.integers(0, t + 1))
+            nodes = np.flatnonzero(rng.random(s + 1) < 0.4)
+            want = [any(j <= k <= j + t - s for j in nodes) for k in range(t + 1)]
+            assert _reach_mask(s, t, nodes).tolist() == want
+
+    @pytest.mark.parametrize("gen, steps, samples", [
+        (random_lipschitz_generator(np.random.default_rng(51)), 8, 120),
+        (random_lipschitz_generator(np.random.default_rng(52)), 64, 12),
+        (abs_z_generator(3.0), 4, 200),
+    ], ids=["picard-8", "picard-64", "abs_z-3.0-4"])
+    def test_batched_suite_matches_price_at_only_handle(self, gen, steps, samples):
+        # as_mechanism prices each (s, t) group in one price_rows call; a
+        # handle with price_at alone prices every row by its own call
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        mech = as_mechanism(gen, lat)
+        plain = MechanismHandle(lat, mech.price_at, mu=mech.mu)
+        fast = axiom_suite(mech, lat, samples=samples, seed=steps)
+        slow = axiom_suite(plain, lat, samples=samples, seed=steps)
+        assert (json.dumps(fast.as_dict(), sort_keys=True)
+                == json.dumps(slow.as_dict(), sort_keys=True))
+        if gen.name.startswith("abs_z"):
+            assert fast.monotonicity.witness is not None
 
 
 def _shift_at_maturity(base):
@@ -194,6 +224,20 @@ class TestDoobMeyer:
         r2 = doob_meyer(g, y, None, lat8)
         for i in range(8):
             assert np.array_equal(r1.increments.at(i), r2.increments.at(i))
+
+    def test_other_lattice_raises(self, lat16):
+        # the one-step operator and the driver's times must come from one grid
+        g = domination_generator(0.3)
+        y = solve_bsde(g, random_pwl_claim(np.random.default_rng(0)), None, lat16).y
+        with pytest.raises(InvalidParams, match=r"T=4\.0, n_steps=16\) is not the "
+                           r"process's lattice TimeGrid\(t0=0\.0, T=1\.0"):
+            doob_meyer(g, y, None, build_lattice(build_grid(0.0, 4.0, 16)))
+
+    def test_equal_lattice_is_accepted(self, lat16):
+        g = domination_generator(0.3)
+        y = solve_bsde(g, random_pwl_claim(np.random.default_rng(0)), None, lat16).y
+        result = doob_meyer(g, y, None, build_lattice(build_grid(0.0, 1.0, 16)))
+        assert result.reconstruction_error <= 1e-12
 
     def test_submartingale_rejected(self, lat8):
         g = zero_generator()
@@ -541,3 +585,24 @@ class TestVerifyMainTheorem:
             assert verdict.axioms_ok and verdict.domination_ok
             assert verdict.max_discrepancy <= 1e-8
             assert verdict.passed()
+
+    def test_batched_rebuild_matches_per_claim_surfaces(self):
+        # the rebuilt side is one kernel pass over all claims; the reference
+        # prices each claim by its own solve under the recovered driver
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        mech = as_mechanism(random_lipschitz_generator(np.random.default_rng(61)), lat)
+        samples, seed = 5, 17
+        verdict = verify_main_theorem(mech, lat, samples=samples, seed=seed, level=4)
+        assert verdict.domination_ok
+        rebuilt = as_mechanism(verdict.recovered.to_generator(), lat)
+        rng = np.random.default_rng(seed)
+        for _ in range(2 * max(2, samples // 4)):  # the domination pairs
+            random_claim(rng)
+        worst = 0.0
+        for _ in range(samples):
+            claim = random_claim(rng)
+            sa, sb = mech.price_surface(16, claim), rebuilt.price_surface(16, claim)
+            for i in range(17):
+                worst = max(worst, float(np.max(np.abs(sa.at(i) - sb.at(i)))))
+        assert worst > 0.0
+        assert verdict.max_discrepancy == worst

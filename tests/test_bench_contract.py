@@ -19,14 +19,22 @@ from gmech.analysis import grid_points
 
 from util import random_lipschitz_generator
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name, file, monkeypatch=None):
+    """Import a bench module by path; given ``monkeypatch``, it sits in
+    ``sys.modules`` for the test, as its dataclasses and sibling imports need."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / file)
+    mod = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, mod)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("gmech_bench_tracing", TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _load("gmech_bench_tracing", "tracing.py")
 
 
 def _bindings():
@@ -86,3 +94,30 @@ def test_traced_recovery_bypasses_the_batch_entry_point():
     assert summary["analysis.recover"]["calls"] == 1
     assert summary["analysis.probe"]["calls"] >= 1
     assert traced.table.tobytes() == untraced.table.tobytes()
+
+
+def test_traced_blackbox_sequence_reaches_every_predicted_layer(monkeypatch, tmp_path):
+    # the batched law suite and rebuild price through price_rows and the
+    # kernel, which the tracer does not span; the blackbox workload's layers
+    # must still be reached, by price_surface, check_domination and the CLI
+    _load("reference", "reference.py", monkeypatch)
+    blackbox = _load("workloads", "workloads.py", monkeypatch).WORKLOADS["blackbox"]
+    tracing = _load_tracing()
+    driver = random_lipschitz_generator(np.random.default_rng(43))
+    lat8 = gmech.build_lattice(gmech.build_grid(0.0, 1.0, 8))
+    lat16 = gmech.build_lattice(gmech.build_grid(0.0, 1.0, 16))
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, gmech)
+    try:
+        gmech.axiom_suite(gmech.as_mechanism(driver, lat8), lat8, samples=20, seed=5)
+        rc = gmech.cli.main(["axioms", "--gen", "gmu:0.5", "--samples", "20",
+                             "--steps", "8", "--out", str(tmp_path / "axioms.json")])
+        gmech.verify_main_theorem(gmech.as_mechanism(driver, lat16), lat16,
+                                  samples=4, seed=7, level=4)
+    finally:
+        installed.restore()
+    assert rc == 0
+    metrics = tracing.layer_metrics(tracer.summary(), tracer.counters)
+    assert [m for m in blackbox.exercised if not metrics[m][0]] == []
+    assert [m for m in blackbox.bypassed if metrics[m][0]] == []
+    assert metrics["engine.batch.calls"][0] == 0

@@ -399,6 +399,22 @@ class TestPaste:
             assert np.allclose(pasted.price_at(s, 8, claim, stream),
                                direct.at(s), atol=1e-10, rtol=0)
 
+    def test_equal_lattices_paste(self, lat8):
+        # equality, not identity: a second build of the same grid is the same lattice
+        g = domination_generator(0.3)
+        mech = as_mechanism(g, lat8)
+        pasted = paste([mech, as_mechanism(g, build_lattice(build_grid(0.0, 1.0, 8)))],
+                       [0, 4, 8])
+        claim = random_pwl_claim(np.random.default_rng(6))
+        assert np.allclose(pasted.price_at(0, 8, claim), mech.price_at(0, 8, claim),
+                           atol=1e-10, rtol=0)
+
+    def test_other_lattice_does_not_paste(self, lat8):
+        mech = as_mechanism(zero_generator(), lat8)
+        other = as_mechanism(zero_generator(), build_lattice(build_grid(0.0, 2.0, 8)))
+        with pytest.raises(BadPartition, match="share one lattice"):
+            paste([mech, other], [0, 4, 8])
+
     def test_bad_partition(self, lat8):
         mech = as_mechanism(zero_generator(), lat8)
         with pytest.raises(BadPartition):
