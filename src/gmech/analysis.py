@@ -315,7 +315,7 @@ def doob_meyer(
     worst, node = _worst_node(incs, y.start)
     if worst < -tol:
         raise NotSupermartingale(
-            f"one-step defect {worst:.3g} at node {node}; "
+            f"one-step defect {worst:.3g} at {_witness(node[0], node[1:])}; "
             "input is not a supermartingale at this tolerance"
         )
 
@@ -350,20 +350,11 @@ class RepresentationResult:
     values: AdaptedProcess
 
 
-def _realized_driver(price, y, m, z, dk, dt: float, mu: float, tol: float,
-                     step: int, what: str, first_node: int = 0) -> np.ndarray:
-    """Realized one-step driver ``(price - m - dk) / dt`` on the step-``step``
-    nodes from ``first_node`` on; raises :class:`BoundViolated` where it
-    escapes ``mu (|y| + |z|)`` by over ``tol``."""
+def _realized_driver(price, y, m, z, dk, dt: float, mu: float):
+    """Realized one-step driver ``(price - m - dk) / dt`` and its excess over
+    the envelope ``mu (|y| + |z|)``, node-wise."""
     drv = (price - m - dk) / dt
-    excess = np.abs(drv) - mu * (np.abs(y) + np.abs(z))
-    j = int(np.argmax(excess))
-    if excess[j] > tol:
-        raise BoundViolated(
-            f"{what} {drv[j]:.6g} escapes mu-envelope by {excess[j]:.3g} "
-            f"at {_witness(step, (first_node + j,))}"
-        )
-    return drv
+    return drv, np.abs(drv) - mu * (np.abs(y) + np.abs(z))
 
 
 def represent(
@@ -391,9 +382,13 @@ def represent(
     drivers, hedges = [], []
     for i in range(t):
         m, zz = one_step_mz(surface.at(i + 1), surface.lattice.sqrt_dt)
-        drivers.append(_realized_driver(
-            surface.at(i), surface.at(i), m, zz, _increment_at(dividends, i), dt,
-            mech.mu, bound_tol, i, "driver"))
+        drv, excess = _realized_driver(surface.at(i), surface.at(i), m, zz,
+                                       _increment_at(dividends, i), dt, mech.mu)
+        j = int(np.argmax(excess))
+        if excess[j] > bound_tol:
+            raise BoundViolated(f"driver {drv[j]:.6g} escapes mu-envelope by "
+                                f"{excess[j]:.3g} at {_witness(i, (j,))}")
+        drivers.append(drv)
         hedges.append(zz)
     return RepresentationResult(
         driver=AdaptedProcess(lattice, 0, drivers),
@@ -486,13 +481,15 @@ def infinitesimal_probe(
 
 @dataclass
 class ProbePath:
-    """One-step forward probe with constant hedge level ``z`` and extremal drift.
+    """One-step forward probes with constant hedge level ``z`` and extremal drift.
 
-    Starts at value ``y`` on one anchor node at lattice step ``t_step``; its
-    two children at ``t_step + 1`` are ``y - g_mu(y, z) dt -/+ z sqrt(dt)``.
-    ``slices`` is ``[[y], [down, up]]``.  By construction ``y`` solves
+    ``y`` and ``z`` are floats or ``(P,)`` arrays, one probe per entry.  Each
+    starts at value ``y`` on one anchor node at lattice step ``t_step``; its two
+    children at ``t_step + 1`` are ``y - g_mu(y, z) dt -/+ z sqrt(dt)``.
+    ``slices`` is ``[[y], [down, up]]`` with the nodes on the last axis, of
+    shapes ``(1,), (2,)`` or ``(P, 1), (P, 2)``.  By construction ``y`` solves
     ``y = m + mu (|y| + |z|) dt`` with the children's own ``m`` and ``z``, a
-    fixed point that is unique while ``mu dt < 1``: the probe is a one-step
+    fixed point that is unique while ``mu dt < 1``: each probe is a one-step
     price path of the extremal-driver system, hence a supermartingale under any
     mechanism dominated at level ``mu``.
     """
@@ -500,17 +497,17 @@ class ProbePath:
     lattice: Lattice
     t_step: int
     anchor: int
-    y: float
-    z: float
+    y: np.ndarray
+    z: np.ndarray
     mu: float
     slices: list
 
 
 def _forward_subtree(start: float, window: int, move: Callable) -> list:
-    """Forward recursion on the subtree below one node; ``slices[k]`` holds
-    the ``k + 1`` values ``k`` steps on.  ``move(cur)`` gives each node's drift
-    and spread: children sit at ``drift -/+ spread``, and a recombining node
-    averages its two parent propagations."""
+    """Forward recursion on the subtree below one node, for the Euler probe;
+    ``slices[k]`` holds the ``k + 1`` values ``k`` steps on.  ``move(cur)``
+    gives each node's drift and spread: children sit at ``drift -/+ spread``,
+    and a recombining node averages its two parent propagations."""
     slices = [np.array([float(start)])]
     for _ in range(window):
         drift, spread = move(slices[-1])
@@ -526,44 +523,53 @@ def _forward_subtree(start: float, window: int, move: Callable) -> list:
 def build_probe_path(
     lattice: Lattice,
     t_step: int,
-    y: float,
-    z: float,
+    y,
+    z,
     mu: float,
     anchor: int | None = None,
 ) -> ProbePath:
-    """The one-step extremal-drift probe from ``(t_step, y)`` at hedge ``z``."""
+    """The one-step extremal-drift probes from ``(t_step, y)`` at hedge ``z``,
+    for float or ``(P,)`` array ``y`` and ``z``."""
     if t_step >= lattice.n_steps:
         raise StepOutOfRange("probe step must fit inside the lattice")
     j0 = t_step // 2 if anchor is None else int(anchor)
     if not 0 <= j0 <= t_step:
         raise StepOutOfRange(f"anchor {j0} is not a step-{t_step} node")
-    dt, sdt = lattice.dt, lattice.sqrt_dt
-    slices = _forward_subtree(
-        y, 1, lambda cur: (cur - mu * (np.abs(cur) + abs(z)) * dt, z * sdt))
-    return ProbePath(lattice=lattice, t_step=t_step, anchor=j0, y=float(y),
-                     z=float(z), mu=float(mu), slices=slices)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    # one step, so nothing recombines: the children are drift -/+ spread
+    drift = y - mu * (np.abs(y) + np.abs(z)) * lattice.dt
+    spread = z * lattice.sqrt_dt
+    return ProbePath(lattice=lattice, t_step=t_step, anchor=j0, y=y, z=z, mu=float(mu),
+                     slices=[y[..., None], np.stack([drift - spread, drift + spread], -1)])
 
 
-def _decompose_probe(probe: ProbePath, one_step: float, supermartingale_tol: float):
-    """Decompose a probe under the mechanism's one-step operator.
+def _decompose_probe(probe: ProbePath, one_step: np.ndarray,
+                     supermartingale_tol: float) -> np.ndarray:
+    """Decompose ``P`` probes under the mechanism's one-step operator.
 
-    ``one_step`` is the mechanism's step-``t_step`` price at the anchor of the
-    probe's children.  Returns the realized driver there after checking the
-    supermartingale property and the driver envelope.
+    ``one_step`` is the ``(P,)`` vector of the mechanism's step-``t_step``
+    prices at the anchor of each probe's children.  Returns the realized
+    drivers there after checking the supermartingale property and then the
+    driver envelope; the first failing probe in point order raises.
     """
     lat = probe.lattice
-    what = f"probe (y={probe.y:g}, z={probe.z:g})"
+    m, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
     defect = probe.y - one_step
-    if defect < -supermartingale_tol:
-        raise DominationViolated(
-            f"{what} has defect {defect:.3g} at {_witness(probe.t_step, (probe.anchor,))}; "
-            f"mechanism is not dominated at mu={probe.mu:g}"
-        )
-    mean_next, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
-    driver = _realized_driver(np.array([one_step]), probe.slices[0], mean_next, hedge,
-                              0.0, lat.dt, probe.mu, 1e-6, probe.t_step,
-                              f"{what} driver", probe.anchor)
-    return float(driver[0])
+    driver, excess = _realized_driver(one_step, probe.y, m[:, 0], hedge[:, 0], 0.0,
+                                      lat.dt, probe.mu)
+    low = defect < -supermartingale_tol
+    failed = np.flatnonzero(low | (excess > 1e-6))
+    if failed.size:
+        p = failed[0]
+        what = f"probe (y={probe.y[p]:g}, z={probe.z[p]:g})"
+        at = _witness(probe.t_step, (probe.anchor,))
+        if low[p]:
+            raise DominationViolated(f"{what} has defect {defect[p]:.3g} at {at}; "
+                                     f"mechanism is not dominated at mu={probe.mu:g}")
+        raise BoundViolated(f"{what} driver {driver[p]:.6g} escapes mu-envelope "
+                            f"by {excess[p]:.3g} at {at}")
+    return driver
 
 
 @dataclass
@@ -675,8 +681,9 @@ def recover_generator(
     ``(y, z)``: launch the one-step extremal-drift probe from ``(t_i, y)`` at
     hedge level ``z``, decompose it as a supermartingale under the mechanism's
     one-step operator, and record the realized driver at the probe's start.
-    One ``price_rows`` call per dyadic time prices the probes of all sample
-    points.  ``lattice`` defaults to the handle's own; any other raises
+    Each dyadic time is one array probe build for all sample points, one
+    ``price_rows`` call that prices them and one array decomposition.
+    ``lattice`` defaults to the handle's own; any other raises
     :class:`InvalidParams`.
 
     The lattice step count must be divisible by ``2^level`` so dyadic times
@@ -702,28 +709,25 @@ def recover_generator(
     if idx.size == 0 or idx[0] < 0 or idx[-1] >= (1 << level):
         raise InvalidParams(f"time indices must lie in [0, {(1 << level) - 1}]")
 
-    # one price_rows call per dyadic time prices every sample point's probe;
-    # each row is the probe's two children, clamped across the whole slice
+    # each price_rows row is one probe's two children, clamped across the slice
+    pts = np.asarray(points)
     table = np.zeros((idx.size, len(points)))
     for row, i in enumerate(idx):
         t_step = int(i) * stride
-        probes = [build_probe_path(lat, t_step, yv, zv, mech.mu) for yv, zv in points]
-        j0 = probes[0].anchor
-        cols = np.clip(np.arange(t_step + 2) - j0, 0, 1)
-        rows = np.stack([p.slices[1][cols] for p in probes])
-        one_steps = mech.price_rows(t_step, t_step + 1, rows)[:, j0]
-        for col, probe in enumerate(probes):
-            table[row, col] = _decompose_probe(probe, one_steps[col], supermartingale_tol)
+        probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mech.mu)
+        cols = np.clip(np.arange(t_step + 2) - probe.anchor, 0, 1)
+        one_steps = mech.price_rows(t_step, t_step + 1, probe.slices[1][:, cols])
+        table[row] = _decompose_probe(probe, one_steps[:, probe.anchor],
+                                      supermartingale_tol)
 
-    # Lipschitz certificate per probe time; one (P, P) ratio matrix at a time bounds memory
-    worst_ratio = 0.0
-    pts = np.asarray(points)
+    # Lipschitz certificate, one (P, P) matrix at a time; only coincident
+    # points are skipped, so an overflowing ratio cannot read as 0
     sep = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
-    for vals in table:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.abs(vals[:, None] - vals[None, :]) / sep
-        ratios[~np.isfinite(ratios)] = 0.0
-        worst_ratio = max(worst_ratio, float(np.max(ratios)))
+    apart = sep > 0
+    with np.errstate(over="ignore"):
+        worst_ratio = float(np.max(
+            [np.max(np.abs(v[:, None] - v[None, :])[apart] / sep[apart], initial=0.0)
+             for v in table]))
 
     zero_defect = None
     origin = [c for c, p in enumerate(points) if p == (0.0, 0.0)]

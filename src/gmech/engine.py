@@ -370,7 +370,9 @@ class MechanismHandle:
     """Black-box dynamic pricing interface over one lattice.
 
     ``price_at(s_step, t_step, claim, dividends)`` returns node values at
-    ``s_step``; implementations must be pure and reentrant.  ``mu`` is the
+    ``s_step``; implementations must be pure and reentrant.  Their prices are
+    checked for shape and finiteness, so a NaN or inf raises
+    :class:`NonFiniteValue` instead of becoming a result.  ``mu`` is the
     declared domination constant (``None`` when unknown).  ``surface_fn`` and
     ``rows_fn`` are optional fast paths behind :meth:`price_surface` and
     :meth:`price_rows`; without them both loop over ``price_at``.
@@ -395,8 +397,8 @@ class MechanismHandle:
     def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
                  dividends: Optional[DividendStream] = None) -> np.ndarray:
         self._check_steps(s_step, t_step)
-        return np.asarray(self._price_at(s_step, t_step, claim, dividends),
-                          dtype=float)
+        return _checked_prices(self._price_at(s_step, t_step, claim, dividends),
+                               (s_step + 1,), s_step)
 
     def price_rows(self, s_step: int, t_step: int, rows) -> np.ndarray:
         """Prices at ``s_step`` of a ``(k, t_step + 1)`` batch of terminal node
@@ -409,7 +411,8 @@ class MechanismHandle:
         if not np.isfinite(rows).all():
             raise _non_finite(rows, t_step, "terminal value")
         if self._rows_fn is not None:
-            return self._rows_fn(s_step, t_step, rows)
+            return _checked_prices(self._rows_fn(s_step, t_step, rows),
+                                   (rows.shape[0], s_step + 1), s_step)
         out = np.empty((rows.shape[0], s_step + 1))
         for r, row in enumerate(rows):
             out[r] = self.price_at(s_step, t_step, claim_from_values(self.lattice, t_step, row))
@@ -423,6 +426,18 @@ class MechanismHandle:
         slices = [self.price_at(s, t_step, claim, dividends)
                   for s in range(t_step + 1)]
         return AdaptedProcess(self.lattice, 0, slices)
+
+
+def _checked_prices(values, shape: tuple, step: int) -> np.ndarray:
+    """A black box's step-``step`` prices as floats; raises unless they have
+    ``shape`` and are finite, naming the step, row and node of a NaN or inf."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != shape:
+        raise StepOutOfRange(f"mechanism returned shape {vals.shape} at step {step}, "
+                             f"expected {shape}")
+    if not np.isfinite(vals).all():
+        raise _non_finite(vals, step, "mechanism price")
+    return vals
 
 
 def _own_lattice(mech: MechanismHandle, lattice: Optional[Lattice]) -> Lattice:

@@ -13,6 +13,7 @@ from gmech import (
     DominationViolated,
     Generator,
     MechanismHandle,
+    NonFiniteValue,
     NotSupermartingale,
     TerminalClaim,
     abs_z_generator,
@@ -40,6 +41,7 @@ from gmech import (
     zero_generator,
 )
 from gmech.analysis import _reach_mask, grid_points
+from gmech.lattice import one_step_mz
 
 from util import (
     increasing_stream,
@@ -101,6 +103,18 @@ class TestAxiomSuite:
                 == json.dumps(slow.as_dict(), sort_keys=True))
         if gen.name.startswith("abs_z"):
             assert fast.monotonicity.witness is not None
+
+    def test_black_box_nan_is_blamed_on_the_black_box(self, lat8):
+        # a NaN price used to reach the nested leg, which blamed its own input
+        base = as_mechanism(domination_generator(0.3), lat8)
+
+        def price_at(s, t, claim, dividends=None):
+            vals = base.price_at(s, t, claim, dividends)
+            return np.where(np.arange(s + 1) == 1, np.nan, vals) if s == 3 else vals
+
+        with pytest.raises(NonFiniteValue,
+                           match=r"^mechanism price is nan at step 3, node 1$"):
+            axiom_suite(MechanismHandle(lat8, price_at, mu=0.3), lat8, samples=40, seed=3)
 
 
 def _shift_at_maturity(base):
@@ -244,6 +258,14 @@ class TestDoobMeyer:
         y = AdaptedProcess.from_function(lat8, lambda t, b: t + 0.0 * b)
         with pytest.raises(NotSupermartingale):
             doob_meyer(g, y, None, lat8)
+
+    def test_not_supermartingale_witness_names_step_and_node(self, lat8):
+        slices = [np.zeros(i + 1) for i in range(9)]
+        slices[5][3] = -0.2
+        y = AdaptedProcess(lat8, 0, slices)
+        with pytest.raises(NotSupermartingale, match=r"^one-step defect -0\.2 at step 5, "
+                           r"node 3; input is not a supermartingale at this tolerance$"):
+            doob_meyer(zero_generator(), y, None, lat8)
 
     def test_decompose_against_running_dividends(self, lat8):
         # supermartingale of the dividend-adjusted system: price with the
@@ -505,6 +527,27 @@ class TestRecoverGenerator:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
+    def test_black_box_nan_is_not_a_driver_value(self):
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        base = as_mechanism(random_lipschitz_generator(np.random.default_rng(5)), lat)
+
+        def price_at(s, t, claim, dividends=None):
+            vals = base.price_at(s, t, claim, dividends)
+            return np.where(np.arange(s + 1) == 4, np.nan, vals) if s == 8 else vals
+
+        handle = MechanismHandle(lat, price_at, mu=base.mu)
+        with pytest.raises(NonFiniteValue, match=r"^mechanism price is nan at step 8, node 4$"):
+            recover_generator(handle, 4, grid_points([-1, 1], [-1, 1]), lat)
+
+    def test_certificate_reports_an_overflowing_ratio(self):
+        # two points a denormal apart whose drivers differ by 1e-8: the ratio
+        # overflows, and only coincident points may be skipped
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        jump = Generator(fn=lambda t, y, z: 1e-8 * np.sign(y), mu=0.5, name="jump")
+        rec = recover_generator(as_mechanism(jump, lat), 0, [(0.0, 0.0), (5e-324, 0.0)], lat)
+        assert rec.table[0, 0] == 0.0 and rec.table[0, 1] > 0.0
+        assert rec.lipschitz_ratio == np.inf
+
     def test_singleton_axis_grid_interpolates(self):
         # a 1 x N grid is still a grid; interpolation degenerates cleanly
         lat = build_lattice(build_grid(0.0, 1.0, 16))
@@ -556,6 +599,88 @@ LATTICE_CALLS = {
     "verify_main_theorem": lambda mech, lat: verify_main_theorem(
         mech, lat, samples=4, level=4),
 }
+
+
+def _recover_per_probe(mech, level, points, tol=1e-9):
+    """Reference recovery: one scalar probe, one one-row pricing and one
+    defect and driver check at a time, in time and point order."""
+    lat = mech.lattice
+    stride = lat.n_steps >> level
+    table = np.zeros((1 << level, len(points)))
+    for i in range(1 << level):
+        t_step = i * stride
+        for col, (y, z) in enumerate(points):
+            probe = build_probe_path(lat, t_step, y, z, mech.mu)
+            j0 = probe.anchor
+            row = probe.slices[1][np.clip(np.arange(t_step + 2) - j0, 0, 1)]
+            one_step = mech.price_rows(t_step, t_step + 1, [row])[0, j0]
+            what, at = f"probe (y={y:g}, z={z:g})", f"step {t_step}, node {j0}"
+            defect = y - one_step
+            if defect < -tol:
+                raise DominationViolated(f"{what} has defect {defect:.3g} at {at}; "
+                                         f"mechanism is not dominated at mu={mech.mu:g}")
+            m, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
+            driver = (one_step - m[0]) / lat.dt
+            excess = abs(driver) - mech.mu * (abs(y) + abs(hedge[0]))
+            if excess > 1e-6:
+                raise BoundViolated(f"{what} driver {driver:.6g} escapes mu-envelope "
+                                    f"by {excess:.3g} at {at}")
+            table[i, col] = driver
+    worst = 0.0
+    for vals in table:
+        for pa, va in zip(points, vals):
+            for pb, vb in zip(points, vals):
+                sep = abs(pa[0] - pb[0]) + abs(pa[1] - pb[1])
+                if sep > 0.0:
+                    worst = max(worst, abs(va - vb) / sep)
+    return table, worst
+
+
+def _mixed_rogue(lat):
+    """Driver 2|z| above y = 0 and -2|z| below, declared at mu = 0.4: probes
+    above fail the defect (and the envelope), probes below the envelope only."""
+    def fn(t, y, z):
+        return np.where(np.asarray(y) > 0, 2.0, -2.0) * np.abs(z)
+
+    mech = as_mechanism(Generator(fn=fn, mu=2.0, name="mixed"), lat)
+    mech.mu = 0.4
+    return mech
+
+
+class TestVectorisedRecovery:
+    """The array recovery against the per-probe reference loop."""
+
+    @pytest.mark.parametrize("steps, level", [(64, 4), (128, 5)])
+    @pytest.mark.parametrize("kind", ["picard", "abs_z", "price_at_only"])
+    def test_table_matches_per_probe_loop(self, kind, steps, level):
+        rng = np.random.default_rng(steps + level)
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        gen = abs_z_generator(0.3) if kind == "abs_z" else random_lipschitz_generator(rng)
+        mech = as_mechanism(gen, lat)
+        if kind == "price_at_only":
+            mech = MechanismHandle(lat, mech.price_at, mu=mech.mu)
+        pts = [(float(a), float(b)) for a, b in rng.uniform(-2.0, 2.0, size=(10, 2))]
+        pts += grid_points([-1, 0, 1], [0, 2])
+        rec = recover_generator(mech, level, pts, lat)
+        table, worst = _recover_per_probe(mech, level, pts)
+        assert rec.table.tobytes() == table.tobytes()
+        assert rec.lipschitz_ratio == worst
+
+    @pytest.mark.parametrize("order", [
+        [(0.0, 0.0), (1.0, 0.0), (-1.0, 1.0), (2.0, 2.0), (-2.0, -2.0)],
+        [(0.0, 0.0), (2.0, 2.0), (-1.0, 1.0), (1.0, 0.5)],
+        [(1.0, 0.0), (-2.0, 0.0), (-0.5, -2.0), (1.5, -1.0)],
+    ])
+    def test_rogue_raises_the_first_failure_in_point_order(self, order):
+        lat = build_lattice(build_grid(0.0, 1.0, 64))
+        mech = _mixed_rogue(lat)
+        messages = []
+        for recover in (lambda: recover_generator(mech, 4, order, lat),
+                        lambda: _recover_per_probe(mech, 4, order)):
+            with pytest.raises((DominationViolated, BoundViolated)) as err:
+                recover()
+            messages.append((type(err.value), str(err.value)))
+        assert messages[0] == messages[1]
 
 
 class TestLatticeMismatch:

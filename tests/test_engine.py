@@ -296,6 +296,22 @@ def test_price_rows_validation(lat8):
             handle.price_rows(0, 4, rows)
 
 
+def test_black_box_output_is_checked(lat8):
+    def rows_fn(s, t, rows):
+        out = np.zeros((rows.shape[0], s + 1))
+        out[-1, -1] = np.inf
+        return out
+
+    rows_box = MechanismHandle(lat8, None, mu=0.3, rows_fn=rows_fn)
+    with pytest.raises(NonFiniteValue, match=r"^mechanism price is inf at step 2, row 1, node 2$"):
+        rows_box.price_rows(2, 4, np.zeros((2, 5)))
+    short = MechanismHandle(lat8, lambda s, t, c, d=None: np.zeros(s), mu=0.3)
+    with pytest.raises(StepOutOfRange, match=r"shape \(2,\) at step 2, expected \(3,\)"):
+        short.price_at(2, 4, WALK)
+    with pytest.raises(StepOutOfRange, match=r"shape \(2,\) at step 2, expected \(3,\)"):
+        short.price_rows(2, 4, np.zeros((1, 5)))
+
+
 class TestNonFiniteValues:
     def test_nan_driver_stops_the_iteration(self, lat8):
         calls = []
