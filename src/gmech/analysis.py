@@ -44,7 +44,6 @@ from .engine import (
     _backward,
     _increment_at,
     _own_lattice,
-    _subtree_claim,
     _witness,
     check_domination,
     claim_from_values,
@@ -417,6 +416,14 @@ def pairwise_representation_gap(a: RepresentationResult, b: RepresentationResult
 # probes
 # =====================================================================
 
+def _anchor_node(t_step: int, anchor: int | None) -> int:
+    """A probe's anchor node at ``t_step``, by default the middle one."""
+    j0 = t_step // 2 if anchor is None else int(anchor)
+    if not 0 <= j0 <= t_step:
+        raise StepOutOfRange(f"anchor {j0} is not a step-{t_step} node")
+    return j0
+
+
 def z_probe(mech: MechanismHandle, zbar: float, t_step: int, T_step: int,
             anchor: int | None = None) -> float:
     """Read the driver value at hedge level ``zbar`` off the mechanism.
@@ -427,11 +434,9 @@ def z_probe(mech: MechanismHandle, zbar: float, t_step: int, T_step: int,
     if not 0 <= t_step < T_step <= mech.lattice.n_steps:
         raise StepOutOfRange(f"need 0 <= t={t_step} < T={T_step}")
     lat = mech.lattice
-    j0 = t_step // 2 if anchor is None else anchor
+    j0 = _anchor_node(t_step, anchor)
     b0 = float(lat.node_values(t_step)[j0])
-    claim = TerminalClaim(lambda b: zbar * (np.asarray(b, float) - b0),
-                          name=f"incr:{zbar:g}")
-    vals = mech.price_at(t_step, T_step, claim)
+    vals = mech.price_rows(t_step, T_step, [zbar * (lat.node_values(T_step) - b0)])[0]
     horizon = lat.grid.time(T_step) - lat.grid.time(t_step)
     return float(vals[j0]) / horizon
 
@@ -459,7 +464,7 @@ def infinitesimal_probe(
     lat = mech.lattice
     if t_step + eps_steps > lat.n_steps:
         raise StepOutOfRange("probe window exceeds the lattice horizon")
-    j0 = t_step // 2 if anchor is None else anchor
+    j0 = _anchor_node(t_step, anchor)
     dt, sdt = lat.dt, lat.sqrt_dt
 
     # forward Euler on the subtree below the anchor
@@ -468,9 +473,11 @@ def infinitesimal_probe(
         lambda cur: (cur + np.asarray(b_fn(cur), float) * dt,
                      np.asarray(sigma_fn(cur), float) * sdt))[-1]
 
+    # off-subtree nodes clamp to the nearest edge value, which a local
+    # mechanism never reads
     t_end = t_step + eps_steps
-    claim = _subtree_claim(lat, t_end, j0, y + p * (state - x), f"euler@{t_end}")
-    vals = mech.price_at(t_step, t_end, claim)
+    row = (y + p * (state - x))[np.clip(np.arange(t_end + 1) - j0, 0, eps_steps)]
+    vals = mech.price_rows(t_step, t_end, [row])[0]
     eps = eps_steps * dt
     return (float(vals[j0]) - y) / eps
 
@@ -532,9 +539,7 @@ def build_probe_path(
     for float or ``(P,)`` array ``y`` and ``z``."""
     if t_step >= lattice.n_steps:
         raise StepOutOfRange("probe step must fit inside the lattice")
-    j0 = t_step // 2 if anchor is None else int(anchor)
-    if not 0 <= j0 <= t_step:
-        raise StepOutOfRange(f"anchor {j0} is not a step-{t_step} node")
+    j0 = _anchor_node(t_step, anchor)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     # one step, so nothing recombines: the children are drift -/+ spread

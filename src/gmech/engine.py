@@ -13,8 +13,10 @@ One private kernel, ``_backward``, runs this recursion over the last axis of
 its input.  It has three entry points: :func:`solve_bsde` keeps the whole
 ``y`` surface of one claim with its dividends, :func:`solve_terminal_batch`
 keeps only the root values of many terminal rows, and the ``price_rows`` of an
-:func:`as_mechanism` handle keeps the step-``s`` values of many rows.  ``z``
-is never stored: it is read off ``y`` (see :class:`PricingResult`).
+:func:`as_mechanism` handle keeps the step-``s`` values of many rows with
+their dividends.  ``z`` is never stored: it is read off ``y`` (see
+:class:`PricingResult`).  A :class:`MechanismHandle` is built from a black-box
+``price_at`` alone; only :func:`as_mechanism` handles reach the kernel.
 A NaN or inf raises :class:`NonFiniteValue` naming the step and node where it
 first appears.
 
@@ -26,6 +28,7 @@ order verdicts are unreliable.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,26 +74,13 @@ class TerminalClaim:
 def claim_from_values(lattice: Lattice, step: int, values) -> TerminalClaim:
     """Wrap a slice of node values as a claim maturing at ``step``.
 
-    The payoff inverts walk values back to node indices, so it reproduces the
-    given values exactly on the lattice (off-grid queries clamp to the range).
+    The payoff looks walk values up by node index, so it reproduces the given
+    values exactly on the lattice (off-grid queries clamp to the range).
     """
     vals = np.array(values, dtype=float)
     if vals.shape != (step + 1,):
         raise StepOutOfRange(f"need {step + 1} node values, got shape {vals.shape}")
-    return _subtree_claim(lattice, step, 0, vals, f"slice@{step}")
-
-
-def _subtree_claim(lattice: Lattice, step: int, anchor: int, values,
-                   name: str) -> TerminalClaim:
-    """Slice claim on the subtree whose left edge is ``anchor``; off-subtree
-    nodes clamp to the nearest edge value, which a local mechanism never reads."""
-    vals = np.asarray(values, dtype=float)
-    hi = vals.size - 1
-
-    def payoff(b):
-        return vals[np.clip(lattice.node_index(step, b) - anchor, 0, hi)]
-
-    return TerminalClaim(payoff, name=name)
+    return TerminalClaim(lambda b: vals[lattice.node_index(step, b)], name=f"slice@{step}")
 
 
 def make_underlying_map(s0: float, sigma: float, horizon: float, drift: float = 0.0):
@@ -370,29 +360,27 @@ class MechanismHandle:
     """Black-box dynamic pricing interface over one lattice.
 
     ``price_at(s_step, t_step, claim, dividends)`` returns node values at
-    ``s_step``; implementations must be pure and reentrant.  Their prices are
-    checked for shape and finiteness, so a NaN or inf raises
-    :class:`NonFiniteValue` instead of becoming a result.  ``mu`` is the
-    declared domination constant (``None`` when unknown).  ``surface_fn`` and
-    ``rows_fn`` are optional fast paths behind :meth:`price_surface` and
-    :meth:`price_rows`; without them both loop over ``price_at``.
+    ``s_step``; it must be pure and reentrant.  ``mu`` is the declared
+    domination constant (``None`` when unknown).  :meth:`price_rows` and
+    :meth:`price_surface` call ``price_at`` once per row or step.  Every price
+    is checked for shape and finiteness, so a NaN or inf raises
+    :class:`NonFiniteValue` instead of becoming a result.
+
+    :func:`as_mechanism` overrides only the hooks ``_rows`` and ``_surface``,
+    to run the backward kernel; the public methods stay on this class, where
+    ``bench/tracing.py`` patches them.
     """
 
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float],
-                 name: str = "", surface_fn: Optional[Callable] = None,
-                 rows_fn: Optional[Callable] = None):
+                 name: str = ""):
         self.lattice = lattice
         self._price_at = price_at
         self.mu = mu
         self.name = name
-        self._surface_fn = surface_fn
-        self._rows_fn = rows_fn
 
     def _check_steps(self, s_step: int, t_step: int) -> None:
         if not 0 <= s_step <= t_step <= self.lattice.n_steps:
-            raise BadStepOrder(
-                f"need 0 <= s={s_step} <= t={t_step} <= {self.lattice.n_steps}"
-            )
+            raise BadStepOrder(f"need 0 <= s={s_step} <= t={t_step} <= {self.lattice.n_steps}")
 
     def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
                  dividends: Optional[DividendStream] = None) -> np.ndarray:
@@ -400,7 +388,8 @@ class MechanismHandle:
         return _checked_prices(self._price_at(s_step, t_step, claim, dividends),
                                (s_step + 1,), s_step)
 
-    def price_rows(self, s_step: int, t_step: int, rows) -> np.ndarray:
+    def price_rows(self, s_step: int, t_step: int, rows,
+                   dividends: Optional[DividendStream] = None) -> np.ndarray:
         """Prices at ``s_step`` of a ``(k, t_step + 1)`` batch of terminal node
         values, as ``(k, s_step + 1)``; row ``r`` equals ``price_at`` of
         ``claim_from_values(lattice, t_step, rows[r])``."""
@@ -410,32 +399,38 @@ class MechanismHandle:
             raise StepOutOfRange(f"rows must have {t_step + 1} entries, got shape {rows.shape}")
         if not np.isfinite(rows).all():
             raise _non_finite(rows, t_step, "terminal value")
-        if self._rows_fn is not None:
-            return _checked_prices(self._rows_fn(s_step, t_step, rows),
-                                   (rows.shape[0], s_step + 1), s_step)
-        out = np.empty((rows.shape[0], s_step + 1))
-        for r, row in enumerate(rows):
-            out[r] = self.price_at(s_step, t_step, claim_from_values(self.lattice, t_step, row))
-        return out
+        return _checked_prices(self._rows(s_step, t_step, rows, dividends),
+                               (rows.shape[0], s_step + 1), s_step)
 
     def price_surface(self, t_step: int, claim: TerminalClaim,
                       dividends: Optional[DividendStream] = None) -> AdaptedProcess:
-        """Prices at every step 0..t_step (one call per step unless optimized)."""
-        if self._surface_fn is not None:
-            return self._surface_fn(t_step, claim, dividends)
-        slices = [self.price_at(s, t_step, claim, dividends)
-                  for s in range(t_step + 1)]
-        return AdaptedProcess(self.lattice, 0, slices)
+        """Prices at every step 0..t_step."""
+        self._check_steps(0, t_step)
+        return self._surface(t_step, claim, dividends)
+
+    def _rows(self, s_step, t_step, rows, dividends):
+        # one price_at call per row; price_rows checks the whole batch for NaN
+        # and inf, so a witness names the row
+        out = np.empty((rows.shape[0], s_step + 1))
+        for r, row in enumerate(rows):
+            claim = claim_from_values(self.lattice, t_step, row)
+            out[r] = _checked_prices(self._price_at(s_step, t_step, claim, dividends),
+                                     (s_step + 1,), s_step, finite=False)
+        return out
+
+    def _surface(self, t_step, claim, dividends):
+        return AdaptedProcess(self.lattice, 0, [self.price_at(s, t_step, claim, dividends)
+                                                for s in range(t_step + 1)])
 
 
-def _checked_prices(values, shape: tuple, step: int) -> np.ndarray:
+def _checked_prices(values, shape: tuple, step: int, finite: bool = True) -> np.ndarray:
     """A black box's step-``step`` prices as floats; raises unless they have
-    ``shape`` and are finite, naming the step, row and node of a NaN or inf."""
+    ``shape`` and, if ``finite``, no NaN or inf, naming its step, row and node."""
     vals = np.asarray(values, dtype=float)
     if vals.shape != shape:
         raise StepOutOfRange(f"mechanism returned shape {vals.shape} at step {step}, "
                              f"expected {shape}")
-    if not np.isfinite(vals).all():
+    if finite and not np.isfinite(vals).all():
         raise _non_finite(vals, step, "mechanism price")
     return vals
 
@@ -448,22 +443,28 @@ def _own_lattice(mech: MechanismHandle, lattice: Optional[Lattice]) -> Lattice:
     return mech.lattice
 
 
-def as_mechanism(g: Generator, lattice: Lattice) -> MechanismHandle:
-    """Wrap a driver's backward solver as a pricing mechanism on the lattice."""
+class _DriverMechanism(MechanismHandle):
+    """A driver's backward solver as a handle: ``price_at`` is :func:`price`,
+    rows run the kernel in one pass and surfaces are one :func:`solve_bsde`."""
 
-    def price_at(s_step, t_step, claim, dividends):
-        return price(g, s_step, t_step, claim, dividends, lattice)
+    def __init__(self, g: Generator, lattice: Lattice):
+        super().__init__(lattice, lambda s, t, claim, dividends:
+                         price(g, s, t, claim, dividends, lattice),
+                         mu=g.mu, name=g.name or "mechanism")
+        self._g = g
 
-    def surface_fn(t_step, claim, dividends):
-        res = solve_bsde(g, claim, dividends, lattice, t_step=t_step, s_step=0)
-        return res.y
-
-    def rows_fn(s_step, t_step, rows):
-        (y,), _, _ = _backward(g, rows, lattice, t_step, s_step, None, keep_surface=False)
+    def _rows(self, s_step, t_step, rows, dividends):
+        (y,), _, _ = _backward(self._g, rows, self.lattice, t_step, s_step, dividends,
+                               keep_surface=False)
         return y
 
-    return MechanismHandle(lattice, price_at, mu=g.mu, name=g.name or "mechanism",
-                           surface_fn=surface_fn, rows_fn=rows_fn)
+    def _surface(self, t_step, claim, dividends):
+        return solve_bsde(self._g, claim, dividends, self.lattice, t_step=t_step).y
+
+
+def as_mechanism(g: Generator, lattice: Lattice) -> MechanismHandle:
+    """Wrap a driver's backward solver as a pricing mechanism on the lattice."""
+    return _DriverMechanism(g, lattice)
 
 
 def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> MechanismHandle:
@@ -472,7 +473,7 @@ def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> Mechan
     ``boundaries`` is the full partition ``0 = c_0 < c_1 < ... < c_N = n``
     with ``mechs[k]`` governing ``[c_k, c_{k+1}]``.  Within one segment the
     pasted mechanism delegates; across segments it prices the inner value
-    slice recursively, which is the unique consistent extension.
+    slice as one ``price_rows`` row, which is the unique consistent extension.
     """
     if not mechs:
         raise BadPartition("need at least one mechanism")
@@ -487,21 +488,14 @@ def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> Mechan
         raise BadPartition(f"boundaries {cuts} do not partition [0, {n}] "
                            f"into {len(mechs)} segments")
 
-    def segment_of(step: int) -> int:
-        # segment k covers (c_k, c_{k+1}]; step 0 belongs to segment 0
-        for k in range(len(cuts) - 1):
-            if cuts[k] < step <= cuts[k + 1]:
-                return k
-        return 0
-
     def price_at(s_step, t_step, claim, dividends):
-        cur_step, cur_claim = t_step, claim
-        while cur_step > s_step:
-            k = segment_of(cur_step)
+        step, vals = t_step, claim.values(lattice, t_step)
+        while step > s_step:
+            # segment k covers (c_k, c_{k+1}]
+            k = bisect.bisect_left(cuts, step) - 1
             lo = max(cuts[k], s_step)
-            vals = mechs[k].price_at(lo, cur_step, cur_claim, dividends)
-            cur_step, cur_claim = lo, claim_from_values(lattice, lo, vals)
-        return cur_claim.values(lattice, s_step)
+            step, vals = lo, mechs[k].price_rows(lo, step, vals[None], dividends)[0]
+        return vals
 
     mus = [m.mu for m in mechs]
     mu = None if any(v is None for v in mus) else max(mus)

@@ -15,6 +15,7 @@ from gmech import (
     MechanismHandle,
     NonFiniteValue,
     NotSupermartingale,
+    StepOutOfRange,
     TerminalClaim,
     abs_z_generator,
     as_mechanism,
@@ -113,7 +114,7 @@ class TestAxiomSuite:
             return np.where(np.arange(s + 1) == 1, np.nan, vals) if s == 3 else vals
 
         with pytest.raises(NonFiniteValue,
-                           match=r"^mechanism price is nan at step 3, node 1$"):
+                           match=r"^mechanism price is nan at step 3, row 0, node 1$"):
             axiom_suite(MechanismHandle(lat8, price_at, mu=0.3), lat8, samples=40, seed=3)
 
 
@@ -408,6 +409,34 @@ class TestProbePath:
         assert probe.slices[1][0] == pytest.approx(drifted - z * lat16.sqrt_dt)
 
 
+class TestProbeAnchors:
+    PROBES = {
+        "z_probe": lambda mech, anchor: z_probe(mech, 1.0, 4, 8, anchor=anchor),
+        "infinitesimal_probe": lambda mech, anchor: infinitesimal_probe(
+            mech, x=0.0, p=1.0, y=0.0, b_fn=lambda x: 0.0 * x,
+            sigma_fn=lambda x: 1.0 + 0.0 * x, eps_steps=2, t_step=4, anchor=anchor),
+        "build_probe_path": lambda mech, anchor: build_probe_path(
+            mech.lattice, 4, 1.0, 1.0, 0.3, anchor=anchor),
+    }
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    @pytest.mark.parametrize("anchor", [-1, 5, 7])
+    def test_anchor_off_the_step_raises(self, lat8, probe, anchor):
+        # -1 used to wrap to the last node and 7 to raise a bare IndexError
+        mech = as_mechanism(abs_z_generator(0.3), lat8)
+        with pytest.raises(StepOutOfRange, match=rf"^anchor {anchor} is not a step-4 node$"):
+            self.PROBES[probe](mech, anchor)
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_default_anchor_is_the_middle_node(self, lat8, probe):
+        mech = as_mechanism(abs_z_generator(0.3), lat8)
+        got, want = self.PROBES[probe](mech, None), self.PROBES[probe](mech, 2)
+        if probe == "build_probe_path":
+            assert got.anchor == want.anchor == 2
+        else:
+            assert got == want
+
+
 class TestRecoverGenerator:
     def test_zero_mechanism_recovers_zero(self):
         lat = build_lattice(build_grid(0.0, 1.0, 32))
@@ -536,7 +565,7 @@ class TestRecoverGenerator:
             return np.where(np.arange(s + 1) == 4, np.nan, vals) if s == 8 else vals
 
         handle = MechanismHandle(lat, price_at, mu=base.mu)
-        with pytest.raises(NonFiniteValue, match=r"^mechanism price is nan at step 8, node 4$"):
+        with pytest.raises(NonFiniteValue, match=r"^mechanism price is nan at step 8, row 0, node 4$"):
             recover_generator(handle, 4, grid_points([-1, 1], [-1, 1]), lat)
 
     def test_certificate_reports_an_overflowing_ratio(self):

@@ -279,6 +279,33 @@ def test_price_rows_default_loops_over_price_at(lat8):
     assert plain.price_rows(1, 3, np.zeros((0, 4))).shape == (0, 2)
 
 
+def test_rows_price_at_and_surface_agree_with_dividends(lat16):
+    # the three pricing forms of every handle kind, with a payout stream
+    rng = np.random.default_rng(37)
+    picard = as_mechanism(random_lipschitz_generator(rng), lat16)
+    abs_z = as_mechanism(abs_z_generator(0.3), lat16)
+    handles = {"picard": picard, "abs_z": abs_z,
+               "picard_price_at_only": _price_at_only(picard)[0],
+               "abs_z_price_at_only": _price_at_only(abs_z)[0],
+               "paste": paste([picard, abs_z], [0, 6, 16])}
+    stream = signed_stream(rng, lat16)
+    pairs = [(0, 0), (5, 5), (16, 16), (0, 16), (0, 7), (6, 6), (3, 12)]
+    pairs += [tuple(sorted(int(v) for v in rng.integers(0, 17, size=2))) for _ in range(6)]
+    for s, t in pairs:
+        row = rng.uniform(-2.0, 2.0, size=t + 1)
+        claim = claim_from_values(lat16, t, row)
+        for name, mech in handles.items():
+            by_rows = mech.price_rows(s, t, [row], stream)[0]
+            by_price_at = mech.price_at(s, t, claim, stream)
+            by_surface = mech.price_surface(t, claim, stream).at(s)
+            assert by_rows.tobytes() == by_price_at.tobytes() == by_surface.tobytes(), (name, s, t)
+        # inside one segment the pasted handle is that segment's mechanism
+        segment = picard if t <= 6 else abs_z if s >= 6 else None
+        if segment is not None:
+            want = segment.price_rows(s, t, [row], stream)
+            assert handles["paste"].price_rows(s, t, [row], stream).tobytes() == want.tobytes()
+
+
 def test_price_rows_validation(lat8):
     mech = as_mechanism(domination_generator(0.3), lat8)
     for handle in (mech, _price_at_only(mech)[0]):
@@ -296,15 +323,25 @@ def test_price_rows_validation(lat8):
             handle.price_rows(0, 4, rows)
 
 
+def test_price_surface_validation(lat8):
+    # a black box used to return an empty surface for a negative maturity
+    mech = as_mechanism(domination_generator(0.3), lat8)
+    for handle in (mech, _price_at_only(mech)[0]):
+        for t in (-1, 9):
+            with pytest.raises(BadStepOrder, match=rf"^need 0 <= s=0 <= t={t} <= 8$"):
+                handle.price_surface(t, WALK)
+
+
 def test_black_box_output_is_checked(lat8):
-    def rows_fn(s, t, rows):
-        out = np.zeros((rows.shape[0], s + 1))
-        out[-1, -1] = np.inf
+    def price_at(s, t, claim, dividends=None):
+        # inf at the last node of the claim that pays 1 everywhere
+        out = np.zeros(s + 1)
+        out[-1] = np.inf if claim.values(lat8, t)[0] == 1.0 else 0.0
         return out
 
-    rows_box = MechanismHandle(lat8, None, mu=0.3, rows_fn=rows_fn)
+    inf_box = MechanismHandle(lat8, price_at, mu=0.3)
     with pytest.raises(NonFiniteValue, match=r"^mechanism price is inf at step 2, row 1, node 2$"):
-        rows_box.price_rows(2, 4, np.zeros((2, 5)))
+        inf_box.price_rows(2, 4, [np.zeros(5), np.ones(5)])
     short = MechanismHandle(lat8, lambda s, t, c, d=None: np.zeros(s), mu=0.3)
     with pytest.raises(StepOutOfRange, match=r"shape \(2,\) at step 2, expected \(3,\)"):
         short.price_at(2, 4, WALK)
