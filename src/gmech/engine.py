@@ -14,7 +14,10 @@ its input.  It has three entry points: :func:`solve_bsde` keeps the whole
 ``y`` surface of one claim with its dividends, :func:`solve_terminal_batch`
 keeps only the root values of many terminal rows, and the ``price_rows`` of an
 :func:`as_mechanism` handle keeps the step-``s`` values of many rows with
-their dividends.  ``z`` is never stored: it is read off ``y`` (see
+their dividends.  For a closed-form driver it works in per-call column-major
+scratch arrays that the built-in closed forms overwrite in place (see
+:func:`_sweep`); its input is never written and its results are fresh
+row-major arrays.  ``z`` is never stored: it is read off ``y`` (see
 :class:`PricingResult`).  A :class:`MechanismHandle` is built from a black-box
 ``price_at`` alone; only :func:`as_mechanism` handles reach the kernel.
 A NaN or inf raises :class:`NonFiniteValue` naming the step and node where it
@@ -181,6 +184,8 @@ def monotone_condition(mu: float, lattice: Lattice) -> bool:
 
 
 def require_monotone(mu: float, lattice: Lattice) -> None:
+    if not math.isfinite(mu):
+        raise InvalidParams(f"mu must be finite, got {mu}")
     if not monotone_condition(mu, lattice):
         raise SchemeNotMonotone(
             f"mu * (sqrt(dt) + dt) = {mu * (lattice.sqrt_dt + lattice.dt):.6g} > 1; "
@@ -235,12 +240,30 @@ def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
 
 def _sweep(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
            dividends: Optional[DividendStream]):
-    """Yield ``(i, y_i, iters, resid)`` for steps ``n - 1`` down to ``s``."""
+    """Yield ``(i, y_i, iters, resid)`` for steps ``n - 1`` down to ``s``.
+
+    For a closed form, ``cur`` is copied once into a column-major work array,
+    so the node slice ``[..., :k]`` of a ``(rows, nodes)`` batch is one
+    contiguous block, and ``m`` and ``z`` go into two scratch arrays of that
+    layout.  A closed form that returns its scratch ``m`` (see
+    :class:`Generator`) swaps it in as the work array; any other ``y`` is
+    adopted as it is.  A yielded ``y_i`` may therefore be scratch, valid only
+    until the next step.  A Picard step allocates its ``y`` anyway and hands
+    ``m`` and ``z`` to driver code, which ran up to 14% slower on column-major
+    batches of few rows, so it gets fresh row-major ``m`` and ``z``.
+    """
     dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
+    in_place = g.exact_step is not None
+    if in_place:
+        work = cur = np.array(cur, dtype=float, order="F")
+        m_buf, z_buf = np.empty_like(work), np.empty_like(work)
     for i in range(n - 1, s - 1, -1):
-        m, z = one_step_mz(cur, sqrt_dt)
+        out = (m_buf[..., :i + 1], z_buf[..., :i + 1]) if in_place else None
+        m, z = one_step_mz(cur, sqrt_dt, out=out)
         cur, iters, resid = _implicit_step(g, i, lattice.grid.time(i), m, z,
                                            _increment_at(dividends, i), dt)
+        if in_place and cur.base is m_buf:
+            work, m_buf = m_buf, work
         yield i, cur, iters, resid
 
 
@@ -251,27 +274,36 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
     the step-``s`` one unless ``keep_surface``), the worst Picard iteration
     count and residual.  The ``z`` of each step is used and dropped.
 
+    ``cur`` is never written.  A returned slice is a fresh row-major array
+    unless it is ``cur`` itself: scratch is copied once, when it is kept.
+
     Every node feeds the step-``s`` slice, so one check there catches any
     NaN or inf; only then is the sweep re-run to locate it.
     """
-    if g.mu * lattice.dt >= 1.0:
+    if not g.mu * lattice.dt < 1.0:
         raise ContractionViolation(
             f"mu * dt = {g.mu * lattice.dt:.6g} >= 1; refine the grid"
         )
     y_slices = [cur]
     worst_iters, worst_resid = 0, 0.0
-    for _, y, iters, resid in _sweep(g, cur, lattice, n, s, dividends):
+    for i, y, iters, resid in _sweep(g, cur, lattice, n, s, dividends):
         worst_iters = max(worst_iters, iters)
         worst_resid = max(worst_resid, resid)
-        if not keep_surface:
-            y_slices.clear()
-        y_slices.append(y)
+        if keep_surface or i == s:
+            y_slices.append(_owned(y))
+    if not keep_surface:
+        del y_slices[:-1]
     if not np.isfinite(y_slices[-1]).all():
         for i, y, *_ in _sweep(g, cur, lattice, n, s, dividends):
             if not np.isfinite(y).all():
                 raise _non_finite(y, i, "price")
     y_slices.reverse()
     return y_slices, worst_iters, worst_resid
+
+
+def _owned(y: np.ndarray) -> np.ndarray:
+    """``y`` if it is a row-major array of its own, else a row-major copy."""
+    return y if y.base is None and y.flags.c_contiguous else y.copy()
 
 
 # -- full solves ----------------------------------------------------------------
@@ -474,6 +506,7 @@ def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> Mechan
     with ``mechs[k]`` governing ``[c_k, c_{k+1}]``.  Within one segment the
     pasted mechanism delegates; across segments it prices the inner value
     slice as one ``price_rows`` row, which is the unique consistent extension.
+    A surface is one ``price_surface`` per segment, walked from the top.
     """
     if not mechs:
         raise BadPartition("need at least one mechanism")
@@ -488,19 +521,41 @@ def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> Mechan
         raise BadPartition(f"boundaries {cuts} do not partition [0, {n}] "
                            f"into {len(mechs)} segments")
 
-    def price_at(s_step, t_step, claim, dividends):
-        step, vals = t_step, claim.values(lattice, t_step)
-        while step > s_step:
-            # segment k covers (c_k, c_{k+1}]
-            k = bisect.bisect_left(cuts, step) - 1
-            lo = max(cuts[k], s_step)
-            step, vals = lo, mechs[k].price_rows(lo, step, vals[None], dividends)[0]
-        return vals
-
     mus = [m.mu for m in mechs]
     mu = None if any(v is None for v in mus) else max(mus)
-    return MechanismHandle(lattice, price_at, mu=mu,
-                           name="paste(" + ",".join(m.name for m in mechs) + ")")
+    return _PastedMechanism(list(mechs), cuts, mu,
+                            "paste(" + ",".join(m.name for m in mechs) + ")")
+
+
+class _PastedMechanism(MechanismHandle):
+    """Mechanisms joined along the step partition ``cuts`` (see :func:`paste`)."""
+
+    def __init__(self, mechs: list, cuts: list, mu: Optional[float], name: str):
+        super().__init__(mechs[0].lattice, self._walk, mu=mu, name=name)
+        self._mechs, self._cuts = mechs, cuts
+
+    def _walk(self, s_step, t_step, claim, dividends):
+        step, vals = t_step, claim.values(self.lattice, t_step)
+        while step > s_step:
+            # segment k covers (c_k, c_{k+1}]
+            k = bisect.bisect_left(self._cuts, step) - 1
+            lo = max(self._cuts[k], s_step)
+            step, vals = lo, self._mechs[k].price_rows(lo, step, vals[None], dividends)[0]
+        return vals
+
+    def _surface(self, t_step, claim, dividends):
+        # each segment prices the slice handed down from the one above and
+        # gives steps c_k..step - 1, top down
+        step = t_step
+        slices = [claim.values(self.lattice, t_step)]
+        while step > 0:
+            k = bisect.bisect_left(self._cuts, step) - 1
+            lo = self._cuts[k]
+            surf = self._mechs[k].price_surface(
+                step, claim_from_values(self.lattice, step, slices[-1]), dividends)
+            slices.extend(surf.at(i) for i in range(step - 1, lo - 1, -1))
+            step = lo
+        return AdaptedProcess(self.lattice, 0, slices[::-1])
 
 
 # -- order verdicts ---------------------------------------------------------------

@@ -40,7 +40,10 @@ class Generator:
     ``exact_step``, when present, solves the implicit one-step equation
     ``y = m + fn(t, y, z) dt + dk`` in closed form; the backward solver uses
     it in place of the fixed-point iteration.  It must return the same fixed
-    point the iteration would converge to.
+    point the iteration would converge to.  The solver passes scratch ``m``
+    and ``z`` that it owns and never reads again; a closed form may overwrite
+    both and return ``m``, or return a new array.  The built-in closed forms
+    do overwrite them, so a caller outside the solver passes copies.
     """
 
     fn: Callable
@@ -71,6 +74,22 @@ class BSMarketParams:
 
 # -- constructors ------------------------------------------------------------
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise InvalidParams(f"{name} must be finite, got {value}")
+    return value
+
+
+# The closed-form steps below overwrite the scratch ``m`` and ``z`` the
+# solver hands them (see :class:`Generator`) with the operations, in the
+# order, of the plain expressions in their comments, so the bits are the same.
+
+def _abs_z_part(z, coef: float, dt: float):
+    """``coef * |z| * dt``, written over ``z``."""
+    return np.multiply(np.multiply(np.abs(z, out=z), coef, out=z), dt, out=z)
+
+
 def zero_generator() -> Generator:
     """The linear-expectation driver ``g == 0``."""
     return Generator(
@@ -78,7 +97,8 @@ def zero_generator() -> Generator:
         mu=0.0,
         flags=GeneratorFlags(zero_at_zero=True, y_independent=True),
         name="zero",
-        exact_step=lambda t, m, z, dk, dt: m + dk,
+        # m + dk
+        exact_step=lambda t, m, z, dk, dt: np.add(m, dk, out=m),
     )
 
 
@@ -88,15 +108,18 @@ def domination_generator(mu: float) -> Generator:
     Every mu-Lipschitz driver vanishing at the origin is bounded by it, which
     is what makes it the yardstick in domination tests.
     """
+    mu = _finite("mu", mu)
     if mu < 0:
         raise NegativeMu(f"mu must be >= 0, got {mu}")
-    mu = float(mu)
 
     def exact_step(t, m, z, dk, dt):
         # y = m + mu (|y| + |z|) dt + dk is piecewise linear in y with one
         # kink at 0; the fixed point follows the sign of the affine part
-        q = m + mu * np.abs(z) * dt + dk
-        return np.where(q >= 0, q / (1.0 - mu * dt), q / (1.0 + mu * dt))
+        # q = m + mu |z| dt + dk, so y = q / (1 - copysign(mu dt, q)); for
+        # q < 0 the denominator 1 - (-mu dt) is 1 + mu dt exactly
+        q = np.add(np.add(m, _abs_z_part(z, mu, dt), out=m), dk, out=m)
+        den = np.subtract(1.0, np.copysign(mu * dt, q, out=z), out=z)
+        return np.divide(q, den, out=q)
 
     return Generator(
         fn=lambda t, y, z: mu * (np.abs(y) + np.abs(z)),
@@ -109,27 +132,36 @@ def domination_generator(mu: float) -> Generator:
 
 def abs_z_generator(coef: float) -> Generator:
     """Driver ``coef * |z|``: depends on the hedge coefficient only."""
+    coef = _finite("coef", coef)
     if coef < 0:
         raise NegativeMu(f"coef must be >= 0, got {coef}")
-    coef = float(coef)
     return Generator(
         fn=lambda t, y, z: coef * np.abs(z) + 0.0 * y,
         mu=coef,
         flags=GeneratorFlags(zero_at_zero=True, y_independent=True),
         name=f"abs_z:{coef:g}",
-        exact_step=lambda t, m, z, dk, dt: m + coef * np.abs(z) * dt + dk,
+        # m + coef |z| dt + dk
+        exact_step=lambda t, m, z, dk, dt:
+            np.add(np.add(m, _abs_z_part(z, coef, dt), out=m), dk, out=m),
     )
 
 
 def linear_generator(a: float, b: float) -> Generator:
     """Affine driver ``a * y + b * z`` (no constant term)."""
-    a, b = float(a), float(b)
+    a, b = _finite("a", a), _finite("b", b)
+
+    def exact_step(t, m, z, dk, dt):
+        # (m + b z dt + dk) / (1 - a dt)
+        bz = np.multiply(np.multiply(z, b, out=z), dt, out=z)
+        q = np.add(np.add(m, bz, out=m), dk, out=m)
+        return np.divide(q, 1.0 - a * dt, out=q)
+
     return Generator(
         fn=lambda t, y, z: a * y + b * z,
         mu=max(abs(a), abs(b)),
         flags=GeneratorFlags(zero_at_zero=True, y_independent=(a == 0.0)),
         name=f"linear:{a:g},{b:g}",
-        exact_step=lambda t, m, z, dk, dt: (m + b * z * dt + dk) / (1.0 - a * dt),
+        exact_step=exact_step,
     )
 
 

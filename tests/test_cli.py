@@ -79,6 +79,13 @@ class TestPrice:
                           "--payoff", "const:nan", "--steps", "4")
         assert code == 1
 
+    @pytest.mark.parametrize("spec, name", [("gmu:nan", "mu"), ("gmu:inf", "mu"),
+                                            ("abs_z:nan", "coef"), ("abs_z:-inf", "coef")])
+    def test_non_finite_driver_constant_is_named(self, capsys, spec, name):
+        code = main(["price", "--gen", spec, "--payoff", "bm", "--steps", "8"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite, got ")
+
     def test_solver_failure_exit_code(self, capsys):
         # mu * dt >= 1 on a 2-step unit grid
         code, _ = run_cli(capsys, "price", "--gen", "gmu:2.5",
@@ -194,6 +201,12 @@ class TestAuditAndSynth:
                      "--vol", "0.2"])
         assert code == 2
         assert "GMECH_THREADS" in capsys.readouterr().err
+
+    def test_non_finite_mu_is_named(self, capsys, chain_csv):
+        code = main(["audit", "--chain", chain_csv, "--mu", "nan", "--steps", "16",
+                     "--vol", "0.2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: mu must be finite, got nan\n"
 
     def test_missing_file_is_data_error(self, capsys):
         code, _ = run_cli(capsys, "audit", "--chain", "/nonexistent.csv",

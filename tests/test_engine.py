@@ -12,6 +12,7 @@ from gmech import (
     ContractionViolation,
     DividendStream,
     Generator,
+    InvalidParams,
     MechanismHandle,
     NonFiniteValue,
     PicardDivergence,
@@ -37,6 +38,8 @@ from gmech import (
     solve_terminal_batch,
     zero_generator,
 )
+
+from gmech.engine import require_monotone
 
 from util import (
     BS_CALL_ATM,
@@ -175,6 +178,18 @@ class TestSolveBsde:
         lat = build_lattice(build_grid(0.0, 1.0, 2))  # dt = 0.5
         with pytest.raises(ContractionViolation):
             solve_bsde(domination_generator(2.5), WALK, None, lat)
+
+    def test_non_finite_mu_is_rejected(self, lat8):
+        with pytest.raises(InvalidParams, match=r"^mu must be finite, got nan$"):
+            require_monotone(float("nan"), lat8)
+        with pytest.raises(InvalidParams, match=r"^mu must be finite, got inf$"):
+            check_domination(as_mechanism(zero_generator(), lat8), WALK, ZERO,
+                             float("inf"), lat8)
+        # a driver built by hand cannot slip a NaN constant past the guard
+        for mu in (float("nan"), float("inf")):
+            g = Generator(fn=lambda t, y, z: 0.0 * np.asarray(y, float), mu=mu)
+            with pytest.raises(ContractionViolation, match=rf"mu \* dt = {mu} >= 1"):
+                solve_bsde(g, WALK, None, lat8)
 
     def test_divergent_iteration_is_reported(self):
         # a driver whose declared constant understates the true slope slips
@@ -467,6 +482,32 @@ class TestPaste:
         other = as_mechanism(zero_generator(), build_lattice(build_grid(0.0, 2.0, 8)))
         with pytest.raises(BadPartition, match="share one lattice"):
             paste([mech, other], [0, 4, 8])
+
+    def test_surface_is_the_per_step_price_at_loop(self, lat16):
+        # one price_surface per segment, byte-equal to pricing every step
+        # with its own price_at walk through the segments
+        rng = np.random.default_rng(53)
+        stream = signed_stream(rng, lat16)
+        kernel = as_mechanism(random_lipschitz_generator(rng), lat16)
+        plain = _price_at_only(as_mechanism(abs_z_generator(0.3), lat16))[0]
+        for mechs in ([kernel, plain], [plain, kernel]):
+            pasted = paste(mechs, [0, 6, 16])
+            for t in (16, 11, 6, 3, 0):
+                claim = claim_from_values(lat16, t, rng.uniform(-2.0, 2.0, t + 1))
+                for dividends in (None, stream):
+                    surface = pasted.price_surface(t, claim, dividends)
+                    assert (surface.start, surface.stop) == (0, t)
+                    for s in range(t + 1):
+                        want = pasted.price_at(s, t, claim, dividends)
+                        assert surface.at(s).tobytes() == want.tobytes(), (t, s)
+
+    def test_surface_prices_each_segment_once(self, lat16):
+        mech = as_mechanism(abs_z_generator(0.3), lat16)
+        plain, calls = _price_at_only(mech)
+        pasted = paste([mech, plain, mech], [0, 4, 10, 16])
+        pasted.price_surface(16, WALK)
+        # the middle segment's surface at maturity 10 is one price_at per step
+        assert calls == [(s, 10) for s in range(11)]
 
     def test_bad_partition(self, lat8):
         mech = as_mechanism(zero_generator(), lat8)

@@ -38,6 +38,19 @@ class TestDominationGenerator:
         assert g.flags.zero_at_zero
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_constants_are_rejected(bad):
+    # NaN used to pass the sign check and surface later as a NaN price
+    with pytest.raises(InvalidParams, match=r"^mu must be finite, got"):
+        domination_generator(bad)
+    with pytest.raises(InvalidParams, match=r"^coef must be finite, got"):
+        abs_z_generator(bad)
+    with pytest.raises(InvalidParams, match=r"^a must be finite, got"):
+        linear_generator(bad, 0.1)
+    with pytest.raises(InvalidParams, match=r"^b must be finite, got"):
+        linear_generator(0.1, bad)
+
+
 class TestBlackScholesGenerator:
     def test_plugin_value(self):
         g = black_scholes_generator(BSMarketParams(r=0.05, b=0.08, sigma=0.2))

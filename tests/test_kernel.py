@@ -1,0 +1,157 @@
+"""The backward kernel's scratch buffers: bits, inputs and the closed forms.
+
+For a closed-form driver ``engine._backward`` works in column-major scratch
+arrays and lets the built-in closed forms overwrite them.  These tests hold
+it to a row-major, allocating kernel written out here, bit for bit, on both
+the closed-form and the Picard path, and check that no input is ever written.
+"""
+
+import numpy as np
+import pytest
+
+from gmech import (
+    BSMarketParams,
+    abs_z_generator,
+    as_mechanism,
+    black_scholes_generator,
+    build_grid,
+    build_lattice,
+    domination_generator,
+    linear_generator,
+    solve_terminal_batch,
+    zero_generator,
+)
+from gmech.engine import PICARD_CAP, PICARD_TOL, _backward
+
+from util import random_lipschitz_generator, signed_stream
+
+BS = BSMarketParams(r=0.05, b=0.08, sigma=0.2)
+THETA = (BS.b - BS.r) / BS.sigma
+
+
+def _where_gmu(mu):
+    def step(t, m, z, dk, dt):
+        q = m + mu * np.abs(z) * dt + dk
+        return np.where(q >= 0, q / (1.0 - mu * dt), q / (1.0 + mu * dt))
+    return step
+
+
+def _allocating_linear(a, b):
+    return lambda t, m, z, dk, dt: (m + b * z * dt + dk) / (1.0 - a * dt)
+
+
+# each built-in closed form next to the allocating expression it replaced;
+# ``None`` is the Picard path
+DRIVERS = [
+    (zero_generator(), lambda t, m, z, dk, dt: m + dk),
+    (domination_generator(0.4), _where_gmu(0.4)),
+    (abs_z_generator(0.3), lambda t, m, z, dk, dt: m + 0.3 * np.abs(z) * dt + dk),
+    (linear_generator(-0.25, 0.35), _allocating_linear(-0.25, 0.35)),
+    (black_scholes_generator(BS), _allocating_linear(-BS.r, -THETA)),
+    (random_lipschitz_generator(np.random.default_rng(41)), None),
+]
+
+
+def _row_major_backward(g, step_fn, cur, lattice, n, s, dividends, keep_surface):
+    """The kernel without scratch buffers: every step allocates its ``m``,
+    ``z`` and ``y`` from row-major slices of the step above."""
+    dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
+    y_slices, worst_iters, worst_resid = [cur], 0, 0.0
+    for i in range(n - 1, s - 1, -1):
+        up, down = cur[..., 1:], cur[..., :-1]
+        m, z = 0.5 * (up + down), (up - down) / (2.0 * sqrt_dt)
+        t = lattice.grid.time(i)
+        dk = 0.0 if dividends is None else dividends.increment(i)
+        if step_fn is not None:
+            cur, iters, resid = np.asarray(step_fn(t, m, z, dk, dt), dtype=float), 1, 0.0
+        else:
+            y, done = m, None
+            for iters in range(1, PICARD_CAP + 1):
+                y_next = m + g(t, y, z) * dt + dk
+                if done is not None:
+                    y_next[done] = y[done]
+                gap = np.abs(y_next - y)
+                resid = float(np.max(gap)) if gap.size else 0.0
+                y = y_next
+                if resid <= PICARD_TOL:
+                    break
+                if y.ndim > 1:
+                    done = np.max(gap, axis=-1) <= PICARD_TOL
+            cur = y
+        worst_iters, worst_resid = max(worst_iters, iters), max(worst_resid, resid)
+        if not keep_surface:
+            y_slices.clear()
+        y_slices.append(cur)
+    return y_slices[::-1], worst_iters, worst_resid
+
+
+@pytest.mark.parametrize("g, step_fn", DRIVERS, ids=lambda v: getattr(v, "name", ""))
+def test_kernel_matches_row_major_allocating_kernel(g, step_fn):
+    n = 24
+    lat = build_lattice(build_grid(0.0, 1.0, n))
+    rng = np.random.default_rng(43)
+    stream = signed_stream(rng, lat, scale=0.3)
+    inputs = {"1-d": rng.uniform(-2.0, 2.0, n + 1),
+              "one row": rng.uniform(-2.0, 2.0, (1, n + 1)),
+              "batch": rng.uniform(-2.0, 2.0, (5, n + 1))}
+    for shape, cur in inputs.items():
+        for dividends in (None, stream):
+            for s in (0, n // 2, n):
+                for keep in (False, True):
+                    case = (shape, dividends is not None, s, keep)
+                    got, iters, resid = _backward(g, cur, lat, n, s, dividends, keep)
+                    want, w_iters, w_resid = _row_major_backward(
+                        g, step_fn, cur, lat, n, s, dividends, keep)
+                    assert (iters, resid) == (w_iters, w_resid), case
+                    assert len(got) == len(want), case
+                    for a, b in zip(got, want):
+                        assert a.shape == b.shape, case
+                        assert a.flags.c_contiguous, case
+                        assert a.tobytes() == b.tobytes(), case
+
+
+def _frozen(a):
+    a = np.array(a, order="K")
+    a.flags.writeable = False
+    return a
+
+
+def test_inputs_are_never_written(lat16):
+    rng = np.random.default_rng(47)
+    batch = rng.uniform(-1.0, 1.0, (4, 17))
+    cases = {"batch": _frozen(batch),
+             "one row": _frozen(batch[:1]),
+             "fortran batch": _frozen(np.asfortranarray(batch))}
+    for g, _ in DRIVERS:
+        mech = as_mechanism(g, lat16)
+        for name, rows in cases.items():
+            before = rows.tobytes(order="A")
+            want = solve_terminal_batch(g, np.array(rows, order="C"), lat16)
+            # read-only inputs: any write raises, and the bits stay
+            assert solve_terminal_batch(g, rows, lat16).tobytes() == want.tobytes(), name
+            got = mech.price_rows(0, 16, rows)
+            assert got[:, 0].tobytes() == want.tobytes(), name
+            _backward(g, rows, lat16, 16, 5, None, keep_surface=True)
+            assert rows.tobytes(order="A") == before, (g.name, name)
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                    2.2250738585072014e-308, -2.2250738585072014e-308, 1.0, -3.5])
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.4, 3.0])
+def test_copysign_denominator_equals_the_where_form(mu):
+    dt = 1.0 / 8.0
+    q = SPECIAL
+    where = np.where(q >= 0, q / (1.0 - mu * dt), q / (1.0 + mu * dt))
+    copysign = q / (1.0 - np.copysign(mu * dt, q))
+    assert copysign.tobytes() == where.tobytes()
+    # the built-in closed form, on every pairing of special m, z and dk
+    m, z = (a.ravel() for a in np.meshgrid(SPECIAL, SPECIAL))
+    for dk in (0.0, -0.0, 1e-310, np.resize(SPECIAL, m.size)):
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf give NaN
+            want = _where_gmu(mu)(0.0, m, z, dk, dt)
+            got = domination_generator(mu).exact_step(0.0, m.copy(), z.copy(), dk, dt)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
