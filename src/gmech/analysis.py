@@ -23,7 +23,7 @@ identities for measurable events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (
     NotSupermartingale,
     StepOutOfRange,
 )
-from .generators import Generator, GeneratorFlags
+from .generators import Generator, GeneratorFlags, _tallies, _witnessed
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 from .engine import (
     DividendStream,
@@ -53,6 +53,10 @@ from .engine import (
 )
 
 AXIOM_TOL = 1e-9
+# A one-step defect below minus this breaks the supermartingale property.
+SUPERMARTINGALE_TOL = 1e-9
+# Slack of the driver envelope ``mu (|y| + |z|)`` for float noise.
+ENVELOPE_TOL = 1e-6
 
 
 # =====================================================================
@@ -71,24 +75,22 @@ class AxiomCheck:
 
 @dataclass
 class AxiomReport:
-    """Per-law verdicts with a counterexample witness on failure."""
+    """Per-law verdicts with a counterexample witness on failure: the first
+    sample with the law's worst violation."""
 
-    monotonicity: AxiomCheck
-    identity: AxiomCheck
-    time_consistency: AxiomCheck
-    locality: AxiomCheck
-    splitting: AxiomCheck
-    zero_preservation: AxiomCheck
-    locality_with_zero: AxiomCheck
-    seed: int = 0
+    monotonicity: AxiomCheck = _witnessed("sample", "s", "t", "violation")
+    identity: AxiomCheck = _witnessed("sample", "t", "violation")
+    time_consistency: AxiomCheck = _witnessed("sample", "r", "s", "t", "violation")
+    locality: AxiomCheck = _witnessed("sample", "s", "t", "event", "violation")
+    splitting: AxiomCheck = _witnessed("sample", "s", "t", "event", "violation")
+    zero_preservation: AxiomCheck = _witnessed("sample", "s", "t", "violation")
+    locality_with_zero: AxiomCheck = _witnessed("sample", "s", "t", "event", "violation")
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks())
 
     def checks(self):
-        return [self.monotonicity, self.identity, self.time_consistency,
-                self.locality, self.splitting, self.zero_preservation,
-                self.locality_with_zero]
+        return [getattr(self, f.name) for f in fields(self)]
 
     def as_dict(self) -> dict:
         out = {}
@@ -101,30 +103,6 @@ class AxiomReport:
                 "witness": c.witness,
             }
         return out
-
-
-class _LawTally:
-    """Accumulates violations of one law across samples."""
-
-    def __init__(self, name):
-        self.name = name
-        self.samples = 0
-        self.failures = 0
-        self.worst = 0.0
-        self.witness = None
-
-    def record(self, violation: float, witness: dict):
-        self.samples += 1
-        if violation > AXIOM_TOL:
-            self.failures += 1
-            if violation > self.worst:
-                self.worst = violation
-                self.witness = witness
-
-    def check(self) -> AxiomCheck:
-        return AxiomCheck(name=self.name, passed=self.failures == 0,
-                          samples=self.samples, failures=self.failures,
-                          worst_margin=self.worst, witness=self.witness)
 
 
 def _reach_mask(step_s: int, step_t: int, nodes_s: np.ndarray) -> np.ndarray:
@@ -202,40 +180,25 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
     priced = _price_legs(mech, legs)
     nested = _price_legs(mech, [[(r, s, p[0])] for (s, t, r, *_), p in zip(draws, priced)])
 
-    mono = _LawTally("monotonicity")
-    ident = _LawTally("identity")
-    tower = _LawTally("time_consistency")
-    local = _LawTally("locality")
-    split = _LawTally("splitting")
-    zero = _LawTally("zero_preservation")
-    local0 = _LawTally("locality_with_zero")
+    tallies = _tallies(AxiomReport)
+    mono, ident, tower, local, split, zero, local0 = tallies
     for k, ((s, t, r, x_vals, event, cone), p, (pn,)) in enumerate(zip(draws, priced, nested)):
         pa, pb, pp, pz, pk, *split_prices, same, direct = p
-        viol = float(np.max(pb - pa))  # monotonicity: the lowered claim prices lower
-        mono.record(viol, {"sample": k, "s": s, "t": t, "violation": viol})
-
+        # monotonicity: the lowered claim prices lower
+        mono.record(float(np.max(pb - pa)), AXIOM_TOL, k)
         # identity: pricing at its own maturity returns the payoff
-        viol = float(np.max(np.abs(same - x_vals)))
-        ident.record(viol, {"sample": k, "t": t, "violation": viol})
-
+        ident.record(float(np.max(np.abs(same - x_vals))), AXIOM_TOL, k)
         # time consistency: price of the intermediate value slice re-prices
-        viol = float(np.max(np.abs(pn - direct)))
-        tower.record(viol, {"sample": k, "r": r, "s": s, "t": t, "violation": viol})
-
+        tower.record(float(np.max(np.abs(pn - direct))), AXIOM_TOL, k)
         # locality: prices on the event ignore the payoff outside its cone
-        viol = float(np.max(np.abs(pp[event] - pa[event])))
-        local.record(viol, {"sample": k, "s": s, "t": t,
-                            "event": event.tolist(), "violation": viol})
+        local.record(float(np.max(np.abs(pp[event] - pa[event]))), AXIOM_TOL, k)
 
         if split_prices:
             po, pblend = split_prices
             expected = np.where(np.isin(np.arange(s + 1), event), pa, po)
-            viol = float(np.max(np.abs(pblend - expected)))
-            split.record(viol, {"sample": k, "s": s, "t": t,
-                                "event": event.tolist(), "violation": viol})
+            split.record(float(np.max(np.abs(pblend - expected))), AXIOM_TOL, k)
 
-        viol = float(np.max(np.abs(pz)))
-        zero.record(viol, {"sample": k, "s": s, "t": t, "violation": viol})
+        zero.record(float(np.max(np.abs(pz))), AXIOM_TOL, k)
 
         # locality with zero: kill the payoff outside the cone; prices on the
         # event are unchanged and prices on nodes whose cones miss it vanish
@@ -243,19 +206,17 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
         outside = np.convolve(cone, np.ones(t - s + 1), "valid") == 0
         if outside.any():
             viol = max(viol, float(np.max(np.abs(pk[outside]))))
-        local0.record(viol, {"sample": k, "s": s, "t": t,
-                             "event": event.tolist(), "violation": viol})
+        local0.record(viol, AXIOM_TOL, k)
 
-    return AxiomReport(
-        monotonicity=mono.check(),
-        identity=ident.check(),
-        time_consistency=tower.check(),
-        locality=local.check(),
-        splitting=split.check(),
-        zero_preservation=zero.check(),
-        locality_with_zero=local0.check(),
-        seed=seed,
-    )
+    def named(k, worst):
+        s, t, r, _, event, _ = draws[k]
+        return {"sample": k, "r": r, "s": s, "t": t, "event": event.tolist(),
+                "violation": worst}
+
+    return AxiomReport(*(AxiomCheck(name=f.name, passed=not tally.failures,
+                                    samples=tally.samples, failures=tally.failures,
+                                    worst_margin=tally.worst, witness=tally.witness(named))
+                         for f, tally in zip(fields(AxiomReport), tallies)))
 
 
 # =====================================================================
@@ -285,7 +246,7 @@ def doob_meyer(
     y: AdaptedProcess,
     dividends: Optional[DividendStream],
     lattice: Lattice,
-    tol: float = 1e-9,
+    tol: float = SUPERMARTINGALE_TOL,
 ) -> DecompositionResult:
     """Decompose a supermartingale of the driver-priced system.
 
@@ -362,7 +323,7 @@ def represent(
     dividends: Optional[DividendStream],
     lattice: Lattice,
     t_step: int | None = None,
-    bound_tol: float = 1e-6,
+    bound_tol: float = ENVELOPE_TOL,
 ) -> RepresentationResult:
     """Extract the realized driver of a mechanism on one claim.
 
@@ -549,8 +510,7 @@ def build_probe_path(
                      slices=[y[..., None], np.stack([drift - spread, drift + spread], -1)])
 
 
-def _decompose_probe(probe: ProbePath, one_step: np.ndarray,
-                     supermartingale_tol: float) -> np.ndarray:
+def _decompose_probe(probe: ProbePath, one_step: np.ndarray) -> np.ndarray:
     """Decompose ``P`` probes under the mechanism's one-step operator.
 
     ``one_step`` is the ``(P,)`` vector of the mechanism's step-``t_step``
@@ -563,8 +523,8 @@ def _decompose_probe(probe: ProbePath, one_step: np.ndarray,
     defect = probe.y - one_step
     driver, excess = _realized_driver(one_step, probe.y, m[:, 0], hedge[:, 0], 0.0,
                                       lat.dt, probe.mu)
-    low = defect < -supermartingale_tol
-    failed = np.flatnonzero(low | (excess > 1e-6))
+    low = defect < -SUPERMARTINGALE_TOL
+    failed = np.flatnonzero(low | (excess > ENVELOPE_TOL))
     if failed.size:
         p = failed[0]
         what = f"probe (y={probe.y[p]:g}, z={probe.z[p]:g})"
@@ -591,7 +551,6 @@ class RecoveredGenerator:
     level: int
     mu: float
     times: np.ndarray
-    time_indices: np.ndarray
     points: list
     table: np.ndarray
     lipschitz_ratio: float
@@ -678,7 +637,6 @@ def recover_generator(
     sample_points: Sequence,
     lattice: Lattice | None = None,
     time_indices: Sequence[int] | None = None,
-    supermartingale_tol: float = 1e-9,
 ) -> RecoveredGenerator:
     """Tabulate the generating function of a dominated mechanism.
 
@@ -692,9 +650,9 @@ def recover_generator(
     :class:`InvalidParams`.
 
     The lattice step count must be divisible by ``2^level`` so dyadic times
-    sit on the grid.  A probe whose one-step defect dips below the tolerance
-    raises :class:`DominationViolated`: the mechanism is not dominated at its
-    declared ``mu``.
+    sit on the grid.  A probe whose one-step defect dips below
+    ``-SUPERMARTINGALE_TOL`` raises :class:`DominationViolated`: the mechanism
+    is not dominated at its declared ``mu``.
     """
     lat = _own_lattice(mech, lattice)
     if mech.mu is None:
@@ -722,8 +680,7 @@ def recover_generator(
         probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mech.mu)
         cols = np.clip(np.arange(t_step + 2) - probe.anchor, 0, 1)
         one_steps = mech.price_rows(t_step, t_step + 1, probe.slices[1][:, cols])
-        table[row] = _decompose_probe(probe, one_steps[:, probe.anchor],
-                                      supermartingale_tol)
+        table[row] = _decompose_probe(probe, one_steps[:, probe.anchor])
 
     # Lipschitz certificate, one (P, P) matrix at a time; only coincident
     # points are skipped, so an overflowing ratio cannot read as 0
@@ -741,7 +698,7 @@ def recover_generator(
 
     times = np.array([lat.grid.time(int(i) * stride) for i in idx])
     return RecoveredGenerator(
-        level=level, mu=float(mech.mu), times=times, time_indices=idx,
+        level=level, mu=float(mech.mu), times=times,
         points=points, table=table, lipschitz_ratio=worst_ratio,
         zero_defect=zero_defect, grid=_detect_grid(points),
     )

@@ -400,7 +400,8 @@ class MechanismHandle:
 
     :func:`as_mechanism` overrides only the hooks ``_rows`` and ``_surface``,
     to run the backward kernel; the public methods stay on this class, where
-    ``bench/tracing.py`` patches them.
+    ``bench/tracing.py`` patches them.  ``_surface(s, t, ...)`` prices steps
+    ``s..t``; :func:`paste` asks each segment for its own steps only.
     """
 
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float],
@@ -438,7 +439,7 @@ class MechanismHandle:
                       dividends: Optional[DividendStream] = None) -> AdaptedProcess:
         """Prices at every step 0..t_step."""
         self._check_steps(0, t_step)
-        return self._surface(t_step, claim, dividends)
+        return self._surface(0, t_step, claim, dividends)
 
     def _rows(self, s_step, t_step, rows, dividends):
         # one price_at call per row; price_rows checks the whole batch for NaN
@@ -450,9 +451,10 @@ class MechanismHandle:
                                      (s_step + 1,), s_step, finite=False)
         return out
 
-    def _surface(self, t_step, claim, dividends):
-        return AdaptedProcess(self.lattice, 0, [self.price_at(s, t_step, claim, dividends)
-                                                for s in range(t_step + 1)])
+    def _surface(self, s_step, t_step, claim, dividends):
+        return AdaptedProcess(self.lattice, s_step,
+                              [self.price_at(s, t_step, claim, dividends)
+                               for s in range(s_step, t_step + 1)])
 
 
 def _checked_prices(values, shape: tuple, step: int, finite: bool = True) -> np.ndarray:
@@ -490,8 +492,9 @@ class _DriverMechanism(MechanismHandle):
                                keep_surface=False)
         return y
 
-    def _surface(self, t_step, claim, dividends):
-        return solve_bsde(self._g, claim, dividends, self.lattice, t_step=t_step).y
+    def _surface(self, s_step, t_step, claim, dividends):
+        return solve_bsde(self._g, claim, dividends, self.lattice, t_step=t_step,
+                          s_step=s_step).y
 
 
 def as_mechanism(g: Generator, lattice: Lattice) -> MechanismHandle:
@@ -506,7 +509,7 @@ def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> Mechan
     with ``mechs[k]`` governing ``[c_k, c_{k+1}]``.  Within one segment the
     pasted mechanism delegates; across segments it prices the inner value
     slice as one ``price_rows`` row, which is the unique consistent extension.
-    A surface is one ``price_surface`` per segment, walked from the top.
+    A surface prices each segment once, over its own steps, walked from the top.
     """
     if not mechs:
         raise BadPartition("need at least one mechanism")
@@ -543,19 +546,19 @@ class _PastedMechanism(MechanismHandle):
             step, vals = lo, self._mechs[k].price_rows(lo, step, vals[None], dividends)[0]
         return vals
 
-    def _surface(self, t_step, claim, dividends):
-        # each segment prices the slice handed down from the one above and
-        # gives steps c_k..step - 1, top down
+    def _surface(self, s_step, t_step, claim, dividends):
+        # each segment prices the slice handed down from the one above over
+        # its own steps lo..step and gives steps lo..step - 1, top down
         step = t_step
         slices = [claim.values(self.lattice, t_step)]
-        while step > 0:
+        while step > s_step:
             k = bisect.bisect_left(self._cuts, step) - 1
-            lo = self._cuts[k]
-            surf = self._mechs[k].price_surface(
-                step, claim_from_values(self.lattice, step, slices[-1]), dividends)
+            lo = max(self._cuts[k], s_step)
+            surf = self._mechs[k]._surface(
+                lo, step, claim_from_values(self.lattice, step, slices[-1]), dividends)
             slices.extend(surf.at(i) for i in range(step - 1, lo - 1, -1))
             step = lo
-        return AdaptedProcess(self.lattice, 0, slices[::-1])
+        return AdaptedProcess(self.lattice, s_step, slices[::-1])
 
 
 # -- order verdicts ---------------------------------------------------------------

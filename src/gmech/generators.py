@@ -9,7 +9,7 @@ are falsification checks, not proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +32,9 @@ class GeneratorFlags:
 
 @dataclass(frozen=True)
 class Generator:
-    """A driver ``g(t, y, z)`` with declared Lipschitz constant ``mu``.
+    """A driver ``g(t, y, z)`` with declared Lipschitz constant ``mu``, which
+    must be finite (else :class:`InvalidParams`) and nonnegative (else
+    :class:`NegativeMu`).
 
     ``fn`` must be deterministic, side-effect free and vectorized over
     numpy arrays in ``y`` and ``z`` (``t`` is always a scalar).
@@ -51,6 +53,11 @@ class Generator:
     flags: GeneratorFlags = field(default_factory=GeneratorFlags)
     name: str = ""
     exact_step: Optional[Callable] = None
+
+    def __post_init__(self):
+        mu = _finite("mu", self.mu)
+        if mu < 0:
+            raise NegativeMu(f"mu must be >= 0, got {mu}")
 
     def __call__(self, t, y, z):
         return self.fn(t, y, z)
@@ -108,9 +115,7 @@ def domination_generator(mu: float) -> Generator:
     Every mu-Lipschitz driver vanishing at the origin is bounded by it, which
     is what makes it the yardstick in domination tests.
     """
-    mu = _finite("mu", mu)
-    if mu < 0:
-        raise NegativeMu(f"mu must be >= 0, got {mu}")
+    mu = float(mu)
 
     def exact_step(t, m, z, dk, dt):
         # y = m + mu (|y| + |z|) dt + dk is piecewise linear in y with one
@@ -179,6 +184,45 @@ def black_scholes_generator(params: BSMarketParams) -> Generator:
 
 # -- sampled structural checks -----------------------------------------------
 
+class _Tally:
+    """One sampled check: the samples recorded, the failures ``v > limit``,
+    and the worst failing ``v`` with the key of the first sample to reach it.
+
+    ``names`` are the check's witness entries, in order.
+    """
+
+    def __init__(self, names=()):
+        self.names = names
+        self.samples = self.failures = 0
+        self.worst, self.key = 0.0, None
+
+    def record(self, v, limit, key) -> None:
+        self.samples += 1
+        if v > limit:
+            self.failures += 1
+            # the first failure is kept even below 0, where a limit is negative
+            if self.failures == 1 or v > self.worst:
+                self.worst, self.key = v, key
+
+    def witness(self, named: Callable) -> Optional[dict]:
+        """The entries ``names`` of ``named(key, worst)``, the kept sample's
+        values by name; ``None`` when no sample failed."""
+        if not self.failures:
+            return None
+        values = named(self.key, self.worst)
+        return {k: values[k] for k in self.names}
+
+
+def _witnessed(*names):
+    """A report field whose verdict's witness holds ``names``, in order."""
+    return field(metadata={"witness": names})
+
+
+def _tallies(report) -> list:
+    """One tally per field of the report dataclass, in field order."""
+    return [_Tally(f.metadata["witness"]) for f in fields(report)]
+
+
 @dataclass(frozen=True)
 class LipschitzReport:
     ok: bool
@@ -213,25 +257,23 @@ def verify_lipschitz(
     y1, z1 = _sample_box(rng, box, samples)
     y2, z2 = _sample_box(rng, box, samples)
 
-    worst = 0.0
-    witness = None
+    # every positive ratio competes for the worst, which is then held to mu
+    tally = _Tally()
     for k in range(samples):
         sep = abs(y1[k] - y2[k]) + abs(z1[k] - z2[k])
         if sep < _MIN_SEPARATION:
             continue
         dg = abs(float(g(ts[k], y1[k], z1[k])) - float(g(ts[k], y2[k], z2[k])))
-        ratio = dg / sep
-        if ratio > worst:
-            worst = ratio
-            witness = {
-                "t": float(ts[k]),
-                "y": float(y1[k]), "z": float(z1[k]),
-                "y2": float(y2[k]), "z2": float(z2[k]),
-                "ratio": float(ratio),
-            }
+        tally.record(dg / sep, 0.0, k)
+    worst, k = tally.worst, tally.key
     ok = worst <= g.mu * (1.0 + _LIPSCHITZ_SLACK)
-    return LipschitzReport(ok=ok, worst_ratio=worst,
-                           witness=None if ok else witness, samples=samples)
+    witness = None if ok else {
+        "t": float(ts[k]),
+        "y": float(y1[k]), "z": float(z1[k]),
+        "y2": float(y2[k]), "z2": float(z2[k]),
+        "ratio": float(worst),
+    }
+    return LipschitzReport(ok=ok, worst_ratio=worst, witness=witness, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -245,26 +287,18 @@ class PropertyVerdict:
 class StructureReport:
     """Sampled verdicts for the structural properties a driver may carry."""
 
-    zero_at_zero: PropertyVerdict
-    convex: PropertyVerdict
-    concave: PropertyVerdict
-    positively_homogeneous: PropertyVerdict
-    subadditive: PropertyVerdict
-    y_independent: PropertyVerdict
-    z_independent: PropertyVerdict
-    zero_rate: PropertyVerdict
-    sellers_condition: PropertyVerdict
+    zero_at_zero: PropertyVerdict = _witnessed("t", "value")
+    convex: PropertyVerdict = _witnessed("t", "y", "z", "y2", "z2", "alpha")
+    concave: PropertyVerdict = _witnessed("t", "y", "z", "y2", "z2", "alpha")
+    positively_homogeneous: PropertyVerdict = _witnessed("t", "y", "z", "lambda")
+    subadditive: PropertyVerdict = _witnessed("t", "y", "z", "y2", "z2")
+    y_independent: PropertyVerdict = _witnessed("t", "y", "y2", "z")
+    z_independent: PropertyVerdict = _witnessed("t", "y", "z", "z2")
+    zero_rate: PropertyVerdict = _witnessed("t", "y")
+    sellers_condition: PropertyVerdict = _witnessed("t", "y", "z")
 
     def as_dict(self) -> dict:
-        return {name: asdict(getattr(self, name)) for name in self.__dataclass_fields__}
-
-
-def _verdict(violations, checks):
-    """violations: list of (margin, witness_dict); keep the worst one."""
-    if not violations:
-        return PropertyVerdict(holds=True, checks=checks)
-    worst = max(violations, key=lambda mv: mv[0])
-    return PropertyVerdict(holds=False, checks=checks, witness=worst[1])
+        return {f.name: asdict(getattr(self, f.name)) for f in fields(self)}
 
 
 def classify_generator(
@@ -278,71 +312,43 @@ def classify_generator(
     """Sampled classification of a driver's structural properties.
 
     Verdicts are deterministic given ``(samples, box, seed)``.  Each failed
-    property carries a witness point.
+    property carries a witness point: the first sample with its worst
+    violation.
     """
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
     rng = np.random.default_rng(seed)
 
-    zero_viol, conv_viol, conc_viol, hom_viol = [], [], [], []
-    sub_viol, yind_viol, zind_viol, zr_viol, sell_viol = [], [], [], [], []
-
+    tallies = _tallies(StructureReport)
+    zero, conv, conc, hom, sub, yind, zind, zr, sell = tallies
     for _ in range(samples):
         t = float(rng.uniform(*t_range))
         (y1,), (z1,) = _sample_box(rng, box, 1)
         (y2,), (z2,) = _sample_box(rng, box, 1)
         alpha = float(rng.uniform(0.0, 1.0))
         lam = float(rng.uniform(0.0, 3.0))
+        key = (t, y1, z1, y2, z2, alpha, lam)
 
         g11 = float(g(t, y1, z1))
         g22 = float(g(t, y2, z2))
         scale = 1.0 + abs(g11) + abs(g22)
 
-        v = abs(float(g(t, 0.0, 0.0)))
-        if v > tol:
-            zero_viol.append((v, {"t": t, "value": v}))
-
+        zero.record(abs(float(g(t, 0.0, 0.0))), tol, key)
         mix = float(g(t, alpha * y1 + (1 - alpha) * y2, alpha * z1 + (1 - alpha) * z2))
         blend = alpha * g11 + (1 - alpha) * g22
-        if mix - blend > tol * scale:
-            conv_viol.append((mix - blend, {"t": t, "y": y1, "z": z1, "y2": y2,
-                                            "z2": z2, "alpha": alpha}))
-        if blend - mix > tol * scale:
-            conc_viol.append((blend - mix, {"t": t, "y": y1, "z": z1, "y2": y2,
-                                            "z2": z2, "alpha": alpha}))
+        conv.record(mix - blend, tol * scale, key)
+        conc.record(blend - mix, tol * scale, key)
+        hom.record(abs(float(g(t, lam * y1, lam * z1)) - lam * g11),
+                   tol * (1.0 + lam) * scale, key)
+        sub.record(float(g(t, y1 + y2, z1 + z2)) - (g11 + g22), tol * scale, key)
+        yind.record(abs(float(g(t, y2, z1)) - g11), tol * scale, key)
+        zind.record(abs(float(g(t, y1, z2)) - g11), tol * scale, key)
+        zr.record(abs(float(g(t, y1, 0.0))), tol * scale, key)
+        sell.record(-float(g(t, -y1, -z1)) - g11, tol * scale, key)
 
-        v = abs(float(g(t, lam * y1, lam * z1)) - lam * g11)
-        if v > tol * (1.0 + lam) * scale:
-            hom_viol.append((v, {"t": t, "y": y1, "z": z1, "lambda": lam}))
+    def named(key, worst):
+        return dict(zip(("t", "y", "z", "y2", "z2", "alpha", "lambda"), key), value=worst)
 
-        v = float(g(t, y1 + y2, z1 + z2)) - (g11 + g22)
-        if v > tol * scale:
-            sub_viol.append((v, {"t": t, "y": y1, "z": z1, "y2": y2, "z2": z2}))
-
-        v = abs(float(g(t, y2, z1)) - g11)
-        if v > tol * scale:
-            yind_viol.append((v, {"t": t, "y": y1, "y2": y2, "z": z1}))
-
-        v = abs(float(g(t, y1, z2)) - g11)
-        if v > tol * scale:
-            zind_viol.append((v, {"t": t, "y": y1, "z": z1, "z2": z2}))
-
-        v = abs(float(g(t, y1, 0.0)))
-        if v > tol * scale:
-            zr_viol.append((v, {"t": t, "y": y1}))
-
-        v = -float(g(t, -y1, -z1)) - g11
-        if v > tol * scale:
-            sell_viol.append((v, {"t": t, "y": y1, "z": z1}))
-
-    return StructureReport(
-        zero_at_zero=_verdict(zero_viol, samples),
-        convex=_verdict(conv_viol, samples),
-        concave=_verdict(conc_viol, samples),
-        positively_homogeneous=_verdict(hom_viol, samples),
-        subadditive=_verdict(sub_viol, samples),
-        y_independent=_verdict(yind_viol, samples),
-        z_independent=_verdict(zind_viol, samples),
-        zero_rate=_verdict(zr_viol, samples),
-        sellers_condition=_verdict(sell_viol, samples),
-    )
+    return StructureReport(*(PropertyVerdict(holds=not tally.failures, checks=samples,
+                                             witness=tally.witness(named))
+                             for tally in tallies))

@@ -308,15 +308,8 @@ def run_domination_test(
         rhs = solve_terminal_batch(g_cap, left_pay[ii] - right_pay[jj], lattice)
         return name, lhs, rhs
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict()
-            for name, lhs, rhs in pool.map(run_family, _FAMILIES):
-                results[name] = (lhs, rhs)
-    else:
-        results = {name: (lhs, rhs)
-                   for name, lhs, rhs in map(run_family, _FAMILIES)}
+    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+        results = {name: (lhs, rhs) for name, lhs, rhs in pool.map(run_family, _FAMILIES)}
 
     report = DominationReport(mu=float(mu), n_steps=int(n_steps),
                               vol=float(vol_for_lattice))
