@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     BoundViolated,
+    ContractionViolation,
     DominationViolated,
     InvalidParams,
     NotSupermartingale,
@@ -57,6 +58,7 @@ AXIOM_TOL = 1e-9
 SUPERMARTINGALE_TOL = 1e-9
 # Slack of the driver envelope ``mu (|y| + |z|)`` for float noise.
 ENVELOPE_TOL = 1e-6
+RECOVERY_SLACK = 1e-6  # of the recovery certificate (Lipschitz ratio, zero defect)
 
 
 # =====================================================================
@@ -562,43 +564,67 @@ class RecoveredGenerator:
             for pi, (yv, zv) in enumerate(self.points):
                 yield float(t), float(yv), float(zv), float(self.table[ti, pi])
 
+    def _z_sheet(self, t: float, z):
+        """``(ys, sheet, iz, wz)``: the sheet at ``t``; the cell and weight of clamped ``z``."""
+        if self.grid is None:
+            raise InvalidParams("sample points do not form a full (y, z) grid")
+        ys, zs = self.grid
+        ti = max(int(self.times.searchsorted(t, side="right")) - 1, 0)
+        # a clamped query is never below the first cell; a singleton axis
+        # aliases its only cell, and a unit denominator keeps the weight at zero
+        z = np.clip(np.asarray(z, dtype=float), zs[0], zs[-1])
+        iz = np.minimum(zs.searchsorted(z, side="right") - 1, len(zs) - 2)
+        z0, z1 = zs[iz], zs[iz + 1]
+        wz = (z - z0) / np.where(z1 > z0, z1 - z0, 1.0)
+        return ys, self.table[ti].reshape(len(ys), len(zs)), iz, wz
+
     def value(self, t: float, y, z):
         """Interpolated value: previous probe time, bilinear in ``(y, z)``.
 
         Points must form a full grid; queries clamp to the grid box, which
         preserves the Lipschitz certificate.
         """
-        if self.grid is None:
-            raise InvalidParams("sample points do not form a full (y, z) grid")
-        ys, zs = self.grid
-        ti = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
-                         0, len(self.times) - 1))
-        sheet = self.table[ti].reshape(len(ys), len(zs))
+        ys, sheet, iz, wz = self._z_sheet(t, z)
         y = np.clip(np.asarray(y, dtype=float), ys[0], ys[-1])
-        z = np.clip(np.asarray(z, dtype=float), zs[0], zs[-1])
-        iy = np.clip(np.searchsorted(ys, y, side="right") - 1, 0, len(ys) - 2)
-        iz = np.clip(np.searchsorted(zs, z, side="right") - 1, 0, len(zs) - 2)
+        iy = np.minimum(ys.searchsorted(y, side="right") - 1, len(ys) - 2)
         y0, y1 = ys[iy], ys[iy + 1]
-        z0, z1 = zs[iz], zs[iz + 1]
-        # singleton axes alias their only cell; the clipped query then sits
-        # on the lower edge, so a unit denominator keeps the weight at zero
         wy = (y - y0) / np.where(y1 > y0, y1 - y0, 1.0)
-        wz = (z - z0) / np.where(z1 > z0, z1 - z0, 1.0)
-        v00 = sheet[iy, iz]
-        v01 = sheet[iy, iz + 1]
-        v10 = sheet[iy + 1, iz]
-        v11 = sheet[iy + 1, iz + 1]
-        return ((1 - wy) * (1 - wz) * v00 + (1 - wy) * wz * v01
-                + wy * (1 - wz) * v10 + wy * wz * v11)
+        lo, hi = ((1 - wz) * sheet[k, iz] + wz * sheet[k, iz + 1] for k in (iy, iy + 1))
+        return (1 - wy) * lo + wy * hi
+
+    def _exact_step(self, t, m, z, dk, dt):
+        """Closed form of ``y = m + value(t, y, z) dt + dk``.  For fixed ``(t, z)``
+        ``h(y) = y - dt value - m - dk`` is piecewise linear, with knots at
+        ``ys`` and slope 1 outside them, and increasing unless a segment's
+        slope ``s`` has ``s dt >= 1`` (:class:`ContractionViolation`).  The knots
+        where ``h < 0`` give the segment, and one linear solve on it gives ``y``."""
+        ys, sheet, iz, wz = self._z_sheet(t, z)
+        # h at the knots on a first axis, padded with knots 1 below and above
+        knots = (1 - wz) * np.take(sheet, iz, axis=1) + wz * np.take(sheet, iz + 1, axis=1)
+        h = ys.reshape((-1,) + (1,) * wz.ndim) - dt * knots - (m + dk)
+        h = np.concatenate([h[:1] - 1.0, h, h[-1:] + 1.0])
+        dh = h[1:] - h[:-1]
+        if (dh[1:-1] <= 0.0).any():
+            k, *node = np.argwhere(dh[1:-1] <= 0.0)[0]
+            slope = (knots[(k + 1, *node)] - knots[(k, *node)]) / (ys[k + 1] - ys[k])
+            raise ContractionViolation(
+                f"{_witness(None, node)}: the recovered driver's y-slope {slope:.6g} between "
+                f"y={ys[k]:g} and y={ys[k + 1]:g} makes slope * dt >= 1 (t={t:.6g})")
+        # the root's segment starts at the last padded knot with h < 0
+        a = np.count_nonzero(h[1:-1] < 0.0, axis=0)
+        at = a * a.size + np.arange(a.size).reshape(a.shape)
+        yp = np.concatenate([[ys[0] - 1.0], ys, [ys[-1] + 1.0]])
+        return yp[a] - np.take(h, at) * np.diff(yp)[a] / np.take(dh, at)
 
     def to_generator(self) -> Generator:
-        """Interpolating driver usable by the backward solver."""
+        """Interpolating driver usable by the backward solver, in closed form."""
         return Generator(
             fn=lambda t, y, z: self.value(t, y, z) + 0.0 * (np.asarray(y) + np.asarray(z)),
             mu=self.mu,
             flags=GeneratorFlags(zero_at_zero=self.zero_defect is not None
-                                 and self.zero_defect <= 1e-6),
+                                 and self.zero_defect <= RECOVERY_SLACK),
             name=f"recovered(level={self.level})",
+            exact_step=self._exact_step,
         )
 
     def as_dict(self) -> dict:

@@ -36,6 +36,7 @@ from .engine import (
     solve_bsde,
 )
 from .analysis import (
+    RECOVERY_SLACK,
     axiom_suite,
     doob_meyer,
     grid_points,
@@ -225,8 +226,8 @@ def cmd_recover(args) -> int:
                     if args.times else None)
     recovered = recover_generator(mech, args.level, pts, lattice,
                                   time_indices=time_indices)
-    ok = (recovered.lipschitz_ratio <= recovered.mu + 1e-6
-          and (recovered.zero_defect is None or recovered.zero_defect <= 1e-6))
+    ok = (recovered.lipschitz_ratio <= recovered.mu + RECOVERY_SLACK
+          and (recovered.zero_defect is None or recovered.zero_defect <= RECOVERY_SLACK))
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)

@@ -6,8 +6,8 @@ The one-step scheme is implicit in ``y``: at each node the solver finds
 
 where ``m`` is the one-step conditional expectation of the next slice, ``z``
 its martingale-increment coefficient and ``dK_i`` the dividend paid over the
-step.  The fixed point is found by Picard iteration started at ``m``, which
-contracts whenever ``mu * dt < 1``.
+step.  The fixed point is found by Picard iteration from ``m`` plus one Aitken
+step (see :func:`_implicit_step`), which contracts whenever ``mu * dt < 1``.
 
 One private kernel, ``_backward``, runs this recursion over the last axis of
 its input.  It has three entry points: :func:`solve_bsde` keeps the whole
@@ -49,7 +49,7 @@ from .errors import (
     SchemeNotMonotone,
     StepOutOfRange,
 )
-from .generators import Generator, domination_generator
+from .generators import _LIPSCHITZ_SLACK, Generator, domination_generator
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz, one_step_z
 
 PICARD_TOL = 1e-12
@@ -199,36 +199,52 @@ def _non_finite(values: np.ndarray, step: int, what: str) -> NonFiniteValue:
     return NonFiniteValue(f"{what} is {values[where]} at {_witness(step, where)}")
 
 
-def _witness(step: int, where: tuple) -> str:
-    """``step i, [row r, ]node j`` for an index into a slice or batch of slices."""
+def _witness(step: Optional[int], where: tuple) -> str:
+    """``[step i, ][row r, ]node j`` for an index into a slice or batch of slices."""
     row = f"row {where[0]}, " if len(where) > 1 else ""
-    return f"step {step}, {row}node {where[-1]}"
+    return ("" if step is None else f"step {step}, ") + f"{row}node {where[-1]}"
 
 
 def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
     """Solve ``y = m + g(t, y, z) dt + dk`` by Picard iteration from ``y0 = m``.
 
+    After the second update, a node whose updates' ratio ``r = d2 / d1`` has
+    ``|r| <= mu dt`` (up to float noise) takes one Aitken step ``y2 + d2 r /
+    (1 - r)``, exact on one linear piece of ``g(t, ., z)``.  The stopping test
+    is the plain gap ``|F(y) - y|``; the iteration count is the driver calls.
     In a ``(rows, nodes)`` batch each row stops on its own residual and is then
-    frozen, so a row's bits do not depend on its batch.  Drivers that carry a
-    closed-form one-step inverse bypass the iteration.
+    frozen, Aitken step included, so a row's bits do not depend on its batch.
+    Drivers that carry a closed-form one-step inverse bypass the iteration; a
+    :class:`ContractionViolation` one raises gains the step.
     """
     if g.exact_step is not None:
-        return np.asarray(g.exact_step(t, m, z, dk, dt), dtype=float), 1, 0.0
+        try:
+            return np.asarray(g.exact_step(t, m, z, dk, dt), dtype=float), 1, 0.0
+        except ContractionViolation as err:
+            raise ContractionViolation(f"step {step}, {err}") from None
     y = np.asarray(m, dtype=float)
-    done = None
+    done = d2 = None
     for iters in range(1, PICARD_CAP + 1):
         y_next = m + g(t, y, z) * dt + dk
         if done is not None:
             y_next[done] = y[done]
-        gap = np.abs(y_next - y)
-        resid = float(np.max(gap)) if gap.size else 0.0
+        d1, d2 = d2, y_next - y
+        gap = np.abs(d2)
+        resid = float(gap.max()) if gap.size else 0.0
         if not math.isfinite(resid):
-            raise _non_finite(y_next - y, step, "Picard update")
+            raise _non_finite(d2, step, "Picard update")
         y = y_next
         if resid <= PICARD_TOL:
             break
         if y.ndim > 1:
-            done = np.max(gap, axis=-1) <= PICARD_TOL
+            done = gap.max(axis=-1) <= PICARD_TOL
+        if iters == 2:
+            # |r| < mu dt (+ slack) as a product, false at d1 = 0; r / (1 - r) = d2 / (d1 - d2)
+            ok = gap < (g.mu * dt * (1.0 + _LIPSCHITZ_SLACK)) * np.abs(d1)
+            if done is not None:
+                ok &= ~done[..., None]
+            q = np.divide(d2, d1 - d2, out=None, where=ok)
+            np.add(y, np.multiply(d2, q, out=q, where=ok), out=y, where=ok)
     if resid > PICARD_FAIL:
         where = np.unravel_index(np.argmax(gap), gap.shape)
         raise PicardDivergence(f"Picard iteration stuck at residual {resid:.3g} "
@@ -250,10 +266,11 @@ def _sweep(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
     adopted as it is.  A yielded ``y_i`` may therefore be scratch, valid only
     until the next step.  A Picard step allocates its ``y`` anyway and hands
     ``m`` and ``z`` to driver code, which ran up to 14% slower on column-major
-    batches of few rows, so it gets fresh row-major ``m`` and ``z``.
+    batches of few rows, so it gets fresh row-major ``m`` and ``z``, as does a
+    closed form over one or two steps, where the scratch costs more than it saves.
     """
     dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
-    in_place = g.exact_step is not None
+    in_place = g.exact_step is not None and n - s > 2
     if in_place:
         work = cur = np.array(cur, dtype=float, order="F")
         m_buf, z_buf = np.empty_like(work), np.empty_like(work)

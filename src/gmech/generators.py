@@ -45,7 +45,8 @@ class Generator:
     point the iteration would converge to.  The solver passes scratch ``m``
     and ``z`` that it owns and never reads again; a closed form may overwrite
     both and return ``m``, or return a new array.  The built-in closed forms
-    do overwrite them, so a caller outside the solver passes copies.
+    do overwrite them, so a caller outside the solver passes copies.  A
+    :class:`ContractionViolation` it raises names the node; the solver adds the step.
     """
 
     fn: Callable

@@ -1,5 +1,6 @@
 """Law suite, decomposition, representation, probes, and recovery."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from gmech import (
     InvalidParams,
     AdaptedProcess,
     BoundViolated,
+    ContractionViolation,
     DividendStream,
     DominationViolated,
     Generator,
@@ -42,12 +44,14 @@ from gmech import (
     zero_generator,
 )
 from gmech.analysis import _reach_mask, grid_points
+from gmech.engine import _backward
 from gmech.lattice import one_step_mz
 
 from util import (
     increasing_stream,
     random_lipschitz_generator,
     random_pwl_claim,
+    signed_stream,
 )
 
 ZERO = TerminalClaim(lambda b: np.zeros_like(np.asarray(b, dtype=float)), name="0")
@@ -674,6 +678,53 @@ def _mixed_rogue(lat):
     mech = as_mechanism(Generator(fn=fn, mu=2.0, name="mixed"), lat)
     mech.mu = 0.4
     return mech
+
+
+class TestRecoveredClosedForm:
+    """The recovered driver's closed-form step against Picard iteration on
+    the interpolant it solves."""
+
+    GRID5 = [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("ys, zs", [(GRID5, GRID5), ([0.0], [-1.0, 0.0, 1.0]),
+                                        ([-1.0, 0.0, 1.0], [0.0])],
+                             ids=["5x5", "1x3", "3x1"])
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_closed_form_matches_picard(self, ys, zs, scale):
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        rng = np.random.default_rng(31)
+        mech = as_mechanism(random_lipschitz_generator(rng), lat)
+        exact = recover_generator(mech, 4, grid_points(ys, zs), lat).to_generator()
+        picard = dataclasses.replace(exact, exact_step=None)
+        rows = np.stack([random_pwl_claim(rng, bound=scale, slope=scale).values(lat, 16)
+                         for _ in range(5)])
+        stream = signed_stream(rng, lat, scale=0.5)
+        for cur in (rows[0], rows):
+            for dividends in (None, stream):
+                got, _, _ = _backward(exact, cur, lat, 16, 0, dividends, True)
+                want, iters, _ = _backward(picard, cur, lat, 16, 0, dividends, True)
+                assert iters > 1
+                gap = max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
+                assert gap <= 1e-12, (cur.ndim, dividends is not None, gap)
+        if scale > 2.0:
+            # prices and hedges leave the grid box, where the interpolant is clamped
+            assert max(float(np.max(np.abs(a))) for a in got) > 2.0
+            assert max(float(np.max(np.abs(one_step_mz(a, lat.sqrt_dt)[1])))
+                       for a in got[1:]) > 2.0
+
+    def test_steep_table_is_named(self):
+        # a y-slope of 20 between y=0 and y=1 at dt = 1/16: slope * dt >= 1
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        rec = recover_generator(as_mechanism(zero_generator(), lat), 4,
+                                grid_points([-1.0, 0.0, 1.0], [0.0, 1.0]), lat)
+        steep = dataclasses.replace(rec, table=rec.table + [0.0, 0.0, 0.0, 0.0, 20.0, 20.0])
+        gen = steep.to_generator()
+        what = (r"the recovered driver's y-slope 20 between y=0 and y=1 makes "
+                r"slope \* dt >= 1 \(t=0\.9375\)$")
+        with pytest.raises(ContractionViolation, match=r"^step 15, node 0: " + what):
+            solve_bsde(gen, random_claim(np.random.default_rng(2)), None, lat)
+        with pytest.raises(ContractionViolation, match=r"^step 15, row 0, node 0: " + what):
+            as_mechanism(gen, lat).price_rows(0, 16, np.zeros((2, 17)))
 
 
 class TestVectorisedRecovery:

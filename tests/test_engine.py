@@ -39,7 +39,7 @@ from gmech import (
     zero_generator,
 )
 
-from gmech.engine import require_monotone
+from gmech.engine import PICARD_CAP, PICARD_TOL, _backward, require_monotone
 
 from util import (
     BS_CALL_ATM,
@@ -226,6 +226,98 @@ class TestSolveBsde:
         batch = solve_terminal_batch(g, terminal, lat8)
         for k, c in enumerate(claims):
             assert batch[k] == solve_bsde(g, c, None, lat8).y.at(0)[0]
+
+
+def _plain_picard_backward(g, cur, lattice, n, dividends):
+    """Every step by plain Picard iteration from ``m``, with no extrapolation
+    and one stopping test for the whole slice; the ``y`` slices of steps
+    ``0..n`` and the worst iteration count."""
+    dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
+    slices, worst_iters = [cur], 0
+    for i in range(n - 1, -1, -1):
+        up, down = cur[..., 1:], cur[..., :-1]
+        m, z = 0.5 * (up + down), (up - down) / (2.0 * sqrt_dt)
+        t = lattice.grid.time(i)
+        dk = 0.0 if dividends is None else dividends.increment(i)
+        y = m
+        for iters in range(1, PICARD_CAP + 1):
+            y_next = m + g(t, y, z) * dt + dk
+            resid = float(np.max(np.abs(y_next - y)))
+            y = y_next
+            if resid <= PICARD_TOL:
+                break
+        cur = y
+        slices.append(cur)
+        worst_iters = max(worst_iters, iters)
+    return slices[::-1], worst_iters
+
+
+def _worst_gap(got, want) -> float:
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
+
+
+class TestAcceleratedPicard:
+    """The kernel's Picard loop, with its one Aitken step, against the plain
+    loop above."""
+
+    N = 24
+
+    def _inputs(self, rng):
+        lat = build_lattice(build_grid(0.0, 1.0, self.N))
+        stream = signed_stream(rng, lat, scale=0.3)
+        batch = rng.uniform(-2.0, 2.0, (5, self.N + 1))
+        # a row near 0 stops after two updates while the others go on, so a
+        # batch that extrapolated stopped rows would change its bits
+        batch[3] *= 1e-9
+        return lat, stream, {"1-d": batch[0], "one row": batch[:1], "batch": batch}
+
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8, 9])
+    def test_matches_plain_picard(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_lipschitz_generator(rng)
+        lat, stream, inputs = self._inputs(rng)
+        for shape, cur in inputs.items():
+            for dividends in (None, stream):
+                got, _, _ = _backward(g, cur, lat, self.N, 0, dividends, True)
+                want, _ = _plain_picard_backward(g, cur, lat, self.N, dividends)
+                gap = _worst_gap(got, want)
+                assert gap <= 1e-12, (shape, dividends is not None, gap)
+                if shape == "batch":
+                    # a row's bits do not depend on its batch
+                    for k, row in enumerate(cur):
+                        single, _, _ = _backward(g, row, lat, self.N, 0, dividends, True)
+                        for a, b in zip(got, single):
+                            assert a[k].tobytes() == b.tobytes(), (k, dividends is not None)
+
+    def test_driver_linear_in_y_stops_after_three_calls(self):
+        # Aitken is exact on one linear piece: the third call finds the
+        # fixed point, where plain Picard needs more
+        g = Generator(fn=lambda t, y, z: 0.4 * np.asarray(y) + 0.3 * np.abs(z - 0.5),
+                      mu=0.4, name="linear in y")
+        lat, stream, inputs = self._inputs(np.random.default_rng(11))
+        for cur in inputs.values():
+            got, iters, _ = _backward(g, cur, lat, self.N, 0, stream, True)
+            want, plain_iters = _plain_picard_backward(g, cur, lat, self.N, stream)
+            assert iters == 3 < plain_iters
+            assert _worst_gap(got, want) <= 1e-12
+
+    def test_driver_above_its_mu_keeps_plain_updates(self):
+        # the true y-slope 0.9 is three times the declared mu, so every
+        # observed ratio exceeds mu dt: no node is extrapolated, and a slice
+        # takes plain Picard's iterates bit for bit
+        lying = Generator(fn=lambda t, y, z: 0.9 * np.asarray(y) + 0.3 * np.abs(z - 0.5),
+                          mu=0.3, name="understated")
+        lat, stream, inputs = self._inputs(np.random.default_rng(10))
+        for shape, cur in inputs.items():
+            for dividends in (None, stream):
+                got, iters, _ = _backward(lying, cur, lat, self.N, 0, dividends, True)
+                want, plain_iters = _plain_picard_backward(lying, cur, lat, self.N,
+                                                           dividends)
+                gap = _worst_gap(got, want)
+                assert gap <= 1e-12, (shape, dividends is not None, gap)
+                assert iters == plain_iters
+                if shape == "1-d":
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 BUILT_IN_DRIVERS = [

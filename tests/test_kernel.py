@@ -1,9 +1,11 @@
 """The backward kernel's scratch buffers: bits, inputs and the closed forms.
 
-For a closed-form driver ``engine._backward`` works in column-major scratch
-arrays and lets the built-in closed forms overwrite them.  These tests hold
-it to a row-major, allocating kernel written out here, bit for bit, on both
-the closed-form and the Picard path, and check that no input is ever written.
+For a closed-form driver over more than two steps ``engine._backward`` works
+in column-major scratch arrays and lets the built-in closed forms overwrite
+them.  These tests hold it to a row-major, allocating kernel written out here,
+bit for bit, on the closed-form path (the recovered driver's closed form
+returns a new array) and on the Picard path with its Aitken step, and check
+that no input is ever written.
 """
 
 import numpy as np
@@ -18,10 +20,13 @@ from gmech import (
     build_lattice,
     domination_generator,
     linear_generator,
+    recover_generator,
     solve_terminal_batch,
     zero_generator,
 )
+from gmech.analysis import grid_points
 from gmech.engine import PICARD_CAP, PICARD_TOL, _backward
+from gmech.generators import _LIPSCHITZ_SLACK
 
 from util import random_lipschitz_generator, signed_stream
 
@@ -40,14 +45,21 @@ def _allocating_linear(a, b):
     return lambda t, m, z, dk, dt: (m + b * z * dt + dk) / (1.0 - a * dt)
 
 
-# each built-in closed form next to the allocating expression it replaced;
-# ``None`` is the Picard path
+GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
+RECOVERED = recover_generator(
+    as_mechanism(random_lipschitz_generator(np.random.default_rng(53)),
+                 build_lattice(build_grid(0.0, 1.0, 24))),
+    3, grid_points(GRID, GRID)).to_generator()
+
+# each built-in closed form next to the allocating expression it replaced, and
+# the recovered driver's own allocating closed form; ``None`` is the Picard path
 DRIVERS = [
     (zero_generator(), lambda t, m, z, dk, dt: m + dk),
     (domination_generator(0.4), _where_gmu(0.4)),
     (abs_z_generator(0.3), lambda t, m, z, dk, dt: m + 0.3 * np.abs(z) * dt + dk),
     (linear_generator(-0.25, 0.35), _allocating_linear(-0.25, 0.35)),
     (black_scholes_generator(BS), _allocating_linear(-BS.r, -THETA)),
+    (RECOVERED, RECOVERED.exact_step),
     (random_lipschitz_generator(np.random.default_rng(41)), None),
 ]
 
@@ -65,18 +77,29 @@ def _row_major_backward(g, step_fn, cur, lattice, n, s, dividends, keep_surface)
         if step_fn is not None:
             cur, iters, resid = np.asarray(step_fn(t, m, z, dk, dt), dtype=float), 1, 0.0
         else:
-            y, done = m, None
+            y, done, steps = m, None, []
             for iters in range(1, PICARD_CAP + 1):
                 y_next = m + g(t, y, z) * dt + dk
                 if done is not None:
                     y_next[done] = y[done]
-                gap = np.abs(y_next - y)
+                steps.append(y_next - y)
+                gap = np.abs(steps[-1])
                 resid = float(np.max(gap)) if gap.size else 0.0
                 y = y_next
                 if resid <= PICARD_TOL:
                     break
                 if y.ndim > 1:
                     done = np.max(gap, axis=-1) <= PICARD_TOL
+                if iters == 2:
+                    # one Aitken step y2 + d2 r / (1 - r), r = d2 / d1, where
+                    # |r| is below mu dt with the kernel's slack, in rows
+                    # that have not stopped
+                    d1, d2 = steps
+                    ok = np.abs(d2) < (g.mu * dt * (1.0 + _LIPSCHITZ_SLACK)) * np.abs(d1)
+                    if done is not None:
+                        ok &= ~done[:, None]
+                    with np.errstate(divide="ignore", invalid="ignore"):  # d1 = d2
+                        y = np.where(ok, y + d2 * (d2 / (d1 - d2)), y)
             cur = y
         worst_iters, worst_resid = max(worst_iters, iters), max(worst_resid, resid)
         if not keep_surface:
@@ -96,7 +119,7 @@ def test_kernel_matches_row_major_allocating_kernel(g, step_fn):
               "batch": rng.uniform(-2.0, 2.0, (5, n + 1))}
     for shape, cur in inputs.items():
         for dividends in (None, stream):
-            for s in (0, n // 2, n):
+            for s in (0, n // 2, n - 2, n - 1, n):
                 for keep in (False, True):
                     case = (shape, dividends is not None, s, keep)
                     got, iters, resid = _backward(g, cur, lat, n, s, dividends, keep)
