@@ -266,11 +266,10 @@ def _sweep(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
     adopted as it is.  A yielded ``y_i`` may therefore be scratch, valid only
     until the next step.  A Picard step allocates its ``y`` anyway and hands
     ``m`` and ``z`` to driver code, which ran up to 14% slower on column-major
-    batches of few rows, so it gets fresh row-major ``m`` and ``z``, as does a
-    closed form over one or two steps, where the scratch costs more than it saves.
+    batches of few rows, so it gets fresh row-major ``m`` and ``z``.
     """
     dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
-    in_place = g.exact_step is not None and n - s > 2
+    in_place = g.exact_step is not None
     if in_place:
         work = cur = np.array(cur, dtype=float, order="F")
         m_buf, z_buf = np.empty_like(work), np.empty_like(work)

@@ -1,11 +1,11 @@
 """The backward kernel's scratch buffers: bits, inputs and the closed forms.
 
-For a closed-form driver over more than two steps ``engine._backward`` works
-in column-major scratch arrays and lets the built-in closed forms overwrite
-them.  These tests hold it to a row-major, allocating kernel written out here,
-bit for bit, on the closed-form path (the recovered driver's closed form
-returns a new array) and on the Picard path with its Aitken step, and check
-that no input is ever written.
+For a closed-form driver ``engine._backward`` works in column-major scratch
+arrays and lets the built-in closed forms overwrite them.  These tests hold
+it to a row-major, allocating kernel written out here, bit for bit, on the
+closed-form path (the recovered driver's closed form returns a new array)
+and on the Picard path with its Aitken step, and check that no input is
+ever written.
 """
 
 import numpy as np
