@@ -10,13 +10,14 @@ step.  The fixed point is found by Picard iteration from ``m`` plus one Aitken
 step (see :func:`_implicit_step`), which contracts whenever ``mu * dt < 1``.
 
 One private kernel, ``_backward``, runs this recursion over the last axis of
-its input.  It has three entry points: :func:`solve_bsde` keeps the whole
-``y`` surface of one claim with its dividends, :func:`solve_terminal_batch`
-keeps only the root values of many terminal rows, and the ``price_rows`` of an
+its input.  It has two entry points: :func:`solve_bsde` keeps the whole ``y``
+surface of one claim with its dividends, and the ``price_rows`` of an
 :func:`as_mechanism` handle keeps the step-``s`` values of many rows with
-their dividends.  For a closed-form driver it works in per-call column-major
-scratch arrays that the built-in closed forms overwrite in place (see
-:func:`_sweep`); its input is never written and its results are fresh
+their dividends.  The handle's ``price_at``, :func:`price` and
+:func:`solve_terminal_batch` are views of that batch: one row, and the root
+values of many.  For a closed-form driver the kernel works in per-call
+column-major scratch arrays that the built-in closed forms overwrite in place
+(see :func:`_sweep`); its input is never written and its results are fresh
 row-major arrays.  ``z`` is never stored: it is read off ``y`` (see
 :class:`PricingResult`).  A :class:`MechanismHandle` is built from a black-box
 ``price_at`` alone; only :func:`as_mechanism` handles reach the kernel.
@@ -55,6 +56,7 @@ from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 PICARD_TOL = 1e-12
 PICARD_CAP = 100
 PICARD_FAIL = 1e-9
+PICARD_ULPS = 1
 
 
 # -- claims and dividend streams ----------------------------------------------
@@ -205,15 +207,23 @@ def _witness(step: Optional[int], where: tuple) -> str:
     return ("" if step is None else f"step {step}, ") + f"{row}node {where[-1]}"
 
 
+def _check_steps(s_step: int, t_step: int, lattice: Lattice) -> None:
+    if not 0 <= s_step <= t_step <= lattice.n_steps:
+        raise BadStepOrder(f"need 0 <= s={s_step} <= t={t_step} <= {lattice.n_steps}")
+
+
 def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
     """Solve ``y = m + g(t, y, z) dt + dk`` by Picard iteration from ``y0 = m``.
 
     After the second update, a node whose updates' ratio ``r = d2 / d1`` has
     ``|r| <= mu dt`` (up to float noise) takes one Aitken step ``y2 + d2 r /
     (1 - r)``, exact on one linear piece of ``g(t, ., z)``.  The stopping test
-    is the plain gap ``|F(y) - y|``; the iteration count is the driver calls.
-    In a ``(rows, nodes)`` batch each row stops on its own residual and is then
-    frozen, Aitken step included, so a row's bits do not depend on its batch.
+    is the plain gap ``|F(y) - y| <= PICARD_TOL`` or, from the third update
+    on, at most ``PICARD_ULPS`` float spacings of the row's largest ``|y|`` (a
+    floor above ``PICARD_TOL`` only from ``|y| = 8192`` up).  The iteration
+    count is the driver calls.  In a batch of two or more rows each row stops
+    on its own test and is then frozen, Aitken step included, so a row's bits
+    do not depend on its batch.
     Drivers that carry a closed-form one-step inverse bypass the iteration; a
     :class:`ContractionViolation` one raises gains the step.
     """
@@ -223,6 +233,7 @@ def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
         except ContractionViolation as err:
             raise ContractionViolation(f"step {step}, {err}") from None
     y = np.asarray(m, dtype=float)
+    batched = y.ndim > 1 and len(y) > 1
     done = d2 = None
     for iters in range(1, PICARD_CAP + 1):
         y_next = m + g(t, y, z) * dt + dk
@@ -236,8 +247,12 @@ def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
         y = y_next
         if resid <= PICARD_TOL:
             break
-        if y.ndim > 1:
-            done = gap.max(axis=-1) <= PICARD_TOL
+        if batched or iters >= 3:
+            floor = PICARD_ULPS * np.spacing(np.abs(y).max(axis=-1)) if iters >= 3 else 0.0
+            stop = gap.max(axis=-1) <= np.maximum(PICARD_TOL, floor)
+            if stop.all():
+                break
+            done = stop if batched else None
         if iters == 2:
             # |r| < mu dt (+ slack) as a product, false at d1 = 0; r / (1 - r) = d2 / (d1 - d2)
             ok = gap < (g.mu * dt * (1.0 + _LIPSCHITZ_SLACK)) * np.abs(d1)
@@ -245,10 +260,11 @@ def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
                 ok &= ~done[..., None]
             q = np.divide(d2, d1 - d2, out=None, where=ok)
             np.add(y, np.multiply(d2, q, out=q, where=ok), out=y, where=ok)
-    if resid > PICARD_FAIL:
-        where = np.unravel_index(np.argmax(gap), gap.shape)
-        raise PicardDivergence(f"Picard iteration stuck at residual {resid:.3g} "
-                               f"at {_witness(step, where)} (t={t:.6g})")
+    else:  # the cap was hit
+        if resid > PICARD_FAIL:
+            where = np.unravel_index(np.argmax(gap), gap.shape)
+            raise PicardDivergence(f"Picard iteration stuck at residual {resid:.3g} "
+                                   f"at {_witness(step, where)} (t={t:.6g})")
     return y, iters, resid
 
 
@@ -356,50 +372,30 @@ def solve_bsde(
 ) -> PricingResult:
     """Backward-solve the claim plus dividend stream from ``t_step`` to ``s_step``."""
     n = lattice.n_steps if t_step is None else t_step
-    if not 0 <= s_step <= n <= lattice.n_steps:
-        raise BadStepOrder(f"need 0 <= s={s_step} <= t={n} <= {lattice.n_steps}")
+    _check_steps(s_step, n, lattice)
     y_slices, iters, resid = _backward(
         g, claim.values(lattice, n), lattice, n, s_step, dividends, keep_surface=True)
     return PricingResult(y=AdaptedProcess(lattice, s_step, y_slices),
                          picard_iters=iters, residual=resid)
 
 
-def price(
-    g: Generator,
-    s_step: int,
-    t_step: int,
-    claim: TerminalClaim,
-    dividends: Optional[DividendStream],
-    lattice: Lattice,
-) -> np.ndarray:
-    """Node prices at ``s_step`` of a claim maturing at ``t_step``.
-
-    With ``s_step == t_step`` this is the payoff itself (the identity leg of
-    the pricing system): a zero-step solve returns the claim slice bitwise.
+def price(g: Generator, s_step: int, t_step: int, claim: TerminalClaim,
+          dividends: Optional[DividendStream], lattice: Lattice) -> np.ndarray:
+    """Node prices at ``s_step`` of a claim maturing at ``t_step``: the
+    ``price_at`` of ``as_mechanism(g, lattice)``, one kernel row.  With
+    ``s_step == t_step`` this is the payoff itself (the identity leg of the
+    pricing system): a zero-step solve returns the claim slice bitwise.
     """
-    return solve_bsde(g, claim, dividends, lattice, t_step=t_step,
-                      s_step=s_step).y.at(s_step)
+    return as_mechanism(g, lattice).price_at(s_step, t_step, claim, dividends)
 
 
-def solve_terminal_batch(
-    g: Generator,
-    terminal: np.ndarray,
-    lattice: Lattice,
-    t_step: int | None = None,
-) -> np.ndarray:
-    """Backward-solve a batch of terminal payoff rows; returns root values.
-
-    ``terminal`` has shape ``(batch, t_step + 1)``.  No dividends, no surface
-    retention: this is the bulk kernel for inequality audits.
-    """
+def solve_terminal_batch(g: Generator, terminal: np.ndarray, lattice: Lattice,
+                         t_step: int | None = None) -> np.ndarray:
+    """Root values of ``(batch, t_step + 1)`` terminal payoff rows (or one
+    row), no dividends: ``as_mechanism(g, lattice).price_rows(0, t_step,
+    terminal)[:, 0]``.  The inequality audit prices through this entry."""
     n = lattice.n_steps if t_step is None else t_step
-    cur = np.atleast_2d(np.asarray(terminal, dtype=float))
-    if cur.shape[1] != n + 1:
-        raise StepOutOfRange(f"terminal rows must have {n + 1} entries")
-    if not np.isfinite(cur).all():
-        raise _non_finite(cur, n, "terminal value")
-    (root,), _, _ = _backward(g, cur, lattice, n, 0, None, keep_surface=False)
-    return root[:, 0]
+    return as_mechanism(g, lattice).price_rows(0, n, np.atleast_2d(terminal))[:, 0]
 
 
 # -- mechanism handles -----------------------------------------------------------
@@ -414,10 +410,11 @@ class MechanismHandle:
     is checked for shape and finiteness, so a NaN or inf raises
     :class:`NonFiniteValue` instead of becoming a result.
 
-    :func:`as_mechanism` overrides only the hooks ``_rows`` and ``_surface``,
-    to run the backward kernel; the public methods stay on this class, where
-    ``bench/tracing.py`` patches them.  ``_surface(s, t, ...)`` prices steps
-    ``s..t``; :func:`paste` asks each segment for its own steps only.
+    :func:`as_mechanism` and :func:`paste` override only the hooks ``_rows``
+    and ``_surface``, and pass :meth:`_one_row` as their ``price_at``, so one
+    claim is one row of their batch; the public methods stay on this class,
+    where ``bench/tracing.py`` patches them.  ``_surface(s, t, ...)`` prices
+    steps ``s..t``; :func:`paste` asks each segment for its own steps only.
     """
 
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float],
@@ -427,13 +424,9 @@ class MechanismHandle:
         self.mu = mu
         self.name = name
 
-    def _check_steps(self, s_step: int, t_step: int) -> None:
-        if not 0 <= s_step <= t_step <= self.lattice.n_steps:
-            raise BadStepOrder(f"need 0 <= s={s_step} <= t={t_step} <= {self.lattice.n_steps}")
-
     def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
                  dividends: Optional[DividendStream] = None) -> np.ndarray:
-        self._check_steps(s_step, t_step)
+        _check_steps(s_step, t_step, self.lattice)
         return _checked_prices(self._price_at(s_step, t_step, claim, dividends),
                                (s_step + 1,), s_step)
 
@@ -441,9 +434,10 @@ class MechanismHandle:
                    dividends: Optional[DividendStream] = None) -> np.ndarray:
         """Prices at ``s_step`` of a ``(k, t_step + 1)`` batch of terminal node
         values, as ``(k, s_step + 1)``; row ``r`` equals ``price_at`` of
-        ``claim_from_values(lattice, t_step, rows[r])``."""
-        self._check_steps(s_step, t_step)
-        rows = np.array(rows, dtype=float)
+        ``claim_from_values(lattice, t_step, rows[r])``.  An ndarray batch is
+        copied only at ``s_step == t_step``, where a kernel hands it back."""
+        _check_steps(s_step, t_step, self.lattice)
+        rows = np.array(rows, dtype=float) if s_step == t_step else np.asarray(rows, float)
         if rows.ndim != 2 or rows.shape[1] != t_step + 1:
             raise StepOutOfRange(f"rows must have {t_step + 1} entries, got shape {rows.shape}")
         if not np.isfinite(rows).all():
@@ -454,7 +448,7 @@ class MechanismHandle:
     def price_surface(self, t_step: int, claim: TerminalClaim,
                       dividends: Optional[DividendStream] = None) -> AdaptedProcess:
         """Prices at every step 0..t_step."""
-        self._check_steps(0, t_step)
+        _check_steps(0, t_step, self.lattice)
         return self._surface(0, t_step, claim, dividends)
 
     def _rows(self, s_step, t_step, rows, dividends):
@@ -471,6 +465,10 @@ class MechanismHandle:
         return AdaptedProcess(self.lattice, s_step,
                               [self.price_at(s, t_step, claim, dividends)
                                for s in range(s_step, t_step + 1)])
+
+    def _one_row(self, s_step, t_step, claim, dividends):
+        return self._rows(s_step, t_step, claim.values(self.lattice, t_step)[None],
+                          dividends)[0]
 
 
 def _checked_prices(values, shape: tuple, step: int, finite: bool = True) -> np.ndarray:
@@ -494,13 +492,11 @@ def _own_lattice(mech: MechanismHandle, lattice: Optional[Lattice]) -> Lattice:
 
 
 class _DriverMechanism(MechanismHandle):
-    """A driver's backward solver as a handle: ``price_at`` is :func:`price`,
-    rows run the kernel in one pass and surfaces are one :func:`solve_bsde`."""
+    """A driver's backward solver as a handle: rows run the kernel in one
+    pass, ``price_at`` is one such row and surfaces are one :func:`solve_bsde`."""
 
     def __init__(self, g: Generator, lattice: Lattice):
-        super().__init__(lattice, lambda s, t, claim, dividends:
-                         price(g, s, t, claim, dividends, lattice),
-                         mu=g.mu, name=g.name or "mechanism")
+        super().__init__(lattice, self._one_row, mu=g.mu, name=g.name or "mechanism")
         self._g = g
 
     def _rows(self, s_step, t_step, rows, dividends):
@@ -522,10 +518,10 @@ def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> Mechan
     """Join mechanisms end to end along a step partition of ``[0, n]``.
 
     ``boundaries`` is the full partition ``0 = c_0 < c_1 < ... < c_N = n``
-    with ``mechs[k]`` governing ``[c_k, c_{k+1}]``.  Within one segment the
-    pasted mechanism delegates; across segments it prices the inner value
-    slice as one ``price_rows`` row, which is the unique consistent extension.
-    A surface prices each segment once, over its own steps, walked from the top.
+    with ``mechs[k]`` governing ``[c_k, c_{k+1}]``.  Rows are walked down the
+    segments from the top, one ``price_rows`` call per segment on the slices
+    handed down: the unique consistent extension.  ``price_at`` is one such
+    row.  A surface prices each segment once, over its own steps, top down.
     """
     if not mechs:
         raise BadPartition("need at least one mechanism")
@@ -550,17 +546,17 @@ class _PastedMechanism(MechanismHandle):
     """Mechanisms joined along the step partition ``cuts`` (see :func:`paste`)."""
 
     def __init__(self, mechs: list, cuts: list, mu: Optional[float], name: str):
-        super().__init__(mechs[0].lattice, self._walk, mu=mu, name=name)
+        super().__init__(mechs[0].lattice, self._one_row, mu=mu, name=name)
         self._mechs, self._cuts = mechs, cuts
 
-    def _walk(self, s_step, t_step, claim, dividends):
-        step, vals = t_step, claim.values(self.lattice, t_step)
+    def _rows(self, s_step, t_step, rows, dividends):
+        step = t_step
         while step > s_step:
             # segment k covers (c_k, c_{k+1}]
             k = bisect.bisect_left(self._cuts, step) - 1
             lo = max(self._cuts[k], s_step)
-            step, vals = lo, self._mechs[k].price_rows(lo, step, vals[None], dividends)[0]
-        return vals
+            step, rows = lo, self._mechs[k].price_rows(lo, step, rows, dividends)
+        return rows
 
     def _surface(self, s_step, t_step, claim, dividends):
         # each segment prices the slice handed down from the one above over

@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
 )
 from .generators import BSMarketParams, domination_generator
-from .engine import require_monotone, solve_terminal_batch
+from .engine import make_underlying_map, require_monotone, solve_terminal_batch
 from .lattice import build_grid, build_lattice
 
 DAYS_PER_YEAR = 365.0
@@ -283,10 +283,8 @@ def run_domination_test(
     lattice = build_lattice(build_grid(0.0, chain.tau, n_steps))
     require_monotone(mu, lattice)
 
-    terminal_b = lattice.node_values(n_steps)
-    s_term = chain.underlying * np.exp(
-        vol_for_lattice * terminal_b - 0.5 * vol_for_lattice ** 2 * chain.tau
-    )
+    s_term = make_underlying_map(chain.underlying, vol_for_lattice, chain.tau)(
+        lattice.node_values(n_steps))
     call_pay = np.maximum(s_term[None, :] - chain.strikes[:, None], 0.0)
     put_pay = np.maximum(chain.strikes[:, None] - s_term[None, :], 0.0)
 

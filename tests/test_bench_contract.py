@@ -121,3 +121,25 @@ def test_traced_blackbox_sequence_reaches_every_predicted_layer(monkeypatch, tmp
     assert [m for m in blackbox.exercised if not metrics[m][0]] == []
     assert [m for m in blackbox.bypassed if metrics[m][0]] == []
     assert metrics["engine.batch.calls"][0] == 0
+
+
+def test_traced_audit_reaches_every_predicted_layer(monkeypatch, tmp_path):
+    # the chain_audit workload predicts one engine.batch span per payoff
+    # family and audit, and no driver evaluation or analysis routine
+    _load("reference", "reference.py", monkeypatch)
+    chain_audit = _load("workloads", "workloads.py", monkeypatch).WORKLOADS["chain_audit"]
+    tracing = _load_tracing()
+    chain = tmp_path / "chain.csv"
+    assert gmech.cli.main(["synth", "--n-strikes", "5", "--out", str(chain)]) == 0
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer, gmech)
+    try:
+        rc = gmech.cli.main(["audit", "--chain", str(chain), "--mu", "0.5", "--steps", "32",
+                             "--vol", "0.2", "--out", str(tmp_path / "audit.json")])
+    finally:
+        installed.restore()
+    assert rc == 0
+    metrics = tracing.layer_metrics(tracer.summary(), tracer.counters)
+    assert [m for m in chain_audit.exercised if not metrics[m][0]] == []
+    assert [m for m in chain_audit.bypassed if metrics[m][0]] == []
+    assert metrics["engine.batch.calls"][0] == 4

@@ -39,7 +39,8 @@ from gmech import (
     zero_generator,
 )
 
-from gmech.engine import PICARD_CAP, PICARD_TOL, _backward, require_monotone
+from gmech.engine import PICARD_CAP, PICARD_TOL, PICARD_ULPS, _backward, require_monotone
+from gmech.lattice import AdaptedProcess, one_step_mz
 
 from util import (
     BS_CALL_ATM,
@@ -320,6 +321,66 @@ class TestAcceleratedPicard:
                     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+def _counting(g):
+    """``g`` with a driver-call counter."""
+    calls = [0]
+
+    def fn(t, y, z):
+        calls[0] += 1
+        return g.fn(t, y, z)
+
+    return dataclasses.replace(g, fn=fn), calls
+
+
+class TestPicardFloatFloor:
+    """Large claims, where the float spacing of ``y`` passes ``PICARD_TOL``."""
+
+    N = 64
+
+    def _claim(self, scale):
+        return TerminalClaim(lambda b: scale * (1.0 + np.abs(np.asarray(b, float))),
+                             name=f"{scale:g}(1+|B|)")
+
+    @pytest.mark.parametrize("scale", [1e5, 3e5, 1e8])
+    def test_large_claims_stop_at_their_fixed_point(self, scale):
+        # these hit the 100-call cap (1e5, 3e5) or raised PicardDivergence
+        # with residual 5.96e-8 (1e8) under the absolute PICARD_TOL alone
+        lat = build_lattice(build_grid(0.0, 1.0, self.N))
+        g, calls = _counting(random_lipschitz_generator(np.random.default_rng(3)))
+        res = solve_bsde(g, self._claim(scale), None, lat)
+        per_step = calls[0] / self.N
+        assert res.picard_iters < PICARD_CAP and per_step == 3.0, per_step
+        for i in range(self.N):
+            y = res.y.at(i)
+            assert np.isfinite(y).all()
+            m, z = one_step_mz(res.y.at(i + 1), lat.sqrt_dt)
+            fixed_gap = np.max(np.abs(m + g(lat.grid.time(i), y, z) * lat.dt - y))
+            assert fixed_gap <= PICARD_ULPS * np.spacing(np.max(np.abs(y))), (i, fixed_gap)
+
+    def test_batch_rows_of_mixed_scale_keep_their_single_bits(self):
+        lat = build_lattice(build_grid(0.0, 1.0, self.N))
+        g = random_lipschitz_generator(np.random.default_rng(3))
+        rows = np.stack([self._claim(scale).values(lat, self.N)
+                         for scale in (1.0, 1e5, 1e-9, 3e5, 1e8)])
+        (got,), _, _ = _backward(g, rows, lat, self.N, 0, None, False)
+        for k, row in enumerate(rows):
+            (single,), _, _ = _backward(g, row, lat, self.N, 0, None, False)
+            assert got[k].tobytes() == single.tobytes(), k
+
+    @pytest.mark.parametrize("scale", [1e5, 1e8])
+    def test_driver_above_its_mu_still_diverges_with_a_witness(self, scale):
+        # as TestSolveBsde's divergence tests, at scales where the floor is on
+        lat = build_lattice(build_grid(0.0, 1.0, 4))
+        lying = Generator(fn=lambda t, y, z: 10.0 * np.asarray(y, float),
+                          mu=0.1, name="understated")
+        rows = np.stack([np.zeros(5), self._claim(scale).values(lat, 4)])
+        with pytest.raises(PicardDivergence,
+                           match=r"stuck at residual \S+ at step 3, node \d+ \(t="):
+            solve_bsde(lying, self._claim(scale), None, lat)
+        with pytest.raises(PicardDivergence, match=r"at step 3, row 1, node \d+ "):
+            as_mechanism(lying, lat).price_rows(0, 4, rows)
+
+
 BUILT_IN_DRIVERS = [
     zero_generator(),
     domination_generator(0.4),
@@ -386,30 +447,117 @@ def test_price_rows_default_loops_over_price_at(lat8):
 
 
 def test_rows_price_at_and_surface_agree_with_dividends(lat16):
-    # the three pricing forms of every handle kind, with a payout stream
+    # the three pricing forms of every handle kind, with a payout stream; a
+    # driver's price and solve_terminal_batch are views of its handle, and a
+    # batch of rows prices each row as price_at does
     rng = np.random.default_rng(37)
-    picard = as_mechanism(random_lipschitz_generator(rng), lat16)
+    g = random_lipschitz_generator(rng)
+    picard = as_mechanism(g, lat16)
     abs_z = as_mechanism(abs_z_generator(0.3), lat16)
     handles = {"picard": picard, "abs_z": abs_z,
                "picard_price_at_only": _price_at_only(picard)[0],
                "abs_z_price_at_only": _price_at_only(abs_z)[0],
-               "paste": paste([picard, abs_z], [0, 6, 16])}
+               "paste": paste([picard, abs_z], [0, 6, 16]),
+               "paste_price_at_only": paste([_price_at_only(picard)[0], abs_z], [0, 6, 16])}
+    drivers = {"picard": g, "abs_z": abs_z_generator(0.3)}
     stream = signed_stream(rng, lat16)
     pairs = [(0, 0), (5, 5), (16, 16), (0, 16), (0, 7), (6, 6), (3, 12)]
     pairs += [tuple(sorted(int(v) for v in rng.integers(0, 17, size=2))) for _ in range(6)]
     for s, t in pairs:
         row = rng.uniform(-2.0, 2.0, size=t + 1)
         claim = claim_from_values(lat16, t, row)
+        batch = rng.uniform(-2.0, 2.0, size=(3, t + 1))
         for name, mech in handles.items():
             by_rows = mech.price_rows(s, t, [row], stream)[0]
             by_price_at = mech.price_at(s, t, claim, stream)
             by_surface = mech.price_surface(t, claim, stream).at(s)
             assert by_rows.tobytes() == by_price_at.tobytes() == by_surface.tobytes(), (name, s, t)
+            for dividends in (None, stream):
+                got = mech.price_rows(s, t, batch, dividends)
+                for k, r in enumerate(batch):
+                    want = mech.price_at(s, t, claim_from_values(lat16, t, r), dividends)
+                    assert got[k].tobytes() == want.tobytes(), (name, s, t, k)
+        for name, driver in drivers.items():
+            by_price = price(driver, s, t, claim, stream, lat16)
+            assert by_price.tobytes() == handles[name].price_at(s, t, claim, stream).tobytes()
+            roots = solve_terminal_batch(driver, batch, lat16, t_step=t)
+            assert roots.tobytes() == handles[name].price_rows(0, t, batch)[:, 0].tobytes()
         # inside one segment the pasted handle is that segment's mechanism
         segment = picard if t <= 6 else abs_z if s >= 6 else None
         if segment is not None:
             want = segment.price_rows(s, t, [row], stream)
             assert handles["paste"].price_rows(s, t, [row], stream).tobytes() == want.tobytes()
+
+
+def test_zero_step_rows_do_not_alias_the_input(lat8):
+    # price_rows copies a batch only at s == t, where the kernel hands it back
+    rng = np.random.default_rng(39)
+    mech = as_mechanism(domination_generator(0.3), lat8)
+    handles = {"driver": mech, "black box": _price_at_only(mech)[0],
+               "paste": paste([mech, _price_at_only(mech)[0]], [0, 4, 8])}
+    for name, handle in handles.items():
+        for t in (0, 4, 8):
+            rows = rng.uniform(-2.0, 2.0, size=(2, t + 1))
+            got = handle.price_rows(t, t, rows)
+            want = got.tobytes()
+            rows += 1.0
+            assert got.tobytes() == want, (name, t)
+
+
+def test_one_row_batch_is_the_single_solve(lat16):
+    # a one-row Picard batch freezes nothing: it takes the 1-d solve's
+    # driver calls and gives its bits
+    rng = np.random.default_rng(41)
+    g, calls = _counting(random_lipschitz_generator(rng))
+    stream = signed_stream(rng, lat16)
+    for dividends in (None, stream):
+        row = rng.uniform(-2.0, 2.0, size=17)
+        calls[0] = 0
+        single, single_iters, _ = _backward(g, row, lat16, 16, 0, dividends, True)
+        single_calls, calls[0] = calls[0], 0
+        batch, batch_iters, _ = _backward(g, row[None], lat16, 16, 0, dividends, True)
+        assert calls[0] == single_calls and batch_iters == single_iters
+        for a, b in zip(batch, single):
+            assert a[0].tobytes() == b.tobytes()
+
+
+def test_single_claims_build_no_surface(lat16, monkeypatch):
+    # price_at and price are one row of the kernel's batch: no AdaptedProcess
+    rng = np.random.default_rng(43)
+    g = random_lipschitz_generator(rng)
+    stream = signed_stream(rng, lat16)
+    mech = as_mechanism(g, lat16)
+    pasted = paste([mech, as_mechanism(abs_z_generator(0.3), lat16)], [0, 6, 16])
+    claim = random_pwl_claim(rng)
+    builds = []
+    init = AdaptedProcess.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdaptedProcess, "__init__", counting_init)
+    for s, t in ((0, 16), (3, 12), (9, 9)):
+        mech.price_at(s, t, claim, stream)
+        pasted.price_at(s, t, claim, stream)
+        price(g, s, t, claim, stream, lat16)
+    assert builds == []
+    mech.price_surface(16, claim, stream)  # the counter counts
+    assert len(builds) == 1
+
+
+def test_pasted_rows_walk_each_segment_once(lat16):
+    # one price_rows call per segment for the whole batch; a black-box
+    # segment still gets one price_at call per row
+    mech = as_mechanism(abs_z_generator(0.3), lat16)
+    plain, calls = _price_at_only(mech)
+    pasted = paste([mech, plain, mech], [0, 4, 10, 16])
+    rows = np.random.default_rng(47).uniform(-2.0, 2.0, size=(3, 17))
+    got = pasted.price_rows(2, 16, rows)
+    assert calls == [(4, 10)] * 3
+    for k, row in enumerate(rows):
+        want = pasted.price_at(2, 16, claim_from_values(lat16, 16, row))
+        assert got[k].tobytes() == want.tobytes()
 
 
 def test_price_rows_validation(lat8):

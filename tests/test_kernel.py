@@ -25,7 +25,7 @@ from gmech import (
     zero_generator,
 )
 from gmech.analysis import grid_points
-from gmech.engine import PICARD_CAP, PICARD_TOL, _backward
+from gmech.engine import PICARD_CAP, PICARD_TOL, PICARD_ULPS, _backward
 from gmech.generators import _LIPSCHITZ_SLACK
 
 from util import random_lipschitz_generator, signed_stream
@@ -88,8 +88,15 @@ def _row_major_backward(g, step_fn, cur, lattice, n, s, dividends, keep_surface)
                 y = y_next
                 if resid <= PICARD_TOL:
                     break
+                stop = np.max(gap, axis=-1) <= PICARD_TOL
+                if iters >= 3:
+                    # or within PICARD_ULPS float spacings of the row's largest |y|
+                    floor = PICARD_ULPS * np.spacing(np.max(np.abs(y), axis=-1))
+                    stop = stop | (np.max(gap, axis=-1) <= floor)
+                    if np.all(stop):
+                        break
                 if y.ndim > 1:
-                    done = np.max(gap, axis=-1) <= PICARD_TOL
+                    done = stop
                 if iters == 2:
                     # one Aitken step y2 + d2 r / (1 - r), r = d2 / d1, where
                     # |r| is below mu dt with the kernel's slack, in rows
@@ -116,7 +123,9 @@ def test_kernel_matches_row_major_allocating_kernel(g, step_fn):
     stream = signed_stream(rng, lat, scale=0.3)
     inputs = {"1-d": rng.uniform(-2.0, 2.0, n + 1),
               "one row": rng.uniform(-2.0, 2.0, (1, n + 1)),
-              "batch": rng.uniform(-2.0, 2.0, (5, n + 1))}
+              "batch": rng.uniform(-2.0, 2.0, (5, n + 1)),
+              # rows where the float spacing of y passes PICARD_TOL
+              "large batch": rng.uniform(-2.0, 2.0, (3, n + 1)) * [[1.0], [1e5], [1e8]]}
     for shape, cur in inputs.items():
         for dividends in (None, stream):
             for s in (0, n // 2, n - 2, n - 1, n):
