@@ -43,6 +43,7 @@ from .engine import (
     MechanismHandle,
     TerminalClaim,
     _backward,
+    _check_steps,
     _increment_at,
     _own_lattice,
     _witness,
@@ -264,6 +265,7 @@ def doob_meyer(
     if lattice != y.lattice:
         raise InvalidParams(f"lattice {lattice.grid} is not the process's "
                             f"lattice {y.lattice.grid}")
+    _check_steps(y.start, y.stop, lattice, dividends)
     require_monotone(g.mu, lattice)
     if y.stop - y.start < 1:
         raise StepOutOfRange("need at least one step to decompose")

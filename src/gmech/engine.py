@@ -173,6 +173,7 @@ def _payout_gap(a: Optional[DividendStream], b: Optional[DividendStream],
                 lattice: Lattice) -> Optional[DividendStream]:
     """Node-wise increments ``a - b`` on steps 0..n-1, where ``None`` pays
     nothing; ``None`` when neither side pays."""
+    _check_steps(0, lattice.n_steps, lattice, a, b)
     if a is None and b is None:
         return None
     return DividendStream.from_arrays(
@@ -207,9 +208,15 @@ def _witness(step: Optional[int], where: tuple) -> str:
     return ("" if step is None else f"step {step}, ") + f"{row}node {where[-1]}"
 
 
-def _check_steps(s_step: int, t_step: int, lattice: Lattice) -> None:
+def _check_steps(s_step: int, t_step: int, lattice: Lattice, *streams) -> None:
+    """Raise unless ``0 <= s <= t <= n`` and each payout stream (or ``None``)
+    is built on ``lattice``: its increments are amounts per step of its ``dt``."""
     if not 0 <= s_step <= t_step <= lattice.n_steps:
         raise BadStepOrder(f"need 0 <= s={s_step} <= t={t_step} <= {lattice.n_steps}")
+    for d in streams:
+        if d is not None and d.lattice != lattice:
+            raise InvalidParams(f"dividend stream lattice {d.lattice.grid} is not the "
+                                f"pricing lattice {lattice.grid}")
 
 
 def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
@@ -372,7 +379,7 @@ def solve_bsde(
 ) -> PricingResult:
     """Backward-solve the claim plus dividend stream from ``t_step`` to ``s_step``."""
     n = lattice.n_steps if t_step is None else t_step
-    _check_steps(s_step, n, lattice)
+    _check_steps(s_step, n, lattice, dividends)
     y_slices, iters, resid = _backward(
         g, claim.values(lattice, n), lattice, n, s_step, dividends, keep_surface=True)
     return PricingResult(y=AdaptedProcess(lattice, s_step, y_slices),
@@ -426,7 +433,7 @@ class MechanismHandle:
 
     def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
                  dividends: Optional[DividendStream] = None) -> np.ndarray:
-        _check_steps(s_step, t_step, self.lattice)
+        _check_steps(s_step, t_step, self.lattice, dividends)
         return _checked_prices(self._price_at(s_step, t_step, claim, dividends),
                                (s_step + 1,), s_step)
 
@@ -436,7 +443,7 @@ class MechanismHandle:
         values, as ``(k, s_step + 1)``; row ``r`` equals ``price_at`` of
         ``claim_from_values(lattice, t_step, rows[r])``.  An ndarray batch is
         copied only at ``s_step == t_step``, where a kernel hands it back."""
-        _check_steps(s_step, t_step, self.lattice)
+        _check_steps(s_step, t_step, self.lattice, dividends)
         rows = np.array(rows, dtype=float) if s_step == t_step else np.asarray(rows, float)
         if rows.ndim != 2 or rows.shape[1] != t_step + 1:
             raise StepOutOfRange(f"rows must have {t_step + 1} entries, got shape {rows.shape}")
@@ -448,7 +455,7 @@ class MechanismHandle:
     def price_surface(self, t_step: int, claim: TerminalClaim,
                       dividends: Optional[DividendStream] = None) -> AdaptedProcess:
         """Prices at every step 0..t_step."""
-        _check_steps(0, t_step, self.lattice)
+        _check_steps(0, t_step, self.lattice, dividends)
         return self._surface(0, t_step, claim, dividends)
 
     def _rows(self, s_step, t_step, rows, dividends):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveHorizon, StepOutOfRange, ZeroSteps
+from .errors import InvalidParams, NonPositiveHorizon, StepOutOfRange, ZeroSteps
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ def build_grid(t0: float, T: float, n_steps: int) -> TimeGrid:
     """Validate and build a uniform time grid."""
     if n_steps < 1:
         raise ZeroSteps(f"n_steps must be >= 1, got {n_steps}")
+    if not np.isfinite([t0, T]).all():
+        raise InvalidParams(f"t0 and T must be finite, got t0={t0}, T={T}")
     if not T > t0:
         raise NonPositiveHorizon(f"need T > t0, got t0={t0}, T={T}")
     return TimeGrid(float(t0), float(T), int(n_steps))

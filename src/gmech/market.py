@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +30,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .generators import BSMarketParams, domination_generator
+from .generators import BSMarketParams, _finite, domination_generator
 from .engine import make_underlying_map, require_monotone, solve_terminal_batch
 from .lattice import build_grid, build_lattice
 
@@ -85,6 +83,9 @@ class OptionChain:
         self.strikes = np.asarray(self.strikes, dtype=float)
         self.call_mids = np.asarray(self.call_mids, dtype=float)
         self.put_mids = np.asarray(self.put_mids, dtype=float)
+        for name in ("as_of", "expiry", "underlying"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.expiry > self.as_of:
             raise InvariantError(
                 f"expiry {self.expiry} must lie after as_of {self.as_of}"
@@ -135,9 +136,13 @@ def load_chain(path: str) -> OptionChain:
         rows = []
         for lineno, raw in enumerate(reader, start=2):
             try:
-                rows.append({c: float(raw[c]) for c in _CHAIN_COLUMNS})
+                row = {c: float(raw[c]) for c in _CHAIN_COLUMNS}
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            for c in _CHAIN_COLUMNS:
+                if not math.isfinite(row[c]):
+                    raise ParseError(f"{path}: line {lineno}: column {c} is not finite: {raw[c]!r}")
+            rows.append(row)
     if not rows:
         raise EmptyChain(f"{path}: no data rows")
 
@@ -255,65 +260,45 @@ def _scan_anomalies(chain: OptionChain) -> list:
     return out
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("GMECH_THREADS", "1")
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ValueError(f"GMECH_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def run_domination_test(
     chain: OptionChain,
     mu: float,
     n_steps: int,
     vol_for_lattice: float,
-    tol: float = PRICE_TOL,
 ) -> DominationReport:
     """Audit all four inequality families over every ordered strike pair.
 
     The right-hand sides are lattice prices of the payoff differences under
     the extremal driver at level ``mu``; a pair violates when the market
-    spread exceeds its cap by more than ``tol``.  Deterministic given
-    ``(chain, mu, n_steps, vol_for_lattice)`` regardless of thread count.
+    spread exceeds its cap by more than ``PRICE_TOL``.  Deterministic given
+    ``(chain, mu, n_steps, vol_for_lattice)``.
     """
     if chain.n_strikes == 0:
         raise EmptyChain("chain has no rows")
-    if vol_for_lattice <= 0:
+    if _finite("vol_for_lattice", vol_for_lattice) <= 0:
         raise InvalidParams("vol_for_lattice must be > 0")
     lattice = build_lattice(build_grid(0.0, chain.tau, n_steps))
     require_monotone(mu, lattice)
 
     s_term = make_underlying_map(chain.underlying, vol_for_lattice, chain.tau)(
         lattice.node_values(n_steps))
-    call_pay = np.maximum(s_term[None, :] - chain.strikes[:, None], 0.0)
-    put_pay = np.maximum(chain.strikes[:, None] - s_term[None, :], 0.0)
-
-    sides = {
-        "call_call": (chain.call_mids, call_pay, chain.call_mids, call_pay),
-        "put_put": (chain.put_mids, put_pay, chain.put_mids, put_pay),
-        "call_put": (chain.call_mids, call_pay, chain.put_mids, put_pay),
-        "put_call": (chain.put_mids, put_pay, chain.call_mids, call_pay),
-    }
+    mids = {"call": chain.call_mids, "put": chain.put_mids}
+    pays = {"call": np.maximum(s_term[None, :] - chain.strikes[:, None], 0.0),
+            "put": np.maximum(chain.strikes[:, None] - s_term[None, :], 0.0)}
     m = chain.n_strikes
     ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     keep = ii.ravel() != jj.ravel()
     ii, jj = ii.ravel()[keep], jj.ravel()[keep]
     g_cap = domination_generator(mu)
 
-    def run_family(name):
-        left_mid, left_pay, right_mid, right_pay = sides[name]
-        lhs = left_mid[ii] - right_mid[jj]
-        rhs = solve_terminal_batch(g_cap, left_pay[ii] - right_pay[jj], lattice)
-        return name, lhs, rhs
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = {name: (lhs, rhs) for name, lhs, rhs in pool.map(run_family, _FAMILIES)}
-
     report = DominationReport(mu=float(mu), n_steps=int(n_steps),
                               vol=float(vol_for_lattice))
+    # one batch per family: one batch of all four holds four times the scratch
     for name in _FAMILIES:
-        lhs, rhs = results[name]
-        bad = lhs > rhs + tol
+        left, right = name.split("_")
+        lhs = mids[left][ii] - mids[right][jj]
+        rhs = solve_terminal_batch(g_cap, pays[left][ii] - pays[right][jj], lattice)
+        bad = lhs > rhs + PRICE_TOL
         count = FamilyCount(tested=int(lhs.size),
                             passed=int(lhs.size - np.count_nonzero(bad)),
                             violated=int(np.count_nonzero(bad)))

@@ -195,12 +195,27 @@ class TestAuditAndSynth:
         assert report["total_violated"] == 0
         assert report["total_tested"] == 4 * 6 * 5
 
-    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, chain_csv):
-        monkeypatch.setenv("GMECH_THREADS", "abc")
+    @pytest.mark.parametrize("vol", ["nan", "inf"])
+    def test_non_finite_vol_is_named(self, capsys, chain_csv, vol):
+        code = main(["audit", "--chain", chain_csv, "--mu", "0.5", "--steps", "16",
+                     "--vol", vol])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: vol_for_lattice must be finite, got {vol}\n"
+
+    @pytest.mark.parametrize("column, text", [
+        ("underlying", "nan"), ("underlying", "inf"), ("expiry_days", "inf")])
+    def test_non_finite_chain_field_is_data_error(self, capsys, chain_csv, column, text):
+        with open(chain_csv) as fh:
+            header, first, *rest = fh.read().splitlines()
+        fields = first.split(",")
+        fields[header.split(",").index(column)] = text
+        with open(chain_csv, "w") as fh:
+            fh.write("\n".join([header, ",".join(fields), *rest]) + "\n")
         code = main(["audit", "--chain", chain_csv, "--mu", "0.5", "--steps", "16",
                      "--vol", "0.2"])
-        assert code == 2
-        assert "GMECH_THREADS" in capsys.readouterr().err
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {chain_csv}: line 2: column {column} is not finite: '{text}'\n")
 
     def test_non_finite_mu_is_named(self, capsys, chain_csv):
         code = main(["audit", "--chain", chain_csv, "--mu", "nan", "--steps", "16",

@@ -931,7 +931,53 @@ class TestPricePropertiesOfStructuredDrivers:
                 assert np.all(yb.at(i) >= ys.at(i) - 1e-9)
 
 
+def _black_box(lattice):
+    def price_at(s_step, t_step, claim, dividends):
+        raise AssertionError("the black box was handed the stream")
+    return MechanismHandle(lattice, price_at, mu=None)
+
+
+# every entry that takes a payout stream beside its pricing lattice
+STREAM_CALLS = {
+    "solve_bsde": lambda g, k, lat: solve_bsde(g, WALK, k, lat),
+    "price": lambda g, k, lat: price(g, 0, lat.n_steps, WALK, k, lat),
+    "price_at": lambda g, k, lat: as_mechanism(g, lat).price_at(0, lat.n_steps, WALK, k),
+    "black_box_price_at": lambda g, k, lat: _black_box(lat).price_at(0, lat.n_steps, WALK, k),
+    "price_rows": lambda g, k, lat: as_mechanism(g, lat).price_rows(
+        0, lat.n_steps, WALK.values(lat, lat.n_steps)[None], k),
+    "black_box_price_rows": lambda g, k, lat: _black_box(lat).price_rows(
+        0, lat.n_steps, WALK.values(lat, lat.n_steps)[None], k),
+    "price_surface": lambda g, k, lat: as_mechanism(g, lat).price_surface(lat.n_steps, WALK, k),
+    "compare": lambda g, k, lat: compare(g, WALK, k, WALK, None, lat),
+    "check_domination": lambda g, k, lat: check_domination(
+        as_mechanism(g, lat), WALK, WALK, 0.5, lat, None, k),
+    "sign_flip_check": lambda g, k, lat: sign_flip_check(g, WALK, k, lat),
+    "difference": lambda g, k, lat: DividendStream.from_rate(lat, 1.0).difference(k),
+    "doob_meyer": lambda g, k, lat: doob_meyer(g, solve_bsde(g, WALK, None, lat).y, k, lat),
+}
+
+
 class TestDividendStream:
+    @pytest.mark.parametrize("name", list(STREAM_CALLS))
+    @pytest.mark.parametrize("stream_steps, steps", [(8, 16), (16, 8)])
+    def test_stream_on_another_lattice_raises(self, name, stream_steps, steps):
+        # increments are amounts per step of their own dt: a 16-step stream
+        # read by an 8-step solve would pay half its rate, and drop half its steps
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        stream_lat = build_lattice(build_grid(0.0, 1.0, stream_steps))
+        with pytest.raises(InvalidParams, match=(
+                rf"^dividend stream lattice TimeGrid\(t0=0\.0, T=1\.0, n_steps={stream_steps}\) "
+                rf"is not the pricing lattice TimeGrid\(t0=0\.0, T=1\.0, n_steps={steps}\)$")):
+            STREAM_CALLS[name](domination_generator(0.5),
+                               DividendStream.from_rate(stream_lat, -1.0), lat)
+
+    @pytest.mark.parametrize("name", sorted(set(STREAM_CALLS) - {
+        "black_box_price_at", "black_box_price_rows"}))
+    def test_stream_on_an_equal_lattice_is_accepted(self, name, lat8):
+        # equality, not identity: a second build of the same grid is the same lattice
+        stream = DividendStream.from_rate(build_lattice(build_grid(0.0, 1.0, 8)), -1.0)
+        STREAM_CALLS[name](domination_generator(0.5), stream, lat8)
+
     def test_is_increasing(self, lat8):
         assert increasing_stream(np.random.default_rng(20), lat8).is_increasing()
         assert not DividendStream.from_rate(lat8, -1.0).is_increasing()

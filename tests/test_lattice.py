@@ -5,6 +5,7 @@ import pytest
 
 from gmech import (
     AdaptedProcess,
+    InvalidParams,
     NonPositiveHorizon,
     StepOutOfRange,
     ZeroSteps,
@@ -35,6 +36,11 @@ class TestGrid:
             build_grid(0.5, 0.5, 10)
         with pytest.raises(NonPositiveHorizon):
             build_grid(1.0, 0.5, 10)
+
+    @pytest.mark.parametrize("t0, T", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_non_finite_horizon_is_named(self, t0, T):
+        with pytest.raises(InvalidParams, match=rf"^t0 and T must be finite, got t0={t0}, T={T}$"):
+            build_grid(t0, T, 4)
 
     def test_times_increasing_and_exact_endpoint(self):
         for n in (1, 3, 7, 100):

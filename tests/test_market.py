@@ -1,11 +1,14 @@
 """Chain ingestion, synthesis, and the domination audit."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from gmech import (
     BSMarketParams,
     EmptyChain,
+    InvalidParams,
     InvariantError,
     OptionChain,
     ParseError,
@@ -21,6 +24,7 @@ from gmech import (
     solve_terminal_batch,
     synth_chain,
 )
+from gmech import market
 
 from util import BS_CALL_ATM, BS_CALL_OTM, BS_PUT_ATM, BS_PUT_ITM
 
@@ -104,6 +108,25 @@ class TestChainValidation:
         with pytest.raises(ParseError, match="line 3"):
             load_chain(str(path))
 
+    @pytest.mark.parametrize("column, text", [
+        ("underlying", "nan"), ("underlying", "inf"), ("expiry_days", "inf"),
+        ("as_of_days", "-inf"), ("strike", "nan"), ("put_mid", "inf")])
+    def test_non_finite_field_is_a_parse_error(self, tmp_path, column, text):
+        fields = {"as_of_days": "0", "expiry_days": "30", "underlying": "100",
+                  "strike": "95", "call_mid": "9", "put_mid": "2"}
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(fields) + "\n0,30,100,90,12,1\n"
+                        + ",".join({**fields, column: text}.values()) + "\n")
+        with pytest.raises(ParseError, match=rf"line 3: column {column} is not finite: '{text}'$"):
+            load_chain(str(path))
+
+    @pytest.mark.parametrize("name", ["as_of", "expiry", "underlying"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scalar(self, name, value):
+        kw = {"as_of": 0.0, "expiry": 1.0, "underlying": 100.0, name: value}
+        with pytest.raises(InvariantError, match=rf"^{name} must be finite, got {value}$"):
+            OptionChain(**kw, strikes=[100.0], call_mids=[1.0], put_mids=[1.0])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(
@@ -119,6 +142,35 @@ class TestChainValidation:
             "0,60,100,95,9,2\n")
         with pytest.raises(InvariantError):
             load_chain(str(path))
+
+
+def _pairs(m):
+    return np.array([(i, j) for i in range(m) for j in range(m) if i != j]).T
+
+
+def _family_terminals(chain, n, vol):
+    """``(family, lhs, terminal rows)`` of the audit, in report order."""
+    lat = build_lattice(build_grid(0.0, chain.tau, n))
+    s = chain.underlying * np.exp(vol * lat.node_values(n) - 0.5 * vol * vol * chain.tau)
+    call = np.maximum(s[None, :] - chain.strikes[:, None], 0.0)
+    put = np.maximum(chain.strikes[:, None] - s[None, :], 0.0)
+    ii, jj = _pairs(chain.n_strikes)
+    sides = (("call_call", chain.call_mids, call, chain.call_mids, call),
+             ("put_put", chain.put_mids, put, chain.put_mids, put),
+             ("call_put", chain.call_mids, call, chain.put_mids, put),
+             ("put_call", chain.put_mids, put, chain.call_mids, call))
+    return [(name, lm[ii] - rm[jj], lp[ii] - rp[jj]) for name, lm, lp, rm, rp in sides]
+
+
+def _extremal_root(terminal, mu, dt):
+    """Root value of one payoff row under ``y = m + mu (|y| + |z|) dt``,
+    solved on each branch of the sign of ``y``."""
+    y, sdt = np.asarray(terminal, dtype=float), np.sqrt(dt)
+    while y.size > 1:
+        up, down = y[1:], y[:-1]
+        q = 0.5 * (up + down) + mu * np.abs(up - down) / (2.0 * sdt) * dt
+        y = np.where(q >= 0.0, q / (1.0 - mu * dt), q / (1.0 + mu * dt))
+    return float(y[0])
 
 
 class TestDominationAudit:
@@ -184,16 +236,42 @@ class TestDominationAudit:
         with pytest.raises(EmptyChain):
             run_domination_test(chain, 0.5, 16, 0.2)
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
-    def test_thread_count_must_be_a_positive_integer(self, monkeypatch, raw):
+    @pytest.mark.parametrize("vol", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_vol_is_named(self, vol):
         chain = synth_chain(PARAMS, 100.0, [100.0, 105.0], 0.0, 1.0)
-        monkeypatch.setenv("GMECH_THREADS", raw)
-        with pytest.raises(ValueError, match=f"GMECH_THREADS.*{raw!r}"):
-            run_domination_test(chain, 0.5, 16, 0.2)
+        with pytest.raises(InvalidParams, match=rf"^vol_for_lattice must be finite, got {vol}$"):
+            run_domination_test(chain, 0.5, 16, vol)
 
-    def test_threaded_run_matches_sequential(self, monkeypatch):
+    def test_families_are_priced_in_order_on_the_calling_thread(self, monkeypatch):
         chain = synth_chain(PARAMS, 100.0, np.linspace(90, 110, 6), 0.0, 0.5)
-        seq = run_domination_test(chain, 0.5, 64, 0.2).as_dict()
-        monkeypatch.setenv("GMECH_THREADS", "4")
-        par = run_domination_test(chain, 0.5, 64, 0.2).as_dict()
-        assert seq == par
+        calls = []
+
+        def recording(g, terminal, lattice):
+            calls.append((threading.get_ident(), terminal))
+            return solve_terminal_batch(g, terminal, lattice)
+
+        monkeypatch.setattr(market, "solve_terminal_batch", recording)
+        run_domination_test(chain, 0.5, 64, 0.2)
+        assert [ident for ident, _ in calls] == [threading.get_ident()] * 4
+        want = _family_terminals(chain, 64, 0.2)
+        assert [name for name, *_ in want] == list(market._FAMILIES)
+        for (_, got), (_, _, terminal) in zip(calls, want):
+            assert np.array_equal(got, terminal)
+
+    def test_noisy_audit_matches_two_branch_recursion(self):
+        chain = synth_chain(PARAMS, 100.0, np.linspace(85, 115, 8), 0.0, 0.5,
+                            seed=5, noise=1.0)
+        mu, n, vol = 0.5, 64, 0.2
+        got = {(v["family"], v["i"], v["j"]): v
+               for v in run_domination_test(chain, mu, n, vol).violations}
+        assert len(got) > 5
+        ii, jj = _pairs(chain.n_strikes)
+        for name, lhs, terminal in _family_terminals(chain, n, vol):
+            for k, row in enumerate(terminal):
+                key, rhs = (name, int(ii[k]), int(jj[k])), _extremal_root(row, mu, chain.tau / n)
+                if key in got:
+                    assert abs(got[key]["lhs"] - lhs[k]) <= 1e-12
+                    assert abs(got[key]["rhs"] - rhs) <= 1e-12
+                # pairs within rounding of the boundary may land on either side
+                gap, scale = lhs[k] - rhs - market.PRICE_TOL, 1.0 + abs(lhs[k]) + abs(rhs)
+                assert abs(gap) <= 1e-9 * scale or (key in got) == (gap > 0), key
