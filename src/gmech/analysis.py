@@ -758,14 +758,17 @@ def verify_main_theorem(
 
     Preconditions are exercised first at small sample counts: the structural
     laws and the domination cap on random claim pairs.  Then random bounded
-    claims are priced under both the black box (one ``price_surface`` each)
-    and the rebuilt system (one batched kernel pass for all claims) and the
-    worst node discrepancy over all steps is reported.  ``lattice`` defaults to
-    the handle's own; any other raises :class:`InvalidParams`.
+    claims are priced under both the black box (one ``price_surfaces`` batch
+    of their terminal node values) and the rebuilt system (one batched kernel
+    pass for all claims) and the worst node discrepancy over all claims and
+    steps is reported.  ``lattice`` defaults to the handle's own; any other
+    raises :class:`InvalidParams`.
     """
     lat = _own_lattice(mech, lattice)
     if mech.mu is None:
         raise InvalidParams("mechanism must declare a domination constant mu")
+    if samples < 1:
+        raise InvalidParams("samples must be >= 1")
     if level is None:
         level = int(round(math.log2(lat.n_steps)))
     rng = np.random.default_rng(seed)
@@ -781,17 +784,15 @@ def verify_main_theorem(
 
     recovered = recover_generator(mech, level, grid_points(ys, zs), lat)
 
-    # the rebuilt side is the lab's own: one kept-surface kernel pass prices
-    # every claim, each row bitwise its single solve
+    # both sides price every claim in one batch: the black box by
+    # price_surfaces, the rebuilt side by one kept-surface kernel pass; each
+    # row is bitwise its single surface
     n = lat.n_steps
-    claims = [random_claim(rng) for _ in range(samples)]
-    rows = np.array([c.values(lat, n) for c in claims]).reshape(len(claims), n + 1)
+    rows = np.array([random_claim(rng).values(lat, n) for _ in range(samples)])
+    blackbox = mech.price_surfaces(n, rows)
     rebuilt, _, _ = _backward(recovered.to_generator(), rows, lat, n, 0, None,
                               keep_surface=True)
-    worst = 0.0
-    for k, claim in enumerate(claims):
-        sa = mech.price_surface(n, claim)
-        worst = max(worst, _max_gap(sa.at, lambda i: rebuilt[i][k], range(n + 1)))
+    worst = _max_gap(blackbox.__getitem__, rebuilt.__getitem__, range(n + 1))
     return MainTheoremVerdict(max_discrepancy=worst,
                               axioms_ok=report.all_passed(),
                               domination_ok=dom_ok,

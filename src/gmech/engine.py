@@ -11,9 +11,10 @@ step (see :func:`_implicit_step`), which contracts whenever ``mu * dt < 1``.
 
 One private kernel, ``_backward``, runs this recursion over the last axis of
 its input.  It has two entry points: :func:`solve_bsde` keeps the whole ``y``
-surface of one claim with its dividends, and the ``price_rows`` of an
-:func:`as_mechanism` handle keeps the step-``s`` values of many rows with
-their dividends.  The handle's ``price_at``, :func:`price` and
+surface of one claim with its dividends, and the hooks of an
+:func:`as_mechanism` handle price many rows with their dividends in one pass,
+keeping the step-``s`` values (``price_rows``) or every step's
+(``price_surfaces``).  The handle's ``price_at``, :func:`price` and
 :func:`solve_terminal_batch` are views of that batch: one row, and the root
 values of many.  For a closed-form driver the kernel works in per-call
 column-major scratch arrays that the built-in closed forms overwrite in place
@@ -413,15 +414,18 @@ class MechanismHandle:
     ``price_at(s_step, t_step, claim, dividends)`` returns node values at
     ``s_step``; it must be pure and reentrant.  ``mu`` is the declared
     domination constant (``None`` when unknown).  :meth:`price_rows` and
-    :meth:`price_surface` call ``price_at`` once per row or step.  Every price
-    is checked for shape and finiteness, so a NaN or inf raises
-    :class:`NonFiniteValue` instead of becoming a result.
+    :meth:`price_surface` call ``price_at`` once per row or step, and
+    :meth:`price_surfaces` prices one surface per row.  Every price is checked
+    for shape and finiteness, so a NaN or inf raises :class:`NonFiniteValue`
+    instead of becoming a result; a batch is checked for NaN and inf once it
+    is whole, so its witness names the row.
 
-    :func:`as_mechanism` and :func:`paste` override only the hooks ``_rows``
-    and ``_surface``, and pass :meth:`_one_row` as their ``price_at``, so one
-    claim is one row of their batch; the public methods stay on this class,
-    where ``bench/tracing.py`` patches them.  ``_surface(s, t, ...)`` prices
-    steps ``s..t``; :func:`paste` asks each segment for its own steps only.
+    :func:`as_mechanism` and :func:`paste` override only the hooks ``_rows``,
+    ``_surface`` and (``as_mechanism``) ``_surfaces``, and pass
+    :meth:`_one_row` as their ``price_at``, so one claim is one row of their
+    batch; the public methods stay on this class, where ``bench/tracing.py``
+    patches them.  ``_surface(s, t, ...)`` prices steps ``s..t``;
+    :func:`paste` asks each segment for its own steps only.
     """
 
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float],
@@ -444,11 +448,7 @@ class MechanismHandle:
         ``claim_from_values(lattice, t_step, rows[r])``.  An ndarray batch is
         copied only at ``s_step == t_step``, where a kernel hands it back."""
         _check_steps(s_step, t_step, self.lattice, dividends)
-        rows = np.array(rows, dtype=float) if s_step == t_step else np.asarray(rows, float)
-        if rows.ndim != 2 or rows.shape[1] != t_step + 1:
-            raise StepOutOfRange(f"rows must have {t_step + 1} entries, got shape {rows.shape}")
-        if not np.isfinite(rows).all():
-            raise _non_finite(rows, t_step, "terminal value")
+        rows = _terminal_rows(rows, t_step, copy=s_step == t_step)
         return _checked_prices(self._rows(s_step, t_step, rows, dividends),
                                (rows.shape[0], s_step + 1), s_step)
 
@@ -457,6 +457,17 @@ class MechanismHandle:
         """Prices at every step 0..t_step."""
         _check_steps(0, t_step, self.lattice, dividends)
         return self._surface(0, t_step, claim, dividends)
+
+    def price_surfaces(self, t_step: int, rows,
+                       dividends: Optional[DividendStream] = None) -> list:
+        """Prices at every step 0..t_step of a ``(k, t_step + 1)`` batch of
+        terminal node values: entry ``i`` is the ``(k, i + 1)`` slice of step
+        ``i``, and its row ``r`` equals ``price_surface`` of
+        ``claim_from_values(lattice, t_step, rows[r])`` at step ``i``."""
+        _check_steps(0, t_step, self.lattice, dividends)
+        rows = _terminal_rows(rows, t_step, copy=True)
+        return [_checked_prices(v, (rows.shape[0], i + 1), i)
+                for i, v in enumerate(self._surfaces(t_step, rows, dividends))]
 
     def _rows(self, s_step, t_step, rows, dividends):
         # one price_at call per row; price_rows checks the whole batch for NaN
@@ -468,14 +479,34 @@ class MechanismHandle:
                                      (s_step + 1,), s_step, finite=False)
         return out
 
-    def _surface(self, s_step, t_step, claim, dividends):
-        return AdaptedProcess(self.lattice, s_step,
-                              [self.price_at(s, t_step, claim, dividends)
-                               for s in range(s_step, t_step + 1)])
+    def _surface(self, s_step, t_step, claim, dividends, finite=True):
+        # one price_at call per step; a batch of surfaces leaves NaN and inf
+        # (finite=False) to price_surfaces, so that its witness names the row
+        return AdaptedProcess(self.lattice, s_step, [
+            _checked_prices(self._price_at(s, t_step, claim, dividends), (s + 1,), s, finite)
+            for s in range(s_step, t_step + 1)])
+
+    def _surfaces(self, t_step, rows, dividends):
+        # one _surface per row, stacked step by step
+        surfs = [self._surface(0, t_step, claim_from_values(self.lattice, t_step, row),
+                               dividends, finite=False) for row in rows]
+        return [np.array([p.at(i) for p in surfs]).reshape(len(rows), i + 1)
+                for i in range(t_step + 1)]
 
     def _one_row(self, s_step, t_step, claim, dividends):
         return self._rows(s_step, t_step, claim.values(self.lattice, t_step)[None],
                           dividends)[0]
+
+
+def _terminal_rows(rows, t_step: int, copy: bool) -> np.ndarray:
+    """``rows`` as a float ``(k, t_step + 1)`` batch (a fresh copy if ``copy``);
+    raises unless it has that shape and no NaN or inf, naming its row and node."""
+    rows = np.array(rows, dtype=float) if copy else np.asarray(rows, float)
+    if rows.ndim != 2 or rows.shape[1] != t_step + 1:
+        raise StepOutOfRange(f"rows must have {t_step + 1} entries, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise _non_finite(rows, t_step, "terminal value")
+    return rows
 
 
 def _checked_prices(values, shape: tuple, step: int, finite: bool = True) -> np.ndarray:
@@ -499,8 +530,9 @@ def _own_lattice(mech: MechanismHandle, lattice: Optional[Lattice]) -> Lattice:
 
 
 class _DriverMechanism(MechanismHandle):
-    """A driver's backward solver as a handle: rows run the kernel in one
-    pass, ``price_at`` is one such row and surfaces are one :func:`solve_bsde`."""
+    """A driver's backward solver as a handle: rows, and the surfaces of many
+    rows, run the kernel in one pass; ``price_at`` is one such row and one
+    claim's surface is one :func:`solve_bsde`."""
 
     def __init__(self, g: Generator, lattice: Lattice):
         super().__init__(lattice, self._one_row, mu=g.mu, name=g.name or "mechanism")
@@ -511,9 +543,13 @@ class _DriverMechanism(MechanismHandle):
                                keep_surface=False)
         return y
 
-    def _surface(self, s_step, t_step, claim, dividends):
+    def _surface(self, s_step, t_step, claim, dividends, finite=True):
         return solve_bsde(self._g, claim, dividends, self.lattice, t_step=t_step,
                           s_step=s_step).y
+
+    def _surfaces(self, t_step, rows, dividends):
+        return _backward(self._g, rows, self.lattice, t_step, 0, dividends,
+                         keep_surface=True)[0]
 
 
 def as_mechanism(g: Generator, lattice: Lattice) -> MechanismHandle:
@@ -565,7 +601,7 @@ class _PastedMechanism(MechanismHandle):
             step, rows = lo, self._mechs[k].price_rows(lo, step, rows, dividends)
         return rows
 
-    def _surface(self, s_step, t_step, claim, dividends):
+    def _surface(self, s_step, t_step, claim, dividends, finite=True):
         # each segment prices the slice handed down from the one above over
         # its own steps lo..step and gives steps lo..step - 1, top down
         step = t_step
@@ -574,9 +610,13 @@ class _PastedMechanism(MechanismHandle):
             k = bisect.bisect_left(self._cuts, step) - 1
             lo = max(self._cuts[k], s_step)
             surf = self._mechs[k]._surface(
-                lo, step, claim_from_values(self.lattice, step, slices[-1]), dividends)
+                lo, step, claim_from_values(self.lattice, step, slices[-1]), dividends,
+                finite)
             slices.extend(surf.at(i) for i in range(step - 1, lo - 1, -1))
             step = lo
+            # a slice handed down unchecked would make the next segment blame
+            # its claim for a NaN or inf
+            _checked_prices(slices[-1], (lo + 1,), lo)
         return AdaptedProcess(self.lattice, s_step, slices[::-1])
 
 

@@ -171,12 +171,17 @@ def synth_chain(
 ) -> OptionChain:
     """Synthetic chain with closed-form lognormal mids.
 
-    ``noise`` adds centred gaussian perturbations (clipped at zero) for
-    fault-detection experiments; the noiseless chain satisfies put-call
-    parity row by row.
+    ``noise`` (finite, >= 0) adds centred gaussian perturbations (clipped at
+    zero) for fault-detection experiments; the noiseless chain satisfies
+    put-call parity row by row.  A NaN or inf argument raises
+    :class:`InvalidParams` naming it.
     """
+    s0, as_of, expiry, noise = (_finite(name, v) for name, v in (
+        ("s0", s0), ("as_of", as_of), ("expiry", expiry), ("noise", noise)))
     if s0 <= 0:
         raise InvalidParams(f"s0 must be > 0, got {s0}")
+    if noise < 0:
+        raise InvalidParams(f"noise must be >= 0, got {noise}")
     tau = expiry - as_of
     if tau <= 0:
         raise InvalidParams("expiry must lie after as_of")

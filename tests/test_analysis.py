@@ -811,3 +811,27 @@ class TestVerifyMainTheorem:
                 worst = max(worst, float(np.max(np.abs(sa.at(i) - sb.at(i)))))
         assert worst > 0.0
         assert verdict.max_discrepancy == worst
+
+    def test_black_box_rebuild_matches_the_kernel_handle(self):
+        # a price_at-only handle prices the rebuild claims one surface per
+        # claim inside price_surfaces; its verdict is the kernel handle's
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        mech = as_mechanism(random_lipschitz_generator(np.random.default_rng(61)), lat)
+        calls = []
+
+        def price_at(s, t, claim, dividends=None):
+            calls.append((s, t))
+            return mech.price_at(s, t, claim, dividends)
+
+        plain = MechanismHandle(lat, price_at, mu=mech.mu)
+        want = verify_main_theorem(mech, lat, samples=5, seed=17, level=4)
+        got = verify_main_theorem(plain, lat, samples=5, seed=17, level=4)
+        assert got.max_discrepancy == want.max_discrepancy > 0.0
+        assert got.recovered.table.tobytes() == want.recovered.table.tobytes()
+        # the rebuild leg is the last 5 surfaces, one price_at per step each
+        assert calls[-5 * 17:] == [(s, 16) for s in range(17)] * 5
+
+    def test_zero_samples_raise(self, lat16):
+        mech = as_mechanism(abs_z_generator(0.3), lat16)
+        with pytest.raises(InvalidParams, match="^samples must be >= 1$"):
+            verify_main_theorem(mech, lat16, samples=0, level=4)

@@ -245,6 +245,23 @@ class TestAuditAndSynth:
         assert code == 1
         assert json.loads(out)["anomalies"]
 
+    @pytest.mark.parametrize("flag, value, name, shown", [
+        ("--noise", "nan", "noise", "nan"), ("--noise", "inf", "noise", "inf"),
+        ("--s0", "inf", "s0", "inf"), ("--s0", "nan", "s0", "nan"),
+        ("--as-of-days", "nan", "as_of", "nan"), ("--expiry-days", "inf", "expiry", "inf")])
+    def test_non_finite_synth_argument_is_named(self, capsys, tmp_path, flag, value, name,
+                                                shown):
+        path = tmp_path / "chain.csv"
+        code = main(["synth", "--n-strikes", "3", flag, value, "--out", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {shown}\n"
+        assert not path.exists()
+
+    def test_negative_synth_noise_is_named(self, capsys, tmp_path):
+        code = main(["synth", "--noise", "-1", "--out", str(tmp_path / "chain.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: noise must be >= 0, got -1.0\n"
+
     def test_synth_then_audit_csv_format(self, capsys, tmp_path):
         path = tmp_path / "chain.csv"
         assert main(["synth", "--n-strikes", "5", "--lo", "95", "--hi", "105",

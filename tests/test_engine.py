@@ -575,6 +575,13 @@ def test_price_rows_validation(lat8):
         rows[2, 1] = np.nan
         with pytest.raises(NonFiniteValue, match="at step 4, row 2, node 1$"):
             handle.price_rows(0, 4, rows)
+        # a batch of surfaces checks its rows alike
+        with pytest.raises(StepOutOfRange, match="5 entries"):
+            handle.price_surfaces(4, np.zeros((2, 6)))
+        with pytest.raises(StepOutOfRange, match="5 entries"):
+            handle.price_surfaces(4, np.zeros(5))
+        with pytest.raises(NonFiniteValue, match="^terminal value is nan at step 4, row 2, node 1$"):
+            handle.price_surfaces(4, rows)
 
 
 def test_price_surface_validation(lat8):
@@ -584,23 +591,66 @@ def test_price_surface_validation(lat8):
         for t in (-1, 9):
             with pytest.raises(BadStepOrder, match=rf"^need 0 <= s=0 <= t={t} <= 8$"):
                 handle.price_surface(t, WALK)
+            with pytest.raises(BadStepOrder, match=rf"^need 0 <= s=0 <= t={t} <= 8$"):
+                handle.price_surfaces(t, np.zeros((1, max(t, 0) + 1)))
+
+
+@pytest.mark.parametrize("t", [16, 9, 1, 0])
+def test_price_surfaces_match_per_row_surfaces(t, lat16):
+    # one batch of surfaces is the per-row price_surface loop, bitwise at
+    # every step, for every handle kind; a black box sees the loop's calls
+    rng = np.random.default_rng(67)
+    picard = as_mechanism(random_lipschitz_generator(rng), lat16)
+    abs_z = as_mechanism(abs_z_generator(0.3), lat16)
+    plain, calls = _price_at_only(picard)
+    handles = {"picard": picard, "abs_z": abs_z, "picard_price_at_only": plain,
+               "paste": paste([plain, abs_z], [0, 6, 16])}
+    stream = signed_stream(rng, lat16)
+    rows = rng.uniform(-2.0, 2.0, size=(3, t + 1))
+    for name, mech in handles.items():
+        for dividends in (None, stream):
+            calls.clear()
+            got = mech.price_surfaces(t, rows, dividends)
+            batch_calls = list(calls)
+            calls.clear()
+            want = [mech.price_surface(t, claim_from_values(lat16, t, row), dividends)
+                    for row in rows]
+            assert batch_calls == calls, name
+            assert len(got) == t + 1
+            for i, v in enumerate(got):
+                assert v.shape == (3, i + 1) and v.flags.c_contiguous, (name, i)
+                for k in range(3):
+                    assert v[k].tobytes() == want[k].at(i).tobytes(), (name, i, k)
+            assert got[t].tobytes() == rows.tobytes()
+            assert not np.shares_memory(got[t], rows)
+    assert plain.price_surfaces(t, np.zeros((0, t + 1)))[t].shape == (0, t + 1)
 
 
 def test_black_box_output_is_checked(lat8):
-    def price_at(s, t, claim, dividends=None):
-        # inf at the last node of the claim that pays 1 everywhere
-        out = np.zeros(s + 1)
-        out[-1] = np.inf if claim.values(lat8, t)[0] == 1.0 else 0.0
-        return out
+    for bad in (np.inf, np.nan):
+        def price_at(s, t, claim, dividends=None):
+            # inf or NaN at the last node of the claim that pays 1 everywhere
+            out = np.zeros(s + 1)
+            out[-1] = bad if claim.values(lat8, t)[0] == 1.0 else 0.0
+            return out
 
-    inf_box = MechanismHandle(lat8, price_at, mu=0.3)
-    with pytest.raises(NonFiniteValue, match=r"^mechanism price is inf at step 2, row 1, node 2$"):
-        inf_box.price_rows(2, 4, [np.zeros(5), np.ones(5)])
+        box = MechanismHandle(lat8, price_at, mu=0.3)
+        with pytest.raises(NonFiniteValue,
+                           match=rf"^mechanism price is {bad} at step 2, row 1, node 2$"):
+            box.price_rows(2, 4, [np.zeros(5), np.ones(5)])
+        # a surface is checked from step 0 up; a batch of surfaces names the row
+        with pytest.raises(NonFiniteValue,
+                           match=rf"^mechanism price is {bad} at step 0, row 1, node 0$"):
+            box.price_surfaces(4, [np.zeros(5), np.ones(5)])
+        with pytest.raises(NonFiniteValue, match=rf"^mechanism price is {bad} at step 0, node 0$"):
+            box.price_surface(4, claim_from_values(lat8, 4, np.ones(5)))
     short = MechanismHandle(lat8, lambda s, t, c, d=None: np.zeros(s), mu=0.3)
     with pytest.raises(StepOutOfRange, match=r"shape \(2,\) at step 2, expected \(3,\)"):
         short.price_at(2, 4, WALK)
     with pytest.raises(StepOutOfRange, match=r"shape \(2,\) at step 2, expected \(3,\)"):
         short.price_rows(2, 4, np.zeros((1, 5)))
+    with pytest.raises(StepOutOfRange, match=r"shape \(0,\) at step 0, expected \(1,\)"):
+        short.price_surfaces(4, np.zeros((1, 5)))
 
 
 class TestNonFiniteValues:
@@ -748,6 +798,27 @@ class TestPaste:
         # the middle segment's surface at maturity 10 is one price_at per
         # step of its own
         assert calls == [(s, 10) for s in range(4, 11)]
+
+    def test_non_finite_segment_price_is_named(self, lat8):
+        # a black-box segment's NaN names its step and node; inside a batch
+        # of surfaces also its row, except on the cut, where the slice handed
+        # down is checked before the segment below could blame its claim
+        mech = as_mechanism(abs_z_generator(0.3), lat8)
+        rows = np.zeros((2, 9))
+        rows[1] = 1.0
+        for bad_step, row in ((6, "row 1, "), (4, "")):
+            def price_at(s, t, claim, dividends=None):
+                out = mech.price_at(s, t, claim, dividends)
+                hit = s == bad_step and claim.values(lat8, t)[0] == 1.0
+                return np.where(np.arange(s + 1) == 2, np.nan, out) if hit else out
+
+            pasted = paste([mech, MechanismHandle(lat8, price_at, mu=0.3)], [0, 4, 8])
+            with pytest.raises(NonFiniteValue,
+                               match=rf"^mechanism price is nan at step {bad_step}, node 2$"):
+                pasted.price_surface(8, claim_from_values(lat8, 8, rows[1]))
+            with pytest.raises(NonFiniteValue,
+                               match=rf"^mechanism price is nan at step {bad_step}, {row}node 2$"):
+                pasted.price_surfaces(8, rows)
 
     def test_bad_partition(self, lat8):
         mech = as_mechanism(zero_generator(), lat8)
@@ -948,6 +1019,10 @@ STREAM_CALLS = {
     "black_box_price_rows": lambda g, k, lat: _black_box(lat).price_rows(
         0, lat.n_steps, WALK.values(lat, lat.n_steps)[None], k),
     "price_surface": lambda g, k, lat: as_mechanism(g, lat).price_surface(lat.n_steps, WALK, k),
+    "price_surfaces": lambda g, k, lat: as_mechanism(g, lat).price_surfaces(
+        lat.n_steps, WALK.values(lat, lat.n_steps)[None], k),
+    "black_box_price_surfaces": lambda g, k, lat: _black_box(lat).price_surfaces(
+        lat.n_steps, WALK.values(lat, lat.n_steps)[None], k),
     "compare": lambda g, k, lat: compare(g, WALK, k, WALK, None, lat),
     "check_domination": lambda g, k, lat: check_domination(
         as_mechanism(g, lat), WALK, WALK, 0.5, lat, None, k),
@@ -972,7 +1047,7 @@ class TestDividendStream:
                                DividendStream.from_rate(stream_lat, -1.0), lat)
 
     @pytest.mark.parametrize("name", sorted(set(STREAM_CALLS) - {
-        "black_box_price_at", "black_box_price_rows"}))
+        "black_box_price_at", "black_box_price_rows", "black_box_price_surfaces"}))
     def test_stream_on_an_equal_lattice_is_accepted(self, name, lat8):
         # equality, not identity: a second build of the same grid is the same lattice
         stream = DividendStream.from_rate(build_lattice(build_grid(0.0, 1.0, 8)), -1.0)

@@ -63,6 +63,19 @@ class TestSynthChain:
                             seed=1, noise=5.0)
         assert np.all(chain.call_mids >= 0) and np.all(chain.put_mids >= 0)
 
+    @pytest.mark.parametrize("name", ["s0", "as_of", "expiry", "noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_argument_is_named(self, name, value):
+        # NaN noise used to read as no noise; an infinite s0 or expiry
+        # surfaced as a chain invariant error
+        kw = {"s0": 100.0, "as_of": 0.0, "expiry": 0.5, "noise": 0.0, name: value}
+        with pytest.raises(InvalidParams, match=rf"^{name} must be finite, got {value}$"):
+            synth_chain(PARAMS, strikes=[90.0, 110.0], seed=1, **kw)
+
+    def test_negative_noise_is_rejected(self):
+        with pytest.raises(InvalidParams, match=r"^noise must be >= 0, got -0\.5$"):
+            synth_chain(PARAMS, 100.0, [90.0, 110.0], 0.0, 0.5, seed=1, noise=-0.5)
+
 
 class TestChainValidation:
     def test_roundtrip_through_csv(self, tmp_path):
