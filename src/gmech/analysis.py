@@ -39,14 +39,16 @@ from .errors import (
 from .generators import Generator, GeneratorFlags, _tallies, _witnessed
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 from .engine import (
+    PICARD_TOL,
+    PRICE_TOL,
     DividendStream,
     MechanismHandle,
     TerminalClaim,
-    _backward,
     _check_steps,
     _increment_at,
     _own_lattice,
     _witness,
+    as_mechanism,
     check_domination,
     claim_from_values,
     random_claim,
@@ -54,12 +56,10 @@ from .engine import (
     solve_bsde,
 )
 
-AXIOM_TOL = 1e-9
-# A one-step defect below minus this breaks the supermartingale property.
-SUPERMARTINGALE_TOL = 1e-9
 # Slack of the driver envelope ``mu (|y| + |z|)`` for float noise.
 ENVELOPE_TOL = 1e-6
 RECOVERY_SLACK = 1e-6  # of the recovery certificate (Lipschitz ratio, zero defect)
+REBUILD_TOL = 1e-2  # worst price gap of the rebuilt system that still passes
 
 
 # =====================================================================
@@ -188,20 +188,20 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
     for k, ((s, t, r, x_vals, event, cone), p, (pn,)) in enumerate(zip(draws, priced, nested)):
         pa, pb, pp, pz, pk, *split_prices, same, direct = p
         # monotonicity: the lowered claim prices lower
-        mono.record(float(np.max(pb - pa)), AXIOM_TOL, k)
+        mono.record(float(np.max(pb - pa)), PRICE_TOL, k)
         # identity: pricing at its own maturity returns the payoff
-        ident.record(float(np.max(np.abs(same - x_vals))), AXIOM_TOL, k)
+        ident.record(float(np.max(np.abs(same - x_vals))), PRICE_TOL, k)
         # time consistency: price of the intermediate value slice re-prices
-        tower.record(float(np.max(np.abs(pn - direct))), AXIOM_TOL, k)
+        tower.record(float(np.max(np.abs(pn - direct))), PRICE_TOL, k)
         # locality: prices on the event ignore the payoff outside its cone
-        local.record(float(np.max(np.abs(pp[event] - pa[event]))), AXIOM_TOL, k)
+        local.record(float(np.max(np.abs(pp[event] - pa[event]))), PRICE_TOL, k)
 
         if split_prices:
             po, pblend = split_prices
             expected = np.where(np.isin(np.arange(s + 1), event), pa, po)
-            split.record(float(np.max(np.abs(pblend - expected))), AXIOM_TOL, k)
+            split.record(float(np.max(np.abs(pblend - expected))), PRICE_TOL, k)
 
-        zero.record(float(np.max(np.abs(pz))), AXIOM_TOL, k)
+        zero.record(float(np.max(np.abs(pz))), PRICE_TOL, k)
 
         # locality with zero: kill the payoff outside the cone; prices on the
         # event are unchanged and prices on nodes whose cones miss it vanish
@@ -209,7 +209,7 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
         outside = np.convolve(cone, np.ones(t - s + 1), "valid") == 0
         if outside.any():
             viol = max(viol, float(np.max(np.abs(pk[outside]))))
-        local0.record(viol, AXIOM_TOL, k)
+        local0.record(viol, PRICE_TOL, k)
 
     def named(k, worst):
         s, t, r, _, event, _ = draws[k]
@@ -240,8 +240,9 @@ class DecompositionResult:
     increments: AdaptedProcess
     reconstruction_error: float
 
-    def is_increasing(self, tol: float = 1e-12) -> bool:
-        return all(np.all(s >= -tol) for s in self.increments.slices)
+    def is_increasing(self) -> bool:
+        """Every increment is at least ``-PICARD_TOL``, the solver's stopping gap."""
+        return all(np.all(s >= -PICARD_TOL) for s in self.increments.slices)
 
 
 def doob_meyer(
@@ -249,7 +250,7 @@ def doob_meyer(
     y: AdaptedProcess,
     dividends: Optional[DividendStream],
     lattice: Lattice,
-    tol: float = SUPERMARTINGALE_TOL,
+    tol: float = PRICE_TOL,
 ) -> DecompositionResult:
     """Decompose a supermartingale of the driver-priced system.
 
@@ -314,11 +315,12 @@ class RepresentationResult:
     values: AdaptedProcess
 
 
-def _realized_driver(price, y, m, z, dk, dt: float, mu: float):
+def _realized_driver(price, m, z, dk, dt: float, mu: float):
     """Realized one-step driver ``(price - m - dk) / dt`` and its excess over
-    the envelope ``mu (|y| + |z|)``, node-wise."""
+    the envelope ``mu (|price| + |z|)``, node-wise: the driver is evaluated at
+    the price it produces."""
     drv = (price - m - dk) / dt
-    return drv, np.abs(drv) - mu * (np.abs(y) + np.abs(z))
+    return drv, np.abs(drv) - mu * (np.abs(price) + np.abs(z))
 
 
 def represent(
@@ -327,12 +329,11 @@ def represent(
     dividends: Optional[DividendStream],
     lattice: Lattice,
     t_step: int | None = None,
-    bound_tol: float = ENVELOPE_TOL,
 ) -> RepresentationResult:
     """Extract the realized driver of a mechanism on one claim.
 
     Needs a declared ``mech.mu``; raises :class:`BoundViolated` when the
-    extracted driver escapes the envelope by more than ``bound_tol`` (the
+    extracted driver escapes the envelope by more than ``ENVELOPE_TOL`` (the
     declared constant is too small, or the mechanism is not dominated).
     ``lattice`` must be the handle's own.
     """
@@ -346,10 +347,10 @@ def represent(
     drivers, hedges = [], []
     for i in range(t):
         m, zz = one_step_mz(surface.at(i + 1), surface.lattice.sqrt_dt)
-        drv, excess = _realized_driver(surface.at(i), surface.at(i), m, zz,
-                                       _increment_at(dividends, i), dt, mech.mu)
+        drv, excess = _realized_driver(surface.at(i), m, zz, _increment_at(dividends, i),
+                                       dt, mech.mu)
         j = int(np.argmax(excess))
-        if excess[j] > bound_tol:
+        if excess[j] > ENVELOPE_TOL:
             raise BoundViolated(f"driver {drv[j]:.6g} escapes mu-envelope by "
                                 f"{excess[j]:.3g} at {_witness(i, (j,))}")
         drivers.append(drv)
@@ -525,9 +526,8 @@ def _decompose_probe(probe: ProbePath, one_step: np.ndarray) -> np.ndarray:
     lat = probe.lattice
     m, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
     defect = probe.y - one_step
-    driver, excess = _realized_driver(one_step, probe.y, m[:, 0], hedge[:, 0], 0.0,
-                                      lat.dt, probe.mu)
-    low = defect < -SUPERMARTINGALE_TOL
+    driver, excess = _realized_driver(one_step, m[:, 0], hedge[:, 0], 0.0, lat.dt, probe.mu)
+    low = defect < -PRICE_TOL
     failed = np.flatnonzero(low | (excess > ENVELOPE_TOL))
     if failed.size:
         p = failed[0]
@@ -679,7 +679,7 @@ def recover_generator(
 
     The lattice step count must be divisible by ``2^level`` so dyadic times
     sit on the grid.  A probe whose one-step defect dips below
-    ``-SUPERMARTINGALE_TOL`` raises :class:`DominationViolated`: the mechanism
+    ``-PRICE_TOL`` raises :class:`DominationViolated`: the mechanism
     is not dominated at its declared ``mu``.
     """
     lat = _own_lattice(mech, lattice)
@@ -741,8 +741,8 @@ class MainTheoremVerdict:
     domination_ok: bool
     recovered: RecoveredGenerator
 
-    def passed(self, tol: float = 1e-2) -> bool:
-        return self.axioms_ok and self.domination_ok and self.max_discrepancy <= tol
+    def passed(self) -> bool:
+        return self.axioms_ok and self.domination_ok and self.max_discrepancy <= REBUILD_TOL
 
 
 def verify_main_theorem(
@@ -784,14 +784,12 @@ def verify_main_theorem(
 
     recovered = recover_generator(mech, level, grid_points(ys, zs), lat)
 
-    # both sides price every claim in one batch: the black box by
-    # price_surfaces, the rebuilt side by one kept-surface kernel pass; each
-    # row is bitwise its single surface
+    # both sides price every claim in one price_surfaces batch, the rebuilt
+    # side in one kept-surface kernel pass; each row is bitwise its own surface
     n = lat.n_steps
     rows = np.array([random_claim(rng).values(lat, n) for _ in range(samples)])
     blackbox = mech.price_surfaces(n, rows)
-    rebuilt, _, _ = _backward(recovered.to_generator(), rows, lat, n, 0, None,
-                              keep_surface=True)
+    rebuilt = as_mechanism(recovered.to_generator(), lat).price_surfaces(n, rows)
     worst = _max_gap(blackbox.__getitem__, rebuilt.__getitem__, range(n + 1))
     return MainTheoremVerdict(max_discrepancy=worst,
                               axioms_ok=report.all_passed(),

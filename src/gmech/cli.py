@@ -29,6 +29,7 @@ from .generators import (
 )
 from .lattice import _max_gap, build_grid, build_lattice
 from .engine import (
+    PRICE_TOL,
     DividendStream,
     TerminalClaim,
     as_mechanism,
@@ -108,9 +109,10 @@ def _underlying_args(args):
         params = _bs_params(rest)
         vol = vol if vol is not None else params.sigma
         drift = drift if drift is not None else params.b
-    if s0 is None or vol is None:
-        raise ValueError("call/put payoffs need --s0 and --vol "
-                         "(or a bs:... generator)")
+    missing = [name for name, v in (("--s0", s0), ("--vol", vol)) if v is None]
+    if missing:
+        raise ValueError(f"call/put payoffs need {' and '.join(missing)}"
+                         + (" (or a bs:... generator)" if vol is None else ""))
     return s0, vol, (0.0 if drift is None else drift)
 
 
@@ -181,7 +183,7 @@ def cmd_decompose(args) -> int:
     surface = solve_bsde(gen, claim, stream, lattice).y
     result = doob_meyer(gen, surface, None, lattice)
     worst = _max_gap(result.increments.at, stream.increment, range(lattice.n_steps))
-    ok = worst <= 1e-9 and result.reconstruction_error <= 1e-9
+    ok = worst <= PRICE_TOL and result.reconstruction_error <= PRICE_TOL
     _emit(args, {
         "command": "decompose",
         "gen": args.gen,

@@ -58,6 +58,8 @@ PICARD_TOL = 1e-12
 PICARD_CAP = 100
 PICARD_FAIL = 1e-9
 PICARD_ULPS = 1
+PRICE_TOL = 1e-9  # price slack of the order, law, defect and audit verdicts
+SIGN_FLIP_TOL = 1e-10  # node gap allowed in the sign-flip identity
 
 
 # -- claims and dividend streams ----------------------------------------------
@@ -638,7 +640,6 @@ def compare(
     claim_b: TerminalClaim,
     dividends_b: Optional[DividendStream],
     lattice: Lattice,
-    tol: float = 1e-9,
 ) -> ComparisonVerdict:
     """Order verdict: larger payoff and larger payouts give larger prices.
 
@@ -650,18 +651,18 @@ def compare(
     n = lattice.n_steps
     xa = claim_a.values(lattice, n)
     xb = claim_b.values(lattice, n)
-    if np.min(xa - xb) < -tol:
+    if np.min(xa - xb) < -PRICE_TOL:
         return ComparisonVerdict(applicable=False, passed=None,
                                  reason="terminal payoffs are not ordered")
     gap = _payout_gap(dividends_a, dividends_b, lattice)
-    if gap is not None and not gap.is_increasing(tol=tol):
+    if gap is not None and not gap.is_increasing(tol=PRICE_TOL):
         return ComparisonVerdict(applicable=False, passed=None,
                                  reason="payout difference is not increasing")
 
     ya = solve_bsde(g, claim_a, dividends_a, lattice).y
     yb = solve_bsde(g, claim_b, dividends_b, lattice).y
     worst_margin, worst_node = _worst_node(ya.at(i) - yb.at(i) for i in range(n + 1))
-    return ComparisonVerdict(applicable=True, passed=bool(worst_margin >= -tol),
+    return ComparisonVerdict(applicable=True, passed=bool(worst_margin >= -PRICE_TOL),
                              worst_margin=worst_margin, worst_node=worst_node)
 
 
@@ -680,7 +681,7 @@ def check_domination(
     lattice: Lattice,
     dividends_a: Optional[DividendStream] = None,
     dividends_b: Optional[DividendStream] = None,
-    tol: float = 1e-9,
+    tol: float = PRICE_TOL,
 ) -> DominationVerdict:
     """Check that the mechanism's price spread is capped by the mu-driver price.
 
@@ -720,7 +721,6 @@ def sign_flip_check(
     claim: TerminalClaim,
     dividends: Optional[DividendStream],
     lattice: Lattice,
-    tol: float = 1e-10,
 ) -> SignFlipVerdict:
     """Duality identity: negating claim and payouts under the reflected driver
     ``g_(t,y,z) = -g(t,-y,-z)`` negates every node price."""
@@ -735,4 +735,4 @@ def sign_flip_check(
     y = solve_bsde(g, claim, dividends, lattice).y
     y_neg = solve_bsde(reflected, neg_claim, neg_div, lattice).y
     err = _max_gap(y_neg.at, lambda i: -y.at(i), range(lattice.n_steps + 1))
-    return SignFlipVerdict(passed=bool(err <= tol), max_error=err)
+    return SignFlipVerdict(passed=bool(err <= SIGN_FLIP_TOL), max_error=err)

@@ -18,7 +18,7 @@ from .errors import InvalidParams, NegativeMu
 
 # Pairs closer than this in the sum norm are skipped in Lipschitz sampling.
 _MIN_SEPARATION = 1e-12
-# Multiplicative slack absorbing float noise in ratio comparisons.
+# Relative slack for float noise: Lipschitz ratios, Aitken guard, classification.
 _LIPSCHITZ_SLACK = 1e-9
 
 
@@ -308,13 +308,13 @@ def classify_generator(
     box=((-5.0, 5.0), (-5.0, 5.0)),
     seed: int = 0,
     t_range=(0.0, 1.0),
-    tol: float = 1e-9,
 ) -> StructureReport:
     """Sampled classification of a driver's structural properties.
 
     Verdicts are deterministic given ``(samples, box, seed)``.  Each failed
     property carries a witness point: the first sample with its worst
-    violation.
+    violation.  A property holds up to ``_LIPSCHITZ_SLACK`` times the scale of
+    the driver values it compares.
     """
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
@@ -322,6 +322,7 @@ def classify_generator(
 
     tallies = _tallies(StructureReport)
     zero, conv, conc, hom, sub, yind, zind, zr, sell = tallies
+    slack = _LIPSCHITZ_SLACK
     for _ in range(samples):
         t = float(rng.uniform(*t_range))
         (y1,), (z1,) = _sample_box(rng, box, 1)
@@ -334,18 +335,18 @@ def classify_generator(
         g22 = float(g(t, y2, z2))
         scale = 1.0 + abs(g11) + abs(g22)
 
-        zero.record(abs(float(g(t, 0.0, 0.0))), tol, key)
+        zero.record(abs(float(g(t, 0.0, 0.0))), slack, key)
         mix = float(g(t, alpha * y1 + (1 - alpha) * y2, alpha * z1 + (1 - alpha) * z2))
         blend = alpha * g11 + (1 - alpha) * g22
-        conv.record(mix - blend, tol * scale, key)
-        conc.record(blend - mix, tol * scale, key)
+        conv.record(mix - blend, slack * scale, key)
+        conc.record(blend - mix, slack * scale, key)
         hom.record(abs(float(g(t, lam * y1, lam * z1)) - lam * g11),
-                   tol * (1.0 + lam) * scale, key)
-        sub.record(float(g(t, y1 + y2, z1 + z2)) - (g11 + g22), tol * scale, key)
-        yind.record(abs(float(g(t, y2, z1)) - g11), tol * scale, key)
-        zind.record(abs(float(g(t, y1, z2)) - g11), tol * scale, key)
-        zr.record(abs(float(g(t, y1, 0.0))), tol * scale, key)
-        sell.record(-float(g(t, -y1, -z1)) - g11, tol * scale, key)
+                   slack * (1.0 + lam) * scale, key)
+        sub.record(float(g(t, y1 + y2, z1 + z2)) - (g11 + g22), slack * scale, key)
+        yind.record(abs(float(g(t, y2, z1)) - g11), slack * scale, key)
+        zind.record(abs(float(g(t, y1, z2)) - g11), slack * scale, key)
+        zr.record(abs(float(g(t, y1, 0.0))), slack * scale, key)
+        sell.record(-float(g(t, -y1, -z1)) - g11, slack * scale, key)
 
     def named(key, worst):
         return dict(zip(("t", "y", "z", "y2", "z2", "alpha", "lambda"), key), value=worst)

@@ -31,11 +31,10 @@ from .errors import (
     SchemaError,
 )
 from .generators import BSMarketParams, _finite, domination_generator
-from .engine import make_underlying_map, require_monotone, solve_terminal_batch
+from .engine import PRICE_TOL, make_underlying_map, require_monotone, solve_terminal_batch
 from .lattice import build_grid, build_lattice
 
 DAYS_PER_YEAR = 365.0
-PRICE_TOL = 1e-9
 
 _CHAIN_COLUMNS = ("as_of_days", "expiry_days", "underlying", "strike",
                   "call_mid", "put_mid")

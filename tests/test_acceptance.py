@@ -37,7 +37,8 @@ from gmech import (
     z_probe,
     zero_generator,
 )
-from gmech.analysis import grid_points
+from gmech.analysis import ENVELOPE_TOL, REBUILD_TOL, grid_points
+from gmech.engine import PRICE_TOL
 
 from util import (
     BS_CALL_ATM,
@@ -113,6 +114,7 @@ def test_criterion_03_black_scholes_reproduction():
 
 def test_criterion_04_comparison_theorem():
     """1000 randomized ordered cases, zero node-wise order violations."""
+    assert PRICE_TOL == 1e-9
     rng = np.random.default_rng(104)
     lat = build_lattice(build_grid(0.0, 1.0, 10))
     violations = 0
@@ -121,7 +123,7 @@ def test_criterion_04_comparison_theorem():
         upper, lower = ordered_claim_pair(rng)
         base = signed_stream(rng, lat)
         bigger = add_streams(lat, base, increasing_stream(rng, lat))
-        verdict = compare(g, upper, bigger, lower, base, lat, tol=1e-9)
+        verdict = compare(g, upper, bigger, lower, base, lat)
         assert verdict.applicable
         if not verdict.passed:
             violations += 1
@@ -132,6 +134,7 @@ def test_criterion_04_comparison_theorem():
 
 def test_criterion_05_domination():
     """1000 randomized cases: price spreads capped by the extremal driver."""
+    assert PRICE_TOL == 1e-9
     rng = np.random.default_rng(105)
     lat = build_lattice(build_grid(0.0, 1.0, 8))
     violations = 0
@@ -141,7 +144,7 @@ def test_criterion_05_domination():
         a, b = random_pwl_claim(rng), random_pwl_claim(rng)
         ka, kb = signed_stream(rng, lat), signed_stream(rng, lat)
         verdict = check_domination(mech, a, b, g.mu, lat,
-                                   dividends_a=ka, dividends_b=kb, tol=1e-9)
+                                   dividends_a=ka, dividends_b=kb)
         if not verdict.passed:
             violations += 1
     ok = violations == 0
@@ -178,6 +181,7 @@ def test_criterion_06_decomposition_round_trip():
 
 def test_criterion_07_representation_bounds():
     """Driver envelope and pairwise gap bound over 100 random claims."""
+    assert ENVELOPE_TOL == 1e-6
     rng = np.random.default_rng(107)
     lat = build_lattice(build_grid(0.0, 1.0, 8))
     worst_pair = -np.inf
@@ -188,7 +192,7 @@ def test_criterion_07_representation_bounds():
         reps = []
         for _ in range(10):
             claim = random_pwl_claim(rng)
-            reps.append(represent(mech, claim, None, lat, bound_tol=1e-6))
+            reps.append(represent(mech, claim, None, lat))
             claims_done += 1
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
@@ -210,6 +214,7 @@ HIDDEN_GENERATORS = [
 
 def test_criterion_08_recovery_of_hidden_generators():
     """Tabulated recovery at level 8, refinement ratios, rebuild check."""
+    assert REBUILD_TOL == 1e-2
     ys = zs = [-2.0, -1.0, 0.0, 1.0, 2.0]
     pts = grid_points(ys, zs)
     details = []
@@ -241,7 +246,7 @@ def test_criterion_08_recovery_of_hidden_generators():
         mech = as_mechanism(gen, lat)
         verdict = verify_main_theorem(mech, lat, samples=6, seed=108, level=8,
                                       ys=ys, zs=zs)
-        ok = ok and verdict.passed(tol=1e-2)
+        ok = ok and verdict.passed()
         details.append(f"{name}: rebuild disc={verdict.max_discrepancy:.1e}")
 
     # a mechanism that is not dominated at its declared level must be caught

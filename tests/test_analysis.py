@@ -654,7 +654,7 @@ def _recover_per_probe(mech, level, points, tol=1e-9):
                                          f"mechanism is not dominated at mu={mech.mu:g}")
             m, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
             driver = (one_step - m[0]) / lat.dt
-            excess = abs(driver) - mech.mu * (abs(y) + abs(hedge[0]))
+            excess = abs(driver) - mech.mu * (abs(one_step) + abs(hedge[0]))
             if excess > 1e-6:
                 raise BoundViolated(f"{what} driver {driver:.6g} escapes mu-envelope "
                                     f"by {excess:.3g} at {at}")
@@ -745,6 +745,18 @@ class TestVectorisedRecovery:
         table, worst = _recover_per_probe(mech, level, pts)
         assert rec.table.tobytes() == table.tobytes()
         assert rec.lipschitz_ratio == worst
+
+    @pytest.mark.parametrize("steps, level", [(64, 6), (256, 8)])
+    def test_driver_on_its_envelope_is_recovered(self, steps, level):
+        # g(t, 0, 1) = -mu: the realized driver meets the envelope at the
+        # one-step price, which lies O(dt) away from the probe's start
+        gen = random_lipschitz_generator(np.random.default_rng(202))
+        assert gen(0.0, 0.0, 1.0) == -gen.mu
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        pts = grid_points(*[[-2.0, -1.0, 0.0, 1.0, 2.0]] * 2)
+        rec = recover_generator(as_mechanism(gen, lat), level, pts, lat)
+        assert rec.table.tobytes() == _recover_per_probe(as_mechanism(gen, lat), level,
+                                                         pts)[0].tobytes()
 
     @pytest.mark.parametrize("order", [
         [(0.0, 0.0), (1.0, 0.0), (-1.0, 1.0), (2.0, 2.0), (-2.0, -2.0)],

@@ -58,6 +58,16 @@ class TestPrice:
                           "--payoff", "call:100", "--steps", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("gen, spot, missing", [
+        ("zero", [], "--s0 and --vol (or a bs:... generator)"),
+        ("bs:r=0.05,b=0.08,sigma=0.2", [], "--s0"),
+        ("zero", ["--s0", "100"], "--vol (or a bs:... generator)"),
+    ], ids=["both", "spot", "vol"])
+    def test_call_payoff_names_what_is_missing(self, capsys, gen, spot, missing):
+        code = main(["price", "--gen", gen, "--payoff", "call:100", "--steps", "4", *spot])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: call/put payoffs need {missing}\n"
+
     def test_bs_parameters_are_used_as_typed(self, capsys):
         # sigma has more digits than the generator's display name keeps
         code, out = run_cli(capsys, "price",

@@ -32,7 +32,8 @@ from gmech import (
     verify_lipschitz,
     zero_generator,
 )
-from gmech.analysis import AXIOM_TOL, AxiomCheck, _reach_mask
+from gmech.analysis import AxiomCheck, _reach_mask
+from gmech.engine import PRICE_TOL
 
 from util import random_lipschitz_generator
 
@@ -153,7 +154,7 @@ class _Law:
     def record(self, violation, witness):
         c = self.check
         c.samples += 1
-        if violation > AXIOM_TOL:
+        if violation > PRICE_TOL:
             c.passed = False
             c.failures += 1
             if violation > c.worst_margin:
