@@ -34,8 +34,6 @@ from .lattice import (
     TimeGrid,
     build_grid,
     build_lattice,
-    one_step_expectation,
-    one_step_z,
 )
 from .generators import (
     BSMarketParams,
@@ -65,7 +63,6 @@ from .engine import (
     claim_from_values,
     compare,
     make_underlying_map,
-    monotone_condition,
     paste,
     price,
     random_claim,

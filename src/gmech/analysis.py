@@ -664,7 +664,6 @@ def recover_generator(
     level: int,
     sample_points: Sequence,
     lattice: Lattice | None = None,
-    time_indices: Sequence[int] | None = None,
 ) -> RecoveredGenerator:
     """Tabulate the generating function of a dominated mechanism.
 
@@ -685,7 +684,9 @@ def recover_generator(
     lat = _own_lattice(mech, lattice)
     if mech.mu is None:
         raise InvalidParams("mechanism must declare a domination constant mu")
-    if level < 0 or lat.n_steps % (1 << level) != 0:
+    if level < 0:
+        raise InvalidParams(f"level must be >= 0, got {level}")
+    if lat.n_steps % (1 << level) != 0:
         raise InvalidParams(
             f"lattice step count {lat.n_steps} is not divisible by 2^{level}"
         )
@@ -695,20 +696,16 @@ def recover_generator(
         raise InvalidParams("need at least one sample point")
 
     stride = lat.n_steps // (1 << level)
-    idx = (np.arange(1 << level, dtype=int) if time_indices is None
-           else np.asarray(sorted(set(int(i) for i in time_indices)), dtype=int))
-    if idx.size == 0 or idx[0] < 0 or idx[-1] >= (1 << level):
-        raise InvalidParams(f"time indices must lie in [0, {(1 << level) - 1}]")
 
     # each price_rows row is one probe's two children, clamped across the slice
     pts = np.asarray(points)
-    table = np.zeros((idx.size, len(points)))
-    for row, i in enumerate(idx):
-        t_step = int(i) * stride
+    table = np.zeros((1 << level, len(points)))
+    for i in range(1 << level):
+        t_step = i * stride
         probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mech.mu)
         cols = np.clip(np.arange(t_step + 2) - probe.anchor, 0, 1)
         one_steps = mech.price_rows(t_step, t_step + 1, probe.slices[1][:, cols])
-        table[row] = _decompose_probe(probe, one_steps[:, probe.anchor])
+        table[i] = _decompose_probe(probe, one_steps[:, probe.anchor])
 
     # Lipschitz certificate, one (P, P) matrix at a time; only coincident
     # points are skipped, so an overflowing ratio cannot read as 0
@@ -724,7 +721,7 @@ def recover_generator(
     if origin:
         zero_defect = float(np.max(np.abs(table[:, origin[0]])))
 
-    times = np.array([lat.grid.time(int(i) * stride) for i in idx])
+    times = np.array([lat.grid.time(i * stride) for i in range(1 << level)])
     return RecoveredGenerator(
         level=level, mu=float(mech.mu), times=times,
         points=points, table=table, lipschitz_ratio=worst_ratio,

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ChainDataError, GmechError
+from .errors import ChainDataError, GmechError, InvalidParams
 from .generators import (
     BSMarketParams,
     Generator,
@@ -71,6 +71,9 @@ def parse_generator(spec: str) -> Generator:
 def _bs_params(rest: str) -> BSMarketParams:
     """Market parameters of a ``bs:r=..,b=..,sigma=..`` spec, exactly as typed."""
     kv = dict(item.split("=", 1) for item in rest.split(",") if item)
+    missing = [k for k in ("r", "b", "sigma") if k not in kv]
+    if missing:
+        raise ValueError(f"bs: spec needs r, b and sigma; missing {', '.join(missing)}")
     return BSMarketParams(r=float(kv["r"]), b=float(kv["b"]),
                           sigma=float(kv["sigma"]))
 
@@ -214,6 +217,8 @@ def cmd_probe(args) -> int:
 
 def cmd_recover(args) -> int:
     gen = parse_generator(args.gen_hidden)
+    if args.level < 0:
+        raise InvalidParams(f"level must be >= 0, got {args.level}")
     steps = args.steps if args.steps else 2 ** args.level
     lattice = build_lattice(build_grid(args.t0, args.T, steps))
     mech = as_mechanism(gen, lattice)
@@ -224,10 +229,7 @@ def cmd_recover(args) -> int:
         ys = [float(v) for v in args.y_grid.split(",")]
         zs = [float(v) for v in args.z_grid.split(",")]
         pts = grid_points(ys, zs)
-    time_indices = ([int(v) for v in args.times.split(",")]
-                    if args.times else None)
-    recovered = recover_generator(mech, args.level, pts, lattice,
-                                  time_indices=time_indices)
+    recovered = recover_generator(mech, args.level, pts, lattice)
     ok = (recovered.lipschitz_ratio <= recovered.mu + RECOVERY_SLACK
           and (recovered.zero_defect is None or recovered.zero_defect <= RECOVERY_SLACK))
     if args.format == "csv":
@@ -351,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file with [[y, z], ...] sample points")
     p.add_argument("--y-grid", default="-2,-1,0,1,2")
     p.add_argument("--z-grid", default="-2,-1,0,1,2")
-    p.add_argument("--times", default=None,
-                   help="comma list of dyadic time indices (default: all)")
     p.add_argument("--steps", type=int, default=0,
                    help="lattice steps (default 2^level)")
     p.add_argument("--t0", type=float, default=0.0)

@@ -19,8 +19,8 @@ keeping the step-``s`` values (``price_rows``) or every step's
 values of many.  For a closed-form driver the kernel works in per-call
 column-major scratch arrays that the built-in closed forms overwrite in place
 (see :func:`_sweep`); its input is never written and its results are fresh
-row-major arrays.  ``z`` is never stored: it is read off ``y`` (see
-:class:`PricingResult`).  A :class:`MechanismHandle` is built from a black-box
+row-major arrays.  ``z`` is never stored: :func:`one_step_mz` reads it off
+``y``.  A :class:`MechanismHandle` is built from a black-box
 ``price_at`` alone; only :func:`as_mechanism` handles reach the kernel.
 A NaN or inf raises :class:`NonFiniteValue` naming the step and node where it
 first appears.
@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,7 +51,7 @@ from .errors import (
     StepOutOfRange,
 )
 from .generators import _LIPSCHITZ_SLACK, Generator, domination_generator
-from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz, one_step_z
+from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 
 PICARD_TOL = 1e-12
 PICARD_CAP = 100
@@ -148,8 +147,9 @@ class DividendStream:
             return self.increments.at(i)
         return np.zeros(i + 1)
 
-    def is_increasing(self, tol: float = 0.0) -> bool:
-        return all(np.all(s >= -tol) for s in self.increments.slices)
+    def is_increasing(self) -> bool:
+        """Every increment is at least ``-PRICE_TOL``."""
+        return all(np.all(s >= -PRICE_TOL) for s in self.increments.slices)
 
     @classmethod
     def from_rate(cls, lattice: Lattice, rate: float) -> "DividendStream":
@@ -160,10 +160,6 @@ class DividendStream:
     @classmethod
     def from_arrays(cls, lattice: Lattice, arrays: Sequence, start: int = 0) -> "DividendStream":
         return cls(AdaptedProcess(lattice, start, arrays))
-
-    def difference(self, other: "DividendStream") -> "DividendStream":
-        """Node-wise increment difference ``self - other`` on steps 0..n-1."""
-        return _payout_gap(self, other, self.lattice)
 
 
 def _increment_at(dividends: Optional[DividendStream], i: int):
@@ -185,18 +181,13 @@ def _payout_gap(a: Optional[DividendStream], b: Optional[DividendStream],
 
 # -- one-step kernel -----------------------------------------------------------
 
-def monotone_condition(mu: float, lattice: Lattice) -> bool:
-    return mu * (lattice.sqrt_dt + lattice.dt) <= 1.0
-
-
 def require_monotone(mu: float, lattice: Lattice) -> None:
     if not math.isfinite(mu):
         raise InvalidParams(f"mu must be finite, got {mu}")
-    if not monotone_condition(mu, lattice):
+    lhs = mu * (lattice.sqrt_dt + lattice.dt)
+    if not lhs <= 1.0:
         raise SchemeNotMonotone(
-            f"mu * (sqrt(dt) + dt) = {mu * (lattice.sqrt_dt + lattice.dt):.6g} > 1; "
-            "refine the grid or lower mu"
-        )
+            f"mu * (sqrt(dt) + dt) = {lhs:.6g} > 1; refine the grid or lower mu")
 
 
 def _non_finite(values: np.ndarray, step: int, what: str) -> NonFiniteValue:
@@ -352,24 +343,16 @@ def _owned(y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PricingResult:
-    """Solution of the backward recursion: value process and hedge process.
+    """Solution of the backward recursion: the value process and its solver stats.
 
     ``y.at(i)`` are node prices; the terminal slice equals the claim payoff
-    bitwise.  ``z.at(i)`` are the martingale-increment coefficients used over
-    step ``i``.  Only ``y`` is stored: ``z`` is derived from it on first read
-    by the kernel's own child operator, so it is bitwise the ``z`` the solve
-    used.  A zero-step solve has one all-zero ``z`` slice.
+    bitwise.  The hedge ``z`` over step ``i`` is
+    ``one_step_mz(y.at(i + 1), sqrt_dt)[1]``, bitwise the ``z`` the solve used.
     """
 
     y: AdaptedProcess
     picard_iters: int
     residual: float
-
-    @cached_property
-    def z(self) -> AdaptedProcess:
-        y = self.y
-        slices = [one_step_z(y, i) for i in range(y.start, y.stop)]
-        return AdaptedProcess(y.lattice, y.start, slices or [y.at(y.start) * 0.0])
 
 
 def solve_bsde(
@@ -655,7 +638,7 @@ def compare(
         return ComparisonVerdict(applicable=False, passed=None,
                                  reason="terminal payoffs are not ordered")
     gap = _payout_gap(dividends_a, dividends_b, lattice)
-    if gap is not None and not gap.is_increasing(tol=PRICE_TOL):
+    if gap is not None and not gap.is_increasing():
         return ComparisonVerdict(applicable=False, passed=None,
                                  reason="payout difference is not increasing")
 

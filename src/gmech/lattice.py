@@ -36,9 +36,6 @@ class TimeGrid:
             return float(self.T)
         return float(self.t0 + i * self.dt)
 
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.T, self.n_steps + 1)
-
 
 def build_grid(t0: float, T: float, n_steps: int) -> TimeGrid:
     """Validate and build a uniform time grid."""
@@ -127,19 +124,6 @@ class AdaptedProcess:
         return self.slices[i - self.start]
 
     @classmethod
-    def from_function(cls, lattice: Lattice, fn, start: int = 0, stop: int | None = None):
-        """Build from ``fn(t_i, node_values) -> values`` on steps ``start..stop``."""
-        stop = lattice.n_steps if stop is None else stop
-        slices = []
-        for i in range(start, stop + 1):
-            vals = np.broadcast_to(
-                np.asarray(fn(lattice.grid.time(i), lattice.node_values(i)), dtype=float),
-                (i + 1,),
-            )
-            slices.append(np.array(vals, dtype=float))
-        return cls(lattice, start, slices)
-
-    @classmethod
     def constant(cls, lattice: Lattice, value: float, start: int = 0, stop: int | None = None):
         stop = lattice.n_steps if stop is None else stop
         return cls(
@@ -162,16 +146,6 @@ def one_step_mz(nxt: np.ndarray, sqrt_dt: float, out=None):
     m, z = out
     return (np.multiply(np.add(up, down, out=m), 0.5, out=m),
             np.divide(np.subtract(up, down, out=z), 2.0 * sqrt_dt, out=z))
-
-
-def one_step_expectation(p: AdaptedProcess, i: int) -> np.ndarray:
-    """Conditional expectation of the step ``i + 1`` slice, seen from step ``i``."""
-    return one_step_mz(p.at(i + 1), p.lattice.sqrt_dt)[0]
-
-
-def one_step_z(p: AdaptedProcess, i: int) -> np.ndarray:
-    """Martingale-increment coefficient of the step ``i + 1`` slice."""
-    return one_step_mz(p.at(i + 1), p.lattice.sqrt_dt)[1]
 
 
 def _worst_node(slices, first: int = 0):

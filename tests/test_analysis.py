@@ -210,8 +210,8 @@ class TestDoobMeyer:
 
     def test_deterministic_drift(self, lat8):
         # value 1 - t under g == 0 sheds exactly dt per step, totalling T
-        y = AdaptedProcess.from_function(
-            lat8, lambda t, b: (1.0 - t) + 0.0 * b)
+        y = AdaptedProcess(lat8, 0, [np.full(i + 1, 1.0 - lat8.grid.time(i))
+                                     for i in range(9)])
         result = doob_meyer(zero_generator(), y, None, lat8)
         total = 0.0
         for i in range(8):
@@ -260,7 +260,7 @@ class TestDoobMeyer:
 
     def test_submartingale_rejected(self, lat8):
         g = zero_generator()
-        y = AdaptedProcess.from_function(lat8, lambda t, b: t + 0.0 * b)
+        y = AdaptedProcess(lat8, 0, [np.full(i + 1, lat8.grid.time(i)) for i in range(9)])
         with pytest.raises(NotSupermartingale):
             doob_meyer(g, y, None, lat8)
 
@@ -499,15 +499,16 @@ class TestRecoverGenerator:
 
     def test_probe_envelope_violation_names_the_lattice_node(self):
         # a negative driver passes the defect check but escapes the envelope;
-        # time index 3 of 16 puts the probe at step 12, anchor node 6
+        # it turns on at t = 0.75, time index 12 of 16: step 48, anchor node 24
         lat = build_lattice(build_grid(0.0, 1.0, 64))
-        neg = Generator(fn=lambda t, y, z: -np.abs(np.asarray(z, float)), mu=1.0,
-                        name="neg_abs_z")
+        neg = Generator(
+            fn=lambda t, y, z: np.where(t >= 0.75, -np.abs(np.asarray(z, float)), 0.0),
+            mu=1.0, name="late_neg_abs_z")
         mech = as_mechanism(neg, lat)
         mech.mu = 0.3
         with pytest.raises(BoundViolated, match=r"^probe \(y=0, z=2\) driver -2 escapes "
-                           r"mu-envelope by \S+ at step 12, node 6$"):
-            recover_generator(mech, 4, [(0.0, 2.0)], lat, time_indices=[3])
+                           r"mu-envelope by \S+ at step 48, node 24$"):
+            recover_generator(mech, 4, [(0.0, 2.0)], lat)
 
     @pytest.mark.parametrize("steps, level", [(64, 4), (128, 5), (256, 6), (64, 2)])
     def test_extremal_driver_recovered_when_intervals_span_steps(self, steps, level):
@@ -594,7 +595,7 @@ class TestRecoverGenerator:
         lat = build_lattice(build_grid(0.0, 1.0, 16))
         mech = as_mechanism(zero_generator(), lat)
         pts = grid_points([0.0, 1.0], [0.0, 1.0])
-        rec = recover_generator(mech, 4, pts[::-1], lat, time_indices=[0])
+        rec = recover_generator(mech, 4, pts[::-1], lat)
         assert rec.grid is None
         with pytest.raises(InvalidParams):
             rec.value(0.0, 0.5, 0.5)
@@ -612,13 +613,12 @@ class TestRecoverGenerator:
     def test_time_subset_and_serialization(self):
         lat = build_lattice(build_grid(0.0, 1.0, 16))
         mech = as_mechanism(linear_generator(-0.1, 0.2), lat)
-        rec = recover_generator(mech, 4, grid_points([0, 1], [0, 1]), lat,
-                                time_indices=[0, 7, 15])
-        assert rec.times.shape == (3,)
+        rec = recover_generator(mech, 4, grid_points([0, 1], [0, 1]), lat)
+        assert rec.times.shape == (16,)
         rows = list(rec.rows())
-        assert len(rows) == 12
+        assert len(rows) == 64
         d = rec.as_dict()
-        assert d["level"] == 4 and len(d["rows"]) == 12
+        assert d["level"] == 4 and len(d["rows"]) == 64
 
 
 WALK = TerminalClaim(lambda b: np.asarray(b, dtype=float), name="walk")

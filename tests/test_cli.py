@@ -1,6 +1,9 @@
 """Command surface: outputs, exit codes, and report determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +70,16 @@ class TestPrice:
         code = main(["price", "--gen", gen, "--payoff", "call:100", "--steps", "4", *spot])
         assert code == 2
         assert capsys.readouterr().err == f"error: call/put payoffs need {missing}\n"
+
+    @pytest.mark.parametrize("spec, missing", [
+        ("b=0.08,sigma=0.2", "r"), ("r=0.05,sigma=0.2", "b"),
+        ("r=0.05,b=0.08", "sigma"), ("r=0.05", "b, sigma"),
+    ])
+    def test_bs_spec_names_every_missing_key(self, capsys, spec, missing):
+        code = main(["price", "--gen", f"bs:{spec}", "--payoff", "bm", "--steps", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bs: spec needs r, b and sigma; missing {missing}\n")
 
     def test_bs_parameters_are_used_as_typed(self, capsys):
         # sigma has more digits than the generator's display name keeps
@@ -178,6 +191,17 @@ class TestDecomposeProbeRecover:
         assert code == 0
         assert out.splitlines()[0] == "t,y,z,g"
 
+    @pytest.mark.parametrize("steps", [[], ["--steps", "64"]], ids=["default", "64"])
+    def test_recover_negative_level_is_named(self, capsys, steps):
+        code = main(["recover", "--gen-hidden", "zero", "--level", "-1", *steps])
+        assert code == 1
+        assert capsys.readouterr().err == "error: level must be >= 0, got -1\n"
+
+    def test_recover_has_no_times_option(self, capsys):
+        code = main(["recover", "--gen-hidden", "zero", "--level", "2", "--times", "0"])
+        assert code == 2
+        assert "unrecognized arguments: --times" in capsys.readouterr().err
+
     def test_recover_points_file(self, capsys, tmp_path):
         points = tmp_path / "grid.json"
         points.write_text(json.dumps([[1.0, 1.0], [0.0, 0.0]]))
@@ -282,3 +306,23 @@ class TestAuditAndSynth:
                             "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "family,tested,passed,violated"
+
+
+def _readme_cli_commands():
+    """The commands of the fenced block under README's "## CLI" heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```\n(.*?)^```", readme, re.S | re.M).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # synth writes chain.csv into the working directory; audit reads it back
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    names = [argv[1] for argv in commands]
+    assert names.index("synth") < names.index("audit")
+    for argv in commands:
+        assert argv[0] == "gmech"
+        assert main(argv[1:]) == 0, " ".join(argv)
+        capsys.readouterr()

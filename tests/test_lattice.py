@@ -11,11 +11,11 @@ from gmech import (
     ZeroSteps,
     build_grid,
     build_lattice,
-    one_step_expectation,
-    one_step_z,
     zero_generator,
     solve_bsde,
 )
+
+from gmech.lattice import one_step_mz
 
 from util import binomial_expectation, random_pwl_claim
 
@@ -45,7 +45,7 @@ class TestGrid:
     def test_times_increasing_and_exact_endpoint(self):
         for n in (1, 3, 7, 100):
             grid = build_grid(0.25, 2.0, n)
-            ts = grid.times()
+            ts = np.array([grid.time(i) for i in range(n + 1)])
             assert np.all(np.diff(ts) > 0)
             assert ts[0] == 0.25 and ts[-1] == 2.0
             assert grid.time(n) == 2.0
@@ -75,42 +75,51 @@ class TestLattice:
         assert 0.5 * (up * up + dn * dn) == pytest.approx(lat8.dt, abs=1e-16)
 
 
+def _m(p, i):
+    """One-step conditional expectation of the step ``i + 1`` slice of ``p``."""
+    return one_step_mz(p.at(i + 1), p.lattice.sqrt_dt)[0]
+
+
+def _z(p, i):
+    """Martingale-increment coefficient of the step ``i + 1`` slice of ``p``."""
+    return one_step_mz(p.at(i + 1), p.lattice.sqrt_dt)[1]
+
+
 class TestOneStepOperators:
     def test_expectation_of_constant(self, lat4):
         p = AdaptedProcess.constant(lat4, 3.5)
-        assert np.array_equal(one_step_expectation(p, 2), np.full(3, 3.5))
+        assert np.array_equal(_m(p, 2), np.full(3, 3.5))
 
     def test_walk_is_a_martingale(self, lat8):
         # each node value is one rounded product, so the averaged children
         # agree with the parent to an ulp rather than bitwise
-        walk = AdaptedProcess.from_function(lat8, lambda t, b: b)
+        walk = AdaptedProcess(lat8, 0, [lat8.node_values(i) for i in range(9)])
         for i in range(8):
-            assert np.allclose(one_step_expectation(walk, i),
-                               lat8.node_values(i), atol=1e-14, rtol=0)
+            assert np.allclose(_m(walk, i), lat8.node_values(i), atol=1e-14, rtol=0)
 
     def test_symmetry_at_root(self, lat4):
         p = AdaptedProcess(lat4, 0, [np.array([0.0]),
                                      np.array([-lat4.sqrt_dt, lat4.sqrt_dt])])
-        assert one_step_expectation(p, 0)[0] == 0.0
+        assert _m(p, 0)[0] == 0.0
 
     def test_z_of_linear_slice(self, lat4):
-        walk = AdaptedProcess.from_function(lat4, lambda t, b: 2.0 * b)
+        walk = AdaptedProcess(lat4, 0, [2.0 * lat4.node_values(i) for i in range(5)])
         for i in range(4):
-            assert np.allclose(one_step_z(walk, i), 2.0, atol=0, rtol=0)
+            assert np.allclose(_z(walk, i), 2.0, atol=0, rtol=0)
 
     def test_z_of_constant_is_zero(self, lat4):
         p = AdaptedProcess.constant(lat4, 7.0)
-        assert np.array_equal(one_step_z(p, 1), np.zeros(2))
+        assert np.array_equal(_z(p, 1), np.zeros(2))
 
     def test_z_explicit_value(self, lat4):
         # slice (0, 1) at step 1 with dt = 0.25: (1 - 0) / (2 * 0.5) = 1.0
         p = AdaptedProcess(lat4, 0, [np.array([0.0]), np.array([0.0, 1.0])])
-        assert one_step_z(p, 0)[0] == 1.0
+        assert _z(p, 0)[0] == 1.0
 
     def test_out_of_range(self, lat4):
         p = AdaptedProcess.constant(lat4, 1.0, start=0, stop=2)
         with pytest.raises(StepOutOfRange):
-            one_step_expectation(p, 2)
+            _m(p, 2)
 
     def test_linearity(self, lat8):
         rng = np.random.default_rng(11)
@@ -121,7 +130,7 @@ class TestOneStepOperators:
             comb = AdaptedProcess(
                 lat8, 0, [a.at(i) + lam * b.at(i) for i in range(9)])
             for i in (0, 3, 7):
-                for op in (one_step_expectation, one_step_z):
+                for op in (_m, _z):
                     assert np.allclose(
                         op(comb, i), op(a, i) + lam * op(b, i),
                         atol=1e-12, rtol=0)
