@@ -69,8 +69,19 @@ def parse_generator(spec: str) -> Generator:
 
 
 def _bs_params(rest: str) -> BSMarketParams:
-    """Market parameters of a ``bs:r=..,b=..,sigma=..`` spec, exactly as typed."""
-    kv = dict(item.split("=", 1) for item in rest.split(",") if item)
+    """Market parameters of a ``bs:r=..,b=..,sigma=..`` spec, exactly as typed.
+    An item that is not ``key=value``, an unknown key or a repeated key is
+    named in a ``ValueError``."""
+    kv = {}
+    for item in filter(None, rest.split(",")):
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"bs: spec item {item!r} is not key=value")
+        if key not in ("r", "b", "sigma"):
+            raise ValueError(f"bs: spec has unknown key {key!r}; keys are r, b and sigma")
+        if key in kv:
+            raise ValueError(f"bs: spec repeats key {key!r}")
+        kv[key] = value
     missing = [k for k in ("r", "b", "sigma") if k not in kv]
     if missing:
         raise ValueError(f"bs: spec needs r, b and sigma; missing {', '.join(missing)}")

@@ -20,7 +20,9 @@ values of many.  For a closed-form driver the kernel works in per-call
 column-major scratch arrays that the built-in closed forms overwrite in place
 (see :func:`_sweep`); its input is never written and its results are fresh
 row-major arrays.  ``z`` is never stored: :func:`one_step_mz` reads it off
-``y``.  A :class:`MechanismHandle` is built from a black-box
+``y``.  Under a linear driver a root price is also one binomial sum,
+:func:`_linear_root`, which the chain audit uses for the payoff rows that keep
+the extremal driver linear.  A :class:`MechanismHandle` is built from a black-box
 ``price_at`` alone; only :func:`as_mechanism` handles reach the kernel.
 A NaN or inf raises :class:`NonFiniteValue` naming the step and node where it
 first appears.
@@ -389,6 +391,29 @@ def solve_terminal_batch(g: Generator, terminal: np.ndarray, lattice: Lattice,
     terminal)[:, 0]``.  The inequality audit prices through this entry."""
     n = lattice.n_steps if t_step is None else t_step
     return as_mechanism(g, lattice).price_rows(0, n, np.atleast_2d(terminal))[:, 0]
+
+
+def _linear_root(rows: np.ndarray, a, b: float, lattice: Lattice) -> np.ndarray:
+    """Root values of ``(k, n + 1)`` terminal rows under the linear driver
+    ``a y + b z``, no dividends, as one sum that shares no code with the kernel.
+
+    The one-step map ``(m + b z dt) / (1 - a dt)`` weighs the up child by
+    ``p = (1 + b sqrt(dt)) / 2``, so the root is ``(1 - a dt)^(-n) (rows @ w)``
+    with ``w`` the n-step binomial law at ``p``, built by n two-point
+    convolutions (tail weights that underflow to 0 do no harm).  ``a`` is one
+    number or one per row.  Equal to the kernel's price up to rounding.
+    """
+    n = rows.shape[-1] - 1
+    # the larger weight is >= 1/2, so 1 - it is exact and the two weights sum
+    # to 1: a rounded pair would drift the law's mass by n roundings
+    big = 0.5 * (1.0 + abs(b) * lattice.sqrt_dt)
+    up, down = (big, 1.0 - big) if b >= 0 else (1.0 - big, big)
+    w = np.zeros(n + 1)
+    w[0] = 1.0
+    for k in range(1, n + 1):
+        w[1:k + 1] = down * w[1:k + 1] + up * w[:k]
+        w[0] *= down
+    return (1.0 - np.asarray(a, dtype=float) * lattice.dt) ** -n * (rows @ w)
 
 
 # -- mechanism handles -----------------------------------------------------------

@@ -124,8 +124,9 @@ def test_traced_blackbox_sequence_reaches_every_predicted_layer(monkeypatch, tmp
 
 
 def test_traced_audit_reaches_every_predicted_layer(monkeypatch, tmp_path):
-    # the chain_audit workload predicts one engine.batch span per payoff
-    # family and audit, and no driver evaluation or analysis routine
+    # the chain_audit workload predicts engine.batch spans and no driver
+    # evaluation or analysis routine; the audit runs the batch kernel for
+    # call_put and put_call only (call_call and put_put are binomial sums)
     _load("reference", "reference.py", monkeypatch)
     chain_audit = _load("workloads", "workloads.py", monkeypatch).WORKLOADS["chain_audit"]
     tracing = _load_tracing()
@@ -142,4 +143,4 @@ def test_traced_audit_reaches_every_predicted_layer(monkeypatch, tmp_path):
     metrics = tracing.layer_metrics(tracer.summary(), tracer.counters)
     assert [m for m in chain_audit.exercised if not metrics[m][0]] == []
     assert [m for m in chain_audit.bypassed if metrics[m][0]] == []
-    assert metrics["engine.batch.calls"][0] == 4
+    assert metrics["engine.batch.calls"][0] == 2

@@ -81,6 +81,18 @@ class TestPrice:
         assert capsys.readouterr().err == (
             f"error: bs: spec needs r, b and sigma; missing {missing}\n")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("r=0.05,b,sigma=0.2", "bs: spec item 'b' is not key=value"),
+        ("r=0.05,b=0.1,sigma=0.2,q=1", "bs: spec has unknown key 'q'; keys are r, b and sigma"),
+        ("r=0.05,b=0.1,sigma=0.2,r=0.07", "bs: spec repeats key 'r'"),
+    ], ids=["not-key-value", "unknown-key", "repeated-key"])
+    def test_bs_spec_names_the_bad_item(self, capsys, spec, message):
+        # these exited 2 with Python's own dict message, or priced silently
+        # without q or with the last r
+        code = main(["price", "--gen", f"bs:{spec}", "--payoff", "bm", "--steps", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bs_parameters_are_used_as_typed(self, capsys):
         # sigma has more digits than the generator's display name keeps
         code, out = run_cli(capsys, "price",

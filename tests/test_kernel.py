@@ -5,8 +5,12 @@ arrays and lets the built-in closed forms overwrite them.  These tests hold
 it to a row-major, allocating kernel written out here, bit for bit, on the
 closed-form path (the recovered driver's closed form returns a new array)
 and on the Picard path with its Aitken step, and check that no input is
-ever written.
+ever written.  The binomial sum ``engine._linear_root``, which shares no code
+with the kernel, is an exact oracle for both paths under linear drivers and
+under the extremal driver on one-signed monotone rows.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from gmech import (
     zero_generator,
 )
 from gmech.analysis import grid_points
-from gmech.engine import PICARD_CAP, PICARD_TOL, PICARD_ULPS, _backward
+from gmech.engine import PICARD_CAP, PICARD_TOL, PICARD_ULPS, _backward, _linear_root
 from gmech.generators import _LIPSCHITZ_SLACK
 
 from util import random_lipschitz_generator, signed_stream
@@ -187,3 +191,45 @@ def test_copysign_denominator_equals_the_where_form(mu):
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+ORACLE_STEPS = 2000
+
+
+def _kernel_paths(g):
+    """The driver and its fn-only copy, which takes the Picard path."""
+    return {"closed form": g, "Picard": replace(g, exact_step=None)}
+
+
+def _signed_monotone_rows(rng, k, n, sign_y, sign_z):
+    """``k`` random rows of ``n + 1`` nodes, one-signed with sign ``sign_y``
+    and monotone across nodes with sign ``sign_z``, with flat stretches."""
+    steps = rng.uniform(0.0, 1.0, (k, n + 1)) * (rng.uniform(size=(k, n + 1)) < 0.3)
+    base = np.cumsum(steps, axis=1)
+    base *= rng.uniform(0.5, 2.0, (k, 1)) / base[:, -1:]
+    return sign_y * base[:, ::sign_y * sign_z]
+
+
+@pytest.mark.parametrize("a, b", [(-0.25, 0.35), (0.4, -0.3), (0.0, 0.0)])
+def test_linear_root_is_the_kernel_price_under_a_linear_driver(a, b):
+    lat = build_lattice(build_grid(0.0, 1.0, ORACLE_STEPS))
+    rows = np.random.default_rng(61).uniform(-2.0, 2.0, (4, ORACLE_STEPS + 1))
+    want = _linear_root(rows, a, b, lat)
+    for path, g in _kernel_paths(linear_generator(a, b)).items():
+        gap = np.abs(solve_terminal_batch(g, rows, lat) - want).max()
+        assert gap <= 1e-12 * (1.0 + np.abs(rows).max()), (path, gap)
+
+
+@pytest.mark.parametrize("sign_y", [1, -1])
+@pytest.mark.parametrize("sign_z", [1, -1])
+def test_linear_root_is_the_extremal_price_of_signed_monotone_rows(sign_y, sign_z):
+    # the monotone scheme keeps every slice one-signed and monotone, so
+    # mu (|y| + |z|) is the linear driver sign_y mu y + sign_z mu z throughout
+    mu = 0.5
+    lat = build_lattice(build_grid(0.0, 1.0, ORACLE_STEPS))
+    rng = np.random.default_rng([67, sign_y + 1, sign_z + 1])
+    rows = _signed_monotone_rows(rng, 4, ORACLE_STEPS, sign_y, sign_z)
+    want = _linear_root(rows, sign_y * mu, sign_z * mu, lat)
+    for path, g in _kernel_paths(domination_generator(mu)).items():
+        gap = np.abs(solve_terminal_batch(g, rows, lat) - want).max()
+        assert gap <= 1e-12 * (1.0 + np.abs(rows).max()), (path, gap)

@@ -161,10 +161,14 @@ def _pairs(m):
     return np.array([(i, j) for i in range(m) for j in range(m) if i != j]).T
 
 
+def _terminal_spot(chain, n, vol):
+    lat = build_lattice(build_grid(0.0, chain.tau, n))
+    return chain.underlying * np.exp(vol * lat.node_values(n) - 0.5 * vol * vol * chain.tau)
+
+
 def _family_terminals(chain, n, vol):
     """``(family, lhs, terminal rows)`` of the audit, in report order."""
-    lat = build_lattice(build_grid(0.0, chain.tau, n))
-    s = chain.underlying * np.exp(vol * lat.node_values(n) - 0.5 * vol * vol * chain.tau)
+    s = _terminal_spot(chain, n, vol)
     call = np.maximum(s[None, :] - chain.strikes[:, None], 0.0)
     put = np.maximum(chain.strikes[:, None] - s[None, :], 0.0)
     ii, jj = _pairs(chain.n_strikes)
@@ -257,19 +261,56 @@ class TestDominationAudit:
 
     def test_families_are_priced_in_order_on_the_calling_thread(self, monkeypatch):
         chain = synth_chain(PARAMS, 100.0, np.linspace(90, 110, 6), 0.0, 0.5)
-        calls = []
+        calls, sums = [], []
+        linear_root = market._linear_root
 
         def recording(g, terminal, lattice):
             calls.append((threading.get_ident(), terminal))
             return solve_terminal_batch(g, terminal, lattice)
 
+        def recording_sum(rows, a, b, lattice):
+            sums.append((rows, a, b))
+            return linear_root(rows, a, b, lattice)
+
         monkeypatch.setattr(market, "solve_terminal_batch", recording)
+        monkeypatch.setattr(market, "_linear_root", recording_sum)
         run_domination_test(chain, 0.5, 64, 0.2)
-        assert [ident for ident, _ in calls] == [threading.get_ident()] * 4
+        # the kernel prices call_put, then put_call
+        assert [ident for ident, _ in calls] == [threading.get_ident()] * 2
         want = _family_terminals(chain, 64, 0.2)
         assert [name for name, *_ in want] == list(market._FAMILIES)
-        for (_, got), (_, _, terminal) in zip(calls, want):
+        for (_, got), (_, _, terminal) in zip(calls, want[2:]):
             assert np.array_equal(got, terminal)
+        # one sum per strike order prices that order's call_call rows, then its
+        # put_put rows: the payoff differences up to the rounding of s - K
+        ii, jj = _pairs(chain.n_strikes)
+        tol = 2.0 * np.spacing(np.maximum(_terminal_spot(chain, 64, 0.2), chain.strikes[-1]))
+        assert [b for *_, b in sums] == [0.5, -0.5]
+        for rows, a, b in sums:
+            pick = np.sign(jj - ii) == np.sign(b)
+            diff = np.concatenate([want[0][2][pick], want[1][2][pick]])
+            assert rows.shape == diff.shape
+            assert np.all(np.abs(rows - diff) <= tol)
+            assert np.array_equal(a, np.repeat([b, -b], np.count_nonzero(pick)))
+
+    def test_wrong_way_node_is_named(self, monkeypatch):
+        # a spot that falls from node 8 to node 9 turns the call_call row of
+        # strikes 95 and 105 back there
+        chain = synth_chain(PARAMS, 100.0, [95.0, 105.0], 0.0, 0.5)
+        spot_map = market.make_underlying_map
+
+        def bent(*args):
+            def spot(b):
+                s = spot_map(*args)(b)
+                s[8], s[9] = 104.0, 96.0
+                return s
+            return spot
+
+        monkeypatch.setattr(market, "make_underlying_map", bent)
+        with pytest.raises(InvariantError, match=(
+                r"^call_call pair \(0, 1\): payoff row leaves sign \+1 or "
+                r"direction \+1 at node 9$")):
+            run_domination_test(chain, 0.5, 16, 0.2)
 
     def test_noisy_audit_matches_two_branch_recursion(self):
         chain = synth_chain(PARAMS, 100.0, np.linspace(85, 115, 8), 0.0, 0.5,
