@@ -36,7 +36,7 @@ from .errors import (
     NotSupermartingale,
     StepOutOfRange,
 )
-from .generators import Generator, GeneratorFlags, _tallies, _witnessed
+from .generators import Generator, GeneratorFlags, _mz_step, _tallies, _witnessed
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 from .engine import (
     PICARD_TOL,
@@ -626,7 +626,7 @@ class RecoveredGenerator:
             flags=GeneratorFlags(zero_at_zero=self.zero_defect is not None
                                  and self.zero_defect <= RECOVERY_SLACK),
             name=f"recovered(level={self.level})",
-            exact_step=self._exact_step,
+            exact_step=_mz_step(self._exact_step),
         )
 
     def as_dict(self) -> dict:

@@ -60,12 +60,20 @@ def parse_generator(spec: str) -> Generator:
     if kind == "zero":
         return zero_generator()
     if kind == "gmu":
-        return domination_generator(float(rest))
+        return domination_generator(_number(spec, "mu", rest))
     if kind == "abs_z":
-        return abs_z_generator(float(rest))
+        return abs_z_generator(_number(spec, "coef", rest))
     if kind == "bs":
         return black_scholes_generator(_bs_params(rest))
     raise ValueError(f"unknown generator spec {spec!r}")
+
+
+def _number(spec: str, key: str, text: str) -> float:
+    """``float(text)``, or a ``ValueError`` naming the spec and the key."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"spec {spec!r}: {key} must be a number, got {text!r}") from None
 
 
 def _bs_params(rest: str) -> BSMarketParams:
@@ -85,8 +93,7 @@ def _bs_params(rest: str) -> BSMarketParams:
     missing = [k for k in ("r", "b", "sigma") if k not in kv]
     if missing:
         raise ValueError(f"bs: spec needs r, b and sigma; missing {', '.join(missing)}")
-    return BSMarketParams(r=float(kv["r"]), b=float(kv["b"]),
-                          sigma=float(kv["sigma"]))
+    return BSMarketParams(**{k: _number(f"bs:{rest}", k, v) for k, v in kv.items()})
 
 
 def parse_payoff(spec: str, args) -> TerminalClaim:
@@ -95,15 +102,15 @@ def parse_payoff(spec: str, args) -> TerminalClaim:
     if kind == "bm":
         return TerminalClaim(lambda b: np.asarray(b, dtype=float), name="bm")
     if kind == "linbm":
-        zbar = float(rest)
+        zbar = _number(spec, "zbar", rest)
         return TerminalClaim(lambda b: zbar * np.asarray(b, dtype=float),
                              name=spec)
     if kind == "const":
-        c = float(rest)
+        c = _number(spec, "constant", rest)
         return TerminalClaim(lambda b: c + 0.0 * np.asarray(b, dtype=float),
                              name=spec)
     if kind in ("call", "put"):
-        strike = float(rest)
+        strike = _number(spec, "strike", rest)
         s0, vol, drift = _underlying_args(args)
         to_price = make_underlying_map(s0, vol, args.T - args.t0, drift)
         if kind == "call":

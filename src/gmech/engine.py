@@ -16,11 +16,11 @@ surface of one claim with its dividends, and the hooks of an
 keeping the step-``s`` values (``price_rows``) or every step's
 (``price_surfaces``).  The handle's ``price_at``, :func:`price` and
 :func:`solve_terminal_batch` are views of that batch: one row, and the root
-values of many.  For a closed-form driver the kernel works in per-call
+values of many.  A closed-form driver steps from the next slice into per-call
 column-major scratch arrays that the built-in closed forms overwrite in place
 (see :func:`_sweep`); its input is never written and its results are fresh
-row-major arrays.  ``z`` is never stored: :func:`one_step_mz` reads it off
-``y``.  Under a linear driver a root price is also one binomial sum,
+row-major arrays.  ``z`` is never stored, and the extremal driver's closed form
+never forms it.  Under a linear driver a root price is also one binomial sum,
 :func:`_linear_root`, which the chain audit uses for the payoff rows that keep
 the extremal driver linear.  A :class:`MechanismHandle` is built from a black-box
 ``price_at`` alone; only :func:`as_mechanism` handles reach the kernel.
@@ -226,15 +226,9 @@ def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
     floor above ``PICARD_TOL`` only from ``|y| = 8192`` up).  The iteration
     count is the driver calls.  In a batch of two or more rows each row stops
     on its own test and is then frozen, Aitken step included, so a row's bits
-    do not depend on its batch.
-    Drivers that carry a closed-form one-step inverse bypass the iteration; a
-    :class:`ContractionViolation` one raises gains the step.
+    do not depend on its batch.  Closed-form drivers never come here (see
+    :func:`_sweep`).
     """
-    if g.exact_step is not None:
-        try:
-            return np.asarray(g.exact_step(t, m, z, dk, dt), dtype=float), 1, 0.0
-        except ContractionViolation as err:
-            raise ContractionViolation(f"step {step}, {err}") from None
     y = np.asarray(m, dtype=float)
     batched = y.ndim > 1 and len(y) > 1
     done = d2 = None
@@ -279,26 +273,32 @@ def _sweep(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
 
     For a closed form, ``cur`` is copied once into a column-major work array,
     so the node slice ``[..., :k]`` of a ``(rows, nodes)`` batch is one
-    contiguous block, and ``m`` and ``z`` go into two scratch arrays of that
-    layout.  A closed form that returns its scratch ``m`` (see
-    :class:`Generator`) swaps it in as the work array; any other ``y`` is
-    adopted as it is.  A yielded ``y_i`` may therefore be scratch, valid only
-    until the next step.  A Picard step allocates its ``y`` anyway and hands
-    ``m`` and ``z`` to driver code, which ran up to 14% slower on column-major
-    batches of few rows, so it gets fresh row-major ``m`` and ``z``.
+    contiguous block, and the closed form steps from it into two scratch
+    arrays of that layout (see :class:`Generator`).  A returned ``out[0]`` is
+    swapped in as the work array; any other ``y`` is adopted as it is.  A
+    yielded ``y_i`` may therefore be scratch, valid only until the next step;
+    a :class:`ContractionViolation` gains the step.  A Picard step allocates
+    its ``y`` anyway and hands ``m`` and ``z`` to driver code, which ran up to
+    14% slower on column-major batches of few rows, so it gets fresh
+    row-major ``m`` and ``z``.
     """
-    dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
-    in_place = g.exact_step is not None
-    if in_place:
+    dt, sqrt_dt, exact_step = lattice.dt, lattice.sqrt_dt, g.exact_step
+    if exact_step is not None:
         work = cur = np.array(cur, dtype=float, order="F")
-        m_buf, z_buf = np.empty_like(work), np.empty_like(work)
+        y_buf, spare = np.empty_like(work), np.empty_like(work)
     for i in range(n - 1, s - 1, -1):
-        out = (m_buf[..., :i + 1], z_buf[..., :i + 1]) if in_place else None
-        m, z = one_step_mz(cur, sqrt_dt, out=out)
-        cur, iters, resid = _implicit_step(g, i, lattice.grid.time(i), m, z,
-                                           _increment_at(dividends, i), dt)
-        if in_place and cur.base is m_buf:
-            work, m_buf = m_buf, work
+        t, dk = lattice.grid.time(i), _increment_at(dividends, i)
+        if exact_step is None:
+            cur, iters, resid = _implicit_step(g, i, t, *one_step_mz(cur, sqrt_dt), dk, dt)
+        else:
+            try:
+                cur = np.asarray(exact_step(t, cur, dk, dt, (y_buf[..., :i + 1],
+                                                             spare[..., :i + 1])), dtype=float)
+            except ContractionViolation as err:
+                raise ContractionViolation(f"step {i}, {err}") from None
+            iters, resid = 1, 0.0
+            if cur.base is y_buf:
+                work, y_buf = y_buf, work
         yield i, cur, iters, resid
 
 
@@ -348,8 +348,9 @@ class PricingResult:
     """Solution of the backward recursion: the value process and its solver stats.
 
     ``y.at(i)`` are node prices; the terminal slice equals the claim payoff
-    bitwise.  The hedge ``z`` over step ``i`` is
-    ``one_step_mz(y.at(i + 1), sqrt_dt)[1]``, bitwise the ``z`` the solve used.
+    bitwise.  The hedge ``z`` over step ``i`` is ``one_step_mz(y.at(i + 1),
+    sqrt_dt)[1]``: bitwise the ``z`` a Picard step or an ``(m, z)`` closed form
+    used; the extremal driver's closed form never forms it.
     """
 
     y: AdaptedProcess

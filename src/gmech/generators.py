@@ -9,12 +9,14 @@ are falsification checks, not proofs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidParams, NegativeMu
+from .lattice import one_step_mz
 
 # Pairs closer than this in the sum norm are skipped in Lipschitz sampling.
 _MIN_SEPARATION = 1e-12
@@ -39,14 +41,17 @@ class Generator:
     ``fn`` must be deterministic, side-effect free and vectorized over
     numpy arrays in ``y`` and ``z`` (``t`` is always a scalar).
 
-    ``exact_step``, when present, solves the implicit one-step equation
-    ``y = m + fn(t, y, z) dt + dk`` in closed form; the backward solver uses
-    it in place of the fixed-point iteration.  It must return the same fixed
-    point the iteration would converge to.  The solver passes scratch ``m``
-    and ``z`` that it owns and never reads again; a closed form may overwrite
-    both and return ``m``, or return a new array.  The built-in closed forms
-    do overwrite them, so a caller outside the solver passes copies.  A
-    :class:`ContractionViolation` it raises names the node; the solver adds the step.
+    ``exact_step(t, nxt, dk, dt, out)``, when present, solves the implicit
+    one-step equation ``y = m + fn(t, y, z) dt + dk``, where ``m, z =
+    one_step_mz(nxt, sqrt(dt))``, in closed form from the ``(..., k + 1)``
+    next slice ``nxt``; the backward solver uses it in place of the
+    fixed-point iteration.  It must return the fixed point the iteration
+    would converge to, up to rounding, and never write ``nxt``.  ``out`` is
+    two scratch arrays of the result's shape that the solver owns and never
+    reads again: a closed form may overwrite both and return ``out[0]``, or
+    return a new array.  A caller outside the solver passes ``None``, and the
+    closed form allocates.  A :class:`ContractionViolation` it raises names
+    the node; the solver adds the step.
     """
 
     fn: Callable
@@ -89,13 +94,13 @@ def _finite(name: str, value) -> float:
     return value
 
 
-# The closed-form steps below overwrite the scratch ``m`` and ``z`` the
-# solver hands them (see :class:`Generator`) with the operations, in the
-# order, of the plain expressions in their comments, so the bits are the same.
+# The closed-form steps below overwrite the scratch the solver hands them
+# (see :class:`Generator`) with the operations, in the order, of the plain
+# expressions in their comments, so the bits are the same.
 
-def _abs_z_part(z, coef: float, dt: float):
-    """``coef * |z| * dt``, written over ``z``."""
-    return np.multiply(np.multiply(np.abs(z, out=z), coef, out=z), dt, out=z)
+def _mz_step(step: Callable) -> Callable:
+    """``step(t, m, z, dk, dt)`` as an ``exact_step``: ``m`` and ``z`` go into ``out``."""
+    return lambda t, nxt, dk, dt, out: step(t, *one_step_mz(nxt, math.sqrt(dt), out=out), dk, dt)
 
 
 def zero_generator() -> Generator:
@@ -106,7 +111,7 @@ def zero_generator() -> Generator:
         flags=GeneratorFlags(zero_at_zero=True, y_independent=True),
         name="zero",
         # m + dk
-        exact_step=lambda t, m, z, dk, dt: np.add(m, dk, out=m),
+        exact_step=_mz_step(lambda t, m, z, dk, dt: np.add(m, dk, out=m)),
     )
 
 
@@ -118,14 +123,19 @@ def domination_generator(mu: float) -> Generator:
     """
     mu = float(mu)
 
-    def exact_step(t, m, z, dk, dt):
-        # y = m + mu (|y| + |z|) dt + dk is piecewise linear in y with one
-        # kink at 0; the fixed point follows the sign of the affine part
-        # q = m + mu |z| dt + dk, so y = q / (1 - copysign(mu dt, q)); for
-        # q < 0 the denominator 1 - (-mu dt) is 1 + mu dt exactly
-        q = np.add(np.add(m, _abs_z_part(z, mu, dt), out=m), dk, out=m)
-        den = np.subtract(1.0, np.copysign(mu * dt, q, out=z), out=z)
-        return np.divide(q, den, out=q)
+    def exact_step(t, nxt, dk, dt, out):
+        # y = m + mu (|y| + |z|) dt + dk is the larger of two increasing affine
+        # contractions of y, so y is the larger of their fixed points q2 * 0.5 /
+        # (1 -/+ mu dt), q2 = 2 (m + mu |z| dt + dk) = (up + down) + mu sqrt(dt)
+        # |up - down| + 2 dk: 8 array passes; q2 is never -0.0, so 0 dk is skipped
+        up, down = nxt[..., 1:], nxt[..., :-1]
+        q, s = (None, None) if out is None else out
+        q, s = np.add(up, down, out=q), np.subtract(up, down, out=s)
+        q += np.multiply(np.abs(s, out=s), mu * math.sqrt(dt), out=s)
+        if np.ndim(dk) or dk:
+            q += 2.0 * dk
+        np.multiply(q, 0.5 / (1.0 + mu * dt), out=s)
+        return np.maximum(np.multiply(q, 0.5 / (1.0 - mu * dt), out=q), s, out=q)
 
     return Generator(
         fn=lambda t, y, z: mu * (np.abs(y) + np.abs(z)),
@@ -147,8 +157,8 @@ def abs_z_generator(coef: float) -> Generator:
         flags=GeneratorFlags(zero_at_zero=True, y_independent=True),
         name=f"abs_z:{coef:g}",
         # m + coef |z| dt + dk
-        exact_step=lambda t, m, z, dk, dt:
-            np.add(np.add(m, _abs_z_part(z, coef, dt), out=m), dk, out=m),
+        exact_step=_mz_step(lambda t, m, z, dk, dt: np.add(np.add(m, np.multiply(
+            np.multiply(np.abs(z, out=z), coef, out=z), dt, out=z), out=m), dk, out=m)),
     )
 
 
@@ -167,7 +177,7 @@ def linear_generator(a: float, b: float) -> Generator:
         mu=max(abs(a), abs(b)),
         flags=GeneratorFlags(zero_at_zero=True, y_independent=(a == 0.0)),
         name=f"linear:{a:g},{b:g}",
-        exact_step=exact_step,
+        exact_step=_mz_step(exact_step),
     )
 
 

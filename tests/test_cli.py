@@ -93,6 +93,26 @@ class TestPrice:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flag, spec, key, text", [
+        ("--gen", "gmu:abc", "mu", "abc"),
+        ("--gen", "gmu:", "mu", ""),
+        ("--gen", "abs_z:x", "coef", "x"),
+        ("--gen", "bs:r=abc,b=0.1,sigma=0.2", "r", "abc"),
+        ("--gen", "bs:r=0.05,b=0.1,sigma=2O", "sigma", "2O"),
+        ("--payoff", "call:abc", "strike", "abc"),
+        ("--payoff", "put:1e", "strike", "1e"),
+        ("--payoff", "const:x", "constant", "x"),
+        ("--payoff", "linbm:two", "zbar", "two"),
+    ])
+    def test_spec_value_that_is_not_a_number_is_named(self, capsys, flag, spec, key, text):
+        # these exited 2 with Python's bare "could not convert string to float"
+        argv = {"--gen": "zero", "--payoff": "bm", flag: spec}
+        code = main(["price", "--gen", argv["--gen"], "--payoff", argv["--payoff"],
+                     "--s0", "100", "--vol", "0.2", "--steps", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: spec {spec!r}: {key} must be a number, got {text!r}\n")
+
     def test_bs_parameters_are_used_as_typed(self, capsys):
         # sigma has more digits than the generator's display name keeps
         code, out = run_cli(capsys, "price",

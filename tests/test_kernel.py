@@ -7,7 +7,8 @@ closed-form path (the recovered driver's closed form returns a new array)
 and on the Picard path with its Aitken step, and check that no input is
 ever written.  The binomial sum ``engine._linear_root``, which shares no code
 with the kernel, is an exact oracle for both paths under linear drivers and
-under the extremal driver on one-signed monotone rows.
+under the extremal driver on one-signed monotone rows, and the extremal
+driver's closed form is held to its own Picard path on any rows.
 """
 
 from dataclasses import replace
@@ -38,15 +39,38 @@ BS = BSMarketParams(r=0.05, b=0.08, sigma=0.2)
 THETA = (BS.b - BS.r) / BS.sigma
 
 
+def _mz(nxt, dt):
+    """Child average and coefficient of the next slice, allocated."""
+    up, down = nxt[..., 1:], nxt[..., :-1]
+    return 0.5 * (up + down), (up - down) / (2.0 * np.sqrt(dt))
+
+
+def _from_mz(step):
+    """An allocating step of ``(t, m, z, dk, dt)`` as a step of the next slice."""
+    return lambda t, nxt, dk, dt: step(t, *_mz(nxt, dt), dk, dt)
+
+
 def _where_gmu(mu):
+    """The extremal driver's step as the sign of ``q = m + mu |z| dt + dk``
+    picks its denominator."""
     def step(t, m, z, dk, dt):
         q = m + mu * np.abs(z) * dt + dk
         return np.where(q >= 0, q / (1.0 - mu * dt), q / (1.0 + mu * dt))
     return step
 
 
+def _fused_gmu(mu):
+    """The extremal driver's step from the children, spelled out: ``2q``
+    scales the branch of its sign."""
+    def step(t, nxt, dk, dt):
+        up, down = nxt[..., 1:], nxt[..., :-1]
+        q = (up + down) + mu * np.sqrt(dt) * np.abs(up - down) + 2.0 * dk
+        return np.where(q >= 0, q * (0.5 / (1.0 - mu * dt)), q * (0.5 / (1.0 + mu * dt)))
+    return step
+
+
 def _allocating_linear(a, b):
-    return lambda t, m, z, dk, dt: (m + b * z * dt + dk) / (1.0 - a * dt)
+    return _from_mz(lambda t, m, z, dk, dt: (m + b * z * dt + dk) / (1.0 - a * dt))
 
 
 GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -55,32 +79,31 @@ RECOVERED = recover_generator(
                  build_lattice(build_grid(0.0, 1.0, 24))),
     3, grid_points(GRID, GRID)).to_generator()
 
-# each built-in closed form next to the allocating expression it replaced, and
-# the recovered driver's own allocating closed form; ``None`` is the Picard path
+# each built-in closed form next to its allocating expression, and
+# the recovered driver's own closed form, allocating; ``None`` is the Picard path
 DRIVERS = [
-    (zero_generator(), lambda t, m, z, dk, dt: m + dk),
-    (domination_generator(0.4), _where_gmu(0.4)),
-    (abs_z_generator(0.3), lambda t, m, z, dk, dt: m + 0.3 * np.abs(z) * dt + dk),
+    (zero_generator(), _from_mz(lambda t, m, z, dk, dt: m + dk)),
+    (domination_generator(0.4), _fused_gmu(0.4)),
+    (abs_z_generator(0.3), _from_mz(lambda t, m, z, dk, dt: m + 0.3 * np.abs(z) * dt + dk)),
     (linear_generator(-0.25, 0.35), _allocating_linear(-0.25, 0.35)),
     (black_scholes_generator(BS), _allocating_linear(-BS.r, -THETA)),
-    (RECOVERED, RECOVERED.exact_step),
+    (RECOVERED, lambda t, nxt, dk, dt: RECOVERED.exact_step(t, nxt, dk, dt, None)),
     (random_lipschitz_generator(np.random.default_rng(41)), None),
 ]
 
 
 def _row_major_backward(g, step_fn, cur, lattice, n, s, dividends, keep_surface):
-    """The kernel without scratch buffers: every step allocates its ``m``,
-    ``z`` and ``y`` from row-major slices of the step above."""
-    dt, sqrt_dt = lattice.dt, lattice.sqrt_dt
+    """The kernel without scratch buffers: every step allocates its ``y``
+    (and a Picard step its ``m`` and ``z``) from the row-major slice above."""
+    dt = lattice.dt
     y_slices, worst_iters, worst_resid = [cur], 0, 0.0
     for i in range(n - 1, s - 1, -1):
-        up, down = cur[..., 1:], cur[..., :-1]
-        m, z = 0.5 * (up + down), (up - down) / (2.0 * sqrt_dt)
         t = lattice.grid.time(i)
         dk = 0.0 if dividends is None else dividends.increment(i)
         if step_fn is not None:
-            cur, iters, resid = np.asarray(step_fn(t, m, z, dk, dt), dtype=float), 1, 0.0
+            cur, iters, resid = np.asarray(step_fn(t, cur, dk, dt), dtype=float), 1, 0.0
         else:
+            m, z = _mz(cur, dt)
             y, done, steps = m, None, []
             for iters in range(1, PICARD_CAP + 1):
                 y_next = m + g(t, y, z) * dt + dk
@@ -176,21 +199,24 @@ SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.4, 3.0])
-def test_copysign_denominator_equals_the_where_form(mu):
+def test_fused_step_equals_the_where_form(mu):
     dt = 1.0 / 8.0
-    q = SPECIAL
-    where = np.where(q >= 0, q / (1.0 - mu * dt), q / (1.0 + mu * dt))
-    copysign = q / (1.0 - np.copysign(mu * dt, q))
-    assert copysign.tobytes() == where.tobytes()
-    # the built-in closed form, on every pairing of special m, z and dk
-    m, z = (a.ravel() for a in np.meshgrid(SPECIAL, SPECIAL))
-    for dk in (0.0, -0.0, 1e-310, np.resize(SPECIAL, m.size)):
+    # every pairing of special down and up children, one node per row
+    nxt = np.stack(np.meshgrid(SPECIAL, SPECIAL), axis=-1).reshape(-1, 2)
+    g = domination_generator(mu)
+    for dk in (0.0, -0.0, 1e-310, np.resize(SPECIAL, (len(nxt), 1))):
         with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf give NaN
-            want = _where_gmu(mu)(0.0, m, z, dk, dt)
-            got = domination_generator(mu).exact_step(0.0, m.copy(), z.copy(), dk, dt)
+            want = _fused_gmu(mu)(0.0, nxt, dk, dt)
+            old = _where_gmu(mu)(0.0, *_mz(nxt, dt), dk, dt)
+            got = g.exact_step(0.0, nxt, dk, dt, None)
+            out = (np.full_like(want, 7.0), np.full_like(want, 7.0))
+            in_scratch = g.exact_step(0.0, nxt, dk, dt, out)
+        assert in_scratch is out[0]
         nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert np.array_equal(np.isnan(old), nan)
+        for y in (got, in_scratch):
+            assert np.array_equal(np.isnan(y), nan)
+            assert y[~nan].tobytes() == want[~nan].tobytes()
 
 
 ORACLE_STEPS = 2000
@@ -233,3 +259,20 @@ def test_linear_root_is_the_extremal_price_of_signed_monotone_rows(sign_y, sign_
     for path, g in _kernel_paths(domination_generator(mu)).items():
         gap = np.abs(solve_terminal_batch(g, rows, lat) - want).max()
         assert gap <= 1e-12 * (1.0 + np.abs(rows).max()), (path, gap)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_extremal_closed_form_is_its_picard_path(n):
+    # signed rows that are not monotone, so the step takes both branches and
+    # z both signs; the closed form and the iteration share no step code
+    lat = build_lattice(build_grid(0.0, 1.0, n))
+    rng = np.random.default_rng([71, n])
+    rows = np.concatenate([rng.uniform(-2.0, 2.0, (3, n + 1)),
+                           np.cumsum(rng.normal(0.0, 3.0 / np.sqrt(n), (3, n + 1)), axis=1)])
+    bound = 1e-12 * (1.0 + np.abs(rows).max(axis=1))
+    for dividends in (None, signed_stream(rng, lat, scale=0.5)):
+        exact, picard = (as_mechanism(g, lat).price_surfaces(n, rows, dividends)
+                         for g in _kernel_paths(domination_generator(0.5)).values())
+        for i, (a, b) in enumerate(zip(exact, picard)):
+            gap = np.abs(a - b).max(axis=1)
+            assert (gap <= bound).all(), (dividends is not None, i, gap.max())
