@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -74,6 +75,41 @@ def _number(spec: str, key: str, text: str) -> float:
         return float(text)
     except ValueError:
         raise ValueError(f"spec {spec!r}: {key} must be a number, got {text!r}") from None
+
+
+def _option_number(option: str, item: str, value) -> float:
+    """``float(value)`` for one item of a list option: a ``ValueError`` naming
+    the option and the item when it is not a number, :class:`InvalidParams`
+    when it is not finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{option} {item} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise InvalidParams(f"{option} {item} must be finite, got {number}")
+    return number
+
+
+def _number_list(option: str, text: str) -> list:
+    """The finite numbers of a comma-list option (see :func:`_option_number`)."""
+    return [_option_number(option, f"item {k}", v)
+            for k, v in enumerate(text.split(","), start=1)]
+
+
+def _points_file(path: str) -> list:
+    """The ``[[y, z], ...]`` pairs of a ``--points`` JSON file, each a finite
+    number (see :func:`_option_number`)."""
+    with open(path) as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, list):
+        raise ValueError(f"--points must hold a list of [y, z] pairs, got {entries!r}")
+    pts = []
+    for k, entry in enumerate(entries, start=1):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValueError(f"--points entry {k} must be a [y, z] pair, got {entry!r}")
+        pts.append(tuple(_option_number("--points", f"entry {k} ({name})", v)
+                         for name, v in zip("yz", entry)))
+    return pts
 
 
 def _bs_params(rest: str) -> BSMarketParams:
@@ -222,7 +258,7 @@ def cmd_probe(args) -> int:
     gen = parse_generator(args.gen)
     lattice = _lattice(args)
     mech = as_mechanism(gen, lattice)
-    zbars = [float(v) for v in args.zbar.split(",")]
+    zbars = _number_list("--zbar", args.zbar)
     probes = {f"{z:g}": z_probe(mech, z, 0, lattice.n_steps) for z in zbars}
     _emit(args, {
         "command": "probe",
@@ -241,12 +277,10 @@ def cmd_recover(args) -> int:
     lattice = build_lattice(build_grid(args.t0, args.T, steps))
     mech = as_mechanism(gen, lattice)
     if args.points:
-        with open(args.points) as fh:
-            pts = [(float(a), float(b)) for a, b in json.load(fh)]
+        pts = _points_file(args.points)
     else:
-        ys = [float(v) for v in args.y_grid.split(",")]
-        zs = [float(v) for v in args.z_grid.split(",")]
-        pts = grid_points(ys, zs)
+        pts = grid_points(_number_list("--y-grid", args.y_grid),
+                          _number_list("--z-grid", args.z_grid))
     recovered = recover_generator(mech, args.level, pts, lattice)
     ok = (recovered.lipschitz_ratio <= recovered.mu + RECOVERY_SLACK
           and (recovered.zero_defect is None or recovered.zero_defect <= RECOVERY_SLACK))

@@ -115,13 +115,26 @@ def zero_generator() -> Generator:
     )
 
 
-def domination_generator(mu: float) -> Generator:
+def domination_generator(mu: float, *, z_sign: float = 0.0) -> Generator:
     """The extremal dominating driver ``mu * |y| + mu * |z|``.
 
     Every mu-Lipschitz driver vanishing at the origin is bounded by it, which
     is what makes it the yardstick in domination tests.
+
+    ``z_sign = +1`` or ``-1`` gives the tilted driver ``mu |y| + z_sign mu
+    z``, equal to the extremal one wherever ``z`` has the sign ``z_sign``.  Its
+    closed form weighs the children ``up`` and ``down`` by ``1 +/- z_sign mu
+    sqrt(dt)``, both nonnegative under :func:`~gmech.engine.require_monotone`,
+    so it keeps a slice nondecreasing (``+1``) or nonincreasing (``-1``) across
+    nodes.  On such terminal rows every step's ``z`` keeps that sign, and the
+    tilted driver prices as the extremal one up to rounding, in 5 array passes
+    per step where the extremal closed form takes 8.
     """
     mu = float(mu)
+    if z_sign not in (0.0, 1.0, -1.0):
+        raise InvalidParams(f"z_sign must be 0, 1 or -1, got {z_sign}")
+    if z_sign:
+        return _tilted_domination_generator(mu, float(z_sign))
 
     def exact_step(t, nxt, dk, dt, out):
         # y = m + mu (|y| + |z|) dt + dk is the larger of two increasing affine
@@ -142,6 +155,33 @@ def domination_generator(mu: float) -> Generator:
         mu=mu,
         flags=GeneratorFlags(zero_at_zero=True),
         name=f"gmu:{mu:g}",
+        exact_step=exact_step,
+    )
+
+
+def _tilted_domination_generator(mu: float, z_sign: float) -> Generator:
+    """``mu |y| + z_sign mu z``; see :func:`domination_generator`."""
+
+    def exact_step(t, nxt, dk, dt, out):
+        # y = p + mu |y| dt, p = m + z_sign mu z dt + dk, is the larger of its
+        # fixed points p / (1 -/+ mu dt); Q = p / (1 - mu dt) = up a (1 + z_sign c)
+        # + down a (1 - z_sign c) + 2 a dk, a = 0.5 / (1 - mu dt), c = mu
+        # sqrt(dt), and y = max(Q, Q (1 - mu dt) / (1 + mu dt)): 5 array passes
+        a, c = 0.5 / (1.0 - mu * dt), mu * math.sqrt(dt)
+        up, down = nxt[..., 1:], nxt[..., :-1]
+        q, s = (None, None) if out is None else out
+        q = np.multiply(up, a * (1.0 + z_sign * c), out=q)
+        q += np.multiply(down, a * (1.0 - z_sign * c), out=s)
+        if np.ndim(dk) or dk:
+            q += 2.0 * a * dk
+        np.multiply(q, (1.0 - mu * dt) / (1.0 + mu * dt), out=s)
+        return np.maximum(q, s, out=q)
+
+    return Generator(
+        fn=lambda t, y, z: mu * np.abs(y) + z_sign * mu * z,
+        mu=mu,
+        flags=GeneratorFlags(zero_at_zero=True),
+        name=f"gmu:{mu:g},z_sign={z_sign:+g}",
         exact_step=exact_step,
     )
 

@@ -234,6 +234,50 @@ class TestDecomposeProbeRecover:
         assert code == 2
         assert "unrecognized arguments: --times" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["probe", "--gen", "gmu:0.5", "--zbar", "0.5,abc"],
+         "--zbar item 2 must be a number, got 'abc'"),
+        (["recover", "--gen-hidden", "gmu:0.5", "--level", "2", "--y-grid", "1,x"],
+         "--y-grid item 2 must be a number, got 'x'"),
+        (["recover", "--gen-hidden", "gmu:0.5", "--level", "2", "--z-grid", "1,,2"],
+         "--z-grid item 2 must be a number, got ''"),
+    ])
+    def test_list_item_that_is_not_a_number_is_named(self, capsys, argv, message):
+        # these exited 2 with Python's bare "could not convert string to float"
+        assert main(argv + ["--steps", "8"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["probe", "--gen", "gmu:0.5", "--zbar", "0.5,nan"],
+         "--zbar item 2 must be finite, got nan"),
+        (["recover", "--gen-hidden", "gmu:0.5", "--level", "2", "--y-grid", "inf,1"],
+         "--y-grid item 1 must be finite, got inf"),
+        (["recover", "--gen-hidden", "gmu:0.5", "--level", "2", "--z-grid=1,-inf"],
+         "--z-grid item 2 must be finite, got -inf"),
+    ])
+    def test_non_finite_list_item_is_named_before_any_solve(self, capsys, argv, message):
+        # these reached the solve and failed there on a NaN terminal value,
+        # some after a numpy RuntimeWarning
+        assert main(argv + ["--steps", "8"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, code, message", [
+        ('{"y": 1}', 2, "--points must hold a list of [y, z] pairs, got {'y': 1}"),
+        ("[[1, 2, 3]]", 2, "--points entry 1 must be a [y, z] pair, got [1, 2, 3]"),
+        ("[[0, 0], 1]", 2, "--points entry 2 must be a [y, z] pair, got 1"),
+        ('[["abc", 1]]', 2, "--points entry 1 (y) must be a number, got 'abc'"),
+        ("[[1, NaN]]", 1, "--points entry 1 (z) must be finite, got nan"),
+        ("[[-Infinity, 0]]", 1, "--points entry 1 (y) must be finite, got -inf"),
+    ])
+    def test_bad_points_entry_is_named(self, capsys, tmp_path, text, code, message):
+        # these exited 2 with "too many values to unpack", raised a TypeError
+        # traceback or failed in the solve on a NaN terminal value
+        points = tmp_path / "points.json"
+        points.write_text(text)
+        assert main(["recover", "--gen-hidden", "gmu:0.5", "--level", "2",
+                     "--points", str(points)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_recover_points_file(self, capsys, tmp_path):
         points = tmp_path / "grid.json"
         points.write_text(json.dumps([[1.0, 1.0], [0.0, 0.0]]))

@@ -37,6 +37,19 @@ class TestDominationGenerator:
         g = domination_generator(0.5)
         assert g.flags.zero_at_zero
 
+    @pytest.mark.parametrize("z_sign", [1, -1])
+    def test_tilted_driver_is_extremal_where_z_has_its_sign(self, z_sign):
+        g, gmu = domination_generator(0.5, z_sign=z_sign), domination_generator(0.5)
+        assert (g.mu, g.flags) == (gmu.mu, gmu.flags)
+        for y in (-2.0, 0.0, 3.0):
+            assert g(0.0, y, 2.0 * z_sign) == gmu(0.0, y, 2.0 * z_sign)
+            assert g(0.0, y, -2.0 * z_sign) == gmu(0.0, y, 2.0 * z_sign) - 2.0
+
+    @pytest.mark.parametrize("z_sign", [0.5, 2, np.nan])
+    def test_tilt_is_a_sign(self, z_sign):
+        with pytest.raises(InvalidParams, match=r"^z_sign must be 0, 1 or -1, got "):
+            domination_generator(0.5, z_sign=z_sign)
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_constants_are_rejected(bad):

@@ -8,7 +8,9 @@ and on the Picard path with its Aitken step, and check that no input is
 ever written.  The binomial sum ``engine._linear_root``, which shares no code
 with the kernel, is an exact oracle for both paths under linear drivers and
 under the extremal driver on one-signed monotone rows, and the extremal
-driver's closed form is held to its own Picard path on any rows.
+driver's closed form is held to its own Picard path on any rows.  So is the
+tilted extremal driver's, which on monotone rows of its direction is also
+held to the extremal driver's closed form.
 """
 
 from dataclasses import replace
@@ -69,6 +71,18 @@ def _fused_gmu(mu):
     return step
 
 
+def _fused_tilted(mu, z_sign):
+    """The tilted extremal driver's step from the children, spelled out: the
+    children weighed by ``a (1 +/- z_sign mu sqrt(dt))``, the negative branch
+    scaled down."""
+    def step(t, nxt, dk, dt):
+        a, c = 0.5 / (1.0 - mu * dt), mu * np.sqrt(dt)
+        q = nxt[..., 1:] * (a * (1.0 + z_sign * c)) + nxt[..., :-1] * (a * (1.0 - z_sign * c))
+        q = q + 2.0 * a * dk
+        return np.maximum(q, q * ((1.0 - mu * dt) / (1.0 + mu * dt)))
+    return step
+
+
 def _allocating_linear(a, b):
     return _from_mz(lambda t, m, z, dk, dt: (m + b * z * dt + dk) / (1.0 - a * dt))
 
@@ -84,6 +98,8 @@ RECOVERED = recover_generator(
 DRIVERS = [
     (zero_generator(), _from_mz(lambda t, m, z, dk, dt: m + dk)),
     (domination_generator(0.4), _fused_gmu(0.4)),
+    (domination_generator(0.4, z_sign=1), _fused_tilted(0.4, 1.0)),
+    (domination_generator(0.4, z_sign=-1), _fused_tilted(0.4, -1.0)),
     (abs_z_generator(0.3), _from_mz(lambda t, m, z, dk, dt: m + 0.3 * np.abs(z) * dt + dk)),
     (linear_generator(-0.25, 0.35), _allocating_linear(-0.25, 0.35)),
     (black_scholes_generator(BS), _allocating_linear(-BS.r, -THETA)),
@@ -276,3 +292,36 @@ def test_extremal_closed_form_is_its_picard_path(n):
         for i, (a, b) in enumerate(zip(exact, picard)):
             gap = np.abs(a - b).max(axis=1)
             assert (gap <= bound).all(), (dividends is not None, i, gap.max())
+
+
+@pytest.mark.parametrize("z_sign", [1, -1])
+def test_tilted_closed_form_is_its_picard_path(z_sign):
+    # arbitrary rows: the step takes both branches, and z has both signs
+    n = ORACLE_STEPS
+    lat = build_lattice(build_grid(0.0, 1.0, n))
+    rng = np.random.default_rng([73, z_sign + 1])
+    rows = np.concatenate([rng.uniform(-2.0, 2.0, (2, n + 1)),
+                           np.cumsum(rng.normal(0.0, 3.0 / np.sqrt(n), (2, n + 1)), axis=1)])
+    bound = 1e-12 * (1.0 + np.abs(rows).max(axis=1))
+    for dividends in (None, signed_stream(rng, lat, scale=0.5)):
+        exact, picard = (as_mechanism(g, lat).price_rows(0, n, rows, dividends)[:, 0]
+                         for g in _kernel_paths(domination_generator(0.5, z_sign=z_sign)).values())
+        gap = np.abs(exact - picard)
+        assert (gap <= bound).all(), (dividends is not None, gap.max())
+
+
+@pytest.mark.parametrize("z_sign", [1, -1])
+def test_tilted_closed_form_is_the_extremal_price_of_monotone_rows(z_sign):
+    # mixed-sign rows, monotone with sign z_sign and with flat stretches: the
+    # tilted step keeps every slice so, and then its z has the sign z_sign
+    n, mu, rel = 1024, 0.5, 1e-13
+    lat = build_lattice(build_grid(0.0, 1.0, n))
+    rng = np.random.default_rng([79, z_sign + 1])
+    rows = _signed_monotone_rows(rng, 64, n, 1, z_sign)
+    rows -= rng.uniform(0.0, 1.0, (64, 1)) * rows.max(axis=1, keepdims=True)
+    assert ((rows < 0).any(axis=1) & (rows > 0).any(axis=1)).all()
+    want = solve_terminal_batch(domination_generator(mu), rows, lat)
+    got = solve_terminal_batch(domination_generator(mu, z_sign=z_sign), rows, lat)
+    # relative to the row's largest payoff, the scale of its price
+    gap = np.abs(got - want) / np.abs(rows).max(axis=1)
+    assert gap.max() <= rel, gap.max()

@@ -294,8 +294,8 @@ class TestDominationAudit:
             assert np.array_equal(a, np.repeat([b, -b], np.count_nonzero(pick)))
 
     def test_wrong_way_node_is_named(self, monkeypatch):
-        # a spot that falls from node 8 to node 9 turns the call_call row of
-        # strikes 95 and 105 back there
+        # a spot that falls from node 8 to node 9 turns the call_put row of
+        # strikes 95 and 105 back there; the call_put guard runs first
         chain = synth_chain(PARAMS, 100.0, [95.0, 105.0], 0.0, 0.5)
         spot_map = market.make_underlying_map
 
@@ -308,9 +308,43 @@ class TestDominationAudit:
 
         monkeypatch.setattr(market, "make_underlying_map", bent)
         with pytest.raises(InvariantError, match=(
-                r"^call_call pair \(0, 1\): payoff row leaves sign \+1 or "
-                r"direction \+1 at node 9$")):
+                r"^call_put pair \(0, 1\): payoff row leaves direction \+1 at node 9$")):
             run_domination_test(chain, 0.5, 16, 0.2)
+
+    def test_call_put_row_that_turns_back_is_named(self, monkeypatch):
+        # a spot that falls from node 15 to node 16, above the top strike: the
+        # call_call and put_put rows are flat there, so only the call_put
+        # direction guard sees it
+        chain = synth_chain(PARAMS, 100.0, [95.0, 105.0], 0.0, 0.5)
+        spot_map = market.make_underlying_map
+
+        def bent(*args):
+            def spot(b):
+                s = spot_map(*args)(b)
+                assert s[15] > 105.0
+                s[15], s[16] = 170.0, 160.0
+                return s
+            return spot
+
+        monkeypatch.setattr(market, "make_underlying_map", bent)
+        with pytest.raises(InvariantError, match=(
+                r"^call_put pair \(0, 1\): payoff row leaves direction \+1 at node 16$")):
+            run_domination_test(chain, 0.5, 16, 0.2)
+
+    def test_sign_and_direction_guards_name_the_node(self):
+        # put_call rows may take either sign but must not rise across nodes;
+        # call_call rows of a falling strike order must also stay <= 0
+        ii, jj = np.array([0, 1]), np.array([1, 0])
+        rows = np.array([[3.0, 1.0, -1.0, -1.0], [2.0, 2.0, -4.0, -3.0]])
+        with pytest.raises(InvariantError, match=(
+                r"^put_call pair \(1, 0\): payoff row leaves direction -1 at node 3$")):
+            market._require_sign_pattern("put_call", rows, None, -1.0, ii, jj)
+        market._require_sign_pattern("put_call", rows[:1], None, -1.0, ii, jj)
+        with pytest.raises(InvariantError, match=(
+                r"^call_call pair \(0, 1\): payoff row leaves sign -1 or "
+                r"direction -1 at node 0$")):
+            market._require_sign_pattern("call_call", rows[:1], -1.0, -1.0, ii, jj)
+        market._require_sign_pattern("call_call", -rows[:1] - 1.0, -1.0, 1.0, ii, jj)
 
     def test_noisy_audit_matches_two_branch_recursion(self):
         chain = synth_chain(PARAMS, 100.0, np.linspace(85, 115, 8), 0.0, 0.5,
