@@ -36,7 +36,7 @@ from .errors import (
     NotSupermartingale,
     StepOutOfRange,
 )
-from .generators import Generator, GeneratorFlags, _mz_step, _tallies, _witnessed
+from .generators import Generator, GeneratorFlags, _tallies, _witnessed
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 from .engine import (
     PICARD_TOL,
@@ -594,12 +594,14 @@ class RecoveredGenerator:
         lo, hi = ((1 - wz) * sheet[k, iz] + wz * sheet[k, iz + 1] for k in (iy, iy + 1))
         return (1 - wy) * lo + wy * hi
 
-    def _exact_step(self, t, m, z, dk, dt):
-        """Closed form of ``y = m + value(t, y, z) dt + dk``.  For fixed ``(t, z)``
+    def _exact_step(self, t, nxt, dk, dt, out):
+        """Closed form of ``y = m + value(t, y, z) dt + dk``, ``m, z =
+        one_step_mz(nxt, sqrt(dt))``, into new arrays.  For fixed ``(t, z)``
         ``h(y) = y - dt value - m - dk`` is piecewise linear, with knots at
         ``ys`` and slope 1 outside them, and increasing unless a segment's
         slope ``s`` has ``s dt >= 1`` (:class:`ContractionViolation`).  The knots
         where ``h < 0`` give the segment, and one linear solve on it gives ``y``."""
+        m, z = one_step_mz(nxt, math.sqrt(dt))
         ys, sheet, iz, wz = self._z_sheet(t, z)
         # h at the knots on a first axis, padded with knots 1 below and above
         knots = (1 - wz) * np.take(sheet, iz, axis=1) + wz * np.take(sheet, iz + 1, axis=1)
@@ -626,7 +628,7 @@ class RecoveredGenerator:
             flags=GeneratorFlags(zero_at_zero=self.zero_defect is not None
                                  and self.zero_defect <= RECOVERY_SLACK),
             name=f"recovered(level={self.level})",
-            exact_step=_mz_step(self._exact_step),
+            exact_step=self._exact_step,
         )
 
     def as_dict(self) -> dict:

@@ -258,8 +258,12 @@ def cmd_probe(args) -> int:
     gen = parse_generator(args.gen)
     lattice = _lattice(args)
     mech = as_mechanism(gen, lattice)
-    zbars = _number_list("--zbar", args.zbar)
-    probes = {f"{z:g}": z_probe(mech, z, 0, lattice.n_steps) for z in zbars}
+    keys = {}
+    for k, z in enumerate(_number_list("--zbar", args.zbar), start=1):
+        j, seen = keys.setdefault(f"{z:g}", (k, z))
+        if j != k:
+            raise ValueError(f"--zbar items {j} ({seen!r}) and {k} ({z!r}) both print as {z:g}")
+    probes = {key: z_probe(mech, z, 0, lattice.n_steps) for key, (_, z) in keys.items()}
     _emit(args, {
         "command": "probe",
         "gen": args.gen,
@@ -304,9 +308,8 @@ def cmd_recover(args) -> int:
 
 def cmd_audit(args) -> int:
     chain = load_chain(args.chain)
-    vol = args.vol
     report = run_domination_test(chain, mu=args.mu, n_steps=args.steps,
-                                 vol_for_lattice=vol)
+                                 vol_for_lattice=args.vol)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -322,6 +325,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.n_strikes < 1:
+        raise ValueError(f"--n-strikes must be >= 1, got {args.n_strikes}")
     params = BSMarketParams(r=args.r, b=args.b, sigma=args.sigma)
     strikes = np.linspace(args.lo, args.hi, args.n_strikes)
     chain = synth_chain(params, args.s0, strikes,

@@ -19,8 +19,8 @@ keeping the step-``s`` values (``price_rows``) or every step's
 values of many.  A closed-form driver steps from the next slice into per-call
 column-major scratch arrays that the built-in closed forms overwrite in place
 (see :func:`_sweep`); its input is never written and its results are fresh
-row-major arrays.  ``z`` is never stored, and the extremal driver's closed form
-never forms it.  Under a linear driver a root price is also one binomial sum,
+row-major arrays.  ``z`` is never stored, and no built-in closed form forms
+it.  Under a linear driver a root price is also one binomial sum,
 :func:`_linear_root`, which the chain audit uses for the payoff rows that keep
 the extremal driver linear.  A :class:`MechanismHandle` is built from a black-box
 ``price_at`` alone; only :func:`as_mechanism` handles reach the kernel.
@@ -52,7 +52,7 @@ from .errors import (
     SchemeNotMonotone,
     StepOutOfRange,
 )
-from .generators import _LIPSCHITZ_SLACK, Generator, domination_generator
+from .generators import _LIPSCHITZ_SLACK, Generator, _finite, domination_generator
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 
 PICARD_TOL = 1e-12
@@ -93,7 +93,10 @@ def claim_from_values(lattice: Lattice, step: int, values) -> TerminalClaim:
 
 
 def make_underlying_map(s0: float, sigma: float, horizon: float, drift: float = 0.0):
-    """Terminal stock map ``B -> s0 * exp(sigma * B + (drift - sigma^2/2) * horizon)``."""
+    """Terminal stock map ``B -> s0 * exp(sigma * B + (drift - sigma^2/2) * horizon)``.
+    A spot ``s0`` that is not finite and > 0 raises :class:`InvalidParams`."""
+    if not _finite("s0", s0) > 0:
+        raise InvalidParams(f"s0 must be > 0, got {s0}")
 
     def terminal_price(b):
         return s0 * np.exp(sigma * np.asarray(b, dtype=float)
@@ -349,8 +352,8 @@ class PricingResult:
 
     ``y.at(i)`` are node prices; the terminal slice equals the claim payoff
     bitwise.  The hedge ``z`` over step ``i`` is ``one_step_mz(y.at(i + 1),
-    sqrt_dt)[1]``: bitwise the ``z`` a Picard step or an ``(m, z)`` closed form
-    used; the extremal driver's closed form never forms it.
+    sqrt_dt)[1]``: bitwise the ``z`` a Picard step or the recovered driver's
+    closed form used; no built-in closed form forms it.
     """
 
     y: AdaptedProcess

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidParams, NegativeMu
-from .lattice import one_step_mz
 
 # Pairs closer than this in the sum norm are skipped in Lipschitz sampling.
 _MIN_SEPARATION = 1e-12
@@ -49,9 +48,9 @@ class Generator:
     would converge to, up to rounding, and never write ``nxt``.  ``out`` is
     two scratch arrays of the result's shape that the solver owns and never
     reads again: a closed form may overwrite both and return ``out[0]``, or
-    return a new array.  A caller outside the solver passes ``None``, and the
-    closed form allocates.  A :class:`ContractionViolation` it raises names
-    the node; the solver adds the step.
+    return a new array; a caller outside the solver passes ``None``.  A
+    :class:`ContractionViolation` it raises names the node; the solver adds
+    the step.  The built-in closed forms never form ``m`` or ``z``.
     """
 
     fn: Callable
@@ -94,13 +93,44 @@ def _finite(name: str, value) -> float:
     return value
 
 
-# The closed-form steps below overwrite the scratch the solver hands them
-# (see :class:`Generator`) with the operations, in the order, of the plain
-# expressions in their comments, so the bits are the same.
+def _closed_form(a_abs: float, a: float, coef: float, *, abs_z: bool) -> Callable:
+    """The ``exact_step`` of the driver ``a_abs |y| + a y + coef |z|`` (``abs_z``)
+    or ``a_abs |y| + a y + coef z``, ``a_abs >= 0``, under ``(a +/- a_abs) dt < 1``.
 
-def _mz_step(step: Callable) -> Callable:
-    """``step(t, m, z, dk, dt)`` as an ``exact_step``: ``m`` and ``z`` go into ``out``."""
-    return lambda t, nxt, dk, dt, out: step(t, *one_step_mz(nxt, math.sqrt(dt), out=out), dk, dt)
+    ``y = p + (a_abs |y| + a y) dt``, ``p = m + coef |z| dt + dk`` (or ``coef
+    z``), is the larger of two increasing affine contractions of ``y``, so ``y``
+    is the larger of their fixed points ``p / (1 - (a +/- a_abs) dt)`` (one if
+    ``a_abs = 0``).  ``2p`` is ``(up + down) + coef sqrt(dt) |up - down| + 2
+    dk`` or ``up (1 + coef sqrt(dt)) + down (1 - coef sqrt(dt)) + 2 dk``: no
+    ``m`` or ``z``.  The scratch the solver hands it (see :class:`Generator`)
+    is overwritten in the order of the plain expressions in the comments.
+    """
+    def exact_step(t, nxt, dk, dt, out):
+        up, down = nxt[..., 1:], nxt[..., :-1]
+        q, s = (None, None) if out is None else out
+        hi, lo = 1.0 - (a + a_abs) * dt, 1.0 - (a - a_abs) * dt
+        # a zero dk is skipped under the max only: added, it turns -0.0 into +0.0
+        add_dk = np.ndim(dk) or dk or not a_abs
+        if abs_z:
+            # q = 2p, never -0.0; y = max(q * 0.5 / hi, q * 0.5 / lo): 8 array passes
+            q, s = np.add(up, down, out=q), np.subtract(up, down, out=s)
+            q += np.multiply(np.abs(s, out=s), coef * math.sqrt(dt), out=s)
+            if add_dk:
+                q += 2.0 * dk
+            s = np.multiply(q, 0.5 / lo, out=s) if a_abs else None
+            q = np.multiply(q, 0.5 / hi, out=q)
+        else:
+            # q = p / hi = up w (1 + c) + down w (1 - c) + 2 w dk, w = 0.5 / hi, c =
+            # coef sqrt(dt); y = max(q, q hi / lo): 5 array passes
+            w, c = 0.5 / hi, coef * math.sqrt(dt)
+            q = np.multiply(up, w * (1.0 + c), out=q)
+            q += np.multiply(down, w * (1.0 - c), out=s)
+            if add_dk:
+                q += 2.0 * w * dk
+            s = np.multiply(q, hi / lo, out=s) if a_abs else None
+        return q if s is None else np.maximum(q, s, out=q)
+
+    return exact_step
 
 
 def zero_generator() -> Generator:
@@ -110,8 +140,7 @@ def zero_generator() -> Generator:
         mu=0.0,
         flags=GeneratorFlags(zero_at_zero=True, y_independent=True),
         name="zero",
-        # m + dk
-        exact_step=_mz_step(lambda t, m, z, dk, dt: np.add(m, dk, out=m)),
+        exact_step=_closed_form(0.0, 0.0, 0.0, abs_z=False),
     )
 
 
@@ -122,67 +151,23 @@ def domination_generator(mu: float, *, z_sign: float = 0.0) -> Generator:
     is what makes it the yardstick in domination tests.
 
     ``z_sign = +1`` or ``-1`` gives the tilted driver ``mu |y| + z_sign mu
-    z``, equal to the extremal one wherever ``z`` has the sign ``z_sign``.  Its
-    closed form weighs the children ``up`` and ``down`` by ``1 +/- z_sign mu
-    sqrt(dt)``, both nonnegative under :func:`~gmech.engine.require_monotone`,
-    so it keeps a slice nondecreasing (``+1``) or nonincreasing (``-1``) across
-    nodes.  On such terminal rows every step's ``z`` keeps that sign, and the
-    tilted driver prices as the extremal one up to rounding, in 5 array passes
-    per step where the extremal closed form takes 8.
+    z``.  Its step weighs the children by ``1 +/- z_sign mu sqrt(dt)``, both
+    nonnegative under :func:`~gmech.engine.require_monotone`, so on terminal
+    rows nondecreasing (``+1``) or nonincreasing (``-1``) across nodes every
+    step's ``z`` has the sign ``z_sign``: the tilted driver prices as the
+    extremal one, up to rounding, in 5 array passes per step against 8.
     """
     mu = float(mu)
     if z_sign not in (0.0, 1.0, -1.0):
         raise InvalidParams(f"z_sign must be 0, 1 or -1, got {z_sign}")
-    if z_sign:
-        return _tilted_domination_generator(mu, float(z_sign))
-
-    def exact_step(t, nxt, dk, dt, out):
-        # y = m + mu (|y| + |z|) dt + dk is the larger of two increasing affine
-        # contractions of y, so y is the larger of their fixed points q2 * 0.5 /
-        # (1 -/+ mu dt), q2 = 2 (m + mu |z| dt + dk) = (up + down) + mu sqrt(dt)
-        # |up - down| + 2 dk: 8 array passes; q2 is never -0.0, so 0 dk is skipped
-        up, down = nxt[..., 1:], nxt[..., :-1]
-        q, s = (None, None) if out is None else out
-        q, s = np.add(up, down, out=q), np.subtract(up, down, out=s)
-        q += np.multiply(np.abs(s, out=s), mu * math.sqrt(dt), out=s)
-        if np.ndim(dk) or dk:
-            q += 2.0 * dk
-        np.multiply(q, 0.5 / (1.0 + mu * dt), out=s)
-        return np.maximum(np.multiply(q, 0.5 / (1.0 - mu * dt), out=q), s, out=q)
-
+    z_sign = float(z_sign)
     return Generator(
-        fn=lambda t, y, z: mu * (np.abs(y) + np.abs(z)),
+        fn=(lambda t, y, z: mu * np.abs(y) + z_sign * mu * z) if z_sign
+        else (lambda t, y, z: mu * (np.abs(y) + np.abs(z))),
         mu=mu,
         flags=GeneratorFlags(zero_at_zero=True),
-        name=f"gmu:{mu:g}",
-        exact_step=exact_step,
-    )
-
-
-def _tilted_domination_generator(mu: float, z_sign: float) -> Generator:
-    """``mu |y| + z_sign mu z``; see :func:`domination_generator`."""
-
-    def exact_step(t, nxt, dk, dt, out):
-        # y = p + mu |y| dt, p = m + z_sign mu z dt + dk, is the larger of its
-        # fixed points p / (1 -/+ mu dt); Q = p / (1 - mu dt) = up a (1 + z_sign c)
-        # + down a (1 - z_sign c) + 2 a dk, a = 0.5 / (1 - mu dt), c = mu
-        # sqrt(dt), and y = max(Q, Q (1 - mu dt) / (1 + mu dt)): 5 array passes
-        a, c = 0.5 / (1.0 - mu * dt), mu * math.sqrt(dt)
-        up, down = nxt[..., 1:], nxt[..., :-1]
-        q, s = (None, None) if out is None else out
-        q = np.multiply(up, a * (1.0 + z_sign * c), out=q)
-        q += np.multiply(down, a * (1.0 - z_sign * c), out=s)
-        if np.ndim(dk) or dk:
-            q += 2.0 * a * dk
-        np.multiply(q, (1.0 - mu * dt) / (1.0 + mu * dt), out=s)
-        return np.maximum(q, s, out=q)
-
-    return Generator(
-        fn=lambda t, y, z: mu * np.abs(y) + z_sign * mu * z,
-        mu=mu,
-        flags=GeneratorFlags(zero_at_zero=True),
-        name=f"gmu:{mu:g},z_sign={z_sign:+g}",
-        exact_step=exact_step,
+        name=f"gmu:{mu:g},z_sign={z_sign:+g}" if z_sign else f"gmu:{mu:g}",
+        exact_step=_closed_form(mu, 0.0, z_sign * mu if z_sign else mu, abs_z=not z_sign),
     )
 
 
@@ -196,28 +181,19 @@ def abs_z_generator(coef: float) -> Generator:
         mu=coef,
         flags=GeneratorFlags(zero_at_zero=True, y_independent=True),
         name=f"abs_z:{coef:g}",
-        # m + coef |z| dt + dk
-        exact_step=_mz_step(lambda t, m, z, dk, dt: np.add(np.add(m, np.multiply(
-            np.multiply(np.abs(z, out=z), coef, out=z), dt, out=z), out=m), dk, out=m)),
+        exact_step=_closed_form(0.0, 0.0, coef, abs_z=True),
     )
 
 
 def linear_generator(a: float, b: float) -> Generator:
     """Affine driver ``a * y + b * z`` (no constant term)."""
     a, b = _finite("a", a), _finite("b", b)
-
-    def exact_step(t, m, z, dk, dt):
-        # (m + b z dt + dk) / (1 - a dt)
-        bz = np.multiply(np.multiply(z, b, out=z), dt, out=z)
-        q = np.add(np.add(m, bz, out=m), dk, out=m)
-        return np.divide(q, 1.0 - a * dt, out=q)
-
     return Generator(
         fn=lambda t, y, z: a * y + b * z,
         mu=max(abs(a), abs(b)),
         flags=GeneratorFlags(zero_at_zero=True, y_independent=(a == 0.0)),
         name=f"linear:{a:g},{b:g}",
-        exact_step=_mz_step(exact_step),
+        exact_step=_closed_form(0.0, a, b, abs_z=False),
     )
 
 

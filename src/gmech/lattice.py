@@ -132,20 +132,13 @@ class AdaptedProcess:
         )
 
 
-def one_step_mz(nxt: np.ndarray, sqrt_dt: float, out=None):
+def one_step_mz(nxt: np.ndarray, sqrt_dt: float):
     """Child average ``m`` and ``z = (up - down) / (2 sqrt(dt))`` of next-step
     values on the last axis of ``nxt`` (one slice or a ``(rows, nodes)`` batch).
     ``z`` is the conditional covariance with the one-step noise over ``dt``.
-
-    ``out=(m, z)`` writes both into the given arrays, which must have the
-    result's shape and must not overlap ``nxt``, and returns them.
     """
     up, down = nxt[..., 1:], nxt[..., :-1]
-    if out is None:
-        return 0.5 * (up + down), (up - down) / (2.0 * sqrt_dt)
-    m, z = out
-    return (np.multiply(np.add(up, down, out=m), 0.5, out=m),
-            np.divide(np.subtract(up, down, out=z), 2.0 * sqrt_dt, out=z))
+    return 0.5 * (up + down), (up - down) / (2.0 * sqrt_dt)
 
 
 def _worst_node(slices, first: int = 0):

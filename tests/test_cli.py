@@ -141,6 +141,18 @@ class TestPrice:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {name} must be finite, got ")
 
+    @pytest.mark.parametrize("spot, message", [
+        ("-100", "s0 must be > 0, got -100.0"), ("0", "s0 must be > 0, got 0.0"),
+        ("nan", "s0 must be finite, got nan"), ("-inf", "s0 must be finite, got -inf")])
+    def test_non_positive_spot_is_named_before_any_solve(self, capsys, monkeypatch, spot,
+                                                         message):
+        # a spot of -100 priced the call at 0.0 and exited 0
+        monkeypatch.setattr("gmech.cli.solve_bsde", None)
+        code = main(["price", "--gen", "zero", "--payoff", "call:100", f"--s0={spot}",
+                     "--vol", "0.2", "--steps", "8"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_solver_failure_exit_code(self, capsys):
         # mu * dt >= 1 on a 2-step unit grid
         code, _ = run_cli(capsys, "price", "--gen", "gmu:2.5",
@@ -192,6 +204,19 @@ class TestDecomposeProbeRecover:
         probes = json.loads(out)["probes"]
         assert probes["1"] == pytest.approx(0.3, abs=1e-12)
         assert probes["2"] == pytest.approx(0.6, abs=1e-12)
+
+    @pytest.mark.parametrize("zbar, message", [
+        ("1,1.0000001,1", "--zbar items 1 (1.0) and 2 (1.0000001) both print as 1"),
+        ("0.5,2,0.5", "--zbar items 1 (0.5) and 3 (0.5) both print as 0.5"),
+        ("1e-7,1.0000001e-7", "--zbar items 1 (1e-07) and 2 (1.0000001e-07) both print as 1e-07"),
+    ])
+    def test_probe_levels_that_print_alike_are_named(self, capsys, monkeypatch, zbar,
+                                                     message):
+        # the report is keyed by each level as printed: the last level of a
+        # key overwrote the others, and the command exited 0
+        monkeypatch.setattr("gmech.cli.z_probe", None)
+        assert main(["probe", "--gen", "gmu:0.5", f"--zbar={zbar}", "--steps", "8"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_recover_json(self, capsys):
         # leading-dash grid values must use the --opt=value form
@@ -371,6 +396,14 @@ class TestAuditAndSynth:
         code = main(["synth", "--noise", "-1", "--out", str(tmp_path / "chain.csv")])
         assert code == 1
         assert capsys.readouterr().err == "error: noise must be >= 0, got -1.0\n"
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_synth_without_strikes_is_named(self, capsys, tmp_path, count):
+        # 0 wrote a header-only chain that the audit then rejected (exit 3)
+        path = tmp_path / "chain.csv"
+        assert main(["synth", "--n-strikes", count, "--out", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: --n-strikes must be >= 1, got {count}\n"
+        assert not path.exists()
 
     def test_synth_then_audit_csv_format(self, capsys, tmp_path):
         path = tmp_path / "chain.csv"

@@ -3,14 +3,16 @@
 For a closed-form driver ``engine._backward`` works in column-major scratch
 arrays and lets the built-in closed forms overwrite them.  These tests hold
 it to a row-major, allocating kernel written out here, bit for bit, on the
-closed-form path (the recovered driver's closed form returns a new array)
-and on the Picard path with its Aitken step, and check that no input is
-ever written.  The binomial sum ``engine._linear_root``, which shares no code
-with the kernel, is an exact oracle for both paths under linear drivers and
-under the extremal driver on one-signed monotone rows, and the extremal
-driver's closed form is held to its own Picard path on any rows.  So is the
-tilted extremal driver's, which on monotone rows of its direction is also
-held to the extremal driver's closed form.
+closed-form path (each built-in step spelled out from the children, and the
+recovered driver's closed form, which returns a new array) and on the
+Picard path with its Aitken step, and check that no input is ever written.
+The binomial sum ``engine._linear_root``, which shares no code with the
+kernel, is an exact oracle for both paths under linear drivers and under
+the extremal driver on one-signed monotone rows.  Every built-in closed
+form, which never forms ``m`` or ``z``, is held to its own Picard path,
+which steps from ``one_step_mz``, on any rows.  On monotone rows of its
+direction the tilted extremal driver's is also held to the extremal
+driver's closed form.
 """
 
 from dataclasses import replace
@@ -47,11 +49,6 @@ def _mz(nxt, dt):
     return 0.5 * (up + down), (up - down) / (2.0 * np.sqrt(dt))
 
 
-def _from_mz(step):
-    """An allocating step of ``(t, m, z, dk, dt)`` as a step of the next slice."""
-    return lambda t, nxt, dk, dt: step(t, *_mz(nxt, dt), dk, dt)
-
-
 def _where_gmu(mu):
     """The extremal driver's step as the sign of ``q = m + mu |z| dt + dk``
     picks its denominator."""
@@ -83,8 +80,23 @@ def _fused_tilted(mu, z_sign):
     return step
 
 
-def _allocating_linear(a, b):
-    return _from_mz(lambda t, m, z, dk, dt: (m + b * z * dt + dk) / (1.0 - a * dt))
+def _fused_abs_z(coef):
+    """The ``coef |z|`` driver's step from the children, spelled out: ``2y``
+    halved."""
+    def step(t, nxt, dk, dt):
+        up, down = nxt[..., 1:], nxt[..., :-1]
+        q = (up + down) + coef * np.sqrt(dt) * np.abs(up - down) + 2.0 * dk
+        return q * 0.5
+    return step
+
+
+def _fused_linear(a, b):
+    """The linear driver's step from the children, spelled out: the children
+    weighed by ``w (1 +/- b sqrt(dt))``, ``w = 0.5 / (1 - a dt)``."""
+    def step(t, nxt, dk, dt):
+        w, c = 0.5 / (1.0 - a * dt), b * np.sqrt(dt)
+        return nxt[..., 1:] * (w * (1.0 + c)) + nxt[..., :-1] * (w * (1.0 - c)) + 2.0 * w * dk
+    return step
 
 
 GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -96,13 +108,13 @@ RECOVERED = recover_generator(
 # each built-in closed form next to its allocating expression, and
 # the recovered driver's own closed form, allocating; ``None`` is the Picard path
 DRIVERS = [
-    (zero_generator(), _from_mz(lambda t, m, z, dk, dt: m + dk)),
+    (zero_generator(), _fused_linear(0.0, 0.0)),
     (domination_generator(0.4), _fused_gmu(0.4)),
     (domination_generator(0.4, z_sign=1), _fused_tilted(0.4, 1.0)),
     (domination_generator(0.4, z_sign=-1), _fused_tilted(0.4, -1.0)),
-    (abs_z_generator(0.3), _from_mz(lambda t, m, z, dk, dt: m + 0.3 * np.abs(z) * dt + dk)),
-    (linear_generator(-0.25, 0.35), _allocating_linear(-0.25, 0.35)),
-    (black_scholes_generator(BS), _allocating_linear(-BS.r, -THETA)),
+    (abs_z_generator(0.3), _fused_abs_z(0.3)),
+    (linear_generator(-0.25, 0.35), _fused_linear(-0.25, 0.35)),
+    (black_scholes_generator(BS), _fused_linear(-BS.r, -THETA)),
     (RECOVERED, lambda t, nxt, dk, dt: RECOVERED.exact_step(t, nxt, dk, dt, None)),
     (random_lipschitz_generator(np.random.default_rng(41)), None),
 ]
@@ -277,8 +289,15 @@ def test_linear_root_is_the_extremal_price_of_signed_monotone_rows(sign_y, sign_
         assert gap <= 1e-12 * (1.0 + np.abs(rows).max()), (path, gap)
 
 
+# every built-in closed form; the Picard path steps from one_step_mz's m and z
+BUILT_IN = [zero_generator(), abs_z_generator(0.3), linear_generator(-0.25, 0.35),
+            black_scholes_generator(BS), domination_generator(0.5),
+            domination_generator(0.5, z_sign=1), domination_generator(0.5, z_sign=-1)]
+
+
 @pytest.mark.parametrize("n", [64, 256, 1024])
-def test_extremal_closed_form_is_its_picard_path(n):
+@pytest.mark.parametrize("driver", BUILT_IN, ids=lambda g: g.name)
+def test_closed_form_is_its_picard_path(driver, n):
     # signed rows that are not monotone, so the step takes both branches and
     # z both signs; the closed form and the iteration share no step code
     lat = build_lattice(build_grid(0.0, 1.0, n))
@@ -288,7 +307,7 @@ def test_extremal_closed_form_is_its_picard_path(n):
     bound = 1e-12 * (1.0 + np.abs(rows).max(axis=1))
     for dividends in (None, signed_stream(rng, lat, scale=0.5)):
         exact, picard = (as_mechanism(g, lat).price_surfaces(n, rows, dividends)
-                         for g in _kernel_paths(domination_generator(0.5)).values())
+                         for g in _kernel_paths(driver).values())
         for i, (a, b) in enumerate(zip(exact, picard)):
             gap = np.abs(a - b).max(axis=1)
             assert (gap <= bound).all(), (dividends is not None, i, gap.max())
