@@ -7,7 +7,6 @@ prices, and audits option chains against the domination criterion.
 """
 
 from .errors import (
-    BadPartition,
     BadStepOrder,
     BoundViolated,
     ChainDataError,
@@ -63,7 +62,6 @@ from .engine import (
     claim_from_values,
     compare,
     make_underlying_map,
-    paste,
     price,
     random_claim,
     sign_flip_check,

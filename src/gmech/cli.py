@@ -327,8 +327,14 @@ def cmd_audit(args) -> int:
 def cmd_synth(args) -> int:
     if args.n_strikes < 1:
         raise ValueError(f"--n-strikes must be >= 1, got {args.n_strikes}")
-    params = BSMarketParams(r=args.r, b=args.b, sigma=args.sigma)
+    if not (math.isfinite(args.lo) and args.lo > 0 and math.isfinite(args.hi)):
+        raise ValueError(f"--lo and --hi must be finite with --lo > 0, "
+                         f"got --lo {args.lo} --hi {args.hi}")
     strikes = np.linspace(args.lo, args.hi, args.n_strikes)
+    if not np.all(np.diff(strikes) > 0):
+        raise ValueError(f"--lo {args.lo} and --hi {args.hi} do not span "
+                         f"{args.n_strikes} strictly increasing strikes")
+    params = BSMarketParams(r=args.r, b=args.b, sigma=args.sigma)
     chain = synth_chain(params, args.s0, strikes,
                         as_of=args.as_of_days / 365.0,
                         expiry=args.expiry_days / 365.0,

@@ -35,7 +35,6 @@ order verdicts are unreliable.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -43,7 +42,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    BadPartition,
     BadStepOrder,
     ContractionViolation,
     InvalidParams,
@@ -434,12 +432,10 @@ class MechanismHandle:
     instead of becoming a result; a batch is checked for NaN and inf once it
     is whole, so its witness names the row.
 
-    :func:`as_mechanism` and :func:`paste` override only the hooks ``_rows``,
-    ``_surface`` and (``as_mechanism``) ``_surfaces``, and pass
-    :meth:`_one_row` as their ``price_at``, so one claim is one row of their
-    batch; the public methods stay on this class, where ``bench/tracing.py``
-    patches them.  ``_surface(s, t, ...)`` prices steps ``s..t``;
-    :func:`paste` asks each segment for its own steps only.
+    :func:`as_mechanism` overrides only the hooks ``_rows``, ``_surface`` and
+    ``_surfaces``, and passes its ``_one_row`` as ``price_at``, so one claim
+    is one row of its batch; the public methods stay on this class, where
+    ``bench/tracing.py`` patches them.
     """
 
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float],
@@ -470,7 +466,7 @@ class MechanismHandle:
                       dividends: Optional[DividendStream] = None) -> AdaptedProcess:
         """Prices at every step 0..t_step."""
         _check_steps(0, t_step, self.lattice, dividends)
-        return self._surface(0, t_step, claim, dividends)
+        return self._surface(t_step, claim, dividends)
 
     def price_surfaces(self, t_step: int, rows,
                        dividends: Optional[DividendStream] = None) -> list:
@@ -493,23 +489,21 @@ class MechanismHandle:
                                      (s_step + 1,), s_step, finite=False)
         return out
 
-    def _surface(self, s_step, t_step, claim, dividends, finite=True):
-        # one price_at call per step; a batch of surfaces leaves NaN and inf
-        # (finite=False) to price_surfaces, so that its witness names the row
-        return AdaptedProcess(self.lattice, s_step, [
-            _checked_prices(self._price_at(s, t_step, claim, dividends), (s + 1,), s, finite)
-            for s in range(s_step, t_step + 1)])
+    def _surface(self, t_step, claim, dividends):
+        # one price_at call per step
+        return AdaptedProcess(self.lattice, 0, [
+            _checked_prices(self._price_at(s, t_step, claim, dividends), (s + 1,), s)
+            for s in range(t_step + 1)])
 
     def _surfaces(self, t_step, rows, dividends):
-        # one _surface per row, stacked step by step
-        surfs = [self._surface(0, t_step, claim_from_values(self.lattice, t_step, row),
-                               dividends, finite=False) for row in rows]
-        return [np.array([p.at(i) for p in surfs]).reshape(len(rows), i + 1)
+        # one price_at call per row and step, row by row as price_surface
+        # would; price_surfaces checks each step's batch for NaN and inf, so a
+        # witness names the row
+        surfs = [[_checked_prices(self._price_at(s, t_step, claim, dividends), (s + 1,), s,
+                                  finite=False) for s in range(t_step + 1)]
+                 for claim in (claim_from_values(self.lattice, t_step, row) for row in rows)]
+        return [np.array([p[i] for p in surfs]).reshape(len(rows), i + 1)
                 for i in range(t_step + 1)]
-
-    def _one_row(self, s_step, t_step, claim, dividends):
-        return self._rows(s_step, t_step, claim.values(self.lattice, t_step)[None],
-                          dividends)[0]
 
 
 def _terminal_rows(rows, t_step: int, copy: bool) -> np.ndarray:
@@ -552,14 +546,17 @@ class _DriverMechanism(MechanismHandle):
         super().__init__(lattice, self._one_row, mu=g.mu, name=g.name or "mechanism")
         self._g = g
 
+    def _one_row(self, s_step, t_step, claim, dividends):
+        return self._rows(s_step, t_step, claim.values(self.lattice, t_step)[None],
+                          dividends)[0]
+
     def _rows(self, s_step, t_step, rows, dividends):
         (y,), _, _ = _backward(self._g, rows, self.lattice, t_step, s_step, dividends,
                                keep_surface=False)
         return y
 
-    def _surface(self, s_step, t_step, claim, dividends, finite=True):
-        return solve_bsde(self._g, claim, dividends, self.lattice, t_step=t_step,
-                          s_step=s_step).y
+    def _surface(self, t_step, claim, dividends):
+        return solve_bsde(self._g, claim, dividends, self.lattice, t_step=t_step).y
 
     def _surfaces(self, t_step, rows, dividends):
         return _backward(self._g, rows, self.lattice, t_step, 0, dividends,
@@ -569,69 +566,6 @@ class _DriverMechanism(MechanismHandle):
 def as_mechanism(g: Generator, lattice: Lattice) -> MechanismHandle:
     """Wrap a driver's backward solver as a pricing mechanism on the lattice."""
     return _DriverMechanism(g, lattice)
-
-
-def paste(mechs: Sequence[MechanismHandle], boundaries: Sequence[int]) -> MechanismHandle:
-    """Join mechanisms end to end along a step partition of ``[0, n]``.
-
-    ``boundaries`` is the full partition ``0 = c_0 < c_1 < ... < c_N = n``
-    with ``mechs[k]`` governing ``[c_k, c_{k+1}]``.  Rows are walked down the
-    segments from the top, one ``price_rows`` call per segment on the slices
-    handed down: the unique consistent extension.  ``price_at`` is one such
-    row.  A surface prices each segment once, over its own steps, top down.
-    """
-    if not mechs:
-        raise BadPartition("need at least one mechanism")
-    lattice = mechs[0].lattice
-    for m in mechs:
-        if m.lattice != lattice:
-            raise BadPartition("all mechanisms must share one lattice")
-    cuts = [int(c) for c in boundaries]
-    n = lattice.n_steps
-    if (len(cuts) != len(mechs) + 1 or cuts[0] != 0 or cuts[-1] != n
-            or any(a >= b for a, b in zip(cuts, cuts[1:]))):
-        raise BadPartition(f"boundaries {cuts} do not partition [0, {n}] "
-                           f"into {len(mechs)} segments")
-
-    mus = [m.mu for m in mechs]
-    mu = None if any(v is None for v in mus) else max(mus)
-    return _PastedMechanism(list(mechs), cuts, mu,
-                            "paste(" + ",".join(m.name for m in mechs) + ")")
-
-
-class _PastedMechanism(MechanismHandle):
-    """Mechanisms joined along the step partition ``cuts`` (see :func:`paste`)."""
-
-    def __init__(self, mechs: list, cuts: list, mu: Optional[float], name: str):
-        super().__init__(mechs[0].lattice, self._one_row, mu=mu, name=name)
-        self._mechs, self._cuts = mechs, cuts
-
-    def _rows(self, s_step, t_step, rows, dividends):
-        step = t_step
-        while step > s_step:
-            # segment k covers (c_k, c_{k+1}]
-            k = bisect.bisect_left(self._cuts, step) - 1
-            lo = max(self._cuts[k], s_step)
-            step, rows = lo, self._mechs[k].price_rows(lo, step, rows, dividends)
-        return rows
-
-    def _surface(self, s_step, t_step, claim, dividends, finite=True):
-        # each segment prices the slice handed down from the one above over
-        # its own steps lo..step and gives steps lo..step - 1, top down
-        step = t_step
-        slices = [claim.values(self.lattice, t_step)]
-        while step > s_step:
-            k = bisect.bisect_left(self._cuts, step) - 1
-            lo = max(self._cuts[k], s_step)
-            surf = self._mechs[k]._surface(
-                lo, step, claim_from_values(self.lattice, step, slices[-1]), dividends,
-                finite)
-            slices.extend(surf.at(i) for i in range(step - 1, lo - 1, -1))
-            step = lo
-            # a slice handed down unchecked would make the next segment blame
-            # its claim for a NaN or inf
-            _checked_prices(slices[-1], (lo + 1,), lo)
-        return AdaptedProcess(self.lattice, s_step, slices[::-1])
 
 
 # -- order verdicts ---------------------------------------------------------------

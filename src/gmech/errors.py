@@ -47,10 +47,6 @@ class BadStepOrder(GmechError):
     """Raised when pricing steps are not ordered 0 <= s <= t <= n."""
 
 
-class BadPartition(GmechError):
-    """Raised when pasting boundaries do not partition the grid."""
-
-
 class SchemeNotMonotone(GmechError):
     """Raised when mu * (sqrt(dt) + dt) > 1; order verdicts would be unreliable."""
 

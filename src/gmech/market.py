@@ -178,8 +178,9 @@ def synth_chain(
 
     ``noise`` (finite, >= 0) adds centred gaussian perturbations (clipped at
     zero) for fault-detection experiments; the noiseless chain satisfies
-    put-call parity row by row.  A NaN or inf argument raises
-    :class:`InvalidParams` naming it.
+    put-call parity row by row.  A NaN or inf argument, or strikes that are
+    not finite, > 0 and strictly increasing, raise :class:`InvalidParams`
+    naming them.
     """
     s0, as_of, expiry, noise = (_finite(name, v) for name, v in (
         ("s0", s0), ("as_of", as_of), ("expiry", expiry), ("noise", noise)))
@@ -191,6 +192,12 @@ def synth_chain(
     if tau <= 0:
         raise InvalidParams("expiry must lie after as_of")
     strikes = np.asarray(strikes, dtype=float)
+    ok = np.isfinite(strikes) & (strikes > 0)
+    ok[1:] &= strikes[1:] > strikes[:-1]
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise InvalidParams(f"strikes must be finite, > 0 and strictly increasing; "
+                            f"strike {k} is {strikes[k]}")
     calls = np.array([bs_call(s0, k, params.r, params.sigma, tau) for k in strikes])
     puts = np.array([bs_put(s0, k, params.r, params.sigma, tau) for k in strikes])
     if noise > 0.0:
@@ -348,10 +355,12 @@ def run_domination_test(
     closed form's price up to rounding.  A payoff row that breaks the sign or
     direction its family's shortcut rests on raises :class:`InvariantError`
     naming the family, the pair and the node.  Deterministic given ``(chain,
-    mu, n_steps, vol_for_lattice)``.
+    mu, n_steps, vol_for_lattice)``.  A chain of fewer than 2 strikes has no
+    pair to test and raises :class:`EmptyChain`.
     """
-    if chain.n_strikes == 0:
-        raise EmptyChain("chain has no rows")
+    if chain.n_strikes < 2:
+        raise EmptyChain(f"need at least 2 strikes, chain has {chain.n_strikes}: "
+                         "no strike pair can be tested")
     if _finite("vol_for_lattice", vol_for_lattice) <= 0:
         raise InvalidParams("vol_for_lattice must be > 0")
     lattice = build_lattice(build_grid(0.0, chain.tau, n_steps))

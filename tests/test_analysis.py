@@ -33,7 +33,6 @@ from gmech import (
     infinitesimal_probe,
     linear_generator,
     pairwise_representation_gap,
-    paste,
     price,
     random_claim,
     recover_generator,
@@ -49,6 +48,7 @@ from gmech.lattice import one_step_mz
 
 from util import (
     increasing_stream,
+    paste,
     random_lipschitz_generator,
     random_pwl_claim,
     signed_stream,

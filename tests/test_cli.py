@@ -405,6 +405,38 @@ class TestAuditAndSynth:
         assert capsys.readouterr().err == f"error: --n-strikes must be >= 1, got {count}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, err", [
+        # a bad range is a usage error named before any strike is priced
+        (["--lo", "-10", "--hi", "80"], "--lo and --hi must be finite with --lo > 0, "
+                                        "got --lo -10.0 --hi 80.0"),
+        (["--lo", "0"], "--lo and --hi must be finite with --lo > 0, got --lo 0.0 --hi 120.0"),
+        (["--hi", "inf"], "--lo and --hi must be finite with --lo > 0, got --lo 80.0 --hi inf"),
+        (["--lo", "120", "--hi", "80"], "--lo 120.0 and --hi 80.0 do not span "
+                                        "3 strictly increasing strikes"),
+        (["--lo", "90", "--hi", "90"], "--lo 90.0 and --hi 90.0 do not span "
+                                       "3 strictly increasing strikes"),
+        # above --lo, but by too little for five distinct strikes
+        (["--n-strikes", "5", "--lo", "80", "--hi", "80.00000000000003"],
+         "--lo 80.0 and --hi 80.00000000000003 do not span 5 strictly increasing strikes")])
+    def test_bad_synth_strike_range_is_named(self, capsys, tmp_path, argv, err):
+        path = tmp_path / "chain.csv"
+        assert main(["synth", "--n-strikes", "3", *argv, "--out", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not path.exists()
+
+    def test_one_strike_chain_does_not_audit(self, capsys, tmp_path):
+        # synth may write one strike, but the audit has no pair to test in it
+        path = tmp_path / "chain.csv"
+        assert main(["synth", "--n-strikes", "1", "--lo", "120", "--hi", "80",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "audit.json"
+        assert main(["audit", "--chain", str(path), "--mu", "0.5", "--steps", "32",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("error: need at least 2 strikes, chain has 1: "
+                                           "no strike pair can be tested\n")
+        assert not out.exists()
+
     def test_synth_then_audit_csv_format(self, capsys, tmp_path):
         path = tmp_path / "chain.csv"
         assert main(["synth", "--n-strikes", "5", "--lo", "95", "--hi", "105",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gmech import (
-    BadPartition,
     BadStepOrder,
     BSMarketParams,
     ContractionViolation,
@@ -31,7 +30,6 @@ from gmech import (
     doob_meyer,
     linear_generator,
     make_underlying_map,
-    paste,
     price,
     sign_flip_check,
     solve_bsde,
@@ -49,6 +47,7 @@ from util import (
     affine_binomial_price,
     increasing_stream,
     ordered_claim_pair,
+    paste,
     random_lipschitz_generator,
     random_pwl_claim,
     signed_stream,
@@ -540,20 +539,6 @@ def test_single_claims_build_no_surface(lat16, monkeypatch):
     assert len(builds) == 1
 
 
-def test_pasted_rows_walk_each_segment_once(lat16):
-    # one price_rows call per segment for the whole batch; a black-box
-    # segment still gets one price_at call per row
-    mech = as_mechanism(abs_z_generator(0.3), lat16)
-    plain, calls = _price_at_only(mech)
-    pasted = paste([mech, plain, mech], [0, 4, 10, 16])
-    rows = np.random.default_rng(47).uniform(-2.0, 2.0, size=(3, 17))
-    got = pasted.price_rows(2, 16, rows)
-    assert calls == [(4, 10)] * 3
-    for k, row in enumerate(rows):
-        want = pasted.price_at(2, 16, claim_from_values(lat16, 16, row))
-        assert got[k].tobytes() == want.tobytes()
-
-
 def test_price_rows_validation(lat8):
     mech = as_mechanism(domination_generator(0.3), lat8)
     for handle in (mech, _price_at_only(mech)[0]):
@@ -709,6 +694,12 @@ class TestPrice:
             price(zero_generator(), 5, 3, WALK, None, lat8)
 
 
+def _time_switched(gens, times):
+    """The driver ``gens[k]`` from the ``k``-th of the increasing ``times`` on."""
+    return Generator(fn=lambda t, y, z: gens[sum(t >= c for c in times)](t, y, z),
+                     mu=max(g.mu for g in gens), name="switched")
+
+
 class TestPaste:
     def test_self_paste_is_identity(self, lat8):
         g = domination_generator(0.3)
@@ -719,36 +710,32 @@ class TestPaste:
             assert np.allclose(pasted.price_at(s, 8, claim),
                                mech.price_at(s, 8, claim), atol=1e-10, rtol=0)
 
-    def test_two_generator_paste_matches_time_switched_solve(self, lat8):
-        g1 = abs_z_generator(0.3)
-        g2 = linear_generator(-0.2, 0.1)
-        cut_time = lat8.grid.time(4)
-        switched = Generator(
-            fn=lambda t, y, z: np.where(t < cut_time, g1(t, y, z), g2(t, y, z)),
-            mu=max(g1.mu, g2.mu),
-            name="switched",
-        )
-        pasted = paste([as_mechanism(g1, lat8), as_mechanism(g2, lat8)], [0, 4, 8])
-        claim = random_pwl_claim(np.random.default_rng(7))
-        direct = solve_bsde(switched, claim, None, lat8).y
-        for s in range(9):
-            assert np.allclose(pasted.price_at(s, 8, claim), direct.at(s),
-                               atol=1e-10, rtol=0)
-
-    def test_paste_carries_dividends_through_the_boundary(self, lat8):
-        rng = np.random.default_rng(40)
-        g1, g2 = abs_z_generator(0.2), linear_generator(-0.1, 0.3)
-        stream = signed_stream(rng, lat8)
-        cut_time = lat8.grid.time(5)
-        switched = Generator(
-            fn=lambda t, y, z: np.where(t < cut_time, g1(t, y, z), g2(t, y, z)),
-            mu=max(g1.mu, g2.mu))
-        pasted = paste([as_mechanism(g1, lat8), as_mechanism(g2, lat8)], [0, 5, 8])
-        claim = random_pwl_claim(rng)
-        direct = solve_bsde(switched, claim, stream, lat8).y
-        for s in (0, 2, 5, 7):
-            assert np.allclose(pasted.price_at(s, 8, claim, stream),
-                               direct.at(s), atol=1e-10, rtol=0)
+    def test_paste_matches_time_switched_solve(self, lat16):
+        # 2 to 4 segments at random cuts, with and without payouts: the pasted
+        # black box is the solve whose driver switches at the cuts, and its
+        # three pricing forms agree bitwise
+        rng = np.random.default_rng(71)
+        pool = (lambda: abs_z_generator(rng.uniform(0.1, 0.4)),
+                lambda: linear_generator(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)),
+                lambda: domination_generator(rng.uniform(0.1, 0.4)),
+                lambda: random_lipschitz_generator(rng))
+        for _ in range(6):
+            k = int(rng.integers(2, 5))
+            inner = sorted(int(c) for c in rng.choice(np.arange(1, 16), k - 1, replace=False))
+            cuts = [0, *inner, 16]
+            gens = [pool[i]() for i in rng.integers(0, len(pool), size=k)]
+            pasted = paste([as_mechanism(g, lat16) for g in gens], cuts)
+            switched = _time_switched(gens, [lat16.grid.time(c) for c in inner])
+            claim = random_pwl_claim(rng)
+            for dividends in (None, signed_stream(rng, lat16)):
+                direct = solve_bsde(switched, claim, dividends, lat16).y
+                surface = pasted.price_surface(16, claim, dividends)
+                row = claim.values(lat16, 16)
+                for s in range(17):
+                    got = pasted.price_at(s, 16, claim, dividends)
+                    by_rows = pasted.price_rows(s, 16, [row], dividends)[0]
+                    assert by_rows.tobytes() == got.tobytes() == surface.at(s).tobytes(), (cuts, s)
+                    assert np.allclose(got, direct.at(s), atol=1e-10, rtol=0), (cuts, s)
 
     def test_equal_lattices_paste(self, lat8):
         # equality, not identity: a second build of the same grid is the same lattice
@@ -759,12 +746,6 @@ class TestPaste:
         claim = random_pwl_claim(np.random.default_rng(6))
         assert np.allclose(pasted.price_at(0, 8, claim), mech.price_at(0, 8, claim),
                            atol=1e-10, rtol=0)
-
-    def test_other_lattice_does_not_paste(self, lat8):
-        mech = as_mechanism(zero_generator(), lat8)
-        other = as_mechanism(zero_generator(), build_lattice(build_grid(0.0, 2.0, 8)))
-        with pytest.raises(BadPartition, match="share one lattice"):
-            paste([mech, other], [0, 4, 8])
 
     def test_surface_is_the_per_step_price_at_loop(self, lat16):
         # one price_surface per segment, byte-equal to pricing every step
@@ -783,45 +764,6 @@ class TestPaste:
                     for s in range(t + 1):
                         want = pasted.price_at(s, t, claim, dividends)
                         assert surface.at(s).tobytes() == want.tobytes(), (t, s)
-
-    def test_surface_prices_each_segment_once(self, lat16):
-        mech = as_mechanism(abs_z_generator(0.3), lat16)
-        plain, calls = _price_at_only(mech)
-        pasted = paste([mech, plain, mech], [0, 4, 10, 16])
-        pasted.price_surface(16, WALK)
-        # the middle segment's surface at maturity 10 is one price_at per
-        # step of its own
-        assert calls == [(s, 10) for s in range(4, 11)]
-
-    def test_non_finite_segment_price_is_named(self, lat8):
-        # a black-box segment's NaN names its step and node; inside a batch
-        # of surfaces also its row, except on the cut, where the slice handed
-        # down is checked before the segment below could blame its claim
-        mech = as_mechanism(abs_z_generator(0.3), lat8)
-        rows = np.zeros((2, 9))
-        rows[1] = 1.0
-        for bad_step, row in ((6, "row 1, "), (4, "")):
-            def price_at(s, t, claim, dividends=None):
-                out = mech.price_at(s, t, claim, dividends)
-                hit = s == bad_step and claim.values(lat8, t)[0] == 1.0
-                return np.where(np.arange(s + 1) == 2, np.nan, out) if hit else out
-
-            pasted = paste([mech, MechanismHandle(lat8, price_at, mu=0.3)], [0, 4, 8])
-            with pytest.raises(NonFiniteValue,
-                               match=rf"^mechanism price is nan at step {bad_step}, node 2$"):
-                pasted.price_surface(8, claim_from_values(lat8, 8, rows[1]))
-            with pytest.raises(NonFiniteValue,
-                               match=rf"^mechanism price is nan at step {bad_step}, {row}node 2$"):
-                pasted.price_surfaces(8, rows)
-
-    def test_bad_partition(self, lat8):
-        mech = as_mechanism(zero_generator(), lat8)
-        with pytest.raises(BadPartition):
-            paste([mech, mech], [0, 8])
-        with pytest.raises(BadPartition):
-            paste([mech, mech], [0, 5, 7])
-        with pytest.raises(BadPartition):
-            paste([mech], [0, 4])
 
 
 class TestCompare:

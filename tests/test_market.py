@@ -72,6 +72,17 @@ class TestSynthChain:
         with pytest.raises(InvalidParams, match=rf"^{name} must be finite, got {value}$"):
             synth_chain(PARAMS, strikes=[90.0, 110.0], seed=1, **kw)
 
+    @pytest.mark.parametrize("strikes, k, shown", [
+        ([-10.0, 35.0, 80.0], 0, "-10.0"), ([0.0, 60.0, 120.0], 0, "0.0"),
+        ([90.0, float("nan")], 1, "nan"), ([90.0, float("inf")], 1, "inf"),
+        ([120.0, 100.0, 80.0], 1, "100.0"), ([90.0, 100.0, 100.0], 2, "100.0")])
+    def test_bad_strikes_are_named(self, strikes, k, shown, monkeypatch):
+        # the strikes are checked before any closed-form price
+        monkeypatch.setattr(market, "bs_call", None)
+        with pytest.raises(InvalidParams, match=rf"^strikes must be finite, > 0 and strictly "
+                                                rf"increasing; strike {k} is {shown}$"):
+            synth_chain(PARAMS, 100.0, strikes, 0.0, 0.5)
+
     def test_negative_noise_is_rejected(self):
         with pytest.raises(InvalidParams, match=r"^noise must be >= 0, got -0\.5$"):
             synth_chain(PARAMS, 100.0, [90.0, 110.0], 0.0, 0.5, seed=1, noise=-0.5)
@@ -251,6 +262,12 @@ class TestDominationAudit:
         chain.call_mids = np.array([])
         chain.put_mids = np.array([])
         with pytest.raises(EmptyChain):
+            run_domination_test(chain, 0.5, 16, 0.2)
+
+    def test_one_strike_chain_has_no_pair(self):
+        chain = synth_chain(PARAMS, 100.0, [100.0], 0.0, 1.0)
+        with pytest.raises(EmptyChain, match=r"^need at least 2 strikes, chain has 1: "
+                                             r"no strike pair can be tested$"):
             run_domination_test(chain, 0.5, 16, 0.2)
 
     @pytest.mark.parametrize("vol", [float("nan"), float("inf"), -float("inf")])

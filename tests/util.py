@@ -13,6 +13,7 @@ from gmech import (
     DividendStream,
     Generator,
     GeneratorFlags,
+    MechanismHandle,
     TerminalClaim,
 )
 
@@ -123,3 +124,23 @@ def add_streams(lattice, a: DividendStream, b: DividendStream) -> DividendStream
         lattice,
         [a.increment(i) + b.increment(i) for i in range(lattice.n_steps)],
     )
+
+
+def paste(mechs, cuts) -> MechanismHandle:
+    """Mechanisms joined end to end as one black box: ``mechs[k]`` governs
+    steps ``cuts[k]..cuts[k + 1]`` of the partition ``0 = cuts[0] < ... <
+    cuts[-1] = n``.  A claim's node values are walked down the segments from
+    the top, one ``price_rows`` call per segment on the slice handed down
+    (Peng's time consistency makes this the unique consistent extension)."""
+    lattice = mechs[0].lattice
+
+    def price_at(s, t, claim, dividends=None):
+        step, rows = t, claim.values(lattice, t)[None]
+        while step > s:
+            k = max(k for k, c in enumerate(cuts[:-1]) if c < step)
+            lo = max(cuts[k], s)
+            step, rows = lo, mechs[k].price_rows(lo, step, rows, dividends)
+        return rows[0]
+
+    return MechanismHandle(lattice, price_at, mu=max(m.mu for m in mechs),
+                           name="paste(" + ",".join(m.name for m in mechs) + ")")
