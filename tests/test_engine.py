@@ -710,6 +710,37 @@ class TestPaste:
             assert np.allclose(pasted.price_at(s, 8, claim),
                                mech.price_at(s, 8, claim), atol=1e-10, rtol=0)
 
+    def test_two_generator_paste_matches_time_switched_solve(self, lat8):
+        g1 = abs_z_generator(0.3)
+        g2 = linear_generator(-0.2, 0.1)
+        cut_time = lat8.grid.time(4)
+        switched = Generator(
+            fn=lambda t, y, z: np.where(t < cut_time, g1(t, y, z), g2(t, y, z)),
+            mu=max(g1.mu, g2.mu),
+            name="switched",
+        )
+        pasted = paste([as_mechanism(g1, lat8), as_mechanism(g2, lat8)], [0, 4, 8])
+        claim = random_pwl_claim(np.random.default_rng(7))
+        direct = solve_bsde(switched, claim, None, lat8).y
+        for s in range(9):
+            assert np.allclose(pasted.price_at(s, 8, claim), direct.at(s),
+                               atol=1e-10, rtol=0)
+
+    def test_paste_carries_dividends_through_the_boundary(self, lat8):
+        rng = np.random.default_rng(40)
+        g1, g2 = abs_z_generator(0.2), linear_generator(-0.1, 0.3)
+        stream = signed_stream(rng, lat8)
+        cut_time = lat8.grid.time(5)
+        switched = Generator(
+            fn=lambda t, y, z: np.where(t < cut_time, g1(t, y, z), g2(t, y, z)),
+            mu=max(g1.mu, g2.mu))
+        pasted = paste([as_mechanism(g1, lat8), as_mechanism(g2, lat8)], [0, 5, 8])
+        claim = random_pwl_claim(rng)
+        direct = solve_bsde(switched, claim, stream, lat8).y
+        for s in (0, 2, 5, 7):
+            assert np.allclose(pasted.price_at(s, 8, claim, stream),
+                               direct.at(s), atol=1e-10, rtol=0)
+
     def test_paste_matches_time_switched_solve(self, lat16):
         # 2 to 4 segments at random cuts, with and without payouts: the pasted
         # black box is the solve whose driver switches at the cuts, and its
