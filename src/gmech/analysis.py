@@ -761,7 +761,8 @@ def verify_main_theorem(
     of their terminal node values) and the rebuilt system (one batched kernel
     pass for all claims) and the worst node discrepancy over all claims and
     steps is reported.  ``lattice`` defaults to the handle's own; any other
-    raises :class:`InvalidParams`.
+    raises :class:`InvalidParams`.  ``level`` defaults to the largest whose
+    ``2**level`` divides the step count.
     """
     lat = _own_lattice(mech, lattice)
     if mech.mu is None:
@@ -769,7 +770,7 @@ def verify_main_theorem(
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
     if level is None:
-        level = int(round(math.log2(lat.n_steps)))
+        level = (lat.n_steps & -lat.n_steps).bit_length() - 1
     rng = np.random.default_rng(seed)
 
     report = axiom_suite(mech, lat, samples=max(4, samples // 2), seed=seed)

@@ -11,8 +11,8 @@ step (see :func:`_implicit_step`), which contracts whenever ``mu * dt < 1``.
 
 One private kernel, ``_backward``, runs this recursion over the last axis of
 its input.  It has two entry points: :func:`solve_bsde` keeps the whole ``y``
-surface of one claim with its dividends, and the hooks of an
-:func:`as_mechanism` handle price many rows with their dividends in one pass,
+surface of one claim with its dividends, and the ``_batch`` hook of an
+:func:`as_mechanism` handle prices many rows with their dividends in one pass,
 keeping the step-``s`` values (``price_rows``) or every step's
 (``price_surfaces``).  The handle's ``price_at``, :func:`price` and
 :func:`solve_terminal_batch` are views of that batch: one row, and the root
@@ -310,8 +310,8 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
     the step-``s`` one unless ``keep_surface``), the worst Picard iteration
     count and residual.  The ``z`` of each step is used and dropped.
 
-    ``cur`` is never written.  A returned slice is a fresh row-major array
-    unless it is ``cur`` itself: scratch is copied once, when it is kept.
+    ``cur`` is never written.  Every returned slice is a fresh row-major
+    array: ``cur`` is copied only when it is returned, scratch once when kept.
 
     Every node feeds the step-``s`` slice, so one check there catches any
     NaN or inf; only then is the sweep re-run to locate it.
@@ -320,15 +320,13 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
         raise ContractionViolation(
             f"mu * dt = {g.mu * lattice.dt:.6g} >= 1; refine the grid"
         )
-    y_slices = [cur]
+    y_slices = [np.array(cur, dtype=float, order="C")] if keep_surface or s == n else []
     worst_iters, worst_resid = 0, 0.0
     for i, y, iters, resid in _sweep(g, cur, lattice, n, s, dividends):
         worst_iters = max(worst_iters, iters)
         worst_resid = max(worst_resid, resid)
         if keep_surface or i == s:
             y_slices.append(_owned(y))
-    if not keep_surface:
-        del y_slices[:-1]
     if not np.isfinite(y_slices[-1]).all():
         for i, y, *_ in _sweep(g, cur, lattice, n, s, dividends):
             if not np.isfinite(y).all():
@@ -430,11 +428,12 @@ class MechanismHandle:
     :meth:`price_surfaces` prices one surface per row.  Every price is checked
     for shape and finiteness, so a NaN or inf raises :class:`NonFiniteValue`
     instead of becoming a result; a batch is checked for NaN and inf once it
-    is whole, so its witness names the row.
+    is whole, so its witness names the row.  No result shares memory with
+    the input rows.
 
-    :func:`as_mechanism` overrides only the hooks ``_rows``, ``_surface`` and
-    ``_surfaces``, and passes its ``_one_row`` as ``price_at``, so one claim
-    is one row of its batch; the public methods stay on this class, where
+    :func:`as_mechanism` overrides only the hooks ``_batch`` and ``_surface``,
+    and passes its ``_one_row`` as ``price_at``, so one claim is one row of
+    its batch; the public methods stay on this class, where
     ``bench/tracing.py`` patches them.
     """
 
@@ -455,12 +454,12 @@ class MechanismHandle:
                    dividends: Optional[DividendStream] = None) -> np.ndarray:
         """Prices at ``s_step`` of a ``(k, t_step + 1)`` batch of terminal node
         values, as ``(k, s_step + 1)``; row ``r`` equals ``price_at`` of
-        ``claim_from_values(lattice, t_step, rows[r])``.  An ndarray batch is
-        copied only at ``s_step == t_step``, where a kernel hands it back."""
+        ``claim_from_values(lattice, t_step, rows[r])``.  The result never
+        shares memory with ``rows``, also at ``s_step == t_step``."""
         _check_steps(s_step, t_step, self.lattice, dividends)
-        rows = _terminal_rows(rows, t_step, copy=s_step == t_step)
-        return _checked_prices(self._rows(s_step, t_step, rows, dividends),
-                               (rows.shape[0], s_step + 1), s_step)
+        rows = _terminal_rows(rows, t_step)
+        (y,) = self._batch(s_step, t_step, rows, dividends, keep_surface=False)
+        return _checked_prices(y, (rows.shape[0], s_step + 1), s_step)
 
     def price_surface(self, t_step: int, claim: TerminalClaim,
                       dividends: Optional[DividendStream] = None) -> AdaptedProcess:
@@ -475,19 +474,20 @@ class MechanismHandle:
         ``i``, and its row ``r`` equals ``price_surface`` of
         ``claim_from_values(lattice, t_step, rows[r])`` at step ``i``."""
         _check_steps(0, t_step, self.lattice, dividends)
-        rows = _terminal_rows(rows, t_step, copy=True)
+        rows = _terminal_rows(rows, t_step)
         return [_checked_prices(v, (rows.shape[0], i + 1), i)
-                for i, v in enumerate(self._surfaces(t_step, rows, dividends))]
+                for i, v in enumerate(self._batch(0, t_step, rows, dividends,
+                                                  keep_surface=True))]
 
-    def _rows(self, s_step, t_step, rows, dividends):
-        # one price_at call per row; price_rows checks the whole batch for NaN
-        # and inf, so a witness names the row
-        out = np.empty((rows.shape[0], s_step + 1))
-        for r, row in enumerate(rows):
-            claim = claim_from_values(self.lattice, t_step, row)
-            out[r] = _checked_prices(self._price_at(s_step, t_step, claim, dividends),
-                                     (s_step + 1,), s_step, finite=False)
-        return out
+    def _batch(self, s_step, t_step, rows, dividends, keep_surface):
+        # one price_at call per row and kept step, row by row; the public
+        # methods check each step's batch for NaN and inf, so a witness names the row
+        steps = range(s_step, t_step + 1) if keep_surface else (s_step,)
+        prices = [[_checked_prices(self._price_at(s, t_step, claim, dividends), (s + 1,), s,
+                                   finite=False) for s in steps]
+                  for claim in (claim_from_values(self.lattice, t_step, row) for row in rows)]
+        return [np.array([p[k] for p in prices]).reshape(len(rows), s + 1)
+                for k, s in enumerate(steps)]
 
     def _surface(self, t_step, claim, dividends):
         # one price_at call per step
@@ -495,21 +495,11 @@ class MechanismHandle:
             _checked_prices(self._price_at(s, t_step, claim, dividends), (s + 1,), s)
             for s in range(t_step + 1)])
 
-    def _surfaces(self, t_step, rows, dividends):
-        # one price_at call per row and step, row by row as price_surface
-        # would; price_surfaces checks each step's batch for NaN and inf, so a
-        # witness names the row
-        surfs = [[_checked_prices(self._price_at(s, t_step, claim, dividends), (s + 1,), s,
-                                  finite=False) for s in range(t_step + 1)]
-                 for claim in (claim_from_values(self.lattice, t_step, row) for row in rows)]
-        return [np.array([p[i] for p in surfs]).reshape(len(rows), i + 1)
-                for i in range(t_step + 1)]
 
-
-def _terminal_rows(rows, t_step: int, copy: bool) -> np.ndarray:
-    """``rows`` as a float ``(k, t_step + 1)`` batch (a fresh copy if ``copy``);
-    raises unless it has that shape and no NaN or inf, naming its row and node."""
-    rows = np.array(rows, dtype=float) if copy else np.asarray(rows, float)
+def _terminal_rows(rows, t_step: int) -> np.ndarray:
+    """``rows`` as a float ``(k, t_step + 1)`` batch; raises unless it has
+    that shape and no NaN or inf, naming its row and node."""
+    rows = np.asarray(rows, float)
     if rows.ndim != 2 or rows.shape[1] != t_step + 1:
         raise StepOutOfRange(f"rows must have {t_step + 1} entries, got shape {rows.shape}")
     if not np.isfinite(rows).all():
@@ -547,20 +537,16 @@ class _DriverMechanism(MechanismHandle):
         self._g = g
 
     def _one_row(self, s_step, t_step, claim, dividends):
-        return self._rows(s_step, t_step, claim.values(self.lattice, t_step)[None],
-                          dividends)[0]
+        (y,) = self._batch(s_step, t_step, claim.values(self.lattice, t_step)[None],
+                           dividends, keep_surface=False)
+        return y[0]
 
-    def _rows(self, s_step, t_step, rows, dividends):
-        (y,), _, _ = _backward(self._g, rows, self.lattice, t_step, s_step, dividends,
-                               keep_surface=False)
-        return y
+    def _batch(self, s_step, t_step, rows, dividends, keep_surface):
+        return _backward(self._g, rows, self.lattice, t_step, s_step, dividends,
+                         keep_surface)[0]
 
     def _surface(self, t_step, claim, dividends):
         return solve_bsde(self._g, claim, dividends, self.lattice, t_step=t_step).y
-
-    def _surfaces(self, t_step, rows, dividends):
-        return _backward(self._g, rows, self.lattice, t_step, 0, dividends,
-                         keep_surface=True)[0]
 
 
 def as_mechanism(g: Generator, lattice: Lattice) -> MechanismHandle:

@@ -793,6 +793,66 @@ class TestLatticeMismatch:
         LATTICE_CALLS[name](mech, build_lattice(build_grid(0.0, 1.0, 16)))
 
 
+def _no_mu(mech):
+    """The same prices behind a handle that declares no domination constant."""
+    return MechanismHandle(mech.lattice, mech.price_at, mu=None)
+
+
+def _probe(mech, **kw):
+    return infinitesimal_probe(mech, x=0.0, p=1.0, y=0.0, b_fn=lambda x: 0.0 * x,
+                               sigma_fn=lambda x: 1.0 + 0.0 * x, **kw)
+
+
+LAT2 = build_lattice(build_grid(0.0, 1.0, 2))
+
+# each routine's checks on its own arguments: (call, error, message)
+BAD_ARGUMENTS = {
+    "axiom_suite_samples": (lambda mech, lat: axiom_suite(mech, lat, samples=0),
+                            InvalidParams, "samples must be >= 1"),
+    "axiom_suite_short_lattice": (
+        lambda mech, lat: axiom_suite(as_mechanism(abs_z_generator(0.3), LAT2), LAT2,
+                                      samples=4),
+        InvalidParams, "lattice must have at least 3 steps for nested checks"),
+    "doob_meyer_no_step": (
+        lambda mech, lat: doob_meyer(domination_generator(0.3),
+                                     AdaptedProcess(lat, 16, [np.zeros(17)]), None, lat),
+        StepOutOfRange, "need at least one step to decompose"),
+    "represent_no_mu": (lambda mech, lat: represent(_no_mu(mech), WALK, None, lat),
+                        InvalidParams, "mechanism must declare a domination constant mu"),
+    "z_probe_empty_window": (lambda mech, lat: z_probe(mech, 1.0, 8, 8),
+                             StepOutOfRange, r"need 0 <= t=8 < T=8"),
+    "infinitesimal_probe_no_step": (lambda mech, lat: _probe(mech, eps_steps=0),
+                                    InvalidParams, "eps_steps must be >= 1"),
+    "infinitesimal_probe_past_horizon": (
+        lambda mech, lat: _probe(mech, eps_steps=4, t_step=13),
+        StepOutOfRange, "probe window exceeds the lattice horizon"),
+    "build_probe_path_last_step": (
+        lambda mech, lat: build_probe_path(lat, 16, 0.0, 1.0, 0.3),
+        StepOutOfRange, "probe step must fit inside the lattice"),
+    "recover_generator_no_mu": (
+        lambda mech, lat: recover_generator(_no_mu(mech), 4, [(0.0, 1.0)], lat),
+        InvalidParams, "mechanism must declare a domination constant mu"),
+    "recover_generator_negative_level": (
+        lambda mech, lat: recover_generator(mech, -1, [(0.0, 1.0)], lat),
+        InvalidParams, "level must be >= 0, got -1"),
+    "recover_generator_level_off_the_grid": (
+        lambda mech, lat: recover_generator(mech, 5, [(0.0, 1.0)], lat),
+        InvalidParams, r"lattice step count 16 is not divisible by 2\^5"),
+    "recover_generator_no_points": (lambda mech, lat: recover_generator(mech, 4, [], lat),
+                                    InvalidParams, "need at least one sample point"),
+    "verify_main_theorem_no_mu": (
+        lambda mech, lat: verify_main_theorem(_no_mu(mech), lat, samples=4, level=4),
+        InvalidParams, "mechanism must declare a domination constant mu"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ARGUMENTS))
+def test_bad_argument_is_named(name, lat16):
+    call, error, message = BAD_ARGUMENTS[name]
+    with pytest.raises(error, match=rf"^{message}$"):
+        call(as_mechanism(abs_z_generator(0.3), lat16), lat16)
+
+
 class TestVerifyMainTheorem:
     def test_rebuild_matches_for_hidden_drivers(self):
         lat = build_lattice(build_grid(0.0, 1.0, 32))
@@ -847,3 +907,26 @@ class TestVerifyMainTheorem:
         mech = as_mechanism(abs_z_generator(0.3), lat16)
         with pytest.raises(InvalidParams, match="^samples must be >= 1$"):
             verify_main_theorem(mech, lat16, samples=0, level=4)
+
+    @pytest.mark.parametrize("steps, level", [(48, 4), (96, 5), (100, 2), (64, 6)])
+    def test_default_level_divides_the_step_count(self, steps, level):
+        # the largest level whose dyadic times all sit on the grid, also when
+        # the step count is not a power of 2
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        verdict = verify_main_theorem(as_mechanism(abs_z_generator(0.3), lat), samples=2)
+        assert verdict.recovered.level == level
+        assert verdict.passed()
+
+    def test_undominated_black_box_fails_domination(self, lat16):
+        # its one-step prices are the extremal driver's, so recovery returns a
+        # verdict; over two steps or more its spread escapes the mu-driver's cap
+        base = as_mechanism(domination_generator(0.5), lat16)
+
+        def price_at(s, t, claim, dividends=None):
+            vals = base.price_at(s, t, claim, dividends)
+            return 1.5 * vals if t - s >= 2 else vals
+
+        rogue = MechanismHandle(lat16, price_at, mu=0.5, name="rogue")
+        verdict = verify_main_theorem(rogue, samples=4, seed=3, level=4)
+        assert not verdict.domination_ok
+        assert not verdict.passed()

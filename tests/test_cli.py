@@ -10,10 +10,12 @@ import pytest
 
 from gmech import (
     BSMarketParams,
+    DividendStream,
     TerminalClaim,
     black_scholes_generator,
     build_grid,
     build_lattice,
+    domination_generator,
     make_underlying_map,
     solve_bsde,
     synth_chain,
@@ -128,6 +130,35 @@ class TestPrice:
                           lattice).y.at(0)[0]
         assert json.loads(out)["y0"] == want
         assert want == pytest.approx(7.627153511497915, abs=1e-12)
+
+    def test_surface_is_the_library_surface(self, capsys):
+        code, out = run_cli(capsys, "price", "--gen", "gmu:0.5", "--payoff", "bm",
+                            "--steps", "8", "--div-rate", "0.1", "--surface")
+        assert code == 0
+        report = json.loads(out)
+        lattice = build_lattice(build_grid(0.0, 1.0, 8))
+        walk = TerminalClaim(lambda b: np.asarray(b, dtype=float))
+        want = solve_bsde(domination_generator(0.5), walk,
+                          DividendStream.from_rate(lattice, 0.1), lattice).y
+        assert len(report["surface"]) == 9
+        for i, nodes in enumerate(report["surface"]):
+            assert np.array(nodes).tobytes() == want.at(i).tobytes(), i
+        assert report["surface"][0][0] == report["y0"]
+
+    def test_put_payoff_is_the_library_put(self, capsys):
+        code, out = run_cli(capsys, "price", "--gen", "gmu:0.5", "--payoff", "put:105",
+                            "--s0", "100", "--vol", "0.2", "--steps", "64")
+        assert code == 0
+        to_price = make_underlying_map(100.0, 0.2, 1.0)
+        put = TerminalClaim(lambda b: np.maximum(105.0 - to_price(b), 0.0))
+        lattice = build_lattice(build_grid(0.0, 1.0, 64))
+        want = solve_bsde(domination_generator(0.5), put, None, lattice).y.at(0)[0]
+        assert json.loads(out)["y0"] == want > 0.0
+
+    def test_unknown_payoff_is_named(self, capsys):
+        code = main(["price", "--gen", "zero", "--payoff", "digital:100", "--steps", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown payoff spec 'digital:100'\n"
 
     def test_non_finite_claim_is_numerical_failure(self, capsys):
         code, _ = run_cli(capsys, "price", "--gen", "zero",

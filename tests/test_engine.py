@@ -483,7 +483,7 @@ def test_rows_price_at_and_surface_agree_with_dividends(lat16):
 
 
 def test_zero_step_rows_do_not_alias_the_input(lat8):
-    # price_rows copies a batch only at s == t, where the kernel hands it back
+    # no handle result shares memory with its input rows, also at s == t
     rng = np.random.default_rng(39)
     mech = as_mechanism(domination_generator(0.3), lat8)
     handles = {"driver": mech, "black box": _price_at_only(mech)[0],
@@ -1055,3 +1055,14 @@ class TestDividendStream:
         s = DividendStream.from_arrays(lat8, [np.ones(3)], start=2)
         assert np.array_equal(s.increment(0), np.zeros(1))
         assert np.array_equal(s.increment(2), np.ones(3))
+
+    def test_increment_at_maturity_raises(self, lat8):
+        # the price at step n is the payoff: nothing can be paid after it
+        with pytest.raises(StepOutOfRange,
+                           match=r"^dividend increments may cover steps 0\.\.n-1 only$"):
+            DividendStream.from_arrays(lat8, [np.ones(i + 1) for i in range(9)])
+
+
+def test_claim_from_values_needs_one_value_per_node(lat8):
+    with pytest.raises(StepOutOfRange, match=r"^need 5 node values, got shape \(4,\)$"):
+        claim_from_values(lat8, 4, np.zeros(4))

@@ -62,6 +62,14 @@ def test_non_finite_constants_are_rejected(bad):
         linear_generator(bad, 0.1)
     with pytest.raises(InvalidParams, match=r"^b must be finite, got"):
         linear_generator(0.1, bad)
+    for name in ("r", "b", "sigma"):
+        with pytest.raises(InvalidParams, match=rf"^{name} must be finite$"):
+            BSMarketParams(**{"r": 0.05, "b": 0.08, "sigma": 0.2, name: bad})
+
+
+def test_negative_hedge_coefficient_is_rejected():
+    with pytest.raises(NegativeMu, match=r"^coef must be >= 0, got -0\.1$"):
+        abs_z_generator(-0.1)
 
 
 class TestBlackScholesGenerator:
@@ -109,6 +117,20 @@ class TestVerifyLipschitz:
         with pytest.raises(InvalidParams):
             verify_lipschitz(zero_generator(), samples=0)
 
+    def test_coincident_pairs_are_skipped(self):
+        # a one-point box draws only coincident pairs: no ratio is formed, so
+        # the driver is never called and nothing can fail
+        calls = []
+
+        def fn(t, y, z):
+            calls.append((t, y, z))
+            return 0.0
+
+        rep = verify_lipschitz(Generator(fn=fn, mu=0.0), samples=20,
+                               box=((1.0, 1.0), (-2.0, -2.0)), seed=5)
+        assert rep.ok and rep.worst_ratio == 0.0 and rep.witness is None
+        assert calls == []
+
 
 class TestClassifyGenerator:
     def test_domination_driver_structure(self):
@@ -143,6 +165,10 @@ class TestClassifyGenerator:
         assert rep.y_independent.holds
         assert rep.zero_rate.holds
         assert not rep.z_independent.holds
+
+    def test_sample_validation(self):
+        with pytest.raises(InvalidParams, match="^samples must be >= 1$"):
+            classify_generator(zero_generator(), samples=0)
 
     def test_verdicts_are_deterministic(self):
         g = linear_generator(0.2, -0.4)

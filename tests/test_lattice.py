@@ -58,6 +58,13 @@ class TestLattice:
         assert lat4.node_values(4)[4] == 2.0
         assert lat4.node_values(0)[0] == 0.0
 
+    @pytest.mark.parametrize("step", [-1, 9])
+    def test_step_off_the_grid_raises(self, lat8, step):
+        with pytest.raises(StepOutOfRange, match=rf"^step {step} outside \[0, 8\]$"):
+            lat8.grid.time(step)
+        with pytest.raises(StepOutOfRange, match=rf"^step {step} outside \[0, 8\]$"):
+            lat8.node_values(step)
+
     def test_step_sizes(self, lat8):
         for i in range(9):
             assert lat8.node_values(i).shape == (i + 1,)

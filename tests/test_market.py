@@ -83,6 +83,15 @@ class TestSynthChain:
                                                 rf"increasing; strike {k} is {shown}$"):
             synth_chain(PARAMS, 100.0, strikes, 0.0, 0.5)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"s0": 0.0}, r"s0 must be > 0, got 0\.0"),
+        ({"s0": -5.0}, r"s0 must be > 0, got -5\.0"),
+        ({"expiry": 0.0}, "expiry must lie after as_of")])
+    def test_out_of_range_argument_is_named(self, kw, message):
+        kw = {"s0": 100.0, "as_of": 0.0, "expiry": 0.5, **kw}
+        with pytest.raises(InvalidParams, match=rf"^{message}$"):
+            synth_chain(PARAMS, strikes=[90.0, 110.0], **kw)
+
     def test_negative_noise_is_rejected(self):
         with pytest.raises(InvalidParams, match=r"^noise must be >= 0, got -0\.5$"):
             synth_chain(PARAMS, 100.0, [90.0, 110.0], 0.0, 0.5, seed=1, noise=-0.5)
@@ -115,6 +124,20 @@ class TestChainValidation:
     def test_expiry_before_as_of(self):
         with pytest.raises(InvariantError):
             OptionChain(1.0, 0.5, 100.0, [100.0], [1.0], [1.0])
+
+    @pytest.mark.parametrize("underlying, calls, message", [
+        (100.0, [1.0], "strike/call/put columns must align"),
+        (0.0, [1.0, 1.0], "underlying must be > 0"),
+        (-100.0, [1.0, 1.0], "underlying must be > 0")])
+    def test_bad_columns_or_spot_are_named(self, underlying, calls, message):
+        with pytest.raises(InvariantError, match=rf"^{message}$"):
+            OptionChain(0.0, 1.0, underlying, [90.0, 100.0], calls, [1.0, 1.0])
+
+    def test_headerless_file(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("")
+        with pytest.raises(SchemaError, match=r"blank\.csv: empty file, expected header$"):
+            load_chain(str(path))
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -274,6 +297,12 @@ class TestDominationAudit:
     def test_non_finite_vol_is_named(self, vol):
         chain = synth_chain(PARAMS, 100.0, [100.0, 105.0], 0.0, 1.0)
         with pytest.raises(InvalidParams, match=rf"^vol_for_lattice must be finite, got {vol}$"):
+            run_domination_test(chain, 0.5, 16, vol)
+
+    @pytest.mark.parametrize("vol", [0.0, -0.2])
+    def test_non_positive_vol_is_named(self, vol):
+        chain = synth_chain(PARAMS, 100.0, [100.0, 105.0], 0.0, 1.0)
+        with pytest.raises(InvalidParams, match=r"^vol_for_lattice must be > 0$"):
             run_domination_test(chain, 0.5, 16, vol)
 
     def test_families_are_priced_in_order_on_the_calling_thread(self, monkeypatch):
