@@ -23,7 +23,7 @@ identities for measurable events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .engine import (
     _check_steps,
     _increment_at,
     _own_lattice,
+    _same_lattice,
     _witness,
     as_mechanism,
     check_domination,
@@ -96,16 +97,8 @@ class AxiomReport:
         return [getattr(self, f.name) for f in fields(self)]
 
     def as_dict(self) -> dict:
-        out = {}
-        for c in self.checks():
-            out[c.name] = {
-                "passed": c.passed,
-                "samples": c.samples,
-                "failures": c.failures,
-                "worst_margin": c.worst_margin,
-                "witness": c.witness,
-            }
-        return out
+        return {c.name: {k: v for k, v in asdict(c).items() if k != "name"}
+                for c in self.checks()}
 
 
 def _reach_mask(step_s: int, step_t: int, nodes_s: np.ndarray) -> np.ndarray:
@@ -250,7 +243,6 @@ def doob_meyer(
     y: AdaptedProcess,
     dividends: Optional[DividendStream],
     lattice: Lattice,
-    tol: float = PRICE_TOL,
 ) -> DecompositionResult:
     """Decompose a supermartingale of the driver-priced system.
 
@@ -260,12 +252,10 @@ def doob_meyer(
 
     the unique extra payout making ``y`` the one-step price of the next
     slice.  Nonnegative defects at every node are exactly the supermartingale
-    property; a defect below ``-tol`` raises :class:`NotSupermartingale`.
+    property; a defect below ``-PRICE_TOL`` raises :class:`NotSupermartingale`.
     ``lattice`` must equal ``y``'s own.
     """
-    if lattice != y.lattice:
-        raise InvalidParams(f"lattice {lattice.grid} is not the process's "
-                            f"lattice {y.lattice.grid}")
+    _same_lattice(lattice, y.lattice, "process's")
     _check_steps(y.start, y.stop, lattice, dividends)
     require_monotone(g.mu, lattice)
     if y.stop - y.start < 1:
@@ -278,7 +268,7 @@ def doob_meyer(
         dk = _increment_at(dividends, i)
         incs.append(y.at(i) - m - g(lattice.grid.time(i), y.at(i), zz) * dt - dk)
     worst, node = _worst_node(incs, y.start)
-    if worst < -tol:
+    if worst < -PRICE_TOL:
         raise NotSupermartingale(
             f"one-step defect {worst:.3g} at {_witness(node[0], node[1:])}; "
             "input is not a supermartingale at this tolerance"
@@ -323,12 +313,18 @@ def _realized_driver(price, m, z, dk, dt: float, mu: float):
     return drv, np.abs(drv) - mu * (np.abs(price) + np.abs(z))
 
 
+def _declared_mu(mech: MechanismHandle) -> float:
+    """The handle's declared domination constant; raises if it has none."""
+    if mech.mu is None:
+        raise InvalidParams("mechanism must declare a domination constant mu")
+    return mech.mu
+
+
 def represent(
     mech: MechanismHandle,
     claim: TerminalClaim,
     dividends: Optional[DividendStream],
     lattice: Lattice,
-    t_step: int | None = None,
 ) -> RepresentationResult:
     """Extract the realized driver of a mechanism on one claim.
 
@@ -338,17 +334,15 @@ def represent(
     ``lattice`` must be the handle's own.
     """
     _own_lattice(mech, lattice)
-    if mech.mu is None:
-        raise InvalidParams("mechanism must declare a domination constant mu")
-    t = lattice.n_steps if t_step is None else t_step
+    mu = _declared_mu(mech)
     dt = lattice.dt
-    surface = mech.price_surface(t, claim, dividends)
+    surface = mech.price_surface(lattice.n_steps, claim, dividends)
 
     drivers, hedges = [], []
-    for i in range(t):
+    for i in range(lattice.n_steps):
         m, zz = one_step_mz(surface.at(i + 1), surface.lattice.sqrt_dt)
         drv, excess = _realized_driver(surface.at(i), m, zz, _increment_at(dividends, i),
-                                       dt, mech.mu)
+                                       dt, mu)
         j = int(np.argmax(excess))
         if excess[j] > ENVELOPE_TOL:
             raise BoundViolated(f"driver {drv[j]:.6g} escapes mu-envelope by "
@@ -384,6 +378,8 @@ def pairwise_representation_gap(a: RepresentationResult, b: RepresentationResult
 
 def _anchor_node(t_step: int, anchor: int | None) -> int:
     """A probe's anchor node at ``t_step``, by default the middle one."""
+    if t_step < 0:
+        raise StepOutOfRange(f"probe step {t_step} is negative")
     j0 = t_step // 2 if anchor is None else int(anchor)
     if not 0 <= j0 <= t_step:
         raise StepOutOfRange(f"anchor {j0} is not a step-{t_step} node")
@@ -433,11 +429,14 @@ def infinitesimal_probe(
     j0 = _anchor_node(t_step, anchor)
     dt, sdt = lat.dt, lat.sqrt_dt
 
-    # forward Euler on the subtree below the anchor
-    state = _forward_subtree(
-        x, eps_steps,
-        lambda cur: (cur + np.asarray(b_fn(cur), float) * dt,
-                     np.asarray(sigma_fn(cur), float) * sdt))[-1]
+    # forward Euler on the subtree below the anchor: children sit at drift
+    # -/+ spread, and a recombining node averages its two parent propagations
+    state = np.array([float(x)])
+    for _ in range(eps_steps):
+        drift = state + np.asarray(b_fn(state), float) * dt
+        spread = np.asarray(sigma_fn(state), float) * sdt
+        down, up = drift - spread, drift + spread
+        state = np.concatenate([down[:1], 0.5 * (down[1:] + up[:-1]), up[-1:]])
 
     # off-subtree nodes clamp to the nearest edge value, which a local
     # mechanism never reads
@@ -474,23 +473,6 @@ class ProbePath:
     z: np.ndarray
     mu: float
     slices: list
-
-
-def _forward_subtree(start: float, window: int, move: Callable) -> list:
-    """Forward recursion on the subtree below one node, for the Euler probe;
-    ``slices[k]`` holds the ``k + 1`` values ``k`` steps on.  ``move(cur)``
-    gives each node's drift and spread: children sit at ``drift -/+ spread``,
-    and a recombining node averages its two parent propagations."""
-    slices = [np.array([float(start)])]
-    for _ in range(window):
-        drift, spread = move(slices[-1])
-        down, up = drift - spread, drift + spread
-        nxt = np.empty(down.size + 1)
-        nxt[0] = down[0]
-        nxt[-1] = up[-1]
-        nxt[1:-1] = 0.5 * (down[1:] + up[:-1])
-        slices.append(nxt)
-    return slices
 
 
 def build_probe_path(
@@ -541,6 +523,16 @@ def _decompose_probe(probe: ProbePath, one_step: np.ndarray) -> np.ndarray:
     return driver
 
 
+def _cell(axis: np.ndarray, v):
+    """Cell index and weight of ``v`` clamped to the sorted grid ``axis``.  A
+    clamped query is never below the first cell; a singleton axis aliases its
+    only cell, and a unit denominator keeps the weight at zero."""
+    v = np.clip(np.asarray(v, dtype=float), axis[0], axis[-1])
+    i = np.minimum(axis.searchsorted(v, side="right") - 1, len(axis) - 2)
+    v0, v1 = axis[i], axis[i + 1]
+    return i, (v - v0) / np.where(v1 > v0, v1 - v0, 1.0)
+
+
 @dataclass
 class RecoveredGenerator:
     """Tabulated generating function read off a black-box mechanism.
@@ -572,13 +564,7 @@ class RecoveredGenerator:
             raise InvalidParams("sample points do not form a full (y, z) grid")
         ys, zs = self.grid
         ti = max(int(self.times.searchsorted(t, side="right")) - 1, 0)
-        # a clamped query is never below the first cell; a singleton axis
-        # aliases its only cell, and a unit denominator keeps the weight at zero
-        z = np.clip(np.asarray(z, dtype=float), zs[0], zs[-1])
-        iz = np.minimum(zs.searchsorted(z, side="right") - 1, len(zs) - 2)
-        z0, z1 = zs[iz], zs[iz + 1]
-        wz = (z - z0) / np.where(z1 > z0, z1 - z0, 1.0)
-        return ys, self.table[ti].reshape(len(ys), len(zs)), iz, wz
+        return ys, self.table[ti].reshape(len(ys), len(zs)), *_cell(zs, z)
 
     def value(self, t: float, y, z):
         """Interpolated value: previous probe time, bilinear in ``(y, z)``.
@@ -587,10 +573,7 @@ class RecoveredGenerator:
         preserves the Lipschitz certificate.
         """
         ys, sheet, iz, wz = self._z_sheet(t, z)
-        y = np.clip(np.asarray(y, dtype=float), ys[0], ys[-1])
-        iy = np.minimum(ys.searchsorted(y, side="right") - 1, len(ys) - 2)
-        y0, y1 = ys[iy], ys[iy + 1]
-        wy = (y - y0) / np.where(y1 > y0, y1 - y0, 1.0)
+        iy, wy = _cell(ys, y)
         lo, hi = ((1 - wz) * sheet[k, iz] + wz * sheet[k, iz + 1] for k in (iy, iy + 1))
         return (1 - wy) * lo + wy * hi
 
@@ -684,15 +667,14 @@ def recover_generator(
     is not dominated at its declared ``mu``.
     """
     lat = _own_lattice(mech, lattice)
-    if mech.mu is None:
-        raise InvalidParams("mechanism must declare a domination constant mu")
+    mu = _declared_mu(mech)
     if level < 0:
         raise InvalidParams(f"level must be >= 0, got {level}")
     if lat.n_steps % (1 << level) != 0:
         raise InvalidParams(
             f"lattice step count {lat.n_steps} is not divisible by 2^{level}"
         )
-    require_monotone(mech.mu, lat)
+    require_monotone(mu, lat)
     points = [(float(a), float(b)) for a, b in sample_points]
     if not points:
         raise InvalidParams("need at least one sample point")
@@ -704,7 +686,7 @@ def recover_generator(
     table = np.zeros((1 << level, len(points)))
     for i in range(1 << level):
         t_step = i * stride
-        probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mech.mu)
+        probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mu)
         cols = np.clip(np.arange(t_step + 2) - probe.anchor, 0, 1)
         one_steps = mech.price_rows(t_step, t_step + 1, probe.slices[1][:, cols])
         table[i] = _decompose_probe(probe, one_steps[:, probe.anchor])
@@ -725,7 +707,7 @@ def recover_generator(
 
     times = np.array([lat.grid.time(i * stride) for i in range(1 << level)])
     return RecoveredGenerator(
-        level=level, mu=float(mech.mu), times=times,
+        level=level, mu=float(mu), times=times,
         points=points, table=table, lipschitz_ratio=worst_ratio,
         zero_defect=zero_defect, grid=_detect_grid(points),
     )
@@ -765,8 +747,7 @@ def verify_main_theorem(
     ``2**level`` divides the step count.
     """
     lat = _own_lattice(mech, lattice)
-    if mech.mu is None:
-        raise InvalidParams("mechanism must declare a domination constant mu")
+    mu = _declared_mu(mech)
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
     if level is None:
@@ -778,7 +759,7 @@ def verify_main_theorem(
     for _ in range(max(2, samples // 4)):
         a = random_claim(rng)
         b = random_claim(rng)
-        if not check_domination(mech, a, b, mech.mu, lat).passed:
+        if not check_domination(mech, a, b, mu, lat).passed:
             dom_ok = False
             break
 

@@ -157,7 +157,7 @@ class DividendStream:
     @classmethod
     def from_rate(cls, lattice: Lattice, rate: float) -> "DividendStream":
         """Constant payout rate: every node of every step pays ``rate * dt``."""
-        return cls(AdaptedProcess.constant(lattice, rate * lattice.dt, 0,
+        return cls(AdaptedProcess.constant(lattice, _finite("rate", rate) * lattice.dt, 0,
                                            lattice.n_steps - 1))
 
     @classmethod
@@ -205,15 +205,20 @@ def _witness(step: Optional[int], where: tuple) -> str:
     return ("" if step is None else f"step {step}, ") + f"{row}node {where[-1]}"
 
 
+def _same_lattice(lattice: Lattice, own: Lattice, owner: str, what: str = "lattice") -> None:
+    """Raise unless ``lattice`` equals ``own``: "{what} ... is not the {owner} lattice ..."."""
+    if lattice != own:
+        raise InvalidParams(f"{what} {lattice.grid} is not the {owner} lattice {own.grid}")
+
+
 def _check_steps(s_step: int, t_step: int, lattice: Lattice, *streams) -> None:
     """Raise unless ``0 <= s <= t <= n`` and each payout stream (or ``None``)
     is built on ``lattice``: its increments are amounts per step of its ``dt``."""
     if not 0 <= s_step <= t_step <= lattice.n_steps:
         raise BadStepOrder(f"need 0 <= s={s_step} <= t={t_step} <= {lattice.n_steps}")
     for d in streams:
-        if d is not None and d.lattice != lattice:
-            raise InvalidParams(f"dividend stream lattice {d.lattice.grid} is not the "
-                                f"pricing lattice {lattice.grid}")
+        if d is not None:
+            _same_lattice(d.lattice, lattice, "pricing", what="dividend stream lattice")
 
 
 def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
@@ -521,9 +526,8 @@ def _checked_prices(values, shape: tuple, step: int, finite: bool = True) -> np.
 
 def _own_lattice(mech: MechanismHandle, lattice: Optional[Lattice]) -> Lattice:
     """The handle's lattice, which ``lattice`` must equal unless ``None``."""
-    if lattice is not None and lattice != mech.lattice:
-        raise InvalidParams(f"lattice {lattice.grid} is not the mechanism's "
-                            f"lattice {mech.lattice.grid}")
+    if lattice is not None:
+        _same_lattice(lattice, mech.lattice, "mechanism's")
     return mech.lattice
 
 
@@ -613,14 +617,13 @@ def check_domination(
     lattice: Lattice,
     dividends_a: Optional[DividendStream] = None,
     dividends_b: Optional[DividendStream] = None,
-    tol: float = PRICE_TOL,
 ) -> DominationVerdict:
     """Check that the mechanism's price spread is capped by the mu-driver price.
 
     At every node of every step the spread ``mech(A) - mech(B)`` must not
     exceed the extremal-driver price of the difference claim (with the
-    difference payout stream); the worst margin ``cap - spread`` is reported.
-    ``lattice`` must be the handle's own.
+    difference payout stream) by more than ``PRICE_TOL``; the worst margin
+    ``cap - spread`` is reported.  ``lattice`` must be the handle's own.
     """
     _own_lattice(mech, lattice)
     require_monotone(mu, lattice)
@@ -638,7 +641,7 @@ def check_domination(
 
     worst_margin, worst_node = _worst_node(cap.at(i) - (sa.at(i) - sb.at(i))
                                            for i in range(n + 1))
-    return DominationVerdict(passed=bool(worst_margin >= -tol),
+    return DominationVerdict(passed=bool(worst_margin >= -PRICE_TOL),
                              worst_margin=worst_margin, worst_node=worst_node)
 
 

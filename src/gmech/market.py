@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -244,11 +244,7 @@ class DominationReport:
             "mu": self.mu,
             "n_steps": self.n_steps,
             "vol": self.vol,
-            "families": {
-                name: {"tested": c.tested, "passed": c.passed,
-                       "violated": c.violated}
-                for name, c in self.families.items()
-            },
+            "families": {name: asdict(c) for name, c in self.families.items()},
             "total_tested": self.total_tested,
             "total_violated": self.total_violated,
             "violations": self.violations,

@@ -81,6 +81,19 @@ class TestAxiomSuite:
         b = axiom_suite(mech, lat8, samples=25, seed=9).as_dict()
         assert a == b
 
+    def test_report_keys(self, lat8):
+        # one entry per law, keyed by its name, which the entry does not repeat
+        base = as_mechanism(abs_z_generator(0.3), lat8)
+        off = MechanismHandle(
+            lat8, lambda s, t, claim, d: base.price_at(s, t, claim, d) + (1e-3 if s == t else 0.0),
+            mu=0.3)
+        report = axiom_suite(off, lat8, samples=10, seed=4).as_dict()
+        assert list(report) == ["monotonicity", "identity", "time_consistency", "locality",
+                                "splitting", "zero_preservation", "locality_with_zero"]
+        for law in report.values():
+            assert list(law) == ["passed", "samples", "failures", "worst_margin", "witness"]
+        assert list(report["identity"]["witness"]) == ["sample", "t", "violation"]
+
     def test_reach_mask_is_the_union_of_node_cones(self):
         # node j at step s reaches terminal nodes j .. j + (t - s)
         rng = np.random.default_rng(53)
@@ -826,6 +839,12 @@ BAD_ARGUMENTS = {
     "infinitesimal_probe_past_horizon": (
         lambda mech, lat: _probe(mech, eps_steps=4, t_step=13),
         StepOutOfRange, "probe window exceeds the lattice horizon"),
+    "build_probe_path_negative_step": (
+        lambda mech, lat: build_probe_path(lat, -1, 0.0, 1.0, 0.3),
+        StepOutOfRange, "probe step -1 is negative"),
+    "infinitesimal_probe_negative_step": (
+        lambda mech, lat: _probe(mech, eps_steps=2, t_step=-1, anchor=0),
+        StepOutOfRange, "probe step -1 is negative"),
     "build_probe_path_last_step": (
         lambda mech, lat: build_probe_path(lat, 16, 0.0, 1.0, 0.3),
         StepOutOfRange, "probe step must fit inside the lattice"),

@@ -172,6 +172,16 @@ class TestPrice:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {name} must be finite, got ")
 
+    @pytest.mark.parametrize("command, rate", [("price", "nan"), ("price", "-inf"),
+                                               ("decompose", "inf")])
+    def test_non_finite_payout_rate_is_named(self, capsys, command, rate):
+        # a NaN rate came back as "price is nan at step 3, node 0"; an inf one
+        # leaked a numpy RuntimeWarning from decompose
+        code = main([command, "--gen", "gmu:0.3", "--payoff", "bm", "--steps", "4",
+                     f"--div-rate={rate}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: rate must be finite, got {rate}\n"
+
     @pytest.mark.parametrize("spot, message", [
         ("-100", "s0 must be > 0, got -100.0"), ("0", "s0 must be > 0, got 0.0"),
         ("nan", "s0 must be finite, got nan"), ("-inf", "s0 must be finite, got -inf")])

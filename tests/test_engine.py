@@ -1056,6 +1056,11 @@ class TestDividendStream:
         assert np.array_equal(s.increment(0), np.zeros(1))
         assert np.array_equal(s.increment(2), np.ones(3))
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_is_rejected(self, lat8, rate):
+        with pytest.raises(InvalidParams, match=rf"^rate must be finite, got {rate}$"):
+            DividendStream.from_rate(lat8, rate)
+
     def test_increment_at_maturity_raises(self, lat8):
         # the price at step n is the payoff: nothing can be paid after it
         with pytest.raises(StepOutOfRange,

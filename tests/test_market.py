@@ -45,6 +45,9 @@ class TestClosedForm:
     def test_degenerate_vol_limit(self):
         assert bs_call(100, 90, 0.0, 1e-12, 1.0) == pytest.approx(10.0, abs=1e-6)
         assert bs_call(100, 110, 0.0, 0.0, 1.0) == 0.0
+        assert bs_put(100, 110, 0.0, 1e-12, 1.0) == pytest.approx(10.0, abs=1e-6)
+        assert bs_put(100, 90, 0.0, 0.0, 1.0) == 0.0
+        assert bs_put(90, 100, 0.05, 0.2, 0.0) == 10.0
 
 
 class TestSynthChain:
@@ -261,6 +264,13 @@ class TestDominationAudit:
         a = run_domination_test(chain, 0.5, 64, 0.2).as_dict()
         b = run_domination_test(chain, 0.5, 64, 0.2).as_dict()
         assert a == b
+
+    def test_report_family_keys(self):
+        chain = synth_chain(PARAMS, 100.0, np.linspace(90, 110, 6), 0.0, 0.5)
+        families = run_domination_test(chain, 0.5, 64, 0.2).as_dict()["families"]
+        assert list(families) == ["call_call", "put_put", "call_put", "put_call"]
+        for counts in families.values():
+            assert list(counts) == ["tested", "passed", "violated"]
 
     def test_corrupted_put_is_flagged(self):
         chain = synth_chain(PARAMS, 100.0, np.linspace(90, 110, 10), 0.0, 0.5)
