@@ -62,7 +62,6 @@ from .engine import (
     claim_from_values,
     compare,
     make_underlying_map,
-    price,
     random_claim,
     sign_flip_check,
     solve_bsde,

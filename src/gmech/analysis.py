@@ -403,6 +403,16 @@ def z_probe(mech: MechanismHandle, zbar: float, t_step: int, T_step: int,
     return float(vals[j0]) / horizon
 
 
+def _euler_step(state, b, sigma, dt: float, sqrt_dt: float) -> np.ndarray:
+    """One forward Euler step of the node states on the last axis: children at ``state
+    + b dt -/+ sigma sqrt(dt)``, where two meet their mean (the lattice recombines)."""
+    drift = state + b * dt
+    spread = sigma * sqrt_dt
+    down, up = drift - spread, drift + spread
+    return np.concatenate([down[..., :1], 0.5 * (down[..., 1:] + up[..., :-1]),
+                           up[..., -1:]], axis=-1)
+
+
 def infinitesimal_probe(
     mech: MechanismHandle,
     x: float,
@@ -429,14 +439,11 @@ def infinitesimal_probe(
     j0 = _anchor_node(t_step, anchor)
     dt, sdt = lat.dt, lat.sqrt_dt
 
-    # forward Euler on the subtree below the anchor: children sit at drift
-    # -/+ spread, and a recombining node averages its two parent propagations
+    # forward Euler on the subtree below the anchor
     state = np.array([float(x)])
     for _ in range(eps_steps):
-        drift = state + np.asarray(b_fn(state), float) * dt
-        spread = np.asarray(sigma_fn(state), float) * sdt
-        down, up = drift - spread, drift + spread
-        state = np.concatenate([down[:1], 0.5 * (down[1:] + up[:-1]), up[-1:]])
+        state = _euler_step(state, np.asarray(b_fn(state), float),
+                            np.asarray(sigma_fn(state), float), dt, sdt)
 
     # off-subtree nodes clamp to the nearest edge value, which a local
     # mechanism never reads
@@ -490,11 +497,11 @@ def build_probe_path(
     j0 = _anchor_node(t_step, anchor)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    # one step, so nothing recombines: the children are drift -/+ spread
-    drift = y - mu * (np.abs(y) + np.abs(z)) * lattice.dt
-    spread = z * lattice.sqrt_dt
+    start, hedge = y[..., None], z[..., None]
+    children = _euler_step(start, -mu * (np.abs(start) + np.abs(hedge)), hedge,
+                           lattice.dt, lattice.sqrt_dt)
     return ProbePath(lattice=lattice, t_step=t_step, anchor=j0, y=y, z=z, mu=float(mu),
-                     slices=[y[..., None], np.stack([drift - spread, drift + spread], -1)])
+                     slices=[start, children])
 
 
 def _decompose_probe(probe: ProbePath, one_step: np.ndarray) -> np.ndarray:
@@ -552,6 +559,12 @@ class RecoveredGenerator:
     lipschitz_ratio: float
     zero_defect: Optional[float]
     grid: Optional[tuple] = None
+
+    def certificate_ok(self) -> bool:
+        """The recovery certificate: the Lipschitz ratio within ``mu`` and the zero
+        defect, if the origin was sampled, within 0, both up to ``RECOVERY_SLACK``."""
+        return (self.lipschitz_ratio <= self.mu + RECOVERY_SLACK
+                and (self.zero_defect is None or self.zero_defect <= RECOVERY_SLACK))
 
     def rows(self):
         for ti, t in enumerate(self.times):

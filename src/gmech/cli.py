@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -23,6 +22,7 @@ from .errors import ChainDataError, GmechError, InvalidParams
 from .generators import (
     BSMarketParams,
     Generator,
+    _finite,
     abs_z_generator,
     black_scholes_generator,
     domination_generator,
@@ -38,14 +38,13 @@ from .engine import (
     solve_bsde,
 )
 from .analysis import (
-    RECOVERY_SLACK,
     axiom_suite,
     doob_meyer,
     grid_points,
     recover_generator,
     z_probe,
 )
-from .market import load_chain, run_domination_test, synth_chain
+from .market import DAYS_PER_YEAR, load_chain, run_domination_test, synth_chain
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,9 +84,7 @@ def _option_number(option: str, item: str, value) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{option} {item} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise InvalidParams(f"{option} {item} must be finite, got {number}")
-    return number
+    return _finite(f"{option} {item}", number)
 
 
 def _number_list(option: str, text: str) -> list:
@@ -173,16 +170,17 @@ def _underlying_args(args):
     return s0, vol, (0.0 if drift is None else drift)
 
 
-def _emit(args, payload: dict | str) -> None:
-    """Write the report to ``--out`` or stdout.  JSON is streamed: a recovery
-    table would otherwise be held as megabytes of string chunks."""
+def _emit(args, payload: dict | list) -> None:
+    """Write the report to ``--out`` or stdout: a dict as JSON, a list of rows
+    as CSV.  JSON is streamed: a recovery table would otherwise be held as
+    megabytes of string chunks."""
     out = getattr(args, "out", None)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        if isinstance(payload, str):
-            fh.write(payload)
-        else:
+        if isinstance(payload, dict):
             json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+            fh.write("\n")
+        else:
+            csv.writer(fh).writerows(payload)
 
 
 def _lattice(args):
@@ -286,15 +284,9 @@ def cmd_recover(args) -> int:
         pts = grid_points(_number_list("--y-grid", args.y_grid),
                           _number_list("--z-grid", args.z_grid))
     recovered = recover_generator(mech, args.level, pts, lattice)
-    ok = (recovered.lipschitz_ratio <= recovered.mu + RECOVERY_SLACK
-          and (recovered.zero_defect is None or recovered.zero_defect <= RECOVERY_SLACK))
+    ok = recovered.certificate_ok()
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["t", "y", "z", "g"])
-        for row in recovered.rows():
-            w.writerow([repr(v) for v in row])
-        _emit(args, buf.getvalue().rstrip("\n"))
+        _emit(args, [["t", "y", "z", "g"], *([repr(v) for v in row] for row in recovered.rows())])
     else:
         _emit(args, {
             "command": "recover",
@@ -311,13 +303,10 @@ def cmd_audit(args) -> int:
     report = run_domination_test(chain, mu=args.mu, n_steps=args.steps,
                                  vol_for_lattice=args.vol)
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["family", "tested", "passed", "violated"])
-        for name, count in report.families.items():
-            w.writerow([name, count.tested, count.passed, count.violated])
-        w.writerow(["anomalies", len(report.anomalies), "", ""])
-        _emit(args, buf.getvalue().rstrip("\n"))
+        _emit(args, [["family", "tested", "passed", "violated"],
+                     *([name, count.tested, count.passed, count.violated]
+                       for name, count in report.families.items()),
+                     ["anomalies", len(report.anomalies), "", ""]])
     else:
         _emit(args, {"command": "audit", "chain": args.chain,
                      **report.as_dict()})
@@ -336,8 +325,8 @@ def cmd_synth(args) -> int:
                          f"{args.n_strikes} strictly increasing strikes")
     params = BSMarketParams(r=args.r, b=args.b, sigma=args.sigma)
     chain = synth_chain(params, args.s0, strikes,
-                        as_of=args.as_of_days / 365.0,
-                        expiry=args.expiry_days / 365.0,
+                        as_of=args.as_of_days / DAYS_PER_YEAR,
+                        expiry=args.expiry_days / DAYS_PER_YEAR,
                         seed=args.seed, noise=args.noise)
     chain.to_csv(args.out)
     print(f"wrote {args.out} ({chain.n_strikes} strikes)")

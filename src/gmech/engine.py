@@ -14,7 +14,7 @@ its input.  It has two entry points: :func:`solve_bsde` keeps the whole ``y``
 surface of one claim with its dividends, and the ``_batch`` hook of an
 :func:`as_mechanism` handle prices many rows with their dividends in one pass,
 keeping the step-``s`` values (``price_rows``) or every step's
-(``price_surfaces``).  The handle's ``price_at``, :func:`price` and
+(``price_surfaces``).  The handle's ``price_at`` and
 :func:`solve_terminal_batch` are views of that batch: one row, and the root
 values of many.  A closed-form driver steps from the next slice into per-call
 column-major scratch arrays that the built-in closed forms overwrite in place
@@ -103,22 +103,22 @@ def make_underlying_map(s0: float, sigma: float, horizon: float, drift: float = 
     return terminal_price
 
 
-def random_claim(rng, bound: float = 1.0, slope: float = 1.0, kinks: int = 3,
-                 knot_range: float = 2.0) -> TerminalClaim:
+def random_claim(rng, bound: float = 1.0, slope: float = 1.0) -> TerminalClaim:
     """Random bounded piecewise-linear payoff of the terminal walk value.
 
-    The result is clipped to ``[-bound, bound]`` and has total slope at most
-    ``slope``; clipping preserves the Lipschitz bound.
+    It has three kinks, drawn from ``[-2, 2]``.  The result is clipped to
+    ``[-bound, bound]`` and has total slope at most ``slope``; clipping
+    preserves the Lipschitz bound.
     """
-    knots = rng.uniform(-knot_range, knot_range, size=kinks)
-    w = rng.normal(size=kinks + 1)
+    knots = rng.uniform(-2.0, 2.0, size=3)
+    w = rng.normal(size=4)
     w *= slope / max(float(np.sum(np.abs(w))), 1e-12)
     const = float(rng.uniform(-0.5 * bound, 0.5 * bound))
 
     def payoff(b):
         b = np.asarray(b, dtype=float)
         out = const + w[0] * b
-        for k in range(kinks):
+        for k in range(3):
             out = out + w[k + 1] * (np.abs(b - knots[k]) - abs(knots[k]))
         return np.clip(out, -bound, bound)
 
@@ -157,8 +157,8 @@ class DividendStream:
     @classmethod
     def from_rate(cls, lattice: Lattice, rate: float) -> "DividendStream":
         """Constant payout rate: every node of every step pays ``rate * dt``."""
-        return cls(AdaptedProcess.constant(lattice, _finite("rate", rate) * lattice.dt, 0,
-                                           lattice.n_steps - 1))
+        dk = _finite("rate", rate) * lattice.dt
+        return cls.from_arrays(lattice, [np.full(i + 1, dk) for i in range(lattice.n_steps)])
 
     @classmethod
     def from_arrays(cls, lattice: Lattice, arrays: Sequence, start: int = 0) -> "DividendStream":
@@ -185,9 +185,7 @@ def _payout_gap(a: Optional[DividendStream], b: Optional[DividendStream],
 # -- one-step kernel -----------------------------------------------------------
 
 def require_monotone(mu: float, lattice: Lattice) -> None:
-    if not math.isfinite(mu):
-        raise InvalidParams(f"mu must be finite, got {mu}")
-    lhs = mu * (lattice.sqrt_dt + lattice.dt)
+    lhs = _finite("mu", mu) * (lattice.sqrt_dt + lattice.dt)
     if not lhs <= 1.0:
         raise SchemeNotMonotone(
             f"mu * (sqrt(dt) + dt) = {lhs:.6g} > 1; refine the grid or lower mu")
@@ -379,16 +377,6 @@ def solve_bsde(
                          picard_iters=iters, residual=resid)
 
 
-def price(g: Generator, s_step: int, t_step: int, claim: TerminalClaim,
-          dividends: Optional[DividendStream], lattice: Lattice) -> np.ndarray:
-    """Node prices at ``s_step`` of a claim maturing at ``t_step``: the
-    ``price_at`` of ``as_mechanism(g, lattice)``, one kernel row.  With
-    ``s_step == t_step`` this is the payoff itself (the identity leg of the
-    pricing system): a zero-step solve returns the claim slice bitwise.
-    """
-    return as_mechanism(g, lattice).price_at(s_step, t_step, claim, dividends)
-
-
 def solve_terminal_batch(g: Generator, terminal: np.ndarray, lattice: Lattice,
                          t_step: int | None = None) -> np.ndarray:
     """Root values of ``(batch, t_step + 1)`` terminal payoff rows (or one
@@ -437,8 +425,9 @@ class MechanismHandle:
     the input rows.
 
     :func:`as_mechanism` overrides only the hooks ``_batch`` and ``_surface``,
-    and passes its ``_one_row`` as ``price_at``, so one claim is one row of
-    its batch; the public methods stay on this class, where
+    and passes its ``_one_row`` as ``price_at``, one kernel pass over the
+    claim's 1-d slice: bitwise one row of its batch, with the witness of
+    :func:`solve_bsde`; the public methods stay on this class, where
     ``bench/tracing.py`` patches them.
     """
 
@@ -533,17 +522,17 @@ def _own_lattice(mech: MechanismHandle, lattice: Optional[Lattice]) -> Lattice:
 
 class _DriverMechanism(MechanismHandle):
     """A driver's backward solver as a handle: rows, and the surfaces of many
-    rows, run the kernel in one pass; ``price_at`` is one such row and one
-    claim's surface is one :func:`solve_bsde`."""
+    rows, run the kernel in one pass; ``price_at`` is one such pass over one
+    claim's slice and one claim's surface is one :func:`solve_bsde`."""
 
     def __init__(self, g: Generator, lattice: Lattice):
         super().__init__(lattice, self._one_row, mu=g.mu, name=g.name or "mechanism")
         self._g = g
 
     def _one_row(self, s_step, t_step, claim, dividends):
-        (y,) = self._batch(s_step, t_step, claim.values(self.lattice, t_step)[None],
-                           dividends, keep_surface=False)
-        return y[0]
+        (y,) = _backward(self._g, claim.values(self.lattice, t_step), self.lattice, t_step,
+                         s_step, dividends, keep_surface=False)[0]
+        return y
 
     def _batch(self, s_step, t_step, rows, dividends, keep_surface):
         return _backward(self._g, rows, self.lattice, t_step, s_step, dividends,

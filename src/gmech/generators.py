@@ -78,8 +78,7 @@ class BSMarketParams:
 
     def __post_init__(self):
         for name in ("r", "b", "sigma"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidParams(f"{name} must be finite")
+            _finite(name, getattr(self, name))
         if self.sigma <= 0:
             raise InvalidParams(f"sigma must be > 0, got {self.sigma}")
 
@@ -88,7 +87,7 @@ class BSMarketParams:
 
 def _finite(name: str, value) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InvalidParams(f"{name} must be finite, got {value}")
     return value
 
@@ -270,9 +269,8 @@ def verify_lipschitz(
     samples: int,
     box=((-5.0, 5.0), (-5.0, 5.0)),
     seed: int = 0,
-    t_range=(0.0, 1.0),
 ) -> LipschitzReport:
-    """Sample point pairs and compare increment ratios against ``g.mu``.
+    """Sample point pairs, at times in ``[0, 1]``, and compare increment ratios to ``g.mu``.
 
     ``ok`` means no sampled pair exceeded ``mu`` beyond float slack; it does
     not prove the Lipschitz property.
@@ -280,7 +278,7 @@ def verify_lipschitz(
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    ts = rng.uniform(*t_range, size=samples)
+    ts = rng.uniform(0.0, 1.0, size=samples)
     y1, z1 = _sample_box(rng, box, samples)
     y2, z2 = _sample_box(rng, box, samples)
 
@@ -333,14 +331,13 @@ def classify_generator(
     samples: int,
     box=((-5.0, 5.0), (-5.0, 5.0)),
     seed: int = 0,
-    t_range=(0.0, 1.0),
 ) -> StructureReport:
     """Sampled classification of a driver's structural properties.
 
-    Verdicts are deterministic given ``(samples, box, seed)``.  Each failed
-    property carries a witness point: the first sample with its worst
-    violation.  A property holds up to ``_LIPSCHITZ_SLACK`` times the scale of
-    the driver values it compares.
+    Times are drawn from ``[0, 1]``, and verdicts are deterministic given
+    ``(samples, box, seed)``.  Each failed property carries a witness point:
+    the first sample with its worst violation.  A property holds up to
+    ``_LIPSCHITZ_SLACK`` times the scale of the driver values it compares.
     """
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
@@ -350,7 +347,7 @@ def classify_generator(
     zero, conv, conc, hom, sub, yind, zind, zr, sell = tallies
     slack = _LIPSCHITZ_SLACK
     for _ in range(samples):
-        t = float(rng.uniform(*t_range))
+        t = float(rng.uniform(0.0, 1.0))
         (y1,), (z1,) = _sample_box(rng, box, 1)
         (y2,), (z2,) = _sample_box(rng, box, 1)
         alpha = float(rng.uniform(0.0, 1.0))

@@ -123,14 +123,6 @@ class AdaptedProcess:
             )
         return self.slices[i - self.start]
 
-    @classmethod
-    def constant(cls, lattice: Lattice, value: float, start: int = 0, stop: int | None = None):
-        stop = lattice.n_steps if stop is None else stop
-        return cls(
-            lattice, start,
-            [np.full(i + 1, float(value)) for i in range(start, stop + 1)],
-        )
-
 
 def one_step_mz(nxt: np.ndarray, sqrt_dt: float):
     """Child average ``m`` and ``z = (up - down) / (2 sqrt(dt))`` of next-step

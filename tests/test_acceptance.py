@@ -27,7 +27,6 @@ from gmech import (
     linear_generator,
     make_underlying_map,
     pairwise_representation_gap,
-    price,
     recover_generator,
     represent,
     run_domination_test,
@@ -466,8 +465,8 @@ def test_criterion_11_driver_structure_transfers_to_prices():
         tilted = TerminalClaim(lambda v, c=claim, zb=zbar, bb=b0:
                                np.asarray(c.payoff(v), float)
                                + zb * (np.asarray(v, float) - bb))
-        pa = price(gy, s, 8, claim, None, lat)[j]
-        pt = price(gy, s, 8, tilted, None, lat)[j]
+        pa = as_mechanism(gy, lat).price_at(s, 8, claim)[j]
+        pt = as_mechanism(gy, lat).price_at(s, 8, tilted)[j]
         worst = max(worst, abs(pt - pa))
     results["hedge independence"] = worst
 

@@ -33,7 +33,6 @@ from gmech import (
     infinitesimal_probe,
     linear_generator,
     pairwise_representation_gap,
-    price,
     random_claim,
     recover_generator,
     represent,
@@ -424,6 +423,22 @@ class TestProbePath:
         drifted = y - mu * (abs(y) + abs(z)) * lat16.dt
         assert probe.slices[1][1] == pytest.approx(drifted + z * lat16.sqrt_dt)
         assert probe.slices[1][0] == pytest.approx(drifted - z * lat16.sqrt_dt)
+
+    def test_children_are_the_spelled_out_step(self, lat16):
+        # the probe's children are the Euler step of the infinitesimal probe
+        # under b = -mu (|y| + |z|) and sigma = z: the same bits as the formula
+        rng = np.random.default_rng(61)
+        mu, dt, sdt = 0.4, lat16.dt, lat16.sqrt_dt
+        y, z = rng.normal(size=9), rng.normal(size=9)
+        y[:3], z[3:5] = 0.0, -0.0
+        for t_step in (0, 7, 15):
+            probe = build_probe_path(lat16, t_step, y, z, mu)
+            drifted = y - mu * (np.abs(y) + np.abs(z)) * dt
+            want = np.stack([drifted - z * sdt, drifted + z * sdt], -1)
+            assert probe.slices[0].tobytes() == y[:, None].tobytes()
+            assert probe.slices[1].tobytes() == want.tobytes()
+            one = build_probe_path(lat16, t_step, float(y[5]), float(z[5]), mu)
+            assert one.slices[1].tobytes() == want[5].tobytes()
 
 
 class TestProbeAnchors:

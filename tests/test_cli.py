@@ -12,17 +12,20 @@ from gmech import (
     BSMarketParams,
     DividendStream,
     TerminalClaim,
+    as_mechanism,
     black_scholes_generator,
     build_grid,
     build_lattice,
     domination_generator,
     make_underlying_map,
+    recover_generator,
     solve_bsde,
     synth_chain,
 )
-from gmech.cli import main
+from gmech.analysis import grid_points
+from gmech.cli import main, parse_generator
 
-from util import BS_CALL_ATM
+from util import BS_CALL_ATM, random_lipschitz_generator
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +284,22 @@ class TestDecomposeProbeRecover:
         assert report["certificate_ok"] is True
         assert max(abs(r["g"] - 0.5 * (abs(r["y"]) + abs(r["z"])))
                    for r in report["rows"]) <= 1e-12
+
+    @pytest.mark.parametrize("spec", ["gmu:0.5", "abs_z:0.3", "random"])
+    def test_recover_certificate_is_the_library_s(self, capsys, monkeypatch, spec):
+        # the report's certificate_ok and the exit code read the recovery's own
+        # certificate; a random driver's ratio sits O(dt) above its mu at 64 steps
+        gen = (random_lipschitz_generator(np.random.default_rng(202)) if spec == "random"
+               else parse_generator(spec))
+        monkeypatch.setattr("gmech.cli.parse_generator", lambda _: gen)
+        code, out = run_cli(capsys, "recover", "--gen-hidden", spec, "--level", "6")
+        lattice = build_lattice(build_grid(0.0, 1.0, 64))
+        grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
+        ok = recover_generator(as_mechanism(gen, lattice), 6, grid_points(grid, grid),
+                               lattice).certificate_ok()
+        assert ok is (spec != "random")
+        assert json.loads(out)["certificate_ok"] is ok
+        assert code == (0 if ok else 1)
 
     def test_recover_csv_header(self, capsys):
         code, out = run_cli(capsys, "recover", "--gen-hidden", "zero",

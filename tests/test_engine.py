@@ -30,7 +30,7 @@ from gmech import (
     doob_meyer,
     linear_generator,
     make_underlying_map,
-    price,
+    random_claim,
     sign_flip_check,
     solve_bsde,
     solve_terminal_batch,
@@ -441,8 +441,8 @@ def test_price_rows_default_loops_over_price_at(lat8):
 
 def test_rows_price_at_and_surface_agree_with_dividends(lat16):
     # the three pricing forms of every handle kind, with a payout stream; a
-    # driver's price and solve_terminal_batch are views of its handle, and a
-    # batch of rows prices each row as price_at does
+    # driver's solve_terminal_batch is a view of its handle, and a batch of
+    # rows prices each row as price_at does
     rng = np.random.default_rng(37)
     g = random_lipschitz_generator(rng)
     picard = as_mechanism(g, lat16)
@@ -471,8 +471,6 @@ def test_rows_price_at_and_surface_agree_with_dividends(lat16):
                     want = mech.price_at(s, t, claim_from_values(lat16, t, r), dividends)
                     assert got[k].tobytes() == want.tobytes(), (name, s, t, k)
         for name, driver in drivers.items():
-            by_price = price(driver, s, t, claim, stream, lat16)
-            assert by_price.tobytes() == handles[name].price_at(s, t, claim, stream).tobytes()
             roots = solve_terminal_batch(driver, batch, lat16, t_step=t)
             assert roots.tobytes() == handles[name].price_rows(0, t, batch)[:, 0].tobytes()
         # inside one segment the pasted handle is that segment's mechanism
@@ -515,7 +513,7 @@ def test_one_row_batch_is_the_single_solve(lat16):
 
 
 def test_single_claims_build_no_surface(lat16, monkeypatch):
-    # price_at and price are one row of the kernel's batch: no AdaptedProcess
+    # price_at is one kernel pass over the claim's slice: no AdaptedProcess
     rng = np.random.default_rng(43)
     g = random_lipschitz_generator(rng)
     stream = signed_stream(rng, lat16)
@@ -533,7 +531,6 @@ def test_single_claims_build_no_surface(lat16, monkeypatch):
     for s, t in ((0, 16), (3, 12), (9, 9)):
         mech.price_at(s, t, claim, stream)
         pasted.price_at(s, t, claim, stream)
-        price(g, s, t, claim, stream, lat16)
     assert builds == []
     mech.price_surface(16, claim, stream)  # the counter counts
     assert len(builds) == 1
@@ -667,16 +664,34 @@ class TestNonFiniteValues:
         with pytest.raises(NonFiniteValue, match=r"at step 8, node 5"):
             solve_bsde(zero_generator(), claim, None, lat8)
 
+    def test_single_claim_entries_name_one_witness(self, lat8):
+        # a driver handle's price_at used to solve the claim as row 0 of a
+        # batch, and its witness named that row where solve_bsde's did not
+        nan = Generator(fn=lambda t, y, z: np.full(np.shape(y), np.nan), mu=0.1, name="nan")
+        arrays = [np.zeros(i + 1) for i in range(8)]
+        arrays[5][2] = np.inf
+        cases = {"Picard update is nan at step 7, node 0": (nan, None),
+                 "price is inf at step 5, node 2": (
+                     domination_generator(0.4), DividendStream.from_arrays(lat8, arrays))}
+        for message, (g, stream) in cases.items():
+            mech = as_mechanism(g, lat8)
+            for entry in (lambda: solve_bsde(g, WALK, stream, lat8),
+                          lambda: mech.price_at(0, 8, WALK, stream),
+                          lambda: mech.price_surface(8, WALK, stream)):
+                with np.errstate(invalid="ignore"), pytest.raises(
+                        NonFiniteValue, match=rf"^{message}$"):
+                    entry()
+
 
 class TestPrice:
     def test_identity_at_own_maturity(self, lat8):
         claim = random_pwl_claim(np.random.default_rng(4))
-        got = price(zero_generator(), 5, 5, claim, None, lat8)
+        got = as_mechanism(zero_generator(), lat8).price_at(5, 5, claim)
         assert np.array_equal(got, claim.values(lat8, 5))
 
     def test_annuity(self, lat8):
         stream = DividendStream.from_rate(lat8, 3.0)
-        got = price(zero_generator(), 0, 8, ZERO, stream, lat8)
+        got = as_mechanism(zero_generator(), lat8).price_at(0, 8, ZERO, stream)
         assert got[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_nested_composition(self, lat16):
@@ -684,14 +699,15 @@ class TestPrice:
         g = random_lipschitz_generator(rng)
         claim = random_pwl_claim(rng)
         stream = signed_stream(rng, lat16)
-        inner = price(g, 9, 16, claim, stream, lat16)
-        nested = price(g, 3, 9, claim_from_values(lat16, 9, inner), stream, lat16)
-        direct = price(g, 3, 16, claim, stream, lat16)
+        mech = as_mechanism(g, lat16)
+        inner = mech.price_at(9, 16, claim, stream)
+        nested = mech.price_at(3, 9, claim_from_values(lat16, 9, inner), stream)
+        direct = mech.price_at(3, 16, claim, stream)
         assert np.allclose(nested, direct, atol=1e-10, rtol=0)
 
     def test_bad_step_order(self, lat8):
         with pytest.raises(BadStepOrder):
-            price(zero_generator(), 5, 3, WALK, None, lat8)
+            as_mechanism(zero_generator(), lat8).price_at(5, 3, WALK)
 
 
 def _time_switched(gens, times):
@@ -978,7 +994,6 @@ def _black_box(lattice):
 # every entry that takes a payout stream beside its pricing lattice
 STREAM_CALLS = {
     "solve_bsde": lambda g, k, lat: solve_bsde(g, WALK, k, lat),
-    "price": lambda g, k, lat: price(g, 0, lat.n_steps, WALK, k, lat),
     "price_at": lambda g, k, lat: as_mechanism(g, lat).price_at(0, lat.n_steps, WALK, k),
     "black_box_price_at": lambda g, k, lat: _black_box(lat).price_at(0, lat.n_steps, WALK, k),
     "price_rows": lambda g, k, lat: as_mechanism(g, lat).price_rows(
@@ -1051,6 +1066,13 @@ class TestDividendStream:
             assert ([s.tobytes() for s in got.increments.slices]
                     == [s.tobytes() for s in want.increments.slices])
 
+    def test_from_rate_pays_rate_times_dt_at_every_node(self, lat8):
+        for rate in (0.0, 0.3, -1.7):
+            slices = DividendStream.from_rate(lat8, rate).increments.slices
+            assert len(slices) == 8
+            for i, s in enumerate(slices):
+                assert s.tobytes() == np.full(i + 1, rate * lat8.dt).tobytes(), (rate, i)
+
     def test_increment_outside_range_is_zero(self, lat8):
         s = DividendStream.from_arrays(lat8, [np.ones(3)], start=2)
         assert np.array_equal(s.increment(0), np.zeros(1))
@@ -1066,6 +1088,20 @@ class TestDividendStream:
         with pytest.raises(StepOutOfRange,
                            match=r"^dividend increments may cover steps 0\.\.n-1 only$"):
             DividendStream.from_arrays(lat8, [np.ones(i + 1) for i in range(9)])
+
+
+def test_random_claim_is_the_test_mirror(lat8):
+    # three kinks on [-2, 2]: the library claim and tests/util's mirror draw
+    # the same numbers from one seed and give the same bits
+    for seed in range(50):
+        for bound, slope in ((1.0, 1.0), (0.5, 0.5), (3.0, 2.0)):
+            rng_lib, rng_mirror = np.random.default_rng(seed), np.random.default_rng(seed)
+            lib = random_claim(rng_lib, bound, slope)
+            mirror = random_pwl_claim(rng_mirror, bound, slope)
+            for i in (0, 3, 8):
+                assert (lib.values(lat8, i).tobytes()
+                        == mirror.values(lat8, i).tobytes()), (seed, bound, slope, i)
+            assert rng_lib.random() == rng_mirror.random()
 
 
 def test_claim_from_values_needs_one_value_per_node(lat8):

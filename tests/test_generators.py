@@ -63,7 +63,7 @@ def test_non_finite_constants_are_rejected(bad):
     with pytest.raises(InvalidParams, match=r"^b must be finite, got"):
         linear_generator(0.1, bad)
     for name in ("r", "b", "sigma"):
-        with pytest.raises(InvalidParams, match=rf"^{name} must be finite$"):
+        with pytest.raises(InvalidParams, match=rf"^{name} must be finite, got {bad}$"):
             BSMarketParams(**{"r": 0.05, "b": 0.08, "sigma": 0.2, name: bad})
 
 

@@ -94,7 +94,7 @@ def _z(p, i):
 
 class TestOneStepOperators:
     def test_expectation_of_constant(self, lat4):
-        p = AdaptedProcess.constant(lat4, 3.5)
+        p = AdaptedProcess(lat4, 0, [np.full(i + 1, 3.5) for i in range(5)])
         assert np.array_equal(_m(p, 2), np.full(3, 3.5))
 
     def test_walk_is_a_martingale(self, lat8):
@@ -115,7 +115,7 @@ class TestOneStepOperators:
             assert np.allclose(_z(walk, i), 2.0, atol=0, rtol=0)
 
     def test_z_of_constant_is_zero(self, lat4):
-        p = AdaptedProcess.constant(lat4, 7.0)
+        p = AdaptedProcess(lat4, 0, [np.full(i + 1, 7.0) for i in range(5)])
         assert np.array_equal(_z(p, 1), np.zeros(2))
 
     def test_z_explicit_value(self, lat4):
@@ -124,7 +124,7 @@ class TestOneStepOperators:
         assert _z(p, 0)[0] == 1.0
 
     def test_out_of_range(self, lat4):
-        p = AdaptedProcess.constant(lat4, 1.0, start=0, stop=2)
+        p = AdaptedProcess(lat4, 0, [np.ones(i + 1) for i in range(3)])
         with pytest.raises(StepOutOfRange):
             _m(p, 2)
 
@@ -171,7 +171,7 @@ class TestAdaptedProcess:
             AdaptedProcess(lat4, 4, [np.zeros(5), np.zeros(6)])
 
     def test_at_bounds(self, lat4):
-        p = AdaptedProcess.constant(lat4, 0.0, start=1, stop=3)
+        p = AdaptedProcess(lat4, 1, [np.zeros(i + 1) for i in range(1, 4)])
         with pytest.raises(StepOutOfRange):
             p.at(0)
         with pytest.raises(StepOutOfRange):
