@@ -262,11 +262,11 @@ def doob_meyer(
         raise StepOutOfRange("need at least one step to decompose")
     dt = lattice.dt
 
-    incs = []
-    for i in range(y.start, y.stop):
-        m, zz = one_step_mz(y.at(i + 1), lattice.sqrt_dt)
-        dk = _increment_at(dividends, i)
-        incs.append(y.at(i) - m - g(lattice.grid.time(i), y.at(i), zz) * dt - dk)
+    incs, dks = [], []
+    for i, (cur, nxt) in enumerate(zip(y.slices, y.slices[1:]), y.start):
+        m, zz = one_step_mz(nxt, lattice.sqrt_dt)
+        dks.append(_increment_at(dividends, i))
+        incs.append(cur - m - g(lattice.grid.time(i), cur, zz) * dt - dks[-1])
     worst, node = _worst_node(incs, y.start)
     if worst < -PRICE_TOL:
         raise NotSupermartingale(
@@ -275,14 +275,10 @@ def doob_meyer(
         )
 
     inc_proc = AdaptedProcess(lattice, y.start, incs)
-    total = DividendStream.from_arrays(
-        lattice,
-        [_increment_at(dividends, i) + incs[i - y.start] for i in range(y.start, y.stop)],
-        start=y.start,
-    )
-    rebuilt = solve_bsde(g, claim_from_values(lattice, y.stop, y.at(y.stop)),
+    total = DividendStream.from_arrays(lattice, [dk + a for dk, a in zip(dks, incs)], start=y.start)
+    rebuilt = solve_bsde(g, claim_from_values(lattice, y.stop, y.slices[-1]),
                          total, lattice, t_step=y.stop, s_step=y.start).y
-    err = _max_gap(rebuilt.at, y.at, range(y.start, y.stop + 1))
+    err = _max_gap(rebuilt.slices, y.slices)
     return DecompositionResult(increments=inc_proc, reconstruction_error=err)
 
 
@@ -339,10 +335,9 @@ def represent(
     surface = mech.price_surface(lattice.n_steps, claim, dividends)
 
     drivers, hedges = [], []
-    for i in range(lattice.n_steps):
-        m, zz = one_step_mz(surface.at(i + 1), surface.lattice.sqrt_dt)
-        drv, excess = _realized_driver(surface.at(i), m, zz, _increment_at(dividends, i),
-                                       dt, mu)
+    for i, (price, nxt) in enumerate(zip(surface.slices, surface.slices[1:])):
+        m, zz = one_step_mz(nxt, lattice.sqrt_dt)
+        drv, excess = _realized_driver(price, m, zz, _increment_at(dividends, i), dt, mu)
         j = int(np.argmax(excess))
         if excess[j] > ENVELOPE_TOL:
             raise BoundViolated(f"driver {drv[j]:.6g} escapes mu-envelope by "
@@ -363,13 +358,10 @@ def pairwise_representation_gap(a: RepresentationResult, b: RepresentationResult
     Nonpositive (up to tolerance) for any two claims priced by one dominated
     mechanism.
     """
-    worst = -np.inf
-    for i in range(len(a.driver.slices)):
-        gap = np.abs(a.driver.at(i) - b.driver.at(i))
-        cap = mu * (np.abs(a.values.at(i) - b.values.at(i))
-                    + np.abs(a.integrand.at(i) - b.integrand.at(i)))
-        worst = max(worst, float(np.max(gap - cap)))
-    return worst
+    slices = zip(a.driver.slices, b.driver.slices, a.values.slices, b.values.slices,
+                 a.integrand.slices, b.integrand.slices)
+    return max(float(np.max(np.abs(da - db) - mu * (np.abs(va - vb) + np.abs(ha - hb))))
+               for da, db, va, vb, ha, hb in slices)
 
 
 # =====================================================================
@@ -692,13 +684,12 @@ def recover_generator(
     if not points:
         raise InvalidParams("need at least one sample point")
 
-    stride = lat.n_steps // (1 << level)
+    steps = range(0, lat.n_steps, lat.n_steps >> level)
 
     # each price_rows row is one probe's two children, clamped across the slice
     pts = np.asarray(points)
-    table = np.zeros((1 << level, len(points)))
-    for i in range(1 << level):
-        t_step = i * stride
+    table = np.zeros((len(steps), len(points)))
+    for i, t_step in enumerate(steps):
         probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mu)
         cols = np.clip(np.arange(t_step + 2) - probe.anchor, 0, 1)
         one_steps = mech.price_rows(t_step, t_step + 1, probe.slices[1][:, cols])
@@ -718,7 +709,7 @@ def recover_generator(
     if origin:
         zero_defect = float(np.max(np.abs(table[:, origin[0]])))
 
-    times = np.array([lat.grid.time(i * stride) for i in range(1 << level)])
+    times = np.array([lat.grid.time(t_step) for t_step in steps])
     return RecoveredGenerator(
         level=level, mu=float(mu), times=times,
         points=points, table=table, lipschitz_ratio=worst_ratio,
@@ -784,7 +775,7 @@ def verify_main_theorem(
     rows = np.array([random_claim(rng).values(lat, n) for _ in range(samples)])
     blackbox = mech.price_surfaces(n, rows)
     rebuilt = as_mechanism(recovered.to_generator(), lat).price_surfaces(n, rows)
-    worst = _max_gap(blackbox.__getitem__, rebuilt.__getitem__, range(n + 1))
+    worst = _max_gap(blackbox, rebuilt)
     return MainTheoremVerdict(max_discrepancy=worst,
                               axioms_ok=report.all_passed(),
                               domination_ok=dom_ok,

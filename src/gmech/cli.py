@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -208,8 +207,7 @@ def cmd_price(args) -> int:
         "residual": res.residual,
     }
     if args.surface:
-        report["surface"] = [res.y.at(i).tolist()
-                             for i in range(lattice.n_steps + 1)]
+        report["surface"] = [s.tolist() for s in res.y.slices]
     _emit(args, report)
     return EXIT_OK
 
@@ -237,7 +235,7 @@ def cmd_decompose(args) -> int:
     stream = DividendStream.from_rate(lattice, args.div_rate)
     surface = solve_bsde(gen, claim, stream, lattice).y
     result = doob_meyer(gen, surface, None, lattice)
-    worst = _max_gap(result.increments.at, stream.increment, range(lattice.n_steps))
+    worst = _max_gap(result.increments.slices, stream.increments.slices)
     ok = worst <= PRICE_TOL and result.reconstruction_error <= PRICE_TOL
     _emit(args, {
         "command": "decompose",
@@ -316,12 +314,12 @@ def cmd_audit(args) -> int:
 def cmd_synth(args) -> int:
     if args.n_strikes < 1:
         raise ValueError(f"--n-strikes must be >= 1, got {args.n_strikes}")
-    if not (math.isfinite(args.lo) and args.lo > 0 and math.isfinite(args.hi)):
-        raise ValueError(f"--lo and --hi must be finite with --lo > 0, "
-                         f"got --lo {args.lo} --hi {args.hi}")
-    strikes = np.linspace(args.lo, args.hi, args.n_strikes)
+    lo, hi = _finite("--lo", args.lo), _finite("--hi", args.hi)
+    if not lo > 0:
+        raise ValueError(f"--lo must be > 0, got {lo}")
+    strikes = np.linspace(lo, hi, args.n_strikes)
     if not np.all(np.diff(strikes) > 0):
-        raise ValueError(f"--lo {args.lo} and --hi {args.hi} do not span "
+        raise ValueError(f"--lo {lo} and --hi {hi} do not span "
                          f"{args.n_strikes} strictly increasing strikes")
     params = BSMarketParams(r=args.r, b=args.b, sigma=args.sigma)
     chain = synth_chain(params, args.s0, strikes,

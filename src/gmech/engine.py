@@ -92,9 +92,11 @@ def claim_from_values(lattice: Lattice, step: int, values) -> TerminalClaim:
 
 def make_underlying_map(s0: float, sigma: float, horizon: float, drift: float = 0.0):
     """Terminal stock map ``B -> s0 * exp(sigma * B + (drift - sigma^2/2) * horizon)``.
-    A spot ``s0`` that is not finite and > 0 raises :class:`InvalidParams`."""
+    Raises :class:`InvalidParams` unless every argument is finite and ``s0 > 0``."""
     if not _finite("s0", s0) > 0:
         raise InvalidParams(f"s0 must be > 0, got {s0}")
+    for name, value in (("sigma", sigma), ("horizon", horizon), ("drift", drift)):
+        _finite(name, value)
 
     def terminal_price(b):
         return s0 * np.exp(sigma * np.asarray(b, dtype=float)
@@ -147,7 +149,7 @@ class DividendStream:
     def increment(self, i: int) -> np.ndarray:
         """Increment slice at step ``i``; zero outside the defined range."""
         if self.increments.start <= i <= self.increments.stop:
-            return self.increments.at(i)
+            return self.increments.slices[i - self.increments.start]
         return np.zeros(i + 1)
 
     def is_increasing(self) -> bool:
@@ -425,10 +427,9 @@ class MechanismHandle:
     the input rows.
 
     :func:`as_mechanism` overrides only the hooks ``_batch`` and ``_surface``,
-    and passes its ``_one_row`` as ``price_at``, one kernel pass over the
-    claim's 1-d slice: bitwise one row of its batch, with the witness of
-    :func:`solve_bsde`; the public methods stay on this class, where
-    ``bench/tracing.py`` patches them.
+    and its ``price_at`` is its ``_batch`` on the claim's 1-d slice: bitwise
+    one row of its batch, with the witness of :func:`solve_bsde`; the public
+    methods stay on this class, where ``bench/tracing.py`` patches them.
     """
 
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float],
@@ -450,10 +451,7 @@ class MechanismHandle:
         values, as ``(k, s_step + 1)``; row ``r`` equals ``price_at`` of
         ``claim_from_values(lattice, t_step, rows[r])``.  The result never
         shares memory with ``rows``, also at ``s_step == t_step``."""
-        _check_steps(s_step, t_step, self.lattice, dividends)
-        rows = _terminal_rows(rows, t_step)
-        (y,) = self._batch(s_step, t_step, rows, dividends, keep_surface=False)
-        return _checked_prices(y, (rows.shape[0], s_step + 1), s_step)
+        return self._checked_batch(s_step, t_step, rows, dividends, keep_surface=False)[0]
 
     def price_surface(self, t_step: int, claim: TerminalClaim,
                       dividends: Optional[DividendStream] = None) -> AdaptedProcess:
@@ -467,11 +465,13 @@ class MechanismHandle:
         terminal node values: entry ``i`` is the ``(k, i + 1)`` slice of step
         ``i``, and its row ``r`` equals ``price_surface`` of
         ``claim_from_values(lattice, t_step, rows[r])`` at step ``i``."""
-        _check_steps(0, t_step, self.lattice, dividends)
+        return self._checked_batch(0, t_step, rows, dividends, keep_surface=True)
+
+    def _checked_batch(self, s_step, t_step, rows, dividends, keep_surface):
+        _check_steps(s_step, t_step, self.lattice, dividends)
         rows = _terminal_rows(rows, t_step)
-        return [_checked_prices(v, (rows.shape[0], i + 1), i)
-                for i, v in enumerate(self._batch(0, t_step, rows, dividends,
-                                                  keep_surface=True))]
+        return [_checked_prices(v, (rows.shape[0], i + 1), i) for i, v in
+                enumerate(self._batch(s_step, t_step, rows, dividends, keep_surface), s_step)]
 
     def _batch(self, s_step, t_step, rows, dividends, keep_surface):
         # one price_at call per row and kept step, row by row; the public
@@ -526,13 +526,10 @@ class _DriverMechanism(MechanismHandle):
     claim's slice and one claim's surface is one :func:`solve_bsde`."""
 
     def __init__(self, g: Generator, lattice: Lattice):
-        super().__init__(lattice, self._one_row, mu=g.mu, name=g.name or "mechanism")
+        super().__init__(lattice, lambda s_step, t_step, claim, dividends: self._batch(
+            s_step, t_step, claim.values(lattice, t_step), dividends, keep_surface=False)[0],
+            mu=g.mu, name=g.name or "mechanism")
         self._g = g
-
-    def _one_row(self, s_step, t_step, claim, dividends):
-        (y,) = _backward(self._g, claim.values(self.lattice, t_step), self.lattice, t_step,
-                         s_step, dividends, keep_surface=False)[0]
-        return y
 
     def _batch(self, s_step, t_step, rows, dividends, keep_surface):
         return _backward(self._g, rows, self.lattice, t_step, s_step, dividends,
@@ -586,7 +583,7 @@ def compare(
 
     ya = solve_bsde(g, claim_a, dividends_a, lattice).y
     yb = solve_bsde(g, claim_b, dividends_b, lattice).y
-    worst_margin, worst_node = _worst_node(ya.at(i) - yb.at(i) for i in range(n + 1))
+    worst_margin, worst_node = _worst_node(a - b for a, b in zip(ya.slices, yb.slices))
     return ComparisonVerdict(applicable=True, passed=bool(worst_margin >= -PRICE_TOL),
                              worst_margin=worst_margin, worst_node=worst_node)
 
@@ -628,8 +625,8 @@ def check_domination(
     cap = solve_bsde(domination_generator(mu), diff_claim,
                      _payout_gap(dividends_a, dividends_b, lattice), lattice).y
 
-    worst_margin, worst_node = _worst_node(cap.at(i) - (sa.at(i) - sb.at(i))
-                                           for i in range(n + 1))
+    worst_margin, worst_node = _worst_node(c - (a - b) for c, a, b in zip(
+        cap.slices, sa.slices, sb.slices, strict=True))
     return DominationVerdict(passed=bool(worst_margin >= -PRICE_TOL),
                              worst_margin=worst_margin, worst_node=worst_node)
 
@@ -658,5 +655,5 @@ def sign_flip_check(
 
     y = solve_bsde(g, claim, dividends, lattice).y
     y_neg = solve_bsde(reflected, neg_claim, neg_div, lattice).y
-    err = _max_gap(y_neg.at, lambda i: -y.at(i), range(lattice.n_steps + 1))
+    err = _max_gap(y_neg.slices, [-s for s in y.slices])
     return SignFlipVerdict(passed=bool(err <= SIGN_FLIP_TOL), max_error=err)

@@ -4,7 +4,8 @@ A generator is a pure function of time, price level ``y`` and hedge
 coefficient ``z``, together with a declared Lipschitz constant ``mu`` in the
 ``|dy| + |dz|`` norm.  Structural properties (convexity, homogeneity, ...)
 are established by seeded sampling with a witness reported on failure: they
-are falsification checks, not proofs.
+are falsification checks, not proofs.  A sampled driver value that is NaN or
+inf raises :class:`~gmech.errors.NonFiniteValue` naming its ``t``, ``y`` and ``z``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParams, NegativeMu
+from .errors import InvalidParams, NegativeMu, NonFiniteValue
 
 # Pairs closer than this in the sum norm are skipped in Lipschitz sampling.
 _MIN_SEPARATION = 1e-12
@@ -257,6 +258,17 @@ class LipschitzReport:
     samples: int = 0
 
 
+def _driver_values(g: Generator, t, points) -> list:
+    """``g(t, y, z)`` at one sample's points; a NaN or inf raises :class:`NonFiniteValue`."""
+    values = [float(g(t, y, z)) for y, z in points]
+    if not math.isfinite(sum(values)):  # one test per sample; a finite sum may overflow
+        for (y, z), v in zip(points, values):
+            if not math.isfinite(v):
+                raise NonFiniteValue(f"driver value is {v} at t={float(t)!r}, "
+                                     f"y={float(y)!r}, z={float(z)!r}")
+    return values
+
+
 def _sample_box(rng, box, n):
     (y_lo, y_hi), (z_lo, z_hi) = box
     ys = rng.uniform(y_lo, y_hi, size=n)
@@ -288,8 +300,10 @@ def verify_lipschitz(
         sep = abs(y1[k] - y2[k]) + abs(z1[k] - z2[k])
         if sep < _MIN_SEPARATION:
             continue
-        dg = abs(float(g(ts[k], y1[k], z1[k])) - float(g(ts[k], y2[k], z2[k])))
-        tally.record(dg / sep, 0.0, k)
+        g1, g2 = float(g(ts[k], y1[k], z1[k])), float(g(ts[k], y2[k], z2[k]))
+        if not math.isfinite(g1 - g2):  # evaluate the pair again to name the NaN or inf
+            _driver_values(g, ts[k], ((y1[k], z1[k]), (y2[k], z2[k])))
+        tally.record(abs(g1 - g2) / sep, 0.0, k)
     worst, k = tally.worst, tally.key
     ok = worst <= g.mu * (1.0 + _LIPSCHITZ_SLACK)
     witness = None if ok else {
@@ -354,22 +368,22 @@ def classify_generator(
         lam = float(rng.uniform(0.0, 3.0))
         key = (t, y1, z1, y2, z2, alpha, lam)
 
-        g11 = float(g(t, y1, z1))
-        g22 = float(g(t, y2, z2))
+        g11, g22, g00, mix, g_lam, g_sum, g21, g12, g10, g_neg = _driver_values(g, t, (
+            (y1, z1), (y2, z2), (0.0, 0.0),
+            (alpha * y1 + (1 - alpha) * y2, alpha * z1 + (1 - alpha) * z2),
+            (lam * y1, lam * z1), (y1 + y2, z1 + z2), (y2, z1), (y1, z2), (y1, 0.0), (-y1, -z1)))
         scale = 1.0 + abs(g11) + abs(g22)
 
-        zero.record(abs(float(g(t, 0.0, 0.0))), slack, key)
-        mix = float(g(t, alpha * y1 + (1 - alpha) * y2, alpha * z1 + (1 - alpha) * z2))
+        zero.record(abs(g00), slack, key)
         blend = alpha * g11 + (1 - alpha) * g22
         conv.record(mix - blend, slack * scale, key)
         conc.record(blend - mix, slack * scale, key)
-        hom.record(abs(float(g(t, lam * y1, lam * z1)) - lam * g11),
-                   slack * (1.0 + lam) * scale, key)
-        sub.record(float(g(t, y1 + y2, z1 + z2)) - (g11 + g22), slack * scale, key)
-        yind.record(abs(float(g(t, y2, z1)) - g11), slack * scale, key)
-        zind.record(abs(float(g(t, y1, z2)) - g11), slack * scale, key)
-        zr.record(abs(float(g(t, y1, 0.0))), slack * scale, key)
-        sell.record(-float(g(t, -y1, -z1)) - g11, slack * scale, key)
+        hom.record(abs(g_lam - lam * g11), slack * (1.0 + lam) * scale, key)
+        sub.record(g_sum - (g11 + g22), slack * scale, key)
+        yind.record(abs(g21 - g11), slack * scale, key)
+        zind.record(abs(g12 - g11), slack * scale, key)
+        zr.record(abs(g10), slack * scale, key)
+        sell.record(-g_neg - g11, slack * scale, key)
 
     def named(key, worst):
         return dict(zip(("t", "y", "z", "y2", "z2", "alpha", "lambda"), key), value=worst)

@@ -144,6 +144,6 @@ def _worst_node(slices, first: int = 0):
     return worst, node
 
 
-def _max_gap(a, b, steps) -> float:
-    """Largest ``|a(i) - b(i)|`` over the given steps; ``a``, ``b`` map step to slice."""
-    return max(float(np.max(np.abs(a(i) - b(i)))) for i in steps)
+def _max_gap(a, b) -> float:
+    """Largest ``|a[k] - b[k]|`` over two equally long lists of slices."""
+    return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b, strict=True))

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,22 @@ class TestPrice:
         monkeypatch.setattr("gmech.cli.solve_bsde", None)
         code = main(["price", "--gen", "zero", "--payoff", "call:100", f"--s0={spot}",
                      "--vol", "0.2", "--steps", "8"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("payoff", ["call:100", "put:100"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--drift=-inf", "drift must be finite, got -inf"),
+        ("--drift=nan", "drift must be finite, got nan"),
+        ("--vol=inf", "sigma must be finite, got inf")])
+    def test_non_finite_underlying_is_named(self, capsys, payoff, flag, message):
+        # a drift of -inf priced the call at 0.0 and the put at 100.0 and exited 0;
+        # a vol of inf leaked a numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the last --vol wins
+            code = main(["price", "--gen", "zero", "--payoff", payoff, "--s0", "100",
+                         "--vol", "0.2", flag, "--steps", "4"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -443,7 +460,10 @@ class TestAuditAndSynth:
     @pytest.mark.parametrize("flag, value, name, shown", [
         ("--noise", "nan", "noise", "nan"), ("--noise", "inf", "noise", "inf"),
         ("--s0", "inf", "s0", "inf"), ("--s0", "nan", "s0", "nan"),
-        ("--as-of-days", "nan", "as_of", "nan"), ("--expiry-days", "inf", "expiry", "inf")])
+        ("--as-of-days", "nan", "as_of", "nan"), ("--expiry-days", "inf", "expiry", "inf"),
+        # a non-finite strike bound was a usage error (exit 2)
+        ("--lo", "inf", "--lo", "inf"), ("--lo", "nan", "--lo", "nan"),
+        ("--hi", "inf", "--hi", "inf")])
     def test_non_finite_synth_argument_is_named(self, capsys, tmp_path, flag, value, name,
                                                 shown):
         path = tmp_path / "chain.csv"
@@ -467,10 +487,9 @@ class TestAuditAndSynth:
 
     @pytest.mark.parametrize("argv, err", [
         # a bad range is a usage error named before any strike is priced
-        (["--lo", "-10", "--hi", "80"], "--lo and --hi must be finite with --lo > 0, "
-                                        "got --lo -10.0 --hi 80.0"),
-        (["--lo", "0"], "--lo and --hi must be finite with --lo > 0, got --lo 0.0 --hi 120.0"),
-        (["--hi", "inf"], "--lo and --hi must be finite with --lo > 0, got --lo 80.0 --hi inf"),
+        (["--lo", "-10", "--hi", "80"], "--lo must be > 0, got -10.0"),
+        (["--lo", "0"], "--lo must be > 0, got 0.0"),
+        (["--lo", "-0"], "--lo must be > 0, got -0.0"),
         (["--lo", "120", "--hi", "80"], "--lo 120.0 and --hi 80.0 do not span "
                                         "3 strictly increasing strikes"),
         (["--lo", "90", "--hi", "90"], "--lo 90.0 and --hi 90.0 do not span "

@@ -1107,3 +1107,15 @@ def test_random_claim_is_the_test_mirror(lat8):
 def test_claim_from_values_needs_one_value_per_node(lat8):
     with pytest.raises(StepOutOfRange, match=r"^need 5 node values, got shape \(4,\)$"):
         claim_from_values(lat8, 4, np.zeros(4))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"sigma": np.inf}, "sigma must be finite, got inf"),
+    ({"sigma": np.nan}, "sigma must be finite, got nan"),
+    ({"horizon": np.inf}, "horizon must be finite, got inf"),
+    ({"drift": -np.inf}, "drift must be finite, got -inf")])
+def test_underlying_map_needs_finite_parameters(kwargs, message):
+    # a drift of -inf sent every terminal price to 0 without a word
+    with pytest.raises(InvalidParams, match=rf"^{message}$"):
+        make_underlying_map(**{"s0": 100.0, "sigma": 0.2, "horizon": 1.0, "drift": 0.0,
+                               **kwargs})

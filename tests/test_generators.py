@@ -1,5 +1,7 @@
 """Driver construction, Lipschitz sampling, and structural classification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gmech import (
     Generator,
     InvalidParams,
     NegativeMu,
+    NonFiniteValue,
     abs_z_generator,
     black_scholes_generator,
     classify_generator,
@@ -130,6 +133,54 @@ class TestVerifyLipschitz:
                                box=((1.0, 1.0), (-2.0, -2.0)), seed=5)
         assert rep.ok and rep.worst_ratio == 0.0 and rep.witness is None
         assert calls == []
+
+
+ALL_NAN = Generator(fn=lambda t, y, z: np.full(np.broadcast(y, z).shape, np.nan), mu=0.1)
+# NaN for y > 0, 0.05 y elsewhere: within mu = 0.1 wherever it is a number
+HALF_NAN = Generator(fn=lambda t, y, z: np.where(np.asarray(y) > 0, np.nan,
+                                                 0.05 * np.asarray(y, float)), mu=0.1)
+NAMED = re.compile(r"^driver value is nan at t=(\S+), y=(\S+), z=(\S+)$")
+
+
+def _named_point(err) -> tuple:
+    return tuple(float(v) for v in NAMED.match(str(err.value)).groups())
+
+
+class TestNonFiniteDriver:
+    """A NaN driver value failed no ``v > limit`` test: the all-NaN driver
+    read ok with ratio 0.0 and held every property, the half-NaN one read ok
+    with ratio 0.049."""
+
+    def test_lipschitz_names_the_first_nan_sample(self):
+        rng = np.random.default_rng(0)
+        ts = rng.uniform(0.0, 1.0, size=4000)
+        y1, z1 = rng.uniform(-5.0, 5.0, size=4000), rng.uniform(-5.0, 5.0, size=4000)
+        y2, z2 = rng.uniform(-5.0, 5.0, size=4000), rng.uniform(-5.0, 5.0, size=4000)
+        with pytest.raises(NonFiniteValue) as err:
+            verify_lipschitz(ALL_NAN, 4000, seed=0)
+        assert _named_point(err) == (ts[0], y1[0], z1[0])
+        k = int(np.flatnonzero((y1 > 0) | (y2 > 0))[0])
+        y, z = (y1[k], z1[k]) if y1[k] > 0 else (y2[k], z2[k])
+        with pytest.raises(NonFiniteValue) as err:
+            verify_lipschitz(HALF_NAN, 4000, seed=0)
+        assert _named_point(err) == (ts[k], y, z)
+
+    def test_classify_names_a_nan_point_of_the_first_sample(self):
+        first_t = float(np.random.default_rng(0).uniform(0.0, 1.0))
+        for g in (ALL_NAN, HALF_NAN):
+            with pytest.raises(NonFiniteValue) as err:
+                classify_generator(g, 50, seed=0)
+            t, y, z = _named_point(err)
+            assert t == first_t and np.isnan(g(t, y, z))
+
+    def test_finite_values_that_overflow_are_not_flagged(self):
+        # the one finiteness test per sample is on a difference (verify_lipschitz)
+        # or a sum (classify_generator) of driver values, which overflow here
+        flip = Generator(fn=lambda t, y, z: np.where(np.asarray(y) > 0, 1e308, -1e308), mu=0.0)
+        rep = verify_lipschitz(flip, 50, seed=1)
+        assert not rep.ok and rep.worst_ratio == np.inf
+        huge = Generator(fn=lambda t, y, z: np.full(np.broadcast(y, z).shape, 1e308), mu=0.0)
+        assert classify_generator(huge, 20, seed=1).zero_at_zero.witness["value"] == 1e308
 
 
 class TestClassifyGenerator:
