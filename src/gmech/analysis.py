@@ -356,10 +356,11 @@ def pairwise_representation_gap(a: RepresentationResult, b: RepresentationResult
     """Worst excess of ``|driver gap| - mu (|value gap| + |hedge gap|)``.
 
     Nonpositive (up to tolerance) for any two claims priced by one dominated
-    mechanism.
+    mechanism.  Both must be priced on one lattice.
     """
-    slices = zip(a.driver.slices, b.driver.slices, a.values.slices, b.values.slices,
-                 a.integrand.slices, b.integrand.slices)
+    _same_lattice(b.values.lattice, a.values.lattice, "first result's")
+    slices = zip(a.driver.slices, b.driver.slices, a.values.slices[:-1], b.values.slices[:-1],
+                 a.integrand.slices, b.integrand.slices, strict=True)
     return max(float(np.max(np.abs(da - db) - mu * (np.abs(va - vb) + np.abs(ha - hb))))
                for da, db, va, vb, ha, hb in slices)
 

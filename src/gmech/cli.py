@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
+import math
+import operator
 import sys
 
 import numpy as np
@@ -171,15 +174,112 @@ def _underlying_args(args):
 
 def _emit(args, payload: dict | list) -> None:
     """Write the report to ``--out`` or stdout: a dict as JSON, a list of rows
-    as CSV.  JSON is streamed: a recovery table would otherwise be held as
-    megabytes of string chunks."""
+    as CSV.
+
+    The JSON is byte for byte ``json.dumps(payload, sort_keys=True,
+    indent=2)`` plus a newline, without the stdlib's pure-Python indenting
+    encoder wherever :func:`_json_chunks` has a faster spelling of the same
+    bytes (``tests/test_cli.py::TestJsonReports`` and CI compare them).  It
+    is streamed chunk by chunk, never held as one string, so that peak
+    memory stays flat: a level-8 recovery table is half a megabyte of text,
+    a 2,000-step surface tens of megabytes.
+    """
     out = getattr(args, "out", None)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         if isinstance(payload, dict):
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.writelines(_json_chunks(payload))
             fh.write("\n")
         else:
             csv.writer(fh).writerows(payload)
+
+
+_INDENT = "  "
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=len(_INDENT))
+_ROWS_PER_FILL = 64
+
+
+def _json_chunks(value, level: int = 0):
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, in chunks,
+    for ``value`` nested ``level`` containers deep.
+
+    Three spellings give the stdlib's bytes:
+    - a leaf container (a list, tuple or dict holding no container) is one
+      call of the C encoder, whose item separator carries the newline and
+      indent of its depth;
+    - in a list whose first item is a flat dict with ``str`` keys (a
+      recovery table's rows), each run of up to ``_ROWS_PER_FILL`` items
+      that are dicts with those keys and finite ``float`` values fills one
+      template, each value spelt by ``float.__repr__`` as ``json`` does; any
+      other run is spelt item by item;
+    - everything else (a scalar, an empty container, a dict with a key that
+      is not a ``str``) goes through the stdlib encoder, its newlines shifted
+      to this depth.  A JSON text holds no raw newline inside a string.
+    """
+    outer = "\n" + _INDENT * level
+    inner = outer + _INDENT
+    is_dict = isinstance(value, dict)
+    if (not isinstance(value, (dict, list, tuple)) or not value
+            or is_dict and not all(isinstance(k, str) for k in value)):
+        for chunk in _INDENTED.iterencode(value):
+            yield chunk.replace("\n", outer)
+        return
+    if not any(issubclass(t, (dict, list, tuple))
+               for t in set(map(type, value.values() if is_dict else value))):
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        yield text[0] + inner + text[1:-1] + outer + text[-1]
+        return
+    if is_dict:
+        sep = "{" + inner
+        for key, child in sorted(value.items()):
+            yield sep + json.dumps(key) + ": "
+            yield from _json_chunks(child, level + 1)
+            sep = "," + inner
+        yield outer + "}"
+        return
+    fill = _row_filler(value[0], level + 1)
+    sep = "[" + inner
+    for start in range(0, len(value), _ROWS_PER_FILL):
+        rows = value[start:start + _ROWS_PER_FILL]
+        text = fill(rows)
+        if text is None:
+            for child in rows:
+                yield sep
+                yield from _json_chunks(child, level + 1)
+                sep = "," + inner
+        else:
+            yield sep + text
+            sep = "," + inner
+    yield outer + "]"
+
+
+def _row_filler(first, level: int):
+    """A function that spells a run of rows, ``level`` containers deep and
+    joined as list items, if ``first`` and every row are dicts with
+    ``first``'s ``str`` keys and finite ``float`` values, and returns ``None``
+    otherwise."""
+    if not (type(first) is dict and first and all(isinstance(k, str) for k in first)):
+        return lambda rows: None
+    keys = sorted(first)
+    get = operator.itemgetter(*keys)
+    inner = "\n" + _INDENT * (level + 1)
+    # "%r" of a float is float.__repr__, as json spells it; of a subclass it may not be
+    row = ("{" + ",".join(inner + json.dumps(k).replace("%", "%%") + ": %r" for k in keys)
+           + "\n" + _INDENT * level + "}")
+    sep = ",\n" + _INDENT * level
+
+    def fill(rows):
+        if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
+            return None
+        try:
+            values = tuple(itertools.chain.from_iterable(map(get, rows)) if len(keys) > 1
+                           else map(get, rows))
+        except KeyError:
+            return None
+        if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
+            return None
+        return sep.join([row] * len(rows)) % values
+
+    return fill
 
 
 def _lattice(args):

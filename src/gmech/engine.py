@@ -92,15 +92,19 @@ def claim_from_values(lattice: Lattice, step: int, values) -> TerminalClaim:
 
 def make_underlying_map(s0: float, sigma: float, horizon: float, drift: float = 0.0):
     """Terminal stock map ``B -> s0 * exp(sigma * B + (drift - sigma^2/2) * horizon)``.
-    Raises :class:`InvalidParams` unless every argument is finite and ``s0 > 0``."""
+    Raises :class:`InvalidParams` unless every argument and the exponent's
+    shift ``(drift - sigma^2/2) * horizon`` are finite and ``s0 > 0``.  A price
+    that overflows comes back as ``inf``, for the claim's finiteness check to
+    name its step and node."""
     if not _finite("s0", s0) > 0:
         raise InvalidParams(f"s0 must be > 0, got {s0}")
     for name, value in (("sigma", sigma), ("horizon", horizon), ("drift", drift)):
         _finite(name, value)
+    shift = _finite("(drift - sigma^2/2) * horizon", (drift - 0.5 * sigma * sigma) * horizon)
 
     def terminal_price(b):
-        return s0 * np.exp(sigma * np.asarray(b, dtype=float)
-                           + (drift - 0.5 * sigma * sigma) * horizon)
+        with np.errstate(over="ignore"):
+            return s0 * np.exp(sigma * np.asarray(b, dtype=float) + shift)
 
     return terminal_price
 

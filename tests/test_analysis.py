@@ -331,6 +331,17 @@ class TestRepresent:
             for b in reps:
                 assert pairwise_representation_gap(a, b, g.mu) <= 1e-9
 
+    def test_pairwise_gap_needs_one_lattice(self, lat8, lat16):
+        # the gap of an 8-step and a 16-step result compared the first 8
+        # steps of two grids and returned about 2e-15
+        g = domination_generator(0.3)
+        claim = random_pwl_claim(np.random.default_rng(8))
+        a, b = (represent(as_mechanism(g, lat), claim, None, lat) for lat in (lat8, lat16))
+        with pytest.raises(InvalidParams, match="is not the first result's lattice"):
+            pairwise_representation_gap(a, b, g.mu)
+        with pytest.raises(InvalidParams, match="is not the first result's lattice"):
+            pairwise_representation_gap(b, a, g.mu)
+
     def test_understated_mu_is_flagged(self, lat8):
         mech = as_mechanism(abs_z_generator(0.5), lat8)
         mech.mu = 0.05

@@ -1,5 +1,6 @@
 """Command surface: outputs, exit codes, and report determinism."""
 
+import argparse
 import json
 import re
 import shlex
@@ -24,7 +25,7 @@ from gmech import (
     synth_chain,
 )
 from gmech.analysis import grid_points
-from gmech.cli import main, parse_generator
+from gmech.cli import _emit as emit, main, parse_generator
 
 from util import BS_CALL_ATM, random_lipschitz_generator
 
@@ -198,14 +199,19 @@ class TestPrice:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("payoff", ["call:100", "put:100"])
-    @pytest.mark.parametrize("flag, message", [
-        ("--drift=-inf", "drift must be finite, got -inf"),
-        ("--drift=nan", "drift must be finite, got nan"),
-        ("--vol=inf", "sigma must be finite, got inf")])
+    @pytest.mark.parametrize("flag, message, payoff", [
+        *((flag, message, payoff) for flag, message in [
+            ("--drift=-inf", "drift must be finite, got -inf"),
+            ("--drift=nan", "drift must be finite, got nan"),
+            ("--vol=inf", "sigma must be finite, got inf"),
+            ("--vol=1e200", "(drift - sigma^2/2) * horizon must be finite, got -inf")]
+          for payoff in ("call:100", "put:100")),
+        # only the call sees the stock price overflow
+        ("--drift=1e308", "claim 'call:100' is inf at step 4, node 0", "call:100")])
     def test_non_finite_underlying_is_named(self, capsys, payoff, flag, message):
         # a drift of -inf priced the call at 0.0 and the put at 100.0 and exited 0;
-        # a vol of inf leaked a numpy RuntimeWarning
+        # a vol of inf leaked a numpy RuntimeWarning; a vol of 1e200 overflowed
+        # sigma^2 and priced the put at 100.0; a drift of 1e308 overflowed exp
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # the last --vol wins
@@ -546,3 +552,126 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         assert argv[0] == "gmech"
         assert main(argv[1:]) == 0, " ".join(argv)
         capsys.readouterr()
+
+
+# -- JSON layout -----------------------------------------------------------------
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+                   1.1e-308, -2.5e-310, 1e308, 1 / 3, -1e16, 0.1]
+_STRINGS = ["", "plain", "é", "☃ snow", "line\nbreak", 'quote"', "back\\slash",
+            "tab\there", "\x00\x1f", "%s", "%(g)s %%", "\ud800", "{}", "\U0001f600"]
+
+
+def _random_float(rng):
+    if rng.random() < 0.3:
+        return _SPECIAL_FLOATS[rng.integers(len(_SPECIAL_FLOATS))]
+    return float(rng.standard_normal()) * 10.0 ** int(rng.integers(-320, 309))
+
+
+def _random_scalar(rng):
+    pick = rng.integers(8)
+    if pick == 0:
+        return int(rng.integers(-10**6, 10**6)) * 10 ** int(rng.integers(0, 25))
+    if pick == 1:
+        return bool(rng.integers(2))
+    if pick == 2:
+        return None
+    if pick == 3:
+        return _STRINGS[rng.integers(len(_STRINGS))]
+    if pick == 4:
+        return np.float64(_random_float(rng))
+    return _random_float(rng)
+
+
+def _random_key(rng):
+    return _STRINGS[rng.integers(len(_STRINGS))] + str(rng.integers(100))
+
+
+def _random_rows(rng, depth):
+    """A table of flat float rows sharing keys, some rows spoilt."""
+    keys = [_random_key(rng) for _ in range(rng.integers(1, 5))]
+    odd = [0.0, 0.005, 0.05][rng.integers(3)]
+    rows = [{k: _random_float(rng) if rng.random() < odd else float(rng.standard_normal())
+             for k in keys} for _ in range(rng.integers(0, 150))]
+    for row in rows:
+        spoil = rng.integers(int(4 / odd)) if odd else -1
+        if spoil == 0:
+            row.pop(keys[0])
+        elif spoil == 1:
+            row[_random_key(rng)] = 1.5
+        elif spoil == 2:
+            row[keys[-1]] = _random_scalar(rng)
+        elif spoil == 3:
+            row[keys[0]] = _random_value(rng, depth + 1)
+    if rows and rng.integers(10) == 0:
+        rows[rng.integers(len(rows))] = _random_value(rng, depth + 1)
+    return rows
+
+
+def _random_value(rng, depth=0):
+    pick = rng.integers(7) if depth < 4 else 0
+    if pick == 0:
+        return _random_scalar(rng)
+    if pick == 1:
+        return _random_rows(rng, depth)
+    if pick == 2:
+        return [_random_scalar(rng) for _ in range(rng.integers(0, 6))]
+    if pick == 3:
+        # keys that are not str, of one type so that they sort
+        make = [lambda: int(rng.integers(-50, 50)), lambda: _random_float(rng),
+                lambda: bool(rng.integers(2))][rng.integers(3)]
+        return {make(): _random_value(rng, depth + 1) for _ in range(rng.integers(0, 4))}
+    items = [_random_value(rng, depth + 1) for _ in range(rng.integers(0, 5))]
+    if pick == 4:
+        return items
+    if pick == 5:
+        return tuple(items)
+    return {_random_key(rng): v for v in items}
+
+
+class TestJsonReports:
+    """Every JSON report is ``json.dumps(payload, sort_keys=True, indent=2)``
+    plus a newline, byte for byte."""
+
+    @staticmethod
+    def assert_stdlib_layout(path, payload):
+        assert Path(path).read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_payloads(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "report.json"
+        for _ in range(10):
+            payload = {_random_key(rng): _random_value(rng) for _ in range(rng.integers(0, 6))}
+            emit(argparse.Namespace(out=str(path)), payload)
+            self.assert_stdlib_layout(path, payload)
+
+    @pytest.fixture
+    def noisy_chain(self, tmp_path):
+        path = tmp_path / "noisy.csv"
+        assert main(["synth", "--out", str(path), "--noise", "0.5", "--seed", "7"]) == 0
+        return str(path)
+
+    @pytest.fixture
+    def points(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text("[[0.5, 1.0], [-1.0, 0.25], [2.0, -0.75]]")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        "recover --gen-hidden gmu:0.3 --level 4",
+        "recover --gen-hidden gmu:0.3 --level 4 --points {points}",
+        "price --gen gmu:0.5 --payoff put:100 --s0 100 --vol 0.2 --steps 16 --surface",
+        "axioms --gen gmu:0.3 --seed 7",
+        "probe --gen gmu:0.3 --zbar 1,2,0.5",
+        "audit --chain {noisy_chain} --steps 64 --mu 0.5 --vol 0.2",
+    ])
+    def test_real_reports(self, tmp_path, monkeypatch, capsys, points, noisy_chain, argv):
+        payloads = []
+        monkeypatch.setattr("gmech.cli._emit",
+                            lambda args, payload: (payloads.append(payload), emit(args, payload)))
+        path = tmp_path / "report.json"
+        args = shlex.split(argv.format(points=points, noisy_chain=noisy_chain))
+        assert main(args + ["--out", str(path)]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        self.assert_stdlib_layout(path, *payloads)

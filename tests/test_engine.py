@@ -1,6 +1,7 @@
 """Backward solver, pricing operator, pasting, and order verdicts."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -1113,9 +1114,13 @@ def test_claim_from_values_needs_one_value_per_node(lat8):
     ({"sigma": np.inf}, "sigma must be finite, got inf"),
     ({"sigma": np.nan}, "sigma must be finite, got nan"),
     ({"horizon": np.inf}, "horizon must be finite, got inf"),
-    ({"drift": -np.inf}, "drift must be finite, got -inf")])
+    ({"drift": -np.inf}, "drift must be finite, got -inf"),
+    ({"sigma": 1e200}, re.escape("(drift - sigma^2/2) * horizon must be finite, got -inf")),
+    ({"drift": 1e308, "horizon": 10.0},
+     re.escape("(drift - sigma^2/2) * horizon must be finite, got inf"))])
 def test_underlying_map_needs_finite_parameters(kwargs, message):
-    # a drift of -inf sent every terminal price to 0 without a word
+    # a drift of -inf sent every terminal price to 0 without a word, and so did
+    # a sigma of 1e200, whose square overflowed
     with pytest.raises(InvalidParams, match=rf"^{message}$"):
         make_underlying_map(**{"s0": 100.0, "sigma": 0.2, "horizon": 1.0, "drift": 0.0,
                                **kwargs})
