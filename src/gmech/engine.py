@@ -59,6 +59,9 @@ PICARD_FAIL = 1e-9
 PICARD_ULPS = 1
 PRICE_TOL = 1e-9  # price slack of the order, law, defect and audit verdicts
 SIGN_FLIP_TOL = 1e-10  # node gap allowed in the sign-flip identity
+# work-array bytes per row block of a large closed-form batch (see _backward):
+# with its two scratch arrays a block takes about 1.5 MiB, inside a 2 MiB L2
+_BLOCK_BYTES = 1 << 19
 
 
 # -- claims and dividend streams ----------------------------------------------
@@ -322,8 +325,20 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
     ``cur`` is never written.  Every returned slice is a fresh row-major
     array: ``cur`` is copied only when it is returned, scratch once when kept.
 
+    A closed-form batch whose step-``s`` slice alone is kept is swept one
+    block of ``_BLOCK_BYTES // (8 (n + 1))`` rows (at least one) at a time
+    over all steps, when it has more rows than that, so a block's work and
+    scratch arrays stay in the L2 cache.  Rows never mix and every pass is
+    elementwise, so no bit moves.  A block's :class:`ContractionViolation`
+    or :class:`NonFiniteValue` falls back to the whole-batch sweep, whose
+    witness names the batch row.  Picard batches, which would multiply the
+    driver calls, and kept surfaces, which would be held twice, are swept
+    whole.
+
     Every node feeds the step-``s`` slice, so one check there catches any
-    NaN or inf; only then is the sweep re-run to locate it.
+    NaN or inf; only then is the sweep re-run to locate it.  Overflow is
+    left to that check: the sweeps run with numpy's overflow and invalid
+    warnings off.
     """
     if not g.mu * lattice.dt < 1.0:
         raise ContractionViolation(
@@ -331,15 +346,29 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
         )
     y_slices = [np.array(cur, dtype=float, order="C")] if keep_surface or s == n else []
     worst_iters, worst_resid = 0, 0.0
-    for i, y, iters, resid in _sweep(g, cur, lattice, n, s, dividends):
-        worst_iters = max(worst_iters, iters)
-        worst_resid = max(worst_resid, resid)
-        if keep_surface or i == s:
-            y_slices.append(_owned(y))
-    if not np.isfinite(y_slices[-1]).all():
-        for i, y, *_ in _sweep(g, cur, lattice, n, s, dividends):
-            if not np.isfinite(y).all():
-                raise _non_finite(y, i, "price")
+    rows = len(cur) if np.ndim(cur) == 2 else 0
+    block = max(1, _BLOCK_BYTES // (8 * (n + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g.exact_step is not None and not y_slices and rows > block:
+            y_slices = [np.empty((rows, s + 1))]
+            try:
+                for r in range(0, rows, block):
+                    for _, y, worst_iters, worst_resid in _sweep(
+                            g, cur[r:r + block], lattice, n, s, dividends):
+                        pass
+                    y_slices[0][r:r + block] = y
+            except (ContractionViolation, NonFiniteValue):  # re-raised with the batch row
+                y_slices = []
+        if not y_slices or keep_surface:
+            for i, y, iters, resid in _sweep(g, cur, lattice, n, s, dividends):
+                worst_iters = max(worst_iters, iters)
+                worst_resid = max(worst_resid, resid)
+                if keep_surface or i == s:
+                    y_slices.append(_owned(y))
+        if not np.isfinite(y_slices[-1]).all():
+            for i, y, *_ in _sweep(g, cur, lattice, n, s, dividends):
+                if not np.isfinite(y).all():
+                    raise _non_finite(y, i, "price")
     y_slices.reverse()
     return y_slices, worst_iters, worst_resid
 

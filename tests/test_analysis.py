@@ -41,6 +41,7 @@ from gmech import (
     z_probe,
     zero_generator,
 )
+from gmech import engine
 from gmech.analysis import _reach_mask, grid_points
 from gmech.engine import _backward
 from gmech.lattice import one_step_mz
@@ -764,6 +765,24 @@ class TestRecoveredClosedForm:
             solve_bsde(gen, random_claim(np.random.default_rng(2)), None, lat)
         with pytest.raises(ContractionViolation, match=r"^step 15, row 0, node 0: " + what):
             as_mechanism(gen, lat).price_rows(0, 16, np.zeros((2, 17)))
+
+    def test_steep_row_in_a_later_block_is_named_by_its_batch_row(self, monkeypatch):
+        # steep at z = 1 only: of 7 rows, the last alone has z = 1 and trips,
+        # alone in the last of 3 blocks; the witness names its batch row
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        rec = recover_generator(as_mechanism(zero_generator(), lat), 4,
+                                grid_points([-1.0, 0.0, 1.0], [0.0, 1.0]), lat)
+        gen = dataclasses.replace(rec, table=rec.table + ([0.0] * 5 + [20.0])).to_generator()
+        rows = np.zeros((7, 17))
+        rows[6] = 0.5 * np.arange(17)
+        messages = []
+        for budget in (1 << 40, 24 * 17):
+            monkeypatch.setattr(engine, "_BLOCK_BYTES", budget)
+            with pytest.raises(ContractionViolation) as err:
+                as_mechanism(gen, lat).price_rows(0, 16, rows)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("step 15, row 6, node 0: the recovered driver's y-slope 20 ")
 
 
 class TestVectorisedRecovery:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -658,6 +659,22 @@ class TestNonFiniteValues:
         with np.errstate(invalid="ignore"), pytest.raises(
                 NonFiniteValue, match=r"price is inf at step 5, node 2"):
             solve_bsde(domination_generator(0.4), WALK, stream, lat8)
+
+    def test_overflow_raises_the_named_error_without_a_warning(self, lat8):
+        # values near the float maximum overflow inside a step: numpy stays
+        # silent and the finiteness check names the step (and row) instead
+        rows = np.full((3, 9), 1e300)
+        rows[1, 4:6] = 1.7e308
+        claim = claim_from_values(lat8, 8, rows[1])
+        for g in (domination_generator(0.5), random_lipschitz_generator(
+                np.random.default_rng(8))):
+            mech = as_mechanism(g, lat8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteValue, match=r" is [-a-z]+ at step 7, node 3$"):
+                    mech.price_at(0, 8, claim)
+                with pytest.raises(NonFiniteValue, match=r" is [-a-z]+ at step 7, row 1, node 3$"):
+                    mech.price_rows(0, 8, rows)
 
     def test_non_finite_claim(self, lat8):
         claim = TerminalClaim(lambda b: np.where(np.asarray(b) > 0, np.nan, 0.0),

@@ -12,9 +12,11 @@ the extremal driver on one-signed monotone rows.  Every built-in closed
 form, which never forms ``m`` or ``z``, is held to its own Picard path,
 which steps from ``one_step_mz``, on any rows.  On monotone rows of its
 direction the tilted extremal driver's is also held to the extremal
-driver's closed form.
+driver's closed form.  A closed-form batch swept in row blocks is held bit
+for bit to its one-block sweep, and its errors to the same witnesses.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +24,7 @@ import pytest
 
 from gmech import (
     BSMarketParams,
+    NonFiniteValue,
     abs_z_generator,
     as_mechanism,
     black_scholes_generator,
@@ -33,6 +36,7 @@ from gmech import (
     solve_terminal_batch,
     zero_generator,
 )
+from gmech import engine
 from gmech.analysis import grid_points
 from gmech.engine import PICARD_CAP, PICARD_TOL, PICARD_ULPS, _backward, _linear_root
 from gmech.generators import _LIPSCHITZ_SLACK
@@ -344,3 +348,84 @@ def test_tilted_closed_form_is_the_extremal_price_of_monotone_rows(z_sign):
     # relative to the row's largest payoff, the scale of its price
     gap = np.abs(got - want) / np.abs(rows).max(axis=1)
     assert gap.max() <= rel, gap.max()
+
+
+def _counted(g):
+    """The driver and a list that gains one entry per ``exact_step`` call."""
+    calls = []
+
+    def exact_step(*args):
+        calls.append(None)
+        return g.exact_step(*args)
+    return replace(g, exact_step=exact_step), calls
+
+
+# one block at this budget for every batch below
+ONE_BLOCK = 1 << 40
+
+
+@pytest.mark.parametrize("g", [g for g, step_fn in DRIVERS if step_fn is not None],
+                         ids=lambda g: g.name)
+def test_blocked_sweep_is_the_one_block_sweep_bitwise(g, monkeypatch):
+    # 7 rows in blocks of 1 (also when the budget is below one row, or one
+    # byte short of two), 2 and 3 (a ragged last block) and 7 (one block, the
+    # unblocked sweep)
+    n = 16
+    lat = build_lattice(build_grid(0.0, 1.0, n))
+    rng = np.random.default_rng(83)
+    rows = np.concatenate([rng.uniform(-2.0, 2.0, (4, n + 1)),
+                           np.cumsum(rng.normal(0.0, 0.75, (3, n + 1)), axis=1)])
+    counted, calls = _counted(g)
+    mech = as_mechanism(counted, lat)
+    for dividends in (None, signed_stream(rng, lat, scale=0.5)):
+        for t_step in (n, n - 3):
+            for s in (0, t_step // 2, t_step - 1, t_step):
+                case = (dividends is not None, t_step, s)
+                monkeypatch.setattr(engine, "_BLOCK_BYTES", ONE_BLOCK)
+                want = mech.price_rows(s, t_step, rows[:, :t_step + 1], dividends)
+                for block, budget in ((1, 1), (1, 8 * (t_step + 1)), (1, 16 * (t_step + 1) - 1),
+                                      (2, 16 * (t_step + 1) + 7),
+                                      (3, 24 * (t_step + 1)), (7, 56 * (t_step + 1))):
+                    monkeypatch.setattr(engine, "_BLOCK_BYTES", budget)
+                    calls.clear()
+                    got = mech.price_rows(s, t_step, rows[:, :t_step + 1], dividends)
+                    assert len(calls) == -(-7 // block) * (t_step - s), (case, block)
+                    assert got.flags.c_contiguous, (case, block)
+                    assert got.tobytes() == want.tobytes(), (case, block)
+                    if s == 0 and dividends is None:
+                        root = solve_terminal_batch(counted, rows[:, :t_step + 1], lat, t_step)
+                        assert root.tobytes() == want[:, 0].tobytes(), (case, block)
+
+
+def test_the_audit_batches_split_under_the_real_budget(monkeypatch):
+    # the chain audit's call_put and put_call caps: (132, 1025) rows at 1,024
+    # steps in 3 blocks and (380, 257) rows at 256 steps in 2, each bitwise
+    # the one-block sweep
+    rng = np.random.default_rng(89)
+    for (k, n), blocks in {(132, 1024): 3, (380, 256): 2}.items():
+        lat = build_lattice(build_grid(0.0, 1.0, n))
+        rows = np.sort(rng.uniform(-2.0, 2.0, (k, n + 1)), axis=1)
+        g, calls = _counted(domination_generator(0.5, z_sign=1))
+        got = solve_terminal_batch(g, rows, lat)
+        assert len(calls) == blocks * n, (k, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_BLOCK_BYTES", ONE_BLOCK)
+            assert got.tobytes() == solve_terminal_batch(g, rows, lat).tobytes(), (k, n)
+
+
+def test_blocked_overflow_names_the_batch_row(monkeypatch):
+    # an overflowing row in the last of 3 blocks: the witness names its row in
+    # the batch, as the unblocked sweep's does, and numpy stays silent
+    n = 8
+    lat = build_lattice(build_grid(0.0, 1.0, n))
+    rows = np.random.default_rng(97).uniform(-1.0, 1.0, (7, n + 1))
+    rows[6, 3:5] = 1.7e308
+    g = domination_generator(0.5)
+    messages = []
+    for budget in (ONE_BLOCK, 24 * (n + 1)):
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", budget)
+        with warnings.catch_warnings(), pytest.raises(NonFiniteValue) as err:
+            warnings.simplefilter("error")
+            as_mechanism(g, lat).price_rows(0, n, rows)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "price is inf at step 7, row 6, node 2"
