@@ -36,7 +36,7 @@ from .errors import (
     NotSupermartingale,
     StepOutOfRange,
 )
-from .generators import Generator, GeneratorFlags, _tallies, _witnessed
+from .generators import Generator, GeneratorFlags, _count, _tallies, _witnessed
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 from .engine import (
     PICARD_TOL,
@@ -44,6 +44,7 @@ from .engine import (
     DividendStream,
     MechanismHandle,
     TerminalClaim,
+    _check_finite,
     _check_steps,
     _increment_at,
     _own_lattice,
@@ -61,6 +62,8 @@ from .engine import (
 ENVELOPE_TOL = 1e-6
 RECOVERY_SLACK = 1e-6  # of the recovery certificate (Lipschitz ratio, zero defect)
 REBUILD_TOL = 1e-2  # worst price gap of the rebuilt system that still passes
+# what a one-step decomposition forms, in order; the first NaN or inf is named
+_ONE_STEP = ("one-step mean", "hedge", "driver", "one-step defect")
 
 
 # =====================================================================
@@ -141,8 +144,7 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
     be pure, as every handle must.
     """
     _own_lattice(mech, lattice)
-    if samples < 1:
-        raise InvalidParams("samples must be >= 1")
+    _count("samples", samples)
     rng = np.random.default_rng(seed)
     n = lattice.n_steps
     if n < 3:
@@ -253,7 +255,10 @@ def doob_meyer(
     the unique extra payout making ``y`` the one-step price of the next
     slice.  Nonnegative defects at every node are exactly the supermartingale
     property; a defect below ``-PRICE_TOL`` raises :class:`NotSupermartingale`.
-    ``lattice`` must equal ``y``'s own.
+    ``lattice`` must equal ``y``'s own.  When the worst defect is too low or
+    not finite, the first NaN or inf mean, hedge, driver value or defect
+    raises :class:`NonFiniteValue` by step and node instead; any other NaN or
+    inf defect makes the rebuilt surface raise it.
     """
     _same_lattice(lattice, y.lattice, "process's")
     _check_steps(y.start, y.stop, lattice, dividends)
@@ -261,18 +266,28 @@ def doob_meyer(
     if y.stop - y.start < 1:
         raise StepOutOfRange("need at least one step to decompose")
     dt = lattice.dt
+    dks = [_increment_at(dividends, i) for i in range(y.start, y.stop)]
 
-    incs, dks = [], []
-    for i, (cur, nxt) in enumerate(zip(y.slices, y.slices[1:]), y.start):
-        m, zz = one_step_mz(nxt, lattice.sqrt_dt)
-        dks.append(_increment_at(dividends, i))
-        incs.append(cur - m - g(lattice.grid.time(i), cur, zz) * dt - dks[-1])
-    worst, node = _worst_node(incs, y.start)
-    if worst < -PRICE_TOL:
-        raise NotSupermartingale(
-            f"one-step defect {worst:.3g} at {_witness(node[0], node[1:])}; "
-            "input is not a supermartingale at this tolerance"
-        )
+    def steps(named=False):
+        # each step's defect or, if named, (step, its _ONE_STEP values): the
+        # defect alone frees the rest with its step (1.7 MB less peak at 2,000 steps)
+        for i, (cur, nxt, dk) in enumerate(zip(y.slices, y.slices[1:], dks), y.start):
+            m, zz = one_step_mz(nxt, lattice.sqrt_dt)
+            drv = g(lattice.grid.time(i), cur, zz)
+            a = cur - m - drv * dt - dk
+            yield (i, (m, zz, drv, a)) if named else a
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        incs = list(steps())
+        worst, node = _worst_node(incs, y.start)
+        if worst < -PRICE_TOL or not math.isfinite(worst):
+            for i, values in steps(named=True):
+                for what, v in zip(_ONE_STEP, values):
+                    _check_finite(np.broadcast_to(v, values[0].shape), i, what)
+            raise NotSupermartingale(
+                f"one-step defect {worst:.3g} at {_witness(node[0], node[1:])}; "
+                "input is not a supermartingale at this tolerance"
+            )
 
     inc_proc = AdaptedProcess(lattice, y.start, incs)
     total = DividendStream.from_arrays(lattice, [dk + a for dk, a in zip(dks, incs)], start=y.start)
@@ -327,7 +342,8 @@ def represent(
     Needs a declared ``mech.mu``; raises :class:`BoundViolated` when the
     extracted driver escapes the envelope by more than ``ENVELOPE_TOL`` (the
     declared constant is too small, or the mechanism is not dominated).
-    ``lattice`` must be the handle's own.
+    A NaN or inf one-step mean, hedge or driver raises :class:`NonFiniteValue`
+    naming its step and node first.  ``lattice`` must be the handle's own.
     """
     _own_lattice(mech, lattice)
     mu = _declared_mu(mech)
@@ -335,15 +351,19 @@ def represent(
     surface = mech.price_surface(lattice.n_steps, claim, dividends)
 
     drivers, hedges = [], []
-    for i, (price, nxt) in enumerate(zip(surface.slices, surface.slices[1:])):
-        m, zz = one_step_mz(nxt, lattice.sqrt_dt)
-        drv, excess = _realized_driver(price, m, zz, _increment_at(dividends, i), dt, mu)
-        j = int(np.argmax(excess))
-        if excess[j] > ENVELOPE_TOL:
-            raise BoundViolated(f"driver {drv[j]:.6g} escapes mu-envelope by "
-                                f"{excess[j]:.3g} at {_witness(i, (j,))}")
-        drivers.append(drv)
-        hedges.append(zz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (price, nxt) in enumerate(zip(surface.slices, surface.slices[1:])):
+            m, zz = one_step_mz(nxt, lattice.sqrt_dt)
+            drv, excess = _realized_driver(price, m, zz, _increment_at(dividends, i), dt, mu)
+            if not np.isfinite(excess).all():  # as it is wherever m, zz or drv is NaN or inf
+                for what, v in zip(_ONE_STEP, (m, zz, drv)):
+                    _check_finite(v, i, what)
+            j = int(np.argmax(excess))
+            if excess[j] > ENVELOPE_TOL:
+                raise BoundViolated(f"driver {drv[j]:.6g} escapes mu-envelope by "
+                                    f"{excess[j]:.3g} at {_witness(i, (j,))}")
+            drivers.append(drv)
+            hedges.append(zz)
     return RepresentationResult(
         driver=AdaptedProcess(lattice, 0, drivers),
         integrand=AdaptedProcess(lattice, 0, hedges),
@@ -391,7 +411,9 @@ def z_probe(mech: MechanismHandle, zbar: float, t_step: int, T_step: int,
     lat = mech.lattice
     j0 = _anchor_node(t_step, anchor)
     b0 = float(lat.node_values(t_step)[j0])
-    vals = mech.price_rows(t_step, T_step, [zbar * (lat.node_values(T_step) - b0)])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # price_rows names a NaN or inf
+        row = zbar * (lat.node_values(T_step) - b0)
+    vals = mech.price_rows(t_step, T_step, [row])[0]
     horizon = lat.grid.time(T_step) - lat.grid.time(t_step)
     return float(vals[j0]) / horizon
 
@@ -424,24 +446,23 @@ def infinitesimal_probe(
     ``(price - y) / eps``.  The caller extrapolates ``eps -> 0``; the limit is
     the driver at ``(t, y, sigma(x) p)`` plus ``p b(x)``.
     """
-    if eps_steps < 1:
-        raise InvalidParams("eps_steps must be >= 1")
+    _count("eps_steps", eps_steps)
     lat = mech.lattice
     if t_step + eps_steps > lat.n_steps:
         raise StepOutOfRange("probe window exceeds the lattice horizon")
     j0 = _anchor_node(t_step, anchor)
     dt, sdt = lat.dt, lat.sqrt_dt
 
-    # forward Euler on the subtree below the anchor
+    # forward Euler on the subtree below the anchor; off-subtree nodes clamp
+    # to the nearest edge value, which a local mechanism never reads.  A row
+    # that overflows is named by price_rows, not by numpy.
     state = np.array([float(x)])
-    for _ in range(eps_steps):
-        state = _euler_step(state, np.asarray(b_fn(state), float),
-                            np.asarray(sigma_fn(state), float), dt, sdt)
-
-    # off-subtree nodes clamp to the nearest edge value, which a local
-    # mechanism never reads
     t_end = t_step + eps_steps
-    row = (y + p * (state - x))[np.clip(np.arange(t_end + 1) - j0, 0, eps_steps)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(eps_steps):
+            state = _euler_step(state, np.asarray(b_fn(state), float),
+                                np.asarray(sigma_fn(state), float), dt, sdt)
+        row = (y + p * (state - x))[np.clip(np.arange(t_end + 1) - j0, 0, eps_steps)]
     vals = mech.price_rows(t_step, t_end, [row])[0]
     eps = eps_steps * dt
     return (float(vals[j0]) - y) / eps
@@ -502,24 +523,29 @@ def _decompose_probe(probe: ProbePath, one_step: np.ndarray) -> np.ndarray:
 
     ``one_step`` is the ``(P,)`` vector of the mechanism's step-``t_step``
     prices at the anchor of each probe's children.  Returns the realized
-    drivers there after checking the supermartingale property and then the
-    driver envelope; the first failing probe in point order raises.
+    drivers there after checking that each probe's ``_ONE_STEP`` values are
+    finite (:class:`NonFiniteValue`), then the supermartingale property and
+    then the driver envelope; the first failing probe in point order raises.
     """
     lat = probe.lattice
     m, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
     defect = probe.y - one_step
     driver, excess = _realized_driver(one_step, m[:, 0], hedge[:, 0], 0.0, lat.dt, probe.mu)
     low = defect < -PRICE_TOL
-    failed = np.flatnonzero(low | (excess > ENVELOPE_TOL))
-    if failed.size:
-        p = failed[0]
+    # excess is NaN or inf wherever the mean, hedge or driver is, and may be
+    # where only the envelope overflows: such a probe passes every check
+    finite = np.isfinite(excess) & np.isfinite(defect)
+    for p in np.flatnonzero(~finite | low | (excess > ENVELOPE_TOL)):
         what = f"probe (y={probe.y[p]:g}, z={probe.z[p]:g})"
         at = _witness(probe.t_step, (probe.anchor,))
+        for name, v in zip(_ONE_STEP, (m[:, 0], hedge[:, 0], driver, defect)):
+            _check_finite(v[p:p + 1], probe.t_step, f"{what} {name}", at)
         if low[p]:
             raise DominationViolated(f"{what} has defect {defect[p]:.3g} at {at}; "
                                      f"mechanism is not dominated at mu={probe.mu:g}")
-        raise BoundViolated(f"{what} driver {driver[p]:.6g} escapes mu-envelope "
-                            f"by {excess[p]:.3g} at {at}")
+        if excess[p] > ENVELOPE_TOL:
+            raise BoundViolated(f"{what} driver {driver[p]:.6g} escapes mu-envelope "
+                                f"by {excess[p]:.3g} at {at}")
     return driver
 
 
@@ -687,14 +713,16 @@ def recover_generator(
 
     steps = range(0, lat.n_steps, lat.n_steps >> level)
 
-    # each price_rows row is one probe's two children, clamped across the slice
+    # each price_rows row is one probe's two children, clamped across the slice;
+    # numpy stays silent on overflow, which price_rows or the decomposition names
     pts = np.asarray(points)
     table = np.zeros((len(steps), len(points)))
-    for i, t_step in enumerate(steps):
-        probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mu)
-        cols = np.clip(np.arange(t_step + 2) - probe.anchor, 0, 1)
-        one_steps = mech.price_rows(t_step, t_step + 1, probe.slices[1][:, cols])
-        table[i] = _decompose_probe(probe, one_steps[:, probe.anchor])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t_step in enumerate(steps):
+            probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mu)
+            cols = np.clip(np.arange(t_step + 2) - probe.anchor, 0, 1)
+            one_steps = mech.price_rows(t_step, t_step + 1, probe.slices[1][:, cols])
+            table[i] = _decompose_probe(probe, one_steps[:, probe.anchor])
 
     # Lipschitz certificate, one (P, P) matrix at a time; only coincident
     # points are skipped, so an overflowing ratio cannot read as 0
@@ -753,8 +781,7 @@ def verify_main_theorem(
     """
     lat = _own_lattice(mech, lattice)
     mu = _declared_mu(mech)
-    if samples < 1:
-        raise InvalidParams("samples must be >= 1")
+    _count("samples", samples)
     if level is None:
         level = (lat.n_steps & -lat.n_steps).bit_length() - 1
     rng = np.random.default_rng(seed)

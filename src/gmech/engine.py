@@ -74,11 +74,11 @@ class TerminalClaim:
     name: str = ""
 
     def values(self, lattice: Lattice, step: int) -> np.ndarray:
-        raw = np.asarray(self.payoff(lattice.node_values(step)), dtype=float)
-        vals = np.array(np.broadcast_to(raw, (step + 1,)), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise _non_finite(vals, step, f"claim {self.name!r}")
-        return vals
+        # a payoff that overflows is named by the finiteness check, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.asarray(self.payoff(lattice.node_values(step)), dtype=float)
+        return _check_finite(np.array(np.broadcast_to(raw, (step + 1,)), dtype=float),
+                             step, f"claim {self.name!r}")
 
 
 def claim_from_values(lattice: Lattice, step: int, values) -> TerminalClaim:
@@ -200,10 +200,15 @@ def require_monotone(mu: float, lattice: Lattice) -> None:
             f"mu * (sqrt(dt) + dt) = {lhs:.6g} > 1; refine the grid or lower mu")
 
 
-def _non_finite(values: np.ndarray, step: int, what: str) -> NonFiniteValue:
-    """Error naming the first NaN or inf entry of a step slice or batch of slices."""
-    where = tuple(int(k) for k in np.argwhere(~np.isfinite(values))[0])
-    return NonFiniteValue(f"{what} is {values[where]} at {_witness(step, where)}")
+def _check_finite(values: np.ndarray, step: int, what: str,
+                  at: Optional[str] = None) -> np.ndarray:
+    """``values``, a step slice or batch of slices, unless it holds a NaN or
+    inf: then :class:`NonFiniteValue` names the first by step, row and node,
+    or by the witness ``at`` of a value with a place of its own (a probe's)."""
+    if not np.isfinite(values).all():
+        where = tuple(int(k) for k in np.argwhere(~np.isfinite(values))[0])
+        raise NonFiniteValue(f"{what} is {values[where]} at {at or _witness(step, where)}")
+    return values
 
 
 def _witness(step: Optional[int], where: tuple) -> str:
@@ -253,7 +258,7 @@ def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
         gap = np.abs(d2)
         resid = float(gap.max()) if gap.size else 0.0
         if not math.isfinite(resid):
-            raise _non_finite(d2, step, "Picard update")
+            _check_finite(d2, step, "Picard update")
         y = y_next
         if resid <= PICARD_TOL:
             break
@@ -367,8 +372,7 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
                     y_slices.append(_owned(y))
         if not np.isfinite(y_slices[-1]).all():
             for i, y, *_ in _sweep(g, cur, lattice, n, s, dividends):
-                if not np.isfinite(y).all():
-                    raise _non_finite(y, i, "price")
+                _check_finite(y, i, "price")
     y_slices.reverse()
     return y_slices, worst_iters, worst_resid
 
@@ -529,9 +533,7 @@ def _terminal_rows(rows, t_step: int) -> np.ndarray:
     rows = np.asarray(rows, float)
     if rows.ndim != 2 or rows.shape[1] != t_step + 1:
         raise StepOutOfRange(f"rows must have {t_step + 1} entries, got shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise _non_finite(rows, t_step, "terminal value")
-    return rows
+    return _check_finite(rows, t_step, "terminal value")
 
 
 def _checked_prices(values, shape: tuple, step: int, finite: bool = True) -> np.ndarray:
@@ -541,9 +543,7 @@ def _checked_prices(values, shape: tuple, step: int, finite: bool = True) -> np.
     if vals.shape != shape:
         raise StepOutOfRange(f"mechanism returned shape {vals.shape} at step {step}, "
                              f"expected {shape}")
-    if finite and not np.isfinite(vals).all():
-        raise _non_finite(vals, step, "mechanism price")
-    return vals
+    return _check_finite(vals, step, "mechanism price") if finite else vals
 
 
 def _own_lattice(mech: MechanismHandle, lattice: Optional[Lattice]) -> Lattice:

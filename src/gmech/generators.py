@@ -93,6 +93,12 @@ def _finite(name: str, value) -> float:
     return value
 
 
+def _count(name: str, value) -> None:
+    """Raise :class:`InvalidParams` if the count ``value`` is below 1."""
+    if value < 1:
+        raise InvalidParams(f"{name} must be >= 1")
+
+
 def _closed_form(a_abs: float, a: float, coef: float, *, abs_z: bool) -> Callable:
     """The ``exact_step`` of the driver ``a_abs |y| + a y + coef |z|`` (``abs_z``)
     or ``a_abs |y| + a y + coef z``, ``a_abs >= 0``, under ``(a +/- a_abs) dt < 1``.
@@ -287,8 +293,7 @@ def verify_lipschitz(
     ``ok`` means no sampled pair exceeded ``mu`` beyond float slack; it does
     not prove the Lipschitz property.
     """
-    if samples < 1:
-        raise InvalidParams("samples must be >= 1")
+    _count("samples", samples)
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, 1.0, size=samples)
     y1, z1 = _sample_box(rng, box, samples)
@@ -353,8 +358,7 @@ def classify_generator(
     the first sample with its worst violation.  A property holds up to
     ``_LIPSCHITZ_SLACK`` times the scale of the driver values it compares.
     """
-    if samples < 1:
-        raise InvalidParams("samples must be >= 1")
+    _count("samples", samples)
     rng = np.random.default_rng(seed)
 
     tallies = _tallies(StructureReport)

@@ -101,7 +101,7 @@ class AdaptedProcess:
         slices = [np.asarray(s, dtype=float) for s in slices]
         for k, s in enumerate(slices):
             if s.shape != (start + k + 1,):
-                raise ValueError(
+                raise StepOutOfRange(
                     f"slice at step {start + k} has shape {s.shape}, "
                     f"expected ({start + k + 1},)"
                 )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gmech import (
     build_lattice,
     build_probe_path,
     check_domination,
+    claim_from_values,
     doob_meyer,
     domination_generator,
     infinitesimal_probe,
@@ -285,6 +287,48 @@ class TestDoobMeyer:
                            r"node 3; input is not a supermartingale at this tolerance$"):
             doob_meyer(zero_generator(), y, None, lat8)
 
+    def test_overflowing_mean_is_named_not_a_defect(self, lat4):
+        # every one-step mean overflows: a NaN or inf, not a -inf defect and a
+        # NotSupermartingale verdict, and no numpy warning
+        y = AdaptedProcess(lat4, 0, [np.full(i + 1, 1e308) for i in range(5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"^one-step mean is inf at step 0, node 0$"):
+                doob_meyer(zero_generator(), y, None, lat4)
+
+    def test_infinite_driver_value_is_named_not_a_defect(self, lat8):
+        g = Generator(fn=lambda t, y, z: np.inf, mu=0.0, name="inf")
+        y = AdaptedProcess(lat8, 0, [np.zeros(i + 1) for i in range(9)])
+        with pytest.raises(NonFiniteValue, match=r"^driver is inf at step 0, node 0$"):
+            doob_meyer(g, y, None, lat8)
+
+    def test_nan_is_named_before_a_low_defect(self, lat8):
+        slices = [np.zeros(i + 1) for i in range(9)]
+        slices[5][3] = -0.2
+        slices[2][1] = np.nan
+        y = AdaptedProcess(lat8, 0, slices)
+        with pytest.raises(NonFiniteValue, match=r"^one-step mean is nan at step 1, node 0$"):
+            doob_meyer(zero_generator(), y, None, lat8)
+
+    def test_nan_on_every_step_is_named_by_the_walk(self, lat8):
+        # every step has a NaN defect, so no defect is the worst and the worst
+        # is not finite: the walk names the first NaN
+        slices = [np.zeros(i + 1) for i in range(9)]
+        for s in slices:
+            s[0] = np.nan
+        y = AdaptedProcess(lat8, 0, slices)
+        with pytest.raises(NonFiniteValue, match=r"^one-step mean is nan at step 0, node 0$"):
+            doob_meyer(zero_generator(), y, None, lat8)
+
+    def test_nan_defect_above_the_worst_fails_the_rebuild(self, lat8):
+        # the worst defect (0) passes, so the walk is not searched; the NaN
+        # increments make the re-priced surface non-finite, which is named
+        slices = [np.zeros(i + 1) for i in range(9)]
+        slices[3][1] = np.nan
+        y = AdaptedProcess(lat8, 0, slices)
+        with pytest.raises(NonFiniteValue, match=r"^price is nan at step 3, node 1$"):
+            doob_meyer(zero_generator(), y, None, lat8)
+
     def test_decompose_against_running_dividends(self, lat8):
         # supermartingale of the dividend-adjusted system: price with the
         # base stream plus an extra increasing stream, decompose against the
@@ -351,6 +395,16 @@ class TestRepresent:
                            match=r"^driver \S+ escapes mu-envelope by \S+ at step \d+, node \d+$"):
             represent(mech, steep, None, lat8)
 
+    def test_infinite_hedge_is_named(self, lat4):
+        # alternating +-1e308 payoffs price to 0 at step 3, but their hedge
+        # overflows: raised, not returned as an integrand of +-inf
+        mech = as_mechanism(zero_generator(), lat4)
+        claim = claim_from_values(lat4, 4, [1e308, -1e308, 1e308, -1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"^hedge is -inf at step 3, node 0$"):
+                represent(mech, claim, None, lat4)
+
 
 # -- probes ---------------------------------------------------------------------
 
@@ -383,6 +437,14 @@ class TestZProbe:
             if prev is not None:
                 assert got <= prev + 1e-15
             prev = got
+
+    def test_overflowing_row_is_named_without_a_warning(self, lat8):
+        mech = as_mechanism(zero_generator(), lat8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue,
+                               match=r"^terminal value is -inf at step 8, row 0, node 0$"):
+                z_probe(mech, 1e308, 0, 8)
 
 
 class TestInfinitesimalProbe:
@@ -419,6 +481,15 @@ class TestInfinitesimalProbe:
         extrapolated = 2.0 * quotients[1] - quotients[2]
         assert extrapolated == pytest.approx(want, abs=5e-3)
         assert abs(quotients[1] - want) < abs(quotients[4] - want)
+
+    def test_overflowing_row_is_named_without_a_warning(self, lat16):
+        mech = as_mechanism(zero_generator(), lat16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue,
+                               match=r"^terminal value is -inf at step 1, row 0, node 0$"):
+                infinitesimal_probe(mech, x=0.0, p=1e308, y=0.0, b_fn=lambda x: 0.0 * x,
+                                    sigma_fn=lambda x: 10.0 + 0.0 * x, eps_steps=1)
 
 
 # -- recovery ---------------------------------------------------------------------
@@ -536,6 +607,26 @@ class TestRecoverGenerator:
         with pytest.raises(DominationViolated, match=r"^probe \(y=0, z=2\) has defect "
                            r"-\S+ at step 0, node 0; mechanism is not dominated at mu=0\.3$"):
             recover_generator(mech, 5, [(0.0, 2.0)], lat)
+
+    def test_overflowing_probe_mean_is_named(self):
+        # the probe's one-step mean overflows: a NaN or inf, not a driver of
+        # -inf escaping the envelope, and no numpy warning
+        lat = build_lattice(build_grid(0.0, 1.0, 4))
+        mech = as_mechanism(zero_generator(), lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"^probe \(y=1e\+308, z=0\) one-step mean "
+                               r"is inf at step 0, node 0$"):
+                recover_generator(mech, 2, grid_points([1e308, -1e308], [0.0]), lat)
+
+    def test_overflowing_probe_children_are_named(self):
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        mech = as_mechanism(domination_generator(0.5), lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue,
+                               match=r"^terminal value is -inf at step 1, row 0, node 0$"):
+                recover_generator(mech, 0, [(1e308, 1e308)], lat)
 
     def test_probe_envelope_violation_names_the_lattice_node(self):
         # a negative driver passes the defect check but escapes the envelope;

@@ -285,6 +285,25 @@ class TestDecomposeProbeRecover:
         assert main(["probe", "--gen", "gmu:0.5", f"--zbar={zbar}", "--steps", "8"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        # every one-step mean overflows: a NaN or inf, not a supermartingale verdict
+        ("decompose --gen zero --payoff const:1e308 --steps 4",
+         "one-step mean is inf at step 0, node 0"),
+        # the probe's one-step mean overflows: a NaN or inf, not an envelope verdict
+        ("recover --gen-hidden zero --level 2 --y-grid=1e308,-1e308 --z-grid 0",
+         "probe (y=1e+308, z=0) one-step mean is inf at step 0, node 0"),
+        # the payoff and the probe row overflow before the kernel
+        ("decompose --gen zero --payoff linbm:1e308 --steps 4",
+         "claim 'linbm:1e308' is -inf at step 4, node 0"),
+        ("probe --gen zero --zbar 1e308", "terminal value is -inf at step 64, row 0, node 0"),
+    ], ids=["decompose-mean", "recover-probe-mean", "decompose-payoff", "probe-row"])
+    def test_overflow_is_named_without_a_warning(self, capsys, argv, message):
+        # one error line: no numpy RuntimeWarning, which would be a traceback here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(shlex.split(argv)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_recover_json(self, capsys):
         # leading-dash grid values must use the --opt=value form
         code, out = run_cli(capsys, "recover", "--gen-hidden", "abs_z:0.3",

@@ -43,6 +43,7 @@ from gmech.engine import (
     PICARD_CAP, PICARD_TOL, PICARD_ULPS, _backward, _payout_gap, require_monotone,
 )
 from gmech.lattice import AdaptedProcess, one_step_mz
+from gmech.market import bs_call, bs_put
 
 from util import (
     BS_CALL_ATM,
@@ -699,6 +700,55 @@ class TestNonFiniteValues:
                 with np.errstate(invalid="ignore"), pytest.raises(
                         NonFiniteValue, match=rf"^{message}$"):
                     entry()
+
+    def test_payoff_overflow_is_named_without_a_warning(self, lat8):
+        # a payoff that overflows while it is evaluated: numpy stays silent
+        # and the claim's finiteness check names the node
+        claim = TerminalClaim(lambda b: 1e308 * np.asarray(b, dtype=float) * 4.0, name="big")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"^claim 'big' is -inf at step 8, node 0$"):
+                claim.values(lat8, 8)
+
+
+class TestTruncationError:
+    """The lattice against continuous closed forms: first-order convergence.
+
+    Calls and puts at strikes 90, 100 and 110 (``s0`` 100, sigma 0.2, T 1)
+    under ``bs:r=0.05,b=0.08,sigma=0.2`` on the map with drift ``b``, as the
+    CLI builds it, against the Black-Scholes values at rate ``r``; and under
+    ``gmu:0.3`` on the driftless map, where a call's hedge stays >= 0 and a
+    put's <= 0, so the driver is linear and the continuous price is
+    ``e^{mu T} bs(s0 e^{+/-sigma mu T}, K, 0, sigma, T)`` (Girsanov).  The
+    worst ``n |err|`` measured is 3.05 (the ``gmu:0.3`` put at 110, n 250);
+    the bound is 4.
+    """
+
+    S0, SIGMA, T, MU = 100.0, 0.2, 1.0, 0.3
+    BOUND = 4.0
+
+    def _cases(self):
+        s0, sigma, t, mu = self.S0, self.SIGMA, self.T, self.MU
+        bs = BSMarketParams(r=0.05, b=0.08, sigma=sigma)
+        grow = np.exp(mu * t)
+        yield (black_scholes_generator(bs), make_underlying_map(s0, sigma, t, bs.b),
+               lambda k: bs_call(s0, k, bs.r, sigma, t), lambda k: bs_put(s0, k, bs.r, sigma, t))
+        yield (domination_generator(mu), make_underlying_map(s0, sigma, t),
+               lambda k: grow * bs_call(s0 * np.exp(sigma * mu * t), k, 0.0, sigma, t),
+               lambda k: grow * bs_put(s0 * np.exp(-sigma * mu * t), k, 0.0, sigma, t))
+
+    @pytest.mark.parametrize("n", [250, 500, 1000, 2000, 4000])
+    def test_n_times_error_is_bounded(self, n):
+        lat = build_lattice(build_grid(0.0, self.T, n))
+        for g, to_price, call, put in self._cases():
+            mech = as_mechanism(g, lat)
+            for strike in (90.0, 100.0, 110.0):
+                for kind, ref, sign in (("call", call, 1.0), ("put", put, -1.0)):
+                    claim = TerminalClaim(
+                        lambda b, k=strike, s=sign: np.maximum(s * (to_price(b) - k), 0.0),
+                        name=f"{kind}:{strike:g}")
+                    err = mech.price_at(0, n, claim)[0] - ref(strike)
+                    assert n * abs(err) <= self.BOUND, (g.name, claim.name, n, n * err)
 
 
 class TestPrice:

@@ -163,7 +163,8 @@ class TestTowerProperty:
 
 class TestAdaptedProcess:
     def test_shape_validation(self, lat4):
-        with pytest.raises(ValueError):
+        with pytest.raises(StepOutOfRange,
+                           match=r"slice at step 0 has shape \(2,\), expected \(1,\)"):
             AdaptedProcess(lat4, 0, [np.zeros(2)])
 
     def test_range_validation(self, lat4):
