@@ -505,17 +505,19 @@ def build_probe_path(
     anchor: int | None = None,
 ) -> ProbePath:
     """The one-step extremal-drift probes from ``(t_step, y)`` at hedge ``z``,
-    for float or ``(P,)`` array ``y`` and ``z``."""
+    for float or ``(P,)`` array ``y`` and ``z``.  A child that overflows
+    raises :class:`NonFiniteValue` naming its step, probe row and node."""
     if t_step >= lattice.n_steps:
         raise StepOutOfRange("probe step must fit inside the lattice")
     j0 = _anchor_node(t_step, anchor)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     start, hedge = y[..., None], z[..., None]
-    children = _euler_step(start, -mu * (np.abs(start) + np.abs(hedge)), hedge,
-                           lattice.dt, lattice.sqrt_dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        children = _euler_step(start, -mu * (np.abs(start) + np.abs(hedge)), hedge,
+                               lattice.dt, lattice.sqrt_dt)
     return ProbePath(lattice=lattice, t_step=t_step, anchor=j0, y=y, z=z, mu=float(mu),
-                     slices=[start, children])
+                     slices=[start, _check_finite(children, t_step + 1, "probe child")])
 
 
 def _decompose_probe(probe: ProbePath, one_step: np.ndarray) -> np.ndarray:
@@ -714,7 +716,7 @@ def recover_generator(
     steps = range(0, lat.n_steps, lat.n_steps >> level)
 
     # each price_rows row is one probe's two children, clamped across the slice;
-    # numpy stays silent on overflow, which price_rows or the decomposition names
+    # numpy stays silent on overflow: the probe build, price_rows or decomposition names it
     pts = np.asarray(points)
     table = np.zeros((len(steps), len(points)))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -330,20 +330,19 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
     ``cur`` is never written.  Every returned slice is a fresh row-major
     array: ``cur`` is copied only when it is returned, scratch once when kept.
 
-    A closed-form batch whose step-``s`` slice alone is kept is swept one
-    block of ``_BLOCK_BYTES // (8 (n + 1))`` rows (at least one) at a time
-    over all steps, when it has more rows than that, so a block's work and
-    scratch arrays stay in the L2 cache.  Rows never mix and every pass is
-    elementwise, so no bit moves.  A block's :class:`ContractionViolation`
-    or :class:`NonFiniteValue` falls back to the whole-batch sweep, whose
-    witness names the batch row.  Picard batches, which would multiply the
-    driver calls, and kept surfaces, which would be held twice, are swept
-    whole.
+    A closed-form batch whose step-``s`` slice alone is kept is swept in
+    ``ceil(rows / max(1, _BLOCK_BYTES // (8 (n + 1))))`` row blocks whose
+    sizes differ by at most one, each over all steps, so a block's work and
+    scratch arrays stay in the L2 cache; their step-``s`` rows are joined.
+    Rows never mix and every pass is elementwise, so no bit moves.  Picard
+    batches (blocks would multiply the driver calls), kept surfaces (they
+    would be held twice) and single claims are one block.
 
     Every node feeds the step-``s`` slice, so one check there catches any
-    NaN or inf; only then is the sweep re-run to locate it.  Overflow is
-    left to that check: the sweeps run with numpy's overflow and invalid
-    warnings off.
+    NaN or inf.  That, or a :class:`ContractionViolation` or
+    :class:`NonFiniteValue` in one of two or more blocks, re-sweeps the whole
+    batch once through :func:`_check_finite`, naming the failing step and
+    batch row.  The sweeps run with numpy's overflow and invalid warnings off.
     """
     if not g.mu * lattice.dt < 1.0:
         raise ContractionViolation(
@@ -351,30 +350,29 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
         )
     y_slices = [np.array(cur, dtype=float, order="C")] if keep_surface or s == n else []
     worst_iters, worst_resid = 0, 0.0
-    rows = len(cur) if np.ndim(cur) == 2 else 0
-    block = max(1, _BLOCK_BYTES // (8 * (n + 1)))
+    blocks = 1
+    if g.exact_step is not None and not keep_surface and s < n and np.ndim(cur) == 2:
+        blocks = max(1, -(-len(cur) // max(1, _BLOCK_BYTES // (8 * (n + 1)))))
+    resweep_on = (ContractionViolation, NonFiniteValue) if blocks > 1 else ()
     with np.errstate(over="ignore", invalid="ignore"):
-        if g.exact_step is not None and not y_slices and rows > block:
-            y_slices = [np.empty((rows, s + 1))]
-            try:
-                for r in range(0, rows, block):
-                    for _, y, worst_iters, worst_resid in _sweep(
-                            g, cur[r:r + block], lattice, n, s, dividends):
-                        pass
-                    y_slices[0][r:r + block] = y
-            except (ContractionViolation, NonFiniteValue):  # re-raised with the batch row
-                y_slices = []
-        if not y_slices or keep_surface:
-            for i, y, iters, resid in _sweep(g, cur, lattice, n, s, dividends):
-                worst_iters = max(worst_iters, iters)
-                worst_resid = max(worst_resid, resid)
-                if keep_surface or i == s:
-                    y_slices.append(_owned(y))
-        if not np.isfinite(y_slices[-1]).all():
-            for i, y, *_ in _sweep(g, cur, lattice, n, s, dividends):
-                _check_finite(y, i, "price")
-    y_slices.reverse()
-    return y_slices, worst_iters, worst_resid
+        try:
+            for part in np.array_split(cur, blocks) if blocks > 1 else (cur,):
+                for i, y, iters, resid in _sweep(g, part, lattice, n, s, dividends):
+                    worst_iters = max(worst_iters, iters)
+                    worst_resid = max(worst_resid, resid)
+                    if keep_surface or i == s:
+                        y_slices.append(_owned(y))
+        except resweep_on:
+            pass
+        else:
+            if blocks > 1:
+                y_slices = [np.concatenate(y_slices)]
+            if np.isfinite(y_slices[-1]).all():
+                y_slices.reverse()
+                return y_slices, worst_iters, worst_resid
+        for i, y, *_ in _sweep(g, cur, lattice, n, s, dividends):
+            _check_finite(y, i, "price")
+    raise RuntimeError("the whole-batch re-sweep met no failure: is the driver deterministic?")
 
 
 def _owned(y: np.ndarray) -> np.ndarray:
@@ -469,12 +467,10 @@ class MechanismHandle:
     methods stay on this class, where ``bench/tracing.py`` patches them.
     """
 
-    def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float],
-                 name: str = ""):
+    def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float]):
         self.lattice = lattice
         self._price_at = price_at
         self.mu = mu
-        self.name = name
 
     def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
                  dividends: Optional[DividendStream] = None) -> np.ndarray:
@@ -561,7 +557,7 @@ class _DriverMechanism(MechanismHandle):
     def __init__(self, g: Generator, lattice: Lattice):
         super().__init__(lattice, lambda s_step, t_step, claim, dividends: self._batch(
             s_step, t_step, claim.values(lattice, t_step), dividends, keep_surface=False)[0],
-            mu=g.mu, name=g.name or "mechanism")
+            mu=g.mu)
         self._g = g
 
     def _batch(self, s_step, t_step, rows, dividends, keep_surface):

@@ -312,7 +312,7 @@ def _shift_at_maturity(base):
     def price_at(s, t, claim, dividends=None):
         vals = base.price_at(s, t, claim, dividends)
         return vals + 1.0 if s == t else vals
-    return MechanismHandle(base.lattice, price_at, mu=base.mu, name="shifted")
+    return MechanismHandle(base.lattice, price_at, mu=base.mu)
 
 
 def _far_node_peeker(base):
@@ -321,7 +321,7 @@ def _far_node_peeker(base):
         if s == t:
             return vals
         return vals + 0.05 * float(claim.values(base.lattice, t)[0])
-    return MechanismHandle(base.lattice, price_at, mu=base.mu, name="peeker")
+    return MechanismHandle(base.lattice, price_at, mu=base.mu)
 
 
 def test_criterion_10_axiom_suite():

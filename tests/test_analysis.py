@@ -142,7 +142,7 @@ def _shift_at_maturity(base):
     def price_at(s, t, claim, dividends=None):
         vals = base.price_at(s, t, claim, dividends)
         return vals + 1.0 if s == t else vals
-    return MechanismHandle(base.lattice, price_at, mu=base.mu, name="shifted")
+    return MechanismHandle(base.lattice, price_at, mu=base.mu)
 
 
 def _far_node_peeker(base):
@@ -154,7 +154,7 @@ def _far_node_peeker(base):
             return vals
         peek = float(claim.values(base.lattice, t)[0])
         return vals + 0.05 * peek
-    return MechanismHandle(base.lattice, price_at, mu=base.mu, name="peeker")
+    return MechanismHandle(base.lattice, price_at, mu=base.mu)
 
 
 class TestCorruptedWrappers:
@@ -196,7 +196,7 @@ class TestCorruptedWrappers:
         shifted = MechanismHandle(
             lat8,
             lambda s, t, c, d=None: base.price_at(s, t, c, d) + 1.0,
-            mu=base.mu, name="plus-one")
+            mu=base.mu)
         report = axiom_suite(shifted, lat8, samples=40, seed=21)
         assert not report.identity.passed
         assert report.identity.witness is not None
@@ -206,7 +206,7 @@ class TestCorruptedWrappers:
         negated = MechanismHandle(
             lat8,
             lambda s, t, c, d=None: -base.price_at(s, t, c, d),
-            mu=base.mu, name="negated")
+            mu=base.mu)
         report = axiom_suite(negated, lat8, samples=40, seed=22)
         assert not report.monotonicity.passed
         assert report.monotonicity.witness is not None
@@ -523,6 +523,16 @@ class TestProbePath:
             one = build_probe_path(lat16, t_step, float(y[5]), float(z[5]), mu)
             assert one.slices[1].tobytes() == want[5].tobytes()
 
+    def test_overflowing_children_are_named_without_a_warning(self, lat16):
+        # mu (|y| + |z|) overflows, so the drifted children are -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"^probe child is -inf at step 1, node 0$"):
+                build_probe_path(lat16, 0, 1e308, 1e308, 0.5)
+            with pytest.raises(NonFiniteValue,
+                               match=r"^probe child is -inf at step 5, row 1, node 0$"):
+                build_probe_path(lat16, 4, [0.5, 1e308], [1.0, 1e308], 0.5)
+
 
 class TestProbeAnchors:
     PROBES = {
@@ -625,7 +635,7 @@ class TestRecoverGenerator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue,
-                               match=r"^terminal value is -inf at step 1, row 0, node 0$"):
+                               match=r"^probe child is -inf at step 1, row 0, node 0$"):
                 recover_generator(mech, 0, [(1e308, 1e308)], lat)
 
     def test_probe_envelope_violation_names_the_lattice_node(self):
@@ -1081,7 +1091,7 @@ class TestVerifyMainTheorem:
             vals = base.price_at(s, t, claim, dividends)
             return 1.5 * vals if t - s >= 2 else vals
 
-        rogue = MechanismHandle(lat16, price_at, mu=0.5, name="rogue")
+        rogue = MechanismHandle(lat16, price_at, mu=0.5)
         verdict = verify_main_theorem(rogue, samples=4, seed=3, level=4)
         assert not verdict.domination_ok
         assert not verdict.passed()

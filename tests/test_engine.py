@@ -427,7 +427,7 @@ def _price_at_only(mech):
         calls.append((s, t))
         return mech.price_at(s, t, claim, dividends)
 
-    return MechanismHandle(mech.lattice, price_at, mu=mech.mu, name="plain"), calls
+    return MechanismHandle(mech.lattice, price_at, mu=mech.mu), calls
 
 
 def test_price_rows_default_loops_over_price_at(lat8):

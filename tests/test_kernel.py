@@ -12,8 +12,9 @@ the extremal driver on one-signed monotone rows.  Every built-in closed
 form, which never forms ``m`` or ``z``, is held to its own Picard path,
 which steps from ``one_step_mz``, on any rows.  On monotone rows of its
 direction the tilted extremal driver's is also held to the extremal
-driver's closed form.  A closed-form batch swept in row blocks is held bit
-for bit to its one-block sweep, and its errors to the same witnesses.
+driver's closed form.  A closed-form batch swept in row blocks, whose sizes
+differ by at most one row, is held bit for bit to its one-block sweep, and its
+errors to the same witnesses.
 """
 
 import warnings
@@ -351,12 +352,13 @@ def test_tilted_closed_form_is_the_extremal_price_of_monotone_rows(z_sign):
 
 
 def _counted(g):
-    """The driver and a list that gains one entry per ``exact_step`` call."""
+    """The driver and a list that gains one entry per ``exact_step`` call: the
+    batch shape of the next slice it steps from."""
     calls = []
 
-    def exact_step(*args):
-        calls.append(None)
-        return g.exact_step(*args)
+    def exact_step(t, nxt, *args):
+        calls.append(nxt.shape[:-1])
+        return g.exact_step(t, nxt, *args)
     return replace(g, exact_step=exact_step), calls
 
 
@@ -395,6 +397,23 @@ def test_blocked_sweep_is_the_one_block_sweep_bitwise(g, monkeypatch):
                     if s == 0 and dividends is None:
                         root = solve_terminal_batch(counted, rows[:, :t_step + 1], lat, t_step)
                         assert root.tobytes() == want[:, 0].tobytes(), (case, block)
+
+
+def test_row_blocks_differ_by_at_most_one_row(monkeypatch):
+    # 7 rows at a budget of 5 rows' worth: 2 blocks of 4 and 3 rows, not a
+    # full block of 5 and a sliver of 2, bitwise the one-block sweep
+    n = 16
+    lat = build_lattice(build_grid(0.0, 1.0, n))
+    rows = np.random.default_rng(101).uniform(-2.0, 2.0, (7, n + 1))
+    g, calls = _counted(domination_generator(0.5))
+    mech = as_mechanism(g, lat)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", ONE_BLOCK)
+    want = mech.price_rows(0, n, rows)
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 5 * 8 * (n + 1))
+    calls.clear()
+    got = mech.price_rows(0, n, rows)
+    assert calls == [(4,)] * n + [(3,)] * n
+    assert got.tobytes() == want.tobytes()
 
 
 def test_the_audit_batches_split_under_the_real_budget(monkeypatch):

@@ -232,13 +232,12 @@ def _peeker(base):
         if s == t:
             return vals
         return vals + 0.05 * float(claim.values(base.lattice, t)[0])
-    return MechanismHandle(base.lattice, price_at, mu=base.mu, name="peeker")
+    return MechanismHandle(base.lattice, price_at, mu=base.mu)
 
 
 def _constant_box(lattice):
     """Prices every claim at 1: zero preservation fails by exactly 1 each time."""
-    return MechanismHandle(lattice, lambda s, t, c, d=None: np.ones(s + 1), mu=0.0,
-                           name="ones")
+    return MechanismHandle(lattice, lambda s, t, c, d=None: np.ones(s + 1), mu=0.0)
 
 
 def _black_boxes():

@@ -142,5 +142,4 @@ def paste(mechs, cuts) -> MechanismHandle:
             step, rows = lo, mechs[k].price_rows(lo, step, rows, dividends)
         return rows[0]
 
-    return MechanismHandle(lattice, price_at, mu=max(m.mu for m in mechs),
-                           name="paste(" + ",".join(m.name for m in mechs) + ")")
+    return MechanismHandle(lattice, price_at, mu=max(m.mu for m in mechs))
