@@ -23,7 +23,7 @@ identities for measurable events.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     NotSupermartingale,
     StepOutOfRange,
 )
-from .generators import Generator, GeneratorFlags, _count, _tallies, _witnessed
+from .generators import Generator, _count, _tallies, _witnessed
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 from .engine import (
     PICARD_TOL,
@@ -126,13 +126,13 @@ def _price_legs(mech: MechanismHandle, legs: list) -> list:
     return out
 
 
-def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
+def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
                 seed: int = 0) -> AxiomReport:
     """Randomized falsification suite for the pricing-system laws.
 
     Claims are random piecewise-linear payoffs; events are random node
     subsets at the evaluation step.  Deterministic given ``seed``.
-    ``lattice`` must be the handle's own.
+    ``lattice`` is the handle's own or ``None``.
 
     Every sample is drawn first and kept as terminal node rows (all samples'
     rows are held at once).  The rows are then priced in two waves with one
@@ -143,7 +143,7 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice, samples: int,
     is therefore called in a different order than sample by sample; it must
     be pure, as every handle must.
     """
-    _own_lattice(mech, lattice)
+    lattice = _own_lattice(mech, lattice)
     _count("samples", samples)
     rng = np.random.default_rng(seed)
     n = lattice.n_steps
@@ -335,7 +335,7 @@ def represent(
     mech: MechanismHandle,
     claim: TerminalClaim,
     dividends: Optional[DividendStream],
-    lattice: Lattice,
+    lattice: Lattice | None,
 ) -> RepresentationResult:
     """Extract the realized driver of a mechanism on one claim.
 
@@ -343,9 +343,9 @@ def represent(
     extracted driver escapes the envelope by more than ``ENVELOPE_TOL`` (the
     declared constant is too small, or the mechanism is not dominated).
     A NaN or inf one-step mean, hedge or driver raises :class:`NonFiniteValue`
-    naming its step and node first.  ``lattice`` must be the handle's own.
+    naming its step and node first.  ``lattice`` is the handle's own or ``None``.
     """
-    _own_lattice(mech, lattice)
+    lattice = _own_lattice(mech, lattice)
     mu = _declared_mu(mech)
     dt = lattice.dt
     surface = mech.price_surface(lattice.n_steps, claim, dividends)
@@ -566,10 +566,10 @@ class RecoveredGenerator:
     """Tabulated generating function read off a black-box mechanism.
 
     ``table[ti, pi]`` is the recovered value at probe time ``times[ti]`` and
-    sample point ``points[pi]``.  ``lipschitz_ratio`` is the worst sampled
-    increment ratio over the table (certified ``<= mu`` up to discretization)
-    and ``zero_defect`` the worst ``|ghat(t, 0, 0)|`` when the origin was
-    sampled.
+    sample point ``points[pi]``.  Every construction (``replace`` too) derives
+    from them ``lipschitz_ratio``, the worst sampled increment ratio over the
+    table (certified ``<= mu`` up to discretization), ``zero_defect``, the
+    worst ``|ghat(t, 0, 0)|`` when the origin was sampled, and ``grid``.
     """
 
     level: int
@@ -577,9 +577,25 @@ class RecoveredGenerator:
     times: np.ndarray
     points: list
     table: np.ndarray
-    lipschitz_ratio: float
-    zero_defect: Optional[float]
-    grid: Optional[tuple] = None
+    lipschitz_ratio: float = field(init=False)
+    zero_defect: Optional[float] = field(init=False)
+    grid: Optional[tuple] = field(init=False)
+
+    def __post_init__(self):
+        # Lipschitz certificate, one (P, P) matrix at a time; only coincident
+        # points are skipped, so an overflowing ratio cannot read as 0
+        pts = np.asarray(self.points)
+        sep = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
+        apart = sep > 0
+        with np.errstate(over="ignore"):
+            self.lipschitz_ratio = float(np.max(
+                [np.max(np.abs(v[:, None] - v[None, :])[apart] / sep[apart], initial=0.0)
+                 for v in self.table]))
+        self.zero_defect = None
+        origin = [c for c, p in enumerate(self.points) if p == (0.0, 0.0)]
+        if origin:
+            self.zero_defect = float(np.max(np.abs(self.table[:, origin[0]])))
+        self.grid = _detect_grid(self.points)
 
     def certificate_ok(self) -> bool:
         """The recovery certificate: the Lipschitz ratio within ``mu`` and the zero
@@ -642,8 +658,6 @@ class RecoveredGenerator:
         return Generator(
             fn=lambda t, y, z: self.value(t, y, z) + 0.0 * (np.asarray(y) + np.asarray(z)),
             mu=self.mu,
-            flags=GeneratorFlags(zero_at_zero=self.zero_defect is not None
-                                 and self.zero_defect <= RECOVERY_SLACK),
             name=f"recovered(level={self.level})",
             exact_step=self._exact_step,
         )
@@ -726,26 +740,8 @@ def recover_generator(
             one_steps = mech.price_rows(t_step, t_step + 1, probe.slices[1][:, cols])
             table[i] = _decompose_probe(probe, one_steps[:, probe.anchor])
 
-    # Lipschitz certificate, one (P, P) matrix at a time; only coincident
-    # points are skipped, so an overflowing ratio cannot read as 0
-    sep = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
-    apart = sep > 0
-    with np.errstate(over="ignore"):
-        worst_ratio = float(np.max(
-            [np.max(np.abs(v[:, None] - v[None, :])[apart] / sep[apart], initial=0.0)
-             for v in table]))
-
-    zero_defect = None
-    origin = [c for c, p in enumerate(points) if p == (0.0, 0.0)]
-    if origin:
-        zero_defect = float(np.max(np.abs(table[:, origin[0]])))
-
     times = np.array([lat.grid.time(t_step) for t_step in steps])
-    return RecoveredGenerator(
-        level=level, mu=float(mu), times=times,
-        points=points, table=table, lipschitz_ratio=worst_ratio,
-        zero_defect=zero_defect, grid=_detect_grid(points),
-    )
+    return RecoveredGenerator(level=level, mu=float(mu), times=times, points=points, table=table)
 
 
 @dataclass
@@ -779,11 +775,17 @@ def verify_main_theorem(
     pass for all claims) and the worst node discrepancy over all claims and
     steps is reported.  ``lattice`` defaults to the handle's own; any other
     raises :class:`InvalidParams`.  ``level`` defaults to the largest whose
-    ``2**level`` divides the step count.
+    ``2**level`` divides the step count.  ``ys`` and ``zs``, the recovery
+    grid's axes, must be strictly increasing (else :class:`InvalidParams`,
+    before any price is asked).
     """
     lat = _own_lattice(mech, lattice)
     mu = _declared_mu(mech)
     _count("samples", samples)
+    for name, axis in (("ys", ys), ("zs", zs)):
+        axis = [float(v) for v in axis]
+        if not all(b > a for a, b in zip(axis, axis[1:])):
+            raise InvalidParams(f"{name} must be strictly increasing, got {axis}")
     if level is None:
         level = (lat.n_steps & -lat.n_steps).bit_length() - 1
     rng = np.random.default_rng(seed)

@@ -50,7 +50,7 @@ from .errors import (
     SchemeNotMonotone,
     StepOutOfRange,
 )
-from .generators import _LIPSCHITZ_SLACK, Generator, _finite, domination_generator
+from .generators import _LIPSCHITZ_SLACK, Generator, _declared, _finite, domination_generator
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 
 PICARD_TOL = 1e-12
@@ -87,9 +87,10 @@ def claim_from_values(lattice: Lattice, step: int, values) -> TerminalClaim:
     The payoff looks walk values up by node index, so it reproduces the given
     values exactly on the lattice (off-grid queries clamp to the range).
     """
-    vals = np.array(values, dtype=float)
+    need = f"need {step + 1} node values"
+    vals = _float_array(values, need).copy()
     if vals.shape != (step + 1,):
-        raise StepOutOfRange(f"need {step + 1} node values, got shape {vals.shape}")
+        raise StepOutOfRange(f"{need}, got shape {vals.shape}")
     return TerminalClaim(lambda b: vals[lattice.node_index(step, b)], name=f"slice@{step}")
 
 
@@ -420,7 +421,8 @@ def solve_terminal_batch(g: Generator, terminal: np.ndarray, lattice: Lattice,
     row), no dividends: ``as_mechanism(g, lattice).price_rows(0, t_step,
     terminal)[:, 0]``.  The inequality audit prices through this entry."""
     n = lattice.n_steps if t_step is None else t_step
-    return as_mechanism(g, lattice).price_rows(0, n, np.atleast_2d(terminal))[:, 0]
+    rows = np.atleast_2d(_float_array(terminal, f"rows must have {n + 1} entries"))
+    return as_mechanism(g, lattice).price_rows(0, n, rows)[:, 0]
 
 
 def _linear_root(rows: np.ndarray, a, b: float, lattice: Lattice) -> np.ndarray:
@@ -453,13 +455,13 @@ class MechanismHandle:
 
     ``price_at(s_step, t_step, claim, dividends)`` returns node values at
     ``s_step``; it must be pure and reentrant.  ``mu`` is the declared
-    domination constant (``None`` when unknown).  :meth:`price_rows` and
-    :meth:`price_surface` call ``price_at`` once per row or step, and
-    :meth:`price_surfaces` prices one surface per row.  Every price is checked
-    for shape and finiteness, so a NaN or inf raises :class:`NonFiniteValue`
-    instead of becoming a result; a batch is checked for NaN and inf once it
-    is whole, so its witness names the row.  No result shares memory with
-    the input rows.
+    domination constant, checked as a :class:`Generator`'s, or ``None`` when
+    unknown.  :meth:`price_rows` and :meth:`price_surface` call ``price_at``
+    once per row or step, and :meth:`price_surfaces` prices one surface per
+    row.  Every price is checked for shape and finiteness, so a NaN or inf
+    raises :class:`NonFiniteValue` instead of becoming a result; a batch is
+    checked for NaN and inf once it is whole, so its witness names the row.
+    No result shares memory with the input rows.
 
     :func:`as_mechanism` overrides only the hooks ``_batch`` and ``_surface``,
     and its ``price_at`` is its ``_batch`` on the claim's 1-d slice: bitwise
@@ -470,7 +472,7 @@ class MechanismHandle:
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float]):
         self.lattice = lattice
         self._price_at = price_at
-        self.mu = mu
+        self.mu = mu if mu is None else _declared("mu", mu)
 
     def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
                  dividends: Optional[DividendStream] = None) -> np.ndarray:
@@ -526,10 +528,22 @@ class MechanismHandle:
 def _terminal_rows(rows, t_step: int) -> np.ndarray:
     """``rows`` as a float ``(k, t_step + 1)`` batch; raises unless it has
     that shape and no NaN or inf, naming its row and node."""
-    rows = np.asarray(rows, float)
+    need = f"rows must have {t_step + 1} entries"
+    rows = _float_array(rows, need)
     if rows.ndim != 2 or rows.shape[1] != t_step + 1:
-        raise StepOutOfRange(f"rows must have {t_step + 1} entries, got shape {rows.shape}")
+        raise StepOutOfRange(f"{need}, got shape {rows.shape}")
     return _check_finite(rows, t_step, "terminal value")
+
+
+def _float_array(values, need: str) -> np.ndarray:
+    """``values`` as a float array; a ragged sequence, whose entries differ in
+    shape, raises :class:`StepOutOfRange` with the message ``need``."""
+    try:
+        return np.asarray(values, float)
+    except ValueError:
+        if len({np.shape(v) for v in values}) > 1:
+            raise StepOutOfRange(f"{need}, got a ragged sequence") from None
+        raise
 
 
 def _checked_prices(values, shape: tuple, step: int, finite: bool = True) -> np.ndarray:
@@ -629,7 +643,7 @@ def check_domination(
     claim_a: TerminalClaim,
     claim_b: TerminalClaim,
     mu: float,
-    lattice: Lattice,
+    lattice: Optional[Lattice],
     dividends_a: Optional[DividendStream] = None,
     dividends_b: Optional[DividendStream] = None,
 ) -> DominationVerdict:
@@ -638,9 +652,9 @@ def check_domination(
     At every node of every step the spread ``mech(A) - mech(B)`` must not
     exceed the extremal-driver price of the difference claim (with the
     difference payout stream) by more than ``PRICE_TOL``; the worst margin
-    ``cap - spread`` is reported.  ``lattice`` must be the handle's own.
+    ``cap - spread`` is reported.  ``lattice`` is the handle's own or ``None``.
     """
-    _own_lattice(mech, lattice)
+    lattice = _own_lattice(mech, lattice)
     require_monotone(mu, lattice)
     n = lattice.n_steps
     sa = mech.price_surface(n, claim_a, dividends_a)

@@ -61,9 +61,7 @@ class Generator:
     exact_step: Optional[Callable] = None
 
     def __post_init__(self):
-        mu = _finite("mu", self.mu)
-        if mu < 0:
-            raise NegativeMu(f"mu must be >= 0, got {mu}")
+        _declared("mu", self.mu)
 
     def __call__(self, t, y, z):
         return self.fn(t, y, z)
@@ -90,6 +88,14 @@ def _finite(name: str, value) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise InvalidParams(f"{name} must be finite, got {value}")
+    return value
+
+
+def _declared(name: str, value) -> float:
+    """A declared constant: finite, else :class:`InvalidParams`; >= 0, else :class:`NegativeMu`."""
+    value = _finite(name, value)
+    if value < 0:
+        raise NegativeMu(f"{name} must be >= 0, got {value}")
     return value
 
 
@@ -179,9 +185,7 @@ def domination_generator(mu: float, *, z_sign: float = 0.0) -> Generator:
 
 def abs_z_generator(coef: float) -> Generator:
     """Driver ``coef * |z|``: depends on the hedge coefficient only."""
-    coef = _finite("coef", coef)
-    if coef < 0:
-        raise NegativeMu(f"coef must be >= 0, got {coef}")
+    coef = _declared("coef", coef)
     return Generator(
         fn=lambda t, y, z: coef * np.abs(z) + 0.0 * y,
         mu=coef,

@@ -16,6 +16,7 @@ from gmech import (
     DominationViolated,
     Generator,
     MechanismHandle,
+    NegativeMu,
     NonFiniteValue,
     NotSupermartingale,
     StepOutOfRange,
@@ -39,6 +40,7 @@ from gmech import (
     recover_generator,
     represent,
     solve_bsde,
+    solve_terminal_batch,
     verify_main_theorem,
     z_probe,
     zero_generator,
@@ -562,6 +564,19 @@ class TestProbeAnchors:
             assert got == want
 
 
+def _pairwise_worst(points, table) -> float:
+    """The worst increment ratio over each table row, pair by pair; points
+    that coincide are skipped."""
+    worst = 0.0
+    for row in table:
+        for pa, va in zip(points, row):
+            for pb, vb in zip(points, row):
+                sep = abs(pa[0] - pb[0]) + abs(pa[1] - pb[1])
+                if sep > 0.0:
+                    worst = max(worst, abs(va - vb) / sep)
+    return worst
+
+
 class TestRecoverGenerator:
     def test_zero_mechanism_recovers_zero(self):
         lat = build_lattice(build_grid(0.0, 1.0, 32))
@@ -587,13 +602,7 @@ class TestRecoverGenerator:
         mech = as_mechanism(random_lipschitz_generator(np.random.default_rng(12)), lat)
         pts = grid_points([-1, 0, 1], [-1, 0.5]) + [(0.0, 0.5), (1.0, 2.0)]
         rec = recover_generator(mech, 2, pts, lat)
-        worst = 0.0
-        for row in rec.table:
-            for pa, va in zip(rec.points, row):
-                for pb, vb in zip(rec.points, row):
-                    sep = abs(pa[0] - pb[0]) + abs(pa[1] - pb[1])
-                    if sep > 0.0:
-                        worst = max(worst, abs(va - vb) / sep)
+        worst = _pairwise_worst(rec.points, rec.table)
         assert worst > 0.0
         assert rec.lipschitz_ratio == worst
 
@@ -722,6 +731,20 @@ class TestRecoverGenerator:
         rec = recover_generator(as_mechanism(jump, lat), 0, [(0.0, 0.0), (5e-324, 0.0)], lat)
         assert rec.table[0, 0] == 0.0 and rec.table[0, 1] > 0.0
         assert rec.lipschitz_ratio == np.inf
+
+    def test_replaced_table_carries_its_own_certificate(self):
+        # the certificate derives from the table: replace cannot keep a stale one
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        rec = recover_generator(as_mechanism(abs_z_generator(0.3), lat), 4,
+                                grid_points([-1, 0, 1], [-1, 0, 1]), lat)
+        shifted = dataclasses.replace(rec, table=rec.table + 1.0)
+        assert shifted.zero_defect == float(np.max(np.abs(rec.table[:, 4] + 1.0))) > 0.5
+        assert shifted.lipschitz_ratio == _pairwise_worst(rec.points, rec.table + 1.0)
+        assert rec.certificate_ok() and not shifted.certificate_ok()
+        # doubling is exact, so every ratio doubles bitwise
+        doubled = dataclasses.replace(rec, table=2.0 * rec.table)
+        assert doubled.lipschitz_ratio == 2.0 * rec.lipschitz_ratio > 0.5
+        assert doubled.zero_defect == 2.0 * rec.zero_defect
 
     def test_singleton_axis_grid_interpolates(self):
         # a 1 x N grid is still a grid; interpolation degenerates cleanly
@@ -934,6 +957,22 @@ class TestVectorisedRecovery:
         assert messages[0] == messages[1]
 
 
+def _bits(obj):
+    """A verdict as nested plain values with every float and array as its
+    dtype, shape and bytes: two are equal exactly when they are bitwise."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif isinstance(obj, AdaptedProcess):
+        obj = (obj.lattice, obj.start, obj.slices)
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, (float, np.ndarray, np.generic)):
+        return np.asarray(obj).dtype.str, np.shape(obj), np.asarray(obj).tobytes()
+    return obj
+
+
 class TestLatticeMismatch:
     """Routines that take a lattice beside the handle accept only its own."""
 
@@ -944,6 +983,11 @@ class TestLatticeMismatch:
         with pytest.raises(InvalidParams, match=r"T=4\.0, n_steps=16\) is not the "
                            r"mechanism's lattice TimeGrid\(t0=0\.0, T=1\.0"):
             LATTICE_CALLS[name](mech, other)
+
+    @pytest.mark.parametrize("name", list(LATTICE_CALLS))
+    def test_no_lattice_is_the_handles_own(self, name, lat16):
+        mech = as_mechanism(abs_z_generator(0.3), lat16)
+        assert _bits(LATTICE_CALLS[name](mech, None)) == _bits(LATTICE_CALLS[name](mech, lat16))
 
     @pytest.mark.parametrize("name", list(LATTICE_CALLS))
     def test_equal_lattice_is_accepted(self, name, lat16):
@@ -1008,6 +1052,36 @@ BAD_ARGUMENTS = {
     "verify_main_theorem_no_mu": (
         lambda mech, lat: verify_main_theorem(_no_mu(mech), lat, samples=4, level=4),
         InvalidParams, "mechanism must declare a domination constant mu"),
+    "verify_main_theorem_descending_ys": (
+        lambda mech, lat: verify_main_theorem(mech, lat, samples=4, level=4, ys=(1.0, -1.0)),
+        InvalidParams, r"ys must be strictly increasing, got \[1\.0, -1\.0\]"),
+    "verify_main_theorem_repeated_zs": (
+        lambda mech, lat: verify_main_theorem(mech, lat, samples=4, level=4, zs=(0, 0)),
+        InvalidParams, r"zs must be strictly increasing, got \[0\.0, 0\.0\]"),
+    "handle_nan_mu": (lambda mech, lat: MechanismHandle(lat, mech.price_at, mu=float("nan")),
+                      InvalidParams, "mu must be finite, got nan"),
+    "handle_inf_mu": (lambda mech, lat: MechanismHandle(lat, mech.price_at, mu=float("inf")),
+                      InvalidParams, "mu must be finite, got inf"),
+    "handle_negative_mu": (lambda mech, lat: MechanismHandle(lat, mech.price_at, mu=-0.5),
+                           NegativeMu, r"mu must be >= 0, got -0\.5"),
+    "price_rows_ragged": (lambda mech, lat: mech.price_rows(0, 16, [np.zeros(17), np.zeros(16)]),
+                          StepOutOfRange, "rows must have 17 entries, got a ragged sequence"),
+    "price_rows_of_a_black_box_ragged": (
+        lambda mech, lat: _no_mu(mech).price_rows(0, 16, [np.zeros(16), np.zeros(17)]),
+        StepOutOfRange, "rows must have 17 entries, got a ragged sequence"),
+    "price_surfaces_ragged": (
+        lambda mech, lat: mech.price_surfaces(16, [np.zeros(17), [0.0] * 16]),
+        StepOutOfRange, "rows must have 17 entries, got a ragged sequence"),
+    "solve_terminal_batch_ragged": (
+        lambda mech, lat: solve_terminal_batch(abs_z_generator(0.3), [np.zeros(17), np.zeros(4)],
+                                               lat),
+        StepOutOfRange, "rows must have 17 entries, got a ragged sequence"),
+    "claim_from_values_ragged": (
+        lambda mech, lat: claim_from_values(lat, 2, [0.0, [1.0, 2.0], 0.0]),
+        StepOutOfRange, "need 3 node values, got a ragged sequence"),
+    "price_rows_wrong_width": (
+        lambda mech, lat: mech.price_rows(0, 16, np.zeros((2, 16))),
+        StepOutOfRange, r"rows must have 17 entries, got shape \(2, 16\)"),
 }
 
 
