@@ -55,7 +55,6 @@ from .engine import (
     DominationVerdict,
     MechanismHandle,
     PricingResult,
-    SignFlipVerdict,
     TerminalClaim,
     as_mechanism,
     check_domination,
@@ -63,7 +62,6 @@ from .engine import (
     compare,
     make_underlying_map,
     random_claim,
-    sign_flip_check,
     solve_bsde,
     solve_terminal_batch,
 )

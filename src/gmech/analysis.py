@@ -256,9 +256,10 @@ def doob_meyer(
     slice.  Nonnegative defects at every node are exactly the supermartingale
     property; a defect below ``-PRICE_TOL`` raises :class:`NotSupermartingale`.
     ``lattice`` must equal ``y``'s own.  When the worst defect is too low or
-    not finite, the first NaN or inf mean, hedge, driver value or defect
-    raises :class:`NonFiniteValue` by step and node instead; any other NaN or
-    inf defect makes the rebuilt surface raise it.
+    not finite, or a hedge is NaN or inf where its defect is finite (as under
+    a driver that ignores ``z``), the first NaN or inf mean, hedge, driver
+    value or defect raises :class:`NonFiniteValue` by step and node instead;
+    any other NaN or inf defect makes the rebuilt surface raise it.
     """
     _same_lattice(lattice, y.lattice, "process's")
     _check_steps(y.start, y.stop, lattice, dividends)
@@ -269,18 +270,20 @@ def doob_meyer(
     dks = [_increment_at(dividends, i) for i in range(y.start, y.stop)]
 
     def steps(named=False):
-        # each step's defect or, if named, (step, its _ONE_STEP values): the
-        # defect alone frees the rest with its step (1.7 MB less peak at 2,000 steps)
+        # each step's defect and whether every NaN or inf hedge shows in its
+        # defect or, if named, (step, its _ONE_STEP values): the defect alone
+        # frees the rest with its step (1.7 MB less peak at 2,000 steps)
         for i, (cur, nxt, dk) in enumerate(zip(y.slices, y.slices[1:], dks), y.start):
             m, zz = one_step_mz(nxt, lattice.sqrt_dt)
             drv = g(lattice.grid.time(i), cur, zz)
             a = cur - m - drv * dt - dk
-            yield (i, (m, zz, drv, a)) if named else a
+            seen = np.isfinite(zz).all() or not np.isfinite(a[~np.isfinite(zz)]).any()
+            yield (i, (m, zz, drv, a)) if named else (a, seen)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        incs = list(steps())
+        incs, seen = zip(*steps())
         worst, node = _worst_node(incs, y.start)
-        if worst < -PRICE_TOL or not math.isfinite(worst):
+        if worst < -PRICE_TOL or not math.isfinite(worst) or not all(seen):
             for i, values in steps(named=True):
                 for what, v in zip(_ONE_STEP, values):
                     _check_finite(np.broadcast_to(v, values[0].shape), i, what)

@@ -51,14 +51,13 @@ from .errors import (
     StepOutOfRange,
 )
 from .generators import _LIPSCHITZ_SLACK, Generator, _declared, _finite, domination_generator
-from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
+from .lattice import AdaptedProcess, Lattice, _worst_node, one_step_mz
 
 PICARD_TOL = 1e-12
 PICARD_CAP = 100
 PICARD_FAIL = 1e-9
 PICARD_ULPS = 1
 PRICE_TOL = 1e-9  # price slack of the order, law, defect and audit verdicts
-SIGN_FLIP_TOL = 1e-10  # node gap allowed in the sign-flip identity
 # work-array bytes per row block of a large closed-form batch (see _backward):
 # with its two scratch arrays a block takes about 1.5 MiB, inside a 2 MiB L2
 _BLOCK_BYTES = 1 << 19
@@ -456,7 +455,8 @@ class MechanismHandle:
     ``price_at(s_step, t_step, claim, dividends)`` returns node values at
     ``s_step``; it must be pure and reentrant.  ``mu`` is the declared
     domination constant, checked as a :class:`Generator`'s, or ``None`` when
-    unknown.  :meth:`price_rows` and :meth:`price_surface` call ``price_at``
+    unknown; it and ``lattice`` are read-only, fixed where the handle is
+    built.  :meth:`price_rows` and :meth:`price_surface` call ``price_at``
     once per row or step, and :meth:`price_surfaces` prices one surface per
     row.  Every price is checked for shape and finiteness, so a NaN or inf
     raises :class:`NonFiniteValue` instead of becoming a result; a batch is
@@ -470,9 +470,17 @@ class MechanismHandle:
     """
 
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float]):
-        self.lattice = lattice
+        self._lattice = lattice
         self._price_at = price_at
-        self.mu = mu if mu is None else _declared("mu", mu)
+        self._mu = mu if mu is None else _declared("mu", mu)
+
+    @property
+    def lattice(self) -> Lattice:
+        return self._lattice
+
+    @property
+    def mu(self) -> Optional[float]:
+        return self._mu
 
     def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
                  dividends: Optional[DividendStream] = None) -> np.ndarray:
@@ -537,11 +545,14 @@ def _terminal_rows(rows, t_step: int) -> np.ndarray:
 
 def _float_array(values, need: str) -> np.ndarray:
     """``values`` as a float array; a ragged sequence, whose entries differ in
-    shape, raises :class:`StepOutOfRange` with the message ``need``."""
+    shape at any depth, raises :class:`StepOutOfRange` with the message
+    ``need``."""
     try:
         return np.asarray(values, float)
     except ValueError:
-        if len({np.shape(v) for v in values}) > 1:
+        try:
+            np.shape(values)  # raises only when the nesting is ragged
+        except ValueError:
             raise StepOutOfRange(f"{need}, got a ragged sequence") from None
         raise
 
@@ -672,31 +683,3 @@ def check_domination(
         cap.slices, sa.slices, sb.slices, strict=True))
     return DominationVerdict(passed=bool(worst_margin >= -PRICE_TOL),
                              worst_margin=worst_margin, worst_node=worst_node)
-
-
-@dataclass
-class SignFlipVerdict:
-    passed: bool
-    max_error: float
-
-
-def sign_flip_check(
-    g: Generator,
-    claim: TerminalClaim,
-    dividends: Optional[DividendStream],
-    lattice: Lattice,
-) -> SignFlipVerdict:
-    """Duality identity: negating claim and payouts under the reflected driver
-    ``g_(t,y,z) = -g(t,-y,-z)`` negates every node price."""
-    reflected = Generator(
-        fn=lambda t, y, z: -g(t, -np.asarray(y, float), -np.asarray(z, float)),
-        mu=g.mu,
-        name=f"reflected({g.name})",
-    )
-    neg_claim = TerminalClaim(lambda b: -np.asarray(claim.payoff(b), dtype=float))
-    neg_div = _payout_gap(None, dividends, lattice)
-
-    y = solve_bsde(g, claim, dividends, lattice).y
-    y_neg = solve_bsde(reflected, neg_claim, neg_div, lattice).y
-    err = _max_gap(y_neg.slices, [-s for s in y.slices])
-    return SignFlipVerdict(passed=bool(err <= SIGN_FLIP_TOL), max_error=err)

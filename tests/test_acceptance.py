@@ -250,8 +250,7 @@ def test_criterion_08_recovery_of_hidden_generators():
 
     # a mechanism that is not dominated at its declared level must be caught
     lat = build_lattice(build_grid(0.0, 1.0, 64))
-    rogue = as_mechanism(abs_z_generator(1.0), lat)
-    rogue.mu = 0.5
+    rogue = MechanismHandle(lat, as_mechanism(abs_z_generator(1.0), lat).price_at, mu=0.5)
     try:
         recover_generator(rogue, 6, [(0.0, 2.0)], lat)
         caught = False

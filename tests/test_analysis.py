@@ -298,6 +298,15 @@ class TestDoobMeyer:
             with pytest.raises(NonFiniteValue, match=r"^one-step mean is inf at step 0, node 0$"):
                 doob_meyer(zero_generator(), y, None, lat4)
 
+    def test_overflowing_hedge_is_named_under_a_driver_that_ignores_z(self, lat4):
+        # every mean and defect is 0, but the hedge of step 3 overflows
+        top = claim_from_values(lat4, 4, [1e308, -1e308, 1e308, -1e308, 1e308])
+        y = solve_bsde(zero_generator(), top, None, lat4).y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"^hedge is -inf at step 3, node 0$"):
+                doob_meyer(zero_generator(), y, None, lat4)
+
     def test_infinite_driver_value_is_named_not_a_defect(self, lat8):
         g = Generator(fn=lambda t, y, z: np.inf, mu=0.0, name="inf")
         y = AdaptedProcess(lat8, 0, [np.zeros(i + 1) for i in range(9)])
@@ -390,8 +399,7 @@ class TestRepresent:
             pairwise_representation_gap(b, a, g.mu)
 
     def test_understated_mu_is_flagged(self, lat8):
-        mech = as_mechanism(abs_z_generator(0.5), lat8)
-        mech.mu = 0.05
+        mech = MechanismHandle(lat8, as_mechanism(abs_z_generator(0.5), lat8).price_at, mu=0.05)
         steep = TerminalClaim(lambda b: np.abs(np.asarray(b, dtype=float)))
         with pytest.raises(BoundViolated,
                            match=r"^driver \S+ escapes mu-envelope by \S+ at step \d+, node \d+$"):
@@ -621,8 +629,8 @@ class TestRecoverGenerator:
 
     def test_undominated_mechanism_raises(self):
         lat = build_lattice(build_grid(0.0, 1.0, 32))
-        mech = as_mechanism(abs_z_generator(1.0), lat)
-        mech.mu = 0.3  # declared cap far below the true constant
+        # declared cap far below the true constant
+        mech = MechanismHandle(lat, as_mechanism(abs_z_generator(1.0), lat).price_at, mu=0.3)
         with pytest.raises(DominationViolated, match=r"^probe \(y=0, z=2\) has defect "
                            r"-\S+ at step 0, node 0; mechanism is not dominated at mu=0\.3$"):
             recover_generator(mech, 5, [(0.0, 2.0)], lat)
@@ -654,8 +662,7 @@ class TestRecoverGenerator:
         neg = Generator(
             fn=lambda t, y, z: np.where(t >= 0.75, -np.abs(np.asarray(z, float)), 0.0),
             mu=1.0, name="late_neg_abs_z")
-        mech = as_mechanism(neg, lat)
-        mech.mu = 0.3
+        mech = MechanismHandle(lat, as_mechanism(neg, lat).price_at, mu=0.3)
         with pytest.raises(BoundViolated, match=r"^probe \(y=0, z=2\) driver -2 escapes "
                            r"mu-envelope by \S+ at step 48, node 24$"):
             recover_generator(mech, 4, [(0.0, 2.0)], lat)
@@ -702,8 +709,8 @@ class TestRecoverGenerator:
 
     def test_price_at_only_handle_raises_the_same_violation(self):
         lat = build_lattice(build_grid(0.0, 1.0, 64))
-        rogue = as_mechanism(abs_z_generator(1.0), lat)
-        rogue.mu = 0.5
+        # a driver handle on the batched kernel, declaring less than its constant
+        rogue = as_mechanism(dataclasses.replace(abs_z_generator(1.0), mu=0.5), lat)
         messages = []
         for handle in (rogue, MechanismHandle(lat, rogue.price_at, mu=0.5)):
             with pytest.raises(DominationViolated) as err:
@@ -839,9 +846,8 @@ def _mixed_rogue(lat):
     def fn(t, y, z):
         return np.where(np.asarray(y) > 0, 2.0, -2.0) * np.abs(z)
 
-    mech = as_mechanism(Generator(fn=fn, mu=2.0, name="mixed"), lat)
-    mech.mu = 0.4
-    return mech
+    driver = as_mechanism(Generator(fn=fn, mu=2.0, name="mixed"), lat)
+    return MechanismHandle(lat, driver.price_at, mu=0.4)
 
 
 class TestRecoveredClosedForm:
@@ -1079,6 +1085,15 @@ BAD_ARGUMENTS = {
     "claim_from_values_ragged": (
         lambda mech, lat: claim_from_values(lat, 2, [0.0, [1.0, 2.0], 0.0]),
         StepOutOfRange, "need 3 node values, got a ragged sequence"),
+    "price_rows_nested_row": (
+        lambda mech, lat: mech.price_rows(0, 16, [np.zeros(17), [0.0] * 16 + [[1.0, 2.0]]]),
+        StepOutOfRange, "rows must have 17 entries, got a ragged sequence"),
+    "price_rows_two_nested_rows": (
+        lambda mech, lat: mech.price_rows(0, 16, [[0.0] * 16 + [[1.0, 2.0]]] * 2),
+        StepOutOfRange, "rows must have 17 entries, got a ragged sequence"),
+    "claim_from_values_nested_entry": (
+        lambda mech, lat: claim_from_values(lat, 2, [0.0, [1.0, [2.0, 3.0]], 0.0]),
+        StepOutOfRange, "need 3 node values, got a ragged sequence"),
     "price_rows_wrong_width": (
         lambda mech, lat: mech.price_rows(0, 16, np.zeros((2, 16))),
         StepOutOfRange, r"rows must have 17 entries, got shape \(2, 16\)"),
@@ -1090,6 +1105,17 @@ def test_bad_argument_is_named(name, lat16):
     call, error, message = BAD_ARGUMENTS[name]
     with pytest.raises(error, match=rf"^{message}$"):
         call(as_mechanism(abs_z_generator(0.3), lat16), lat16)
+
+
+@pytest.mark.parametrize("name", ["mu", "lattice"])
+def test_handle_declarations_are_read_only(name, lat16):
+    # a verdict reads mu and lattice as the handle was built: neither can change under it
+    mech = as_mechanism(abs_z_generator(0.3), lat16)
+    for handle in (mech, _no_mu(mech)):
+        before = getattr(handle, name)
+        with pytest.raises(AttributeError):
+            setattr(handle, name, float("nan"))
+        assert getattr(handle, name) is before
 
 
 class TestVerifyMainTheorem:

@@ -1,6 +1,7 @@
 """Command surface: outputs, exit codes, and report determinism."""
 
 import argparse
+import importlib
 import json
 import re
 import shlex
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gmech
 from gmech import (
     BSMarketParams,
     DividendStream,
@@ -553,10 +555,12 @@ class TestAuditAndSynth:
         assert out.splitlines()[0] == "family,tested,passed,violated"
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_cli_commands():
     """The commands of the fenced block under README's "## CLI" heading."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = re.search(r"^## CLI\n+```\n(.*?)^```", readme, re.S | re.M).group(1)
+    block = re.search(r"^## CLI\n+```\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
             if line.strip()]
 
@@ -571,6 +575,32 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         assert argv[0] == "gmech"
         assert main(argv[1:]) == 0, " ".join(argv)
         capsys.readouterr()
+
+
+def test_readme_quickstart_runs(capsys):
+    block = re.search(r"^## Quickstart\n+```python\n(.*?)^```", README.read_text(),
+                      re.S | re.M).group(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert float(lines[0]) == pytest.approx(0.6, abs=1e-12)  # g(2) * horizon
+
+
+def test_readme_thresholds_match_the_code():
+    # every row names a constant that holds its value, and every module-level
+    # *_TOL and *_SLACK has a row
+    table = re.search(r"^### Thresholds\n(.*?)(?=^#|\Z)", README.read_text(),
+                      re.S | re.M).group(1)
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]+)`", table, re.M)
+    assert rows
+    for module, name, value in rows:
+        assert getattr(importlib.import_module(f"gmech.{module}"), name) == float(value), name
+    declared = {(path.stem, name) for path in Path(gmech.__file__).parent.glob("*.py")
+                for name in re.findall(r"^(_?[A-Z][A-Z0-9_]*_(?:TOL|SLACK)) =",
+                                       path.read_text(), re.M)}
+    assert declared and declared <= {(module, name) for module, name, _ in rows}
 
 
 # -- JSON layout -----------------------------------------------------------------

@@ -33,7 +33,6 @@ from gmech import (
     linear_generator,
     make_underlying_map,
     random_claim,
-    sign_flip_check,
     solve_bsde,
     solve_terminal_batch,
     zero_generator,
@@ -53,6 +52,7 @@ from util import (
     paste,
     random_lipschitz_generator,
     random_pwl_claim,
+    sign_flip_check,
     signed_stream,
 )
 

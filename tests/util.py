@@ -5,6 +5,7 @@ backward pass: it sums exact path weights, so it can arbitrate the g == 0
 linearity checks.
 """
 
+from dataclasses import dataclass
 from math import comb, sqrt
 
 import numpy as np
@@ -15,7 +16,10 @@ from gmech import (
     GeneratorFlags,
     MechanismHandle,
     TerminalClaim,
+    solve_bsde,
 )
+from gmech.engine import _payout_gap
+from gmech.lattice import _max_gap
 
 # Closed-form lognormal references, frozen from a 30-digit computation.
 BS_CALL_ATM = 10.450583572185567      # s0=100 k=100 r=0.05 sigma=0.2 tau=1
@@ -143,3 +147,30 @@ def paste(mechs, cuts) -> MechanismHandle:
         return rows[0]
 
     return MechanismHandle(lattice, price_at, mu=max(m.mu for m in mechs))
+
+
+SIGN_FLIP_TOL = 1e-10  # node gap allowed in the sign-flip identity
+
+
+@dataclass
+class SignFlipVerdict:
+    passed: bool
+    max_error: float
+
+
+def sign_flip_check(g, claim, dividends, lattice) -> SignFlipVerdict:
+    """Duality identity of the solver: negating claim and payouts under the
+    reflected driver ``g_(t,y,z) = -g(t,-y,-z)`` negates every node price.
+    A stream on another lattice raises before any price is made."""
+    reflected = Generator(
+        fn=lambda t, y, z: -g(t, -np.asarray(y, float), -np.asarray(z, float)),
+        mu=g.mu,
+        name=f"reflected({g.name})",
+    )
+    neg_claim = TerminalClaim(lambda b: -np.asarray(claim.payoff(b), dtype=float))
+    neg_div = _payout_gap(None, dividends, lattice)
+
+    y = solve_bsde(g, claim, dividends, lattice).y
+    y_neg = solve_bsde(reflected, neg_claim, neg_div, lattice).y
+    err = _max_gap(y_neg.slices, [-s for s in y.slices])
+    return SignFlipVerdict(passed=bool(err <= SIGN_FLIP_TOL), max_error=err)
