@@ -105,7 +105,8 @@ class AxiomReport:
 
 
 def _reach_mask(step_s: int, step_t: int, nodes_s: np.ndarray) -> np.ndarray:
-    """Terminal-node mask of the cone reachable from the given step-s nodes."""
+    """Terminal-node mask of the cone reachable from the given step-s nodes,
+    an index array or a boolean mask."""
     hit = np.zeros(step_s + 1)
     hit[nodes_s] = 1.0
     return np.convolve(hit, np.ones(step_t - step_s + 1)) > 0
@@ -158,9 +159,9 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
         x_vals = random_claim(rng).values(lattice, t)
         # monotonicity: subtract a nonnegative payoff
         lower = x_vals - np.abs(random_claim(rng, bound=0.5, slope=0.5).values(lattice, t))
-        event = np.flatnonzero(rng.random(s + 1) < 0.5)
-        if event.size == 0:
-            event = np.array([int(rng.integers(0, s + 1))])
+        event = rng.random(s + 1) < 0.5  # a mask of the step-s nodes
+        if not event.any():
+            event[int(rng.integers(0, s + 1))] = True
         cone = _reach_mask(s, t, event)
         # locality: perturb the payoff outside the event's cone
         bump = np.where(cone, 0.0, rng.normal(size=t + 1))
@@ -169,9 +170,8 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
         # splitting: a claim assembled from two claims along the event cone
         # (the claims agree where the cones overlap, which is the
         # measurability constraint of the lattice)
-        comp = np.setdiff1d(np.arange(s + 1), event)
-        if comp.size:
-            other_vals = np.where(cone & _reach_mask(s, t, comp), x_vals, other_vals)
+        if not event.all():
+            other_vals = np.where(cone & _reach_mask(s, t, ~event), x_vals, other_vals)
             rows += [other_vals, np.where(cone, x_vals, other_vals)]
         draws.append((s, t, r, x_vals, event, cone))
         legs.append([(s, t, row) for row in rows] + [(t, t, x_vals), (r, t, x_vals)])
@@ -193,7 +193,7 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
 
         if split_prices:
             po, pblend = split_prices
-            expected = np.where(np.isin(np.arange(s + 1), event), pa, po)
+            expected = np.where(event, pa, po)
             split.record(float(np.max(np.abs(pblend - expected))), PRICE_TOL, k)
 
         zero.record(float(np.max(np.abs(pz))), PRICE_TOL, k)
@@ -208,7 +208,7 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
 
     def named(k, worst):
         s, t, r, _, event, _ = draws[k]
-        return {"sample": k, "r": r, "s": s, "t": t, "event": event.tolist(),
+        return {"sample": k, "r": r, "s": s, "t": t, "event": np.flatnonzero(event).tolist(),
                 "violation": worst}
 
     return AxiomReport(*(AxiomCheck(name=f.name, passed=not tally.failures,
@@ -523,14 +523,16 @@ def build_probe_path(
                      slices=[start, _check_finite(children, t_step + 1, "probe child")])
 
 
-def _decompose_probe(probe: ProbePath, one_step: np.ndarray) -> np.ndarray:
+def _decompose_probe(probe: ProbePath, one_step: np.ndarray,
+                     anchors: np.ndarray) -> np.ndarray:
     """Decompose ``P`` probes under the mechanism's one-step operator.
 
     ``one_step`` is the ``(P,)`` vector of the mechanism's step-``t_step``
-    prices at the anchor of each probe's children.  Returns the realized
-    drivers there after checking that each probe's ``_ONE_STEP`` values are
-    finite (:class:`NonFiniteValue`), then the supermartingale property and
-    then the driver envelope; the first failing probe in point order raises.
+    prices at ``anchors``, each probe's own anchor node above its children.
+    Returns the realized drivers there after checking that each probe's
+    ``_ONE_STEP`` values are finite (:class:`NonFiniteValue`), then the
+    supermartingale property and then the driver envelope; the first failing
+    probe in point order raises, its witness naming its own anchor.
     """
     lat = probe.lattice
     m, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
@@ -542,7 +544,7 @@ def _decompose_probe(probe: ProbePath, one_step: np.ndarray) -> np.ndarray:
     finite = np.isfinite(excess) & np.isfinite(defect)
     for p in np.flatnonzero(~finite | low | (excess > ENVELOPE_TOL)):
         what = f"probe (y={probe.y[p]:g}, z={probe.z[p]:g})"
-        at = _witness(probe.t_step, (probe.anchor,))
+        at = _witness(probe.t_step, (anchors[p],))
         for name, v in zip(_ONE_STEP, (m[:, 0], hedge[:, 0], driver, defect)):
             _check_finite(v[p:p + 1], probe.t_step, f"{what} {name}", at)
         if low[p]:
@@ -552,6 +554,28 @@ def _decompose_probe(probe: ProbePath, one_step: np.ndarray) -> np.ndarray:
             raise BoundViolated(f"{what} driver {driver[p]:.6g} escapes mu-envelope "
                                 f"by {excess[p]:.3g} at {at}")
     return driver
+
+
+def _packed_rows(children: np.ndarray, t_step: int):
+    """The ``(P, 2)`` children of ``P`` probes from step ``t_step``, side by
+    side in step-``(t_step + 1)`` rows, and each probe's ``(row, anchor)``.
+
+    A row holds ``k = min(P, t_step // 2 + 1)`` probes in one block centred by
+    ``base = (t_step - 2 (k - 1)) // 2``: probe ``q`` of a row is anchored at
+    step-``t_step`` node ``base + 2 q``, its children at step-``(t_step + 1)``
+    nodes ``base + 2 q`` and ``base + 2 q + 1``.  The nodes outside the block,
+    and past the last probe of a partly filled last row, clamp to the nearest
+    child; a local mechanism never reads them.  There are ``ceil(P / k)``
+    rows.  With ``k = 1`` a row is one probe's children clamped across the
+    slice, anchored at the middle node.
+    """
+    n_probes = len(children)
+    k = min(n_probes, t_step // 2 + 1)
+    base = (t_step - 2 * (k - 1)) // 2
+    block = np.clip(np.arange(t_step + 2) - base, 0, 2 * k - 1)
+    nodes = 2 * k * np.arange(-(-n_probes // k))[:, None] + block
+    p = np.arange(n_probes)
+    return children.reshape(-1)[np.minimum(nodes, 2 * n_probes - 1)], (p // k, base + 2 * (p % k))
 
 
 def _cell(axis: np.ndarray, v):
@@ -708,7 +732,11 @@ def recover_generator(
     hedge level ``z``, decompose it as a supermartingale under the mechanism's
     one-step operator, and record the realized driver at the probe's start.
     Each dyadic time is one array probe build for all sample points, one
-    ``price_rows`` call that prices them and one array decomposition.
+    ``price_rows`` call that prices them, up to ``t // 2 + 1`` probes side by
+    side in each row (:func:`_packed_rows`), and one array decomposition.  A
+    closed-form driver prices each node on its own, so its table does not
+    depend on the packing; a Picard row stops when all its nodes meet the
+    stop test, so a probe's last bits may depend on its row-mates.
     ``lattice`` defaults to the handle's own; any other raises
     :class:`InvalidParams`.
 
@@ -732,16 +760,15 @@ def recover_generator(
 
     steps = range(0, lat.n_steps, lat.n_steps >> level)
 
-    # each price_rows row is one probe's two children, clamped across the slice;
     # numpy stays silent on overflow: the probe build, price_rows or decomposition names it
     pts = np.asarray(points)
     table = np.zeros((len(steps), len(points)))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t_step in enumerate(steps):
             probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mu)
-            cols = np.clip(np.arange(t_step + 2) - probe.anchor, 0, 1)
-            one_steps = mech.price_rows(t_step, t_step + 1, probe.slices[1][:, cols])
-            table[i] = _decompose_probe(probe, one_steps[:, probe.anchor])
+            rows, (row, anchor) = _packed_rows(probe.slices[1], t_step)
+            one_steps = mech.price_rows(t_step, t_step + 1, rows)
+            table[i] = _decompose_probe(probe, one_steps[row, anchor], anchor)
 
     times = np.array([lat.grid.time(t_step) for t_step in steps])
     return RecoveredGenerator(level=level, mu=float(mu), times=times, points=points, table=table)

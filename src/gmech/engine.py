@@ -461,12 +461,15 @@ class MechanismHandle:
     row.  Every price is checked for shape and finiteness, so a NaN or inf
     raises :class:`NonFiniteValue` instead of becoming a result; a batch is
     checked for NaN and inf once it is whole, so its witness names the row.
-    No result shares memory with the input rows.
+    No result shares memory with the input rows, and each black-box answer
+    is copied as it arrives, so a black box that writes every answer into
+    one buffer is judged on the answers it gave, not on the buffer's last.
 
-    :func:`as_mechanism` overrides only the hooks ``_batch`` and ``_surface``,
-    and its ``price_at`` is its ``_batch`` on the claim's 1-d slice: bitwise
-    one row of its batch, with the witness of :func:`solve_bsde`; the public
-    methods stay on this class, where ``bench/tracing.py`` patches them.
+    :func:`as_mechanism` overrides only the hooks ``_answer``, ``_batch`` and
+    ``_surface``, whose results are arrays of their own, and its ``price_at``
+    is its ``_batch`` on the claim's 1-d slice: bitwise one row of its batch,
+    with the witness of :func:`solve_bsde`; the public methods stay on this
+    class, where ``bench/tracing.py`` patches them.
     """
 
     def __init__(self, lattice: Lattice, price_at: Callable, mu: Optional[float]):
@@ -485,7 +488,7 @@ class MechanismHandle:
     def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
                  dividends: Optional[DividendStream] = None) -> np.ndarray:
         _check_steps(s_step, t_step, self.lattice, dividends)
-        return _checked_prices(self._price_at(s_step, t_step, claim, dividends),
+        return _checked_prices(self._answer(s_step, t_step, claim, dividends),
                                (s_step + 1,), s_step)
 
     def price_rows(self, s_step: int, t_step: int, rows,
@@ -516,20 +519,28 @@ class MechanismHandle:
         return [_checked_prices(v, (rows.shape[0], i + 1), i) for i, v in
                 enumerate(self._batch(s_step, t_step, rows, dividends, keep_surface), s_step)]
 
+    def _answer(self, s_step, t_step, claim, dividends):
+        # the black box's answer, copied as it arrives: a buffer it reuses
+        # cannot change a price already checked
+        return np.array(self._price_at(s_step, t_step, claim, dividends), dtype=float)
+
     def _batch(self, s_step, t_step, rows, dividends, keep_surface):
-        # one price_at call per row and kept step, row by row; the public
-        # methods check each step's batch for NaN and inf, so a witness names the row
+        # one price_at call per row and kept step, row by row, each answer
+        # copied into its batch as it arrives; the public methods check each
+        # step's batch for NaN and inf, so a witness names the row
         steps = range(s_step, t_step + 1) if keep_surface else (s_step,)
-        prices = [[_checked_prices(self._price_at(s, t_step, claim, dividends), (s + 1,), s,
-                                   finite=False) for s in steps]
-                  for claim in (claim_from_values(self.lattice, t_step, row) for row in rows)]
-        return [np.array([p[k] for p in prices]).reshape(len(rows), s + 1)
-                for k, s in enumerate(steps)]
+        out = [np.empty((len(rows), s + 1)) for s in steps]
+        for r, row in enumerate(rows):
+            claim = claim_from_values(self.lattice, t_step, row)
+            for prices, s in zip(out, steps):
+                prices[r] = _checked_prices(self._price_at(s, t_step, claim, dividends),
+                                            (s + 1,), s, finite=False)
+        return out
 
     def _surface(self, t_step, claim, dividends):
         # one price_at call per step
         return AdaptedProcess(self.lattice, 0, [
-            _checked_prices(self._price_at(s, t_step, claim, dividends), (s + 1,), s)
+            _checked_prices(self._answer(s, t_step, claim, dividends), (s + 1,), s)
             for s in range(t_step + 1)])
 
 
@@ -580,10 +591,13 @@ class _DriverMechanism(MechanismHandle):
     claim's slice and one claim's surface is one :func:`solve_bsde`."""
 
     def __init__(self, g: Generator, lattice: Lattice):
-        super().__init__(lattice, lambda s_step, t_step, claim, dividends: self._batch(
-            s_step, t_step, claim.values(lattice, t_step), dividends, keep_surface=False)[0],
-            mu=g.mu)
+        super().__init__(lattice, self._answer, mu=g.mu)
         self._g = g
+
+    def _answer(self, s_step, t_step, claim, dividends):
+        # one pass over the claim's slice, whose result is the kernel's own array
+        return self._batch(s_step, t_step, claim.values(self.lattice, t_step), dividends,
+                           keep_surface=False)[0]
 
     def _batch(self, s_step, t_step, rows, dividends, keep_surface):
         return _backward(self._g, rows, self.lattice, t_step, s_step, dividends,

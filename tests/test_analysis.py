@@ -159,6 +159,24 @@ def _far_node_peeker(base):
     return MechanismHandle(base.lattice, price_at, mu=base.mu)
 
 
+def _linear_black_box(lat, up, down, reuse):
+    """Backward induction of the one-step map ``up * upper child + down *
+    lower child``, answering with fresh arrays or, if ``reuse``, with views
+    of one buffer."""
+    buf = np.empty(lat.n_steps + 1)
+
+    def price_at(s, t, claim, dividends=None):
+        y = claim.values(lat, t)
+        for _ in range(t - s):
+            y = up * y[1:] + down * y[:-1]
+        if not reuse:
+            return y
+        buf[:s + 1] = y
+        return buf[:s + 1]
+
+    return MechanismHandle(lat, price_at, mu=None)
+
+
 class TestCorruptedWrappers:
     def test_maturity_shift_fails_identity_only(self, lat8):
         base = as_mechanism(domination_generator(0.3), lat8)
@@ -182,6 +200,17 @@ class TestCorruptedWrappers:
                     report.locality, report.splitting,
                     report.zero_preservation, report.locality_with_zero):
             assert law.passed, law.name
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_buffer_reusing_non_monotone_box_fails_as_its_fresh_twin(self, seed):
+        # weights 1.75 and -0.75 break order alone; answers written into one
+        # buffer are judged as the fresh answers, not as the buffer's last
+        lat = build_lattice(build_grid(0.0, 1.0, 16))
+        fresh, reused = (axiom_suite(_linear_black_box(lat, 1.75, -0.75, reuse), lat,
+                                     samples=40, seed=seed) for reuse in (False, True))
+        assert reused.as_dict() == fresh.as_dict()
+        assert [c.name for c in reused.checks() if not c.passed] == ["monotonicity"]
+        assert reused.monotonicity.witness is not None
 
     def test_peeker_fails_locality_with_witness(self, lat8):
         base = as_mechanism(domination_generator(0.3), lat8)
@@ -689,8 +718,26 @@ class TestRecoverGenerator:
 
         pts = grid_points([-2, 0, 1], [-1, 0, 2])
         recover_generator(MechanismHandle(lat, price_at, mu=mech.mu), 4, pts, lat)
-        assert len(calls) == 16 * len(pts)
+        # steps 0, 4, ..., 60 pack min(9, t // 2 + 1) probes a row: 9 + 3 + 14 * 1 rows
+        assert len(calls) == 28
         assert all(t == s + 1 for s, t in calls)
+
+    def test_price_at_only_handle_prices_packed_rows_at_the_bench_size(self):
+        # level 8 on 256 steps, 5x5 grid: sum over t < 256 of ceil(25 / (t // 2 + 1))
+        # rows, against 256 * 25 = 6,400 with one probe a row
+        lat = build_lattice(build_grid(0.0, 1.0, 256))
+        mech = as_mechanism(domination_generator(0.5), lat)
+        calls = []
+
+        def price_at(s, t, claim, dividends=None):
+            calls.append((s, t))
+            return mech.price_at(s, t, claim, dividends)
+
+        pts = grid_points(*[[-2.0, -1.0, 0.0, 1.0, 2.0]] * 2)
+        rec = recover_generator(MechanismHandle(lat, price_at, mu=mech.mu), 8, pts, lat)
+        assert len(calls) == 424
+        assert all(t == s + 1 for s, t in calls)
+        assert rec.table.tobytes() == recover_generator(mech, 8, pts, lat).table.tobytes()
 
     @pytest.mark.parametrize("gen", [
         random_lipschitz_generator(np.random.default_rng(37)), abs_z_generator(0.3),
@@ -961,6 +1008,92 @@ class TestVectorisedRecovery:
                 recover()
             messages.append((type(err.value), str(err.value)))
         assert messages[0] == messages[1]
+
+
+def _picard_packing_bound(mu, dt, pts, table):
+    """Largest table gap between two Picard recoveries of one driver whose
+    probes stop at different updates, as packed and one-probe rows may.
+
+    A probe's one-step price solves ``y = F(y) = m + g(t, y, z) dt``, with
+    ``m`` and ``z`` fixed by its children; ``F`` contracts by ``L = mu dt``.
+    A row stops once every node's last update ``|F(y') - y'|`` is at most
+    ``tol = max(PICARD_TOL, PICARD_ULPS spacing)``, the spacing of the row's
+    largest ``|y|`` (``engine._implicit_step``), and keeps ``y = F(y')``
+    rounded by at most ``u``, one spacing of the largest price.  So ``|y -
+    y*| <= L (tol + |y - y*|) + u``: ``|y - y*| <= (L tol + u) / (1 - L)``
+    whichever update stopped it, and two runs differ by twice that.  The
+    driver ``(y - m) / dt`` shares ``m``, so the table gap is at most ``2 (mu
+    tol + u / dt) / (1 - mu dt)``, plus one spacing of the largest entry per
+    run for the rounding of ``y - m`` and the division.  Prices lie within
+    ``mu (|y| + |z|) dt`` of the probe's start, so ``2 max |y| + 1`` bounds
+    them at these sizes.
+    """
+    u = float(np.spacing(2.0 * np.abs(pts[:, 0]).max() + 1.0))
+    tol = max(engine.PICARD_TOL, engine.PICARD_ULPS * u)
+    rounding = 2.0 * float(np.spacing(np.abs(table).max()))
+    return 2.0 * (mu * tol + u / dt) / (1.0 - mu * dt) + rounding
+
+
+class TestPackedRecovery:
+    """Probes packed side by side in one row against one probe a row."""
+
+    CLOSED = [domination_generator(0.5), abs_z_generator(0.3), linear_generator(-0.2, 0.3),
+              domination_generator(0.4, z_sign=1.0), domination_generator(0.4, z_sign=-1.0)]
+
+    @staticmethod
+    def _points(level):
+        # 19 points: more than t // 2 + 1 at the early dyadic times, so those
+        # take several rows, and 19 is prime, so a last row is partly filled
+        rng = np.random.default_rng(300 + level)
+        return [(float(a), float(b)) for a, b in rng.uniform(-2.0, 2.0, size=(19, 2))]
+
+    @pytest.mark.parametrize("steps, level", [(64, 4), (64, 6), (256, 8)])
+    @pytest.mark.parametrize("gen", CLOSED, ids=lambda g: g.name)
+    def test_closed_form_table_is_bitwise_the_per_probe_loop(self, gen, steps, level):
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        pts = self._points(level)
+        rec = recover_generator(as_mechanism(gen, lat), level, pts, lat)
+        table, worst = _recover_per_probe(as_mechanism(gen, lat), level, pts)
+        assert rec.table.tobytes() == table.tobytes()
+        assert rec.lipschitz_ratio == worst
+
+    @pytest.mark.parametrize("steps, level", [(64, 4), (64, 6), (256, 8)])
+    @pytest.mark.parametrize("kind", ["random", "gmu_picard", "smooth"])
+    def test_picard_table_is_within_the_stop_rule_of_the_per_probe_loop(self, kind, steps,
+                                                                         level):
+        # the piecewise-linear drivers end on an exact Aitken step and read
+        # bitwise equal; the smooth one stops at other updates in packed rows
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        gen = {"random": lambda: random_lipschitz_generator(np.random.default_rng(level)),
+               "gmu_picard": lambda: dataclasses.replace(domination_generator(0.5),
+                                                         exact_step=None),
+               "smooth": lambda: Generator(fn=lambda t, y, z: 0.5 * np.sin(y) + 0.3 * np.tanh(z),
+                                           mu=0.5, name="smooth")}[kind]()
+        pts = self._points(level)
+        rec = recover_generator(as_mechanism(gen, lat), level, pts, lat)
+        table, _ = _recover_per_probe(as_mechanism(gen, lat), level, pts)
+        bound = _picard_packing_bound(gen.mu, lat.dt, np.asarray(pts), table)
+        assert bound < 2e-12
+        assert float(np.max(np.abs(rec.table - table))) <= bound
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["driver", "price_at_only"])
+    def test_witness_names_the_failing_probes_own_anchor(self, plain):
+        # -|z| from t = 0.75 escapes the envelope at mu = 0.3 for z != 0 only:
+        # the third probe fails first, at step 48, where the three share one row
+        # with base (48 - 4) // 2 = 22, so its anchor is node 22 + 2 * 2 = 26
+        lat = build_lattice(build_grid(0.0, 1.0, 64))
+        neg = Generator(
+            fn=lambda t, y, z: np.where(t >= 0.75, -np.abs(np.asarray(z, float)), 0.0),
+            mu=1.0, name="late_neg_abs_z")
+        driver = as_mechanism(dataclasses.replace(neg, mu=0.3), lat)
+        mech = MechanismHandle(lat, driver.price_at, mu=0.3) if plain else driver
+        pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)]
+        with pytest.raises(BoundViolated, match=r"^probe \(y=0, z=2\) driver -2 escapes "
+                           r"mu-envelope by \S+ at step 48, node 26$"):
+            recover_generator(mech, 4, pts, lat)
+        # one probe a row names the middle node, as before packing
+        with pytest.raises(BoundViolated, match=r"at step 48, node 24$"):
+            _recover_per_probe(mech, 4, pts)
 
 
 def _bits(obj):

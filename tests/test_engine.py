@@ -442,6 +442,33 @@ def test_price_rows_default_loops_over_price_at(lat8):
     assert plain.price_rows(1, 3, np.zeros((0, 4))).shape == (0, 2)
 
 
+def _buffer_reuser(mech):
+    """The same prices written into one buffer whose views the black box
+    returns, as a black box that reuses its memory does."""
+    buf = np.empty(mech.lattice.n_steps + 1)
+
+    def price_at(s, t, claim, dividends=None):
+        buf[:s + 1] = mech.price_at(s, t, claim, dividends)
+        return buf[:s + 1]
+
+    return MechanismHandle(mech.lattice, price_at, mu=mech.mu)
+
+
+def test_black_box_answers_are_copied_as_they_arrive(lat4):
+    # every answer is a view of one buffer: each price is still the one given
+    base = as_mechanism(zero_generator(), lat4)
+    mech = _buffer_reuser(base)
+    rows = np.array([[1.0] * 5, [2.0] * 5, [3.0] * 5])
+    assert mech.price_rows(0, 4, rows).tolist() == [[1.0], [2.0], [3.0]]
+    assert mech.price_surfaces(4, rows[:2])[0].tolist() == [[1.0], [2.0]]
+    first = mech.price_at(0, 4, claim_from_values(lat4, 4, rows[0]))
+    mech.price_at(0, 4, claim_from_values(lat4, 4, rows[1]))
+    assert first.tolist() == [1.0]
+    claim = claim_from_values(lat4, 4, np.arange(5.0))
+    assert ([v.tolist() for v in mech.price_surface(4, claim).slices]
+            == [v.tolist() for v in base.price_surface(4, claim).slices])
+
+
 def test_rows_price_at_and_surface_agree_with_dividends(lat16):
     # the three pricing forms of every handle kind, with a payout stream; a
     # driver's solve_terminal_batch is a view of its handle, and a batch of
