@@ -70,7 +70,6 @@ from .analysis import (
     AxiomReport,
     DecompositionResult,
     MainTheoremVerdict,
-    ProbePath,
     RecoveredGenerator,
     RepresentationResult,
     axiom_suite,

@@ -392,27 +392,23 @@ def pairwise_representation_gap(a: RepresentationResult, b: RepresentationResult
 # probes
 # =====================================================================
 
-def _anchor_node(t_step: int, anchor: int | None) -> int:
-    """A probe's anchor node at ``t_step``, by default the middle one."""
+def _anchor_node(t_step: int) -> int:
+    """A lone probe's anchor: the middle step-``t_step`` node."""
     if t_step < 0:
         raise StepOutOfRange(f"probe step {t_step} is negative")
-    j0 = t_step // 2 if anchor is None else int(anchor)
-    if not 0 <= j0 <= t_step:
-        raise StepOutOfRange(f"anchor {j0} is not a step-{t_step} node")
-    return j0
+    return t_step // 2
 
 
-def z_probe(mech: MechanismHandle, zbar: float, t_step: int, T_step: int,
-            anchor: int | None = None) -> float:
+def z_probe(mech: MechanismHandle, zbar: float, t_step: int, T_step: int) -> float:
     """Read the driver value at hedge level ``zbar`` off the mechanism.
 
-    Prices the claim ``zbar * (B_T - B_t)`` anchored at one step-``t`` node
-    and divides by the horizon.  Exact for drivers depending on ``z`` alone.
+    Prices the claim ``zbar * (B_T - B_t)`` anchored at the middle step-``t``
+    node and divides by the horizon.  Exact for drivers depending on ``z`` alone.
     """
     if not 0 <= t_step < T_step <= mech.lattice.n_steps:
         raise StepOutOfRange(f"need 0 <= t={t_step} < T={T_step}")
     lat = mech.lattice
-    j0 = _anchor_node(t_step, anchor)
+    j0 = _anchor_node(t_step)
     b0 = float(lat.node_values(t_step)[j0])
     with np.errstate(over="ignore", invalid="ignore"):  # price_rows names a NaN or inf
         row = zbar * (lat.node_values(T_step) - b0)
@@ -440,11 +436,10 @@ def infinitesimal_probe(
     sigma_fn: Callable,
     eps_steps: int,
     t_step: int = 0,
-    anchor: int | None = None,
 ) -> float:
     """Finite-horizon difference quotient of the mechanism at state ``x``.
 
-    Runs the forward Euler state process from one anchor node, prices
+    Runs the forward Euler state process from the middle step-``t`` node, prices
     ``y + p (X_{t+eps} - x)`` over ``eps_steps`` lattice steps and returns
     ``(price - y) / eps``.  The caller extrapolates ``eps -> 0``; the limit is
     the driver at ``(t, y, sigma(x) p)`` plus ``p b(x)``.
@@ -453,7 +448,7 @@ def infinitesimal_probe(
     lat = mech.lattice
     if t_step + eps_steps > lat.n_steps:
         raise StepOutOfRange("probe window exceeds the lattice horizon")
-    j0 = _anchor_node(t_step, anchor)
+    j0 = _anchor_node(t_step)
     dt, sdt = lat.dt, lat.sqrt_dt
 
     # forward Euler on the subtree below the anchor; off-subtree nodes clamp
@@ -475,57 +470,31 @@ def infinitesimal_probe(
 # generating-function recovery
 # =====================================================================
 
-@dataclass
-class ProbePath:
-    """One-step forward probes with constant hedge level ``z`` and extremal drift.
-
-    ``y`` and ``z`` are floats or ``(P,)`` arrays, one probe per entry.  Each
-    starts at value ``y`` on one anchor node at lattice step ``t_step``; its two
-    children at ``t_step + 1`` are ``y - g_mu(y, z) dt -/+ z sqrt(dt)``.
-    ``slices`` is ``[[y], [down, up]]`` with the nodes on the last axis, of
-    shapes ``(1,), (2,)`` or ``(P, 1), (P, 2)``.  By construction ``y`` solves
-    ``y = m + mu (|y| + |z|) dt`` with the children's own ``m`` and ``z``, a
-    fixed point that is unique while ``mu dt < 1``: each probe is a one-step
-    price path of the extremal-driver system, hence a supermartingale under any
-    mechanism dominated at level ``mu``.
-    """
-
-    lattice: Lattice
-    t_step: int
-    anchor: int
-    y: np.ndarray
-    z: np.ndarray
-    mu: float
-    slices: list
-
-
-def build_probe_path(
-    lattice: Lattice,
-    t_step: int,
-    y,
-    z,
-    mu: float,
-    anchor: int | None = None,
-) -> ProbePath:
-    """The one-step extremal-drift probes from ``(t_step, y)`` at hedge ``z``,
-    for float or ``(P,)`` array ``y`` and ``z``.  A child that overflows
-    raises :class:`NonFiniteValue` naming its step, probe row and node."""
+def build_probe_path(lattice: Lattice, t_step: int, y, z, mu: float) -> np.ndarray:
+    """The children ``[down, up] = y - g_mu(y, z) dt -/+ z sqrt(dt)`` at step
+    ``t_step + 1`` of one-step extremal-drift probes from ``(t_step, y)`` at
+    hedge ``z``: shape ``(2,)`` for float ``y`` and ``z``, ``(P, 2)`` for
+    ``(P,)`` arrays.  ``y`` solves ``y = m + mu (|y| + |z|) dt`` with the
+    children's own ``m`` and ``z``, a fixed point unique while ``mu dt < 1``,
+    so each probe is a supermartingale under any mechanism dominated at level
+    ``mu``.  A child that overflows raises :class:`NonFiniteValue` naming its
+    step, probe row and node."""
     if t_step >= lattice.n_steps:
         raise StepOutOfRange("probe step must fit inside the lattice")
-    j0 = _anchor_node(t_step, anchor)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    start, hedge = y[..., None], z[..., None]
+    _anchor_node(t_step)  # raises on a negative step
+    start = np.asarray(y, dtype=float)[..., None]
+    hedge = np.asarray(z, dtype=float)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         children = _euler_step(start, -mu * (np.abs(start) + np.abs(hedge)), hedge,
                                lattice.dt, lattice.sqrt_dt)
-    return ProbePath(lattice=lattice, t_step=t_step, anchor=j0, y=y, z=z, mu=float(mu),
-                     slices=[start, _check_finite(children, t_step + 1, "probe child")])
+    return _check_finite(children, t_step + 1, "probe child")
 
 
-def _decompose_probe(probe: ProbePath, one_step: np.ndarray,
+def _decompose_probe(lattice: Lattice, t_step: int, points: np.ndarray, mu: float,
+                     children: np.ndarray, one_step: np.ndarray,
                      anchors: np.ndarray) -> np.ndarray:
-    """Decompose ``P`` probes under the mechanism's one-step operator.
+    """Decompose ``P`` probes, their ``(P, 2)`` ``points`` and ``children``,
+    under the mechanism's one-step operator.
 
     ``one_step`` is the ``(P,)`` vector of the mechanism's step-``t_step``
     prices at ``anchors``, each probe's own anchor node above its children.
@@ -534,22 +503,22 @@ def _decompose_probe(probe: ProbePath, one_step: np.ndarray,
     supermartingale property and then the driver envelope; the first failing
     probe in point order raises, its witness naming its own anchor.
     """
-    lat = probe.lattice
-    m, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
-    defect = probe.y - one_step
-    driver, excess = _realized_driver(one_step, m[:, 0], hedge[:, 0], 0.0, lat.dt, probe.mu)
+    y, z = points[:, 0], points[:, 1]
+    m, hedge = one_step_mz(children, lattice.sqrt_dt)
+    defect = y - one_step
+    driver, excess = _realized_driver(one_step, m[:, 0], hedge[:, 0], 0.0, lattice.dt, mu)
     low = defect < -PRICE_TOL
     # excess is NaN or inf wherever the mean, hedge or driver is, and may be
     # where only the envelope overflows: such a probe passes every check
     finite = np.isfinite(excess) & np.isfinite(defect)
     for p in np.flatnonzero(~finite | low | (excess > ENVELOPE_TOL)):
-        what = f"probe (y={probe.y[p]:g}, z={probe.z[p]:g})"
-        at = _witness(probe.t_step, (anchors[p],))
+        what = f"probe (y={y[p]:g}, z={z[p]:g})"
+        at = _witness(t_step, (anchors[p],))
         for name, v in zip(_ONE_STEP, (m[:, 0], hedge[:, 0], driver, defect)):
-            _check_finite(v[p:p + 1], probe.t_step, f"{what} {name}", at)
+            _check_finite(v[p:p + 1], t_step, f"{what} {name}", at)
         if low[p]:
             raise DominationViolated(f"{what} has defect {defect[p]:.3g} at {at}; "
-                                     f"mechanism is not dominated at mu={probe.mu:g}")
+                                     f"mechanism is not dominated at mu={mu:g}")
         if excess[p] > ENVELOPE_TOL:
             raise BoundViolated(f"{what} driver {driver[p]:.6g} escapes mu-envelope "
                                 f"by {excess[p]:.3g} at {at}")
@@ -560,18 +529,18 @@ def _packed_rows(children: np.ndarray, t_step: int):
     """The ``(P, 2)`` children of ``P`` probes from step ``t_step``, side by
     side in step-``(t_step + 1)`` rows, and each probe's ``(row, anchor)``.
 
-    A row holds ``k = min(P, t_step // 2 + 1)`` probes in one block centred by
-    ``base = (t_step - 2 (k - 1)) // 2``: probe ``q`` of a row is anchored at
-    step-``t_step`` node ``base + 2 q``, its children at step-``(t_step + 1)``
-    nodes ``base + 2 q`` and ``base + 2 q + 1``.  The nodes outside the block,
-    and past the last probe of a partly filled last row, clamp to the nearest
-    child; a local mechanism never reads them.  There are ``ceil(P / k)``
-    rows.  With ``k = 1`` a row is one probe's children clamped across the
-    slice, anchored at the middle node.
+    A row holds ``k = min(P, t_step // 2 + 1)`` probes in one block centred on
+    a lone probe's anchor, ``base = t_step // 2 - (k - 1)``: probe ``q`` of a
+    row is anchored at step-``t_step`` node ``base + 2 q``, its children at
+    step-``(t_step + 1)`` nodes ``base + 2 q`` and ``base + 2 q + 1``.  The
+    nodes outside the block, and past the last probe of a partly filled last
+    row, clamp to the nearest child; a local mechanism never reads them.
+    There are ``ceil(P / k)`` rows.  With ``k = 1`` a row is one probe's
+    children clamped across the slice, anchored at the middle node.
     """
     n_probes = len(children)
     k = min(n_probes, t_step // 2 + 1)
-    base = (t_step - 2 * (k - 1)) // 2
+    base = _anchor_node(t_step) - (k - 1)
     block = np.clip(np.arange(t_step + 2) - base, 0, 2 * k - 1)
     nodes = 2 * k * np.arange(-(-n_probes // k))[:, None] + block
     p = np.arange(n_probes)
@@ -765,10 +734,11 @@ def recover_generator(
     table = np.zeros((len(steps), len(points)))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t_step in enumerate(steps):
-            probe = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mu)
-            rows, (row, anchor) = _packed_rows(probe.slices[1], t_step)
+            children = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mu)
+            rows, (row, anchor) = _packed_rows(children, t_step)
             one_steps = mech.price_rows(t_step, t_step + 1, rows)
-            table[i] = _decompose_probe(probe, one_steps[row, anchor], anchor)
+            table[i] = _decompose_probe(lat, t_step, pts, mu, children,
+                                        one_steps[row, anchor], anchor)
 
     times = np.array([lat.grid.time(t_step) for t_step in steps])
     return RecoveredGenerator(level=level, mu=float(mu), times=times, points=points, table=table)

@@ -76,6 +76,9 @@ class TerminalClaim:
         # a payoff that overflows is named by the finiteness check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             raw = np.asarray(self.payoff(lattice.node_values(step)), dtype=float)
+        if raw.ndim > 1 or raw.size not in (1, step + 1):  # numpy would not broadcast it
+            raise StepOutOfRange(f"claim {self.name!r} returned shape {raw.shape} at step "
+                                 f"{step}, need {step + 1} values")
         return _check_finite(np.array(np.broadcast_to(raw, (step + 1,)), dtype=float),
                              step, f"claim {self.name!r}")
 
@@ -556,13 +559,14 @@ def _terminal_rows(rows, t_step: int) -> np.ndarray:
 
 def _float_array(values, need: str) -> np.ndarray:
     """``values`` as a float array; a ragged sequence, whose entries differ in
-    shape at any depth, raises :class:`StepOutOfRange` with the message
-    ``need``."""
+    shape at any depth, also inside an object array, raises
+    :class:`StepOutOfRange` with the message ``need``."""
     try:
         return np.asarray(values, float)
     except ValueError:
-        try:
-            np.shape(values)  # raises only when the nesting is ragged
+        try:  # ragged: numpy cannot shape it, or an entry (of an object array) is a sequence
+            if any(np.ndim(v) for v in np.array(values, dtype=object).flat):
+                raise ValueError("ragged")
         except ValueError:
             raise StepOutOfRange(f"{need}, got a ragged sequence") from None
         raise

@@ -46,7 +46,7 @@ from gmech import (
     zero_generator,
 )
 from gmech import engine
-from gmech.analysis import _reach_mask, grid_points
+from gmech.analysis import _packed_rows, _reach_mask, grid_points
 from gmech.engine import _backward
 from gmech.lattice import one_step_mz
 
@@ -534,17 +534,15 @@ class TestInfinitesimalProbe:
 # -- recovery ---------------------------------------------------------------------
 
 class TestProbePath:
-    def test_shape_and_start(self, lat16):
-        probe = build_probe_path(lat16, 4, y=1.5, z=-0.5, mu=0.4)
-        assert probe.slices[0][0] == 1.5
-        assert [s.shape for s in probe.slices] == [(1,), (2,)]
+    def test_shape(self, lat16):
+        assert build_probe_path(lat16, 4, y=1.5, z=-0.5, mu=0.4).shape == (2,)
 
     def test_first_step_values(self, lat16):
         y, z, mu = 1.0, 2.0, 0.5
-        probe = build_probe_path(lat16, 0, y, z, mu)
+        children = build_probe_path(lat16, 0, y, z, mu)
         drifted = y - mu * (abs(y) + abs(z)) * lat16.dt
-        assert probe.slices[1][1] == pytest.approx(drifted + z * lat16.sqrt_dt)
-        assert probe.slices[1][0] == pytest.approx(drifted - z * lat16.sqrt_dt)
+        assert children[1] == pytest.approx(drifted + z * lat16.sqrt_dt)
+        assert children[0] == pytest.approx(drifted - z * lat16.sqrt_dt)
 
     def test_children_are_the_spelled_out_step(self, lat16):
         # the probe's children are the Euler step of the infinitesimal probe
@@ -554,13 +552,13 @@ class TestProbePath:
         y, z = rng.normal(size=9), rng.normal(size=9)
         y[:3], z[3:5] = 0.0, -0.0
         for t_step in (0, 7, 15):
-            probe = build_probe_path(lat16, t_step, y, z, mu)
+            children = build_probe_path(lat16, t_step, y, z, mu)
             drifted = y - mu * (np.abs(y) + np.abs(z)) * dt
             want = np.stack([drifted - z * sdt, drifted + z * sdt], -1)
-            assert probe.slices[0].tobytes() == y[:, None].tobytes()
-            assert probe.slices[1].tobytes() == want.tobytes()
+            assert children.shape == (9, 2)
+            assert children.tobytes() == want.tobytes()
             one = build_probe_path(lat16, t_step, float(y[5]), float(z[5]), mu)
-            assert one.slices[1].tobytes() == want[5].tobytes()
+            assert one.tobytes() == want[5].tobytes()
 
     def test_overflowing_children_are_named_without_a_warning(self, lat16):
         # mu (|y| + |z|) overflows, so the drifted children are -inf
@@ -573,32 +571,21 @@ class TestProbePath:
                 build_probe_path(lat16, 4, [0.5, 1e308], [1.0, 1e308], 0.5)
 
 
-class TestProbeAnchors:
-    PROBES = {
-        "z_probe": lambda mech, anchor: z_probe(mech, 1.0, 4, 8, anchor=anchor),
-        "infinitesimal_probe": lambda mech, anchor: infinitesimal_probe(
-            mech, x=0.0, p=1.0, y=0.0, b_fn=lambda x: 0.0 * x,
-            sigma_fn=lambda x: 1.0 + 0.0 * x, eps_steps=2, t_step=4, anchor=anchor),
-        "build_probe_path": lambda mech, anchor: build_probe_path(
-            mech.lattice, 4, 1.0, 1.0, 0.3, anchor=anchor),
-    }
-
-    @pytest.mark.parametrize("probe", sorted(PROBES))
-    @pytest.mark.parametrize("anchor", [-1, 5, 7])
-    def test_anchor_off_the_step_raises(self, lat8, probe, anchor):
-        # -1 used to wrap to the last node and 7 to raise a bare IndexError
-        mech = as_mechanism(abs_z_generator(0.3), lat8)
-        with pytest.raises(StepOutOfRange, match=rf"^anchor {anchor} is not a step-4 node$"):
-            self.PROBES[probe](mech, anchor)
-
-    @pytest.mark.parametrize("probe", sorted(PROBES))
-    def test_default_anchor_is_the_middle_node(self, lat8, probe):
-        mech = as_mechanism(abs_z_generator(0.3), lat8)
-        got, want = self.PROBES[probe](mech, None), self.PROBES[probe](mech, 2)
-        if probe == "build_probe_path":
-            assert got.anchor == want.anchor == 2
-        else:
-            assert got == want
+def test_lone_probes_read_the_middle_node(lat8):
+    # a black box whose price at node j is j: a read-out at any node but
+    # t // 2 reads another number
+    mech = MechanismHandle(lat8, lambda s, t, claim, dividends=None: np.arange(s + 1.0),
+                           mu=0.3)
+    for t_step in range(8):
+        j0 = t_step // 2
+        horizon = lat8.grid.time(8) - lat8.grid.time(t_step)
+        assert z_probe(mech, 1.0, t_step, 8) == j0 / horizon
+        assert _probe(mech, eps_steps=1, t_step=t_step) == j0 / lat8.dt
+        children = build_probe_path(lat8, t_step, [0.5], [1.0], 0.3)
+        rows, (row, anchor) = _packed_rows(children, t_step)
+        assert anchor.tolist() == [j0]
+        assert mech.price_rows(t_step, t_step + 1, rows)[row, anchor].tolist() == [j0]
+        assert rows[0, j0:j0 + 2].tobytes() == children[0].tobytes()
 
 
 def _pairwise_worst(points, table) -> float:
@@ -861,16 +848,16 @@ def _recover_per_probe(mech, level, points, tol=1e-9):
     for i in range(1 << level):
         t_step = i * stride
         for col, (y, z) in enumerate(points):
-            probe = build_probe_path(lat, t_step, y, z, mech.mu)
-            j0 = probe.anchor
-            row = probe.slices[1][np.clip(np.arange(t_step + 2) - j0, 0, 1)]
+            children = build_probe_path(lat, t_step, y, z, mech.mu)
+            j0 = t_step // 2
+            row = children[np.clip(np.arange(t_step + 2) - j0, 0, 1)]
             one_step = mech.price_rows(t_step, t_step + 1, [row])[0, j0]
             what, at = f"probe (y={y:g}, z={z:g})", f"step {t_step}, node {j0}"
             defect = y - one_step
             if defect < -tol:
                 raise DominationViolated(f"{what} has defect {defect:.3g} at {at}; "
                                          f"mechanism is not dominated at mu={mech.mu:g}")
-            m, hedge = one_step_mz(probe.slices[1], lat.sqrt_dt)
+            m, hedge = one_step_mz(children, lat.sqrt_dt)
             driver = (one_step - m[0]) / lat.dt
             excess = abs(driver) - mech.mu * (abs(one_step) + abs(hedge[0]))
             if excess > 1e-6:
@@ -1146,6 +1133,9 @@ def _probe(mech, **kw):
 
 
 LAT2 = build_lattice(build_grid(0.0, 1.0, 2))
+LAT4 = build_lattice(build_grid(0.0, 1.0, 4))
+# an object row whose last entry is a sequence: numpy sees shape (5,), not a ragged row
+OBJECT_ROW = np.array([0.0, 0.0, 0.0, 0.0, [1, 2]], dtype=object)
 
 # each routine's checks on its own arguments: (call, error, message)
 BAD_ARGUMENTS = {
@@ -1172,7 +1162,7 @@ BAD_ARGUMENTS = {
         lambda mech, lat: build_probe_path(lat, -1, 0.0, 1.0, 0.3),
         StepOutOfRange, "probe step -1 is negative"),
     "infinitesimal_probe_negative_step": (
-        lambda mech, lat: _probe(mech, eps_steps=2, t_step=-1, anchor=0),
+        lambda mech, lat: _probe(mech, eps_steps=2, t_step=-1),
         StepOutOfRange, "probe step -1 is negative"),
     "build_probe_path_last_step": (
         lambda mech, lat: build_probe_path(lat, 16, 0.0, 1.0, 0.3),
@@ -1227,6 +1217,17 @@ BAD_ARGUMENTS = {
     "claim_from_values_nested_entry": (
         lambda mech, lat: claim_from_values(lat, 2, [0.0, [1.0, [2.0, 3.0]], 0.0]),
         StepOutOfRange, "need 3 node values, got a ragged sequence"),
+    "price_rows_object_rows_nested": (
+        lambda mech, lat: mech.price_rows(0, 4, [OBJECT_ROW, OBJECT_ROW.copy()]),
+        StepOutOfRange, "rows must have 5 entries, got a ragged sequence"),
+    "price_rows_object_batch_nested": (
+        lambda mech, lat: mech.price_rows(0, 4, np.array([OBJECT_ROW, OBJECT_ROW.copy()])),
+        StepOutOfRange, "rows must have 5 entries, got a ragged sequence"),
+    "claim_from_values_object_row_nested": (
+        lambda mech, lat: claim_from_values(LAT4, 4, OBJECT_ROW),
+        StepOutOfRange, "need 5 node values, got a ragged sequence"),
+    "price_rows_strings": (lambda mech, lat: mech.price_rows(0, 4, [["a"] * 5]),
+                           ValueError, "could not convert string to float: 'a'"),
     "price_rows_wrong_width": (
         lambda mech, lat: mech.price_rows(0, 16, np.zeros((2, 16))),
         StepOutOfRange, r"rows must have 17 entries, got shape \(2, 16\)"),

@@ -1204,6 +1204,28 @@ def test_claim_from_values_needs_one_value_per_node(lat8):
         claim_from_values(lat8, 4, np.zeros(4))
 
 
+@pytest.mark.parametrize("entry", ["values", "solve_bsde", "price_at", "price_surface"])
+@pytest.mark.parametrize("payoff, shape", [
+    (lambda b: np.append(b, 0.0), "(6,)"),
+    (lambda b: np.asarray(b)[:, None], "(5, 1)"),
+    (lambda b: np.zeros(0), "(0,)")])
+def test_payoff_of_the_wrong_shape_is_named(entry, payoff, shape, lat8):
+    # numpy's "operands could not be broadcast" used to escape every entry
+    g = domination_generator(0.3)
+    claim, mech = TerminalClaim(payoff, name="odd"), as_mechanism(g, lat8)
+    call = {"values": lambda: claim.values(lat8, 4),
+            "solve_bsde": lambda: solve_bsde(g, claim, None, lat8, 4),
+            "price_at": lambda: mech.price_at(0, 4, claim),
+            "price_surface": lambda: mech.price_surface(4, claim)}[entry]
+    with pytest.raises(StepOutOfRange, match=rf"^claim 'odd' returned shape "
+                       rf"{re.escape(shape)} at step 4, need 5 values$"):
+        call()
+
+
+def test_scalar_payoff_broadcasts(lat8):
+    assert TerminalClaim(lambda b: 2.0).values(lat8, 4).tolist() == [2.0] * 5
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"sigma": np.inf}, "sigma must be finite, got inf"),
     ({"sigma": np.nan}, "sigma must be finite, got nan"),
