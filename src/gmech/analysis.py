@@ -47,15 +47,15 @@ from .engine import (
     _check_finite,
     _check_steps,
     _increment_at,
+    _name_failure,
     _own_lattice,
     _same_lattice,
+    _sweep,
     _witness,
     as_mechanism,
     check_domination,
-    claim_from_values,
     random_claim,
     require_monotone,
-    solve_bsde,
 )
 
 # Slack of the driver envelope ``mu (|y| + |z|)`` for float noise.
@@ -260,6 +260,11 @@ def doob_meyer(
     a driver that ignores ``z``), the first NaN or inf mean, hedge, driver
     value or defect raises :class:`NonFiniteValue` by step and node instead;
     any other NaN or inf defect makes the rebuilt surface raise it.
+
+    The rebuild is one kernel sweep from the terminal slice, each step paying
+    ``dK + a``; it folds in each step's gap to ``y`` as the step is made and
+    keeps neither the payouts nor the rebuilt surface, so the result holds
+    ``y`` and the increments plus one rebuilt step at a time.
     """
     _same_lattice(lattice, y.lattice, "process's")
     _check_steps(y.start, y.stop, lattice, dividends)
@@ -292,12 +297,18 @@ def doob_meyer(
                 "input is not a supermartingale at this tolerance"
             )
 
-    inc_proc = AdaptedProcess(lattice, y.start, incs)
-    total = DividendStream.from_arrays(lattice, [dk + a for dk, a in zip(dks, incs)], start=y.start)
-    rebuilt = solve_bsde(g, claim_from_values(lattice, y.stop, y.slices[-1]),
-                         total, lattice, t_step=y.stop, s_step=y.start).y
-    err = _max_gap(rebuilt.slices, y.slices)
-    return DecompositionResult(increments=inc_proc, reconstruction_error=err)
+    def payout(i):
+        return dks[i - y.start] + incs[i - y.start]
+
+    err = 0.0  # the rebuild starts from y's own terminal slice
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, rebuilt, *_ in _sweep(g, y.slices[-1], lattice, y.stop, y.start, payout):
+            err = max(err, float(np.max(np.abs(rebuilt - y.at(i)))))
+        # every node feeds the step-start slice: a NaN or inf anywhere shows there
+        if not np.isfinite(rebuilt).all():
+            _name_failure(g, y.slices[-1], lattice, y.stop, y.start, payout)
+    return DecompositionResult(increments=AdaptedProcess(lattice, y.start, incs),
+                               reconstruction_error=err)
 
 
 # =====================================================================
@@ -474,16 +485,20 @@ def build_probe_path(lattice: Lattice, t_step: int, y, z, mu: float) -> np.ndarr
     """The children ``[down, up] = y - g_mu(y, z) dt -/+ z sqrt(dt)`` at step
     ``t_step + 1`` of one-step extremal-drift probes from ``(t_step, y)`` at
     hedge ``z``: shape ``(2,)`` for float ``y`` and ``z``, ``(P, 2)`` for
-    ``(P,)`` arrays.  ``y`` solves ``y = m + mu (|y| + |z|) dt`` with the
-    children's own ``m`` and ``z``, a fixed point unique while ``mu dt < 1``,
-    so each probe is a supermartingale under any mechanism dominated at level
-    ``mu``.  A child that overflows raises :class:`NonFiniteValue` naming its
-    step, probe row and node."""
+    ``(P,)`` arrays of one length; other shapes raise
+    :class:`StepOutOfRange`.  ``y`` solves ``y = m + mu (|y| + |z|) dt`` with
+    the children's own ``m`` and ``z``, a fixed point unique while ``mu dt <
+    1``, so each probe is a supermartingale under any mechanism dominated at
+    level ``mu``.  A child that overflows raises :class:`NonFiniteValue`
+    naming its step, probe row and node."""
     if t_step >= lattice.n_steps:
         raise StepOutOfRange("probe step must fit inside the lattice")
     _anchor_node(t_step)  # raises on a negative step
-    start = np.asarray(y, dtype=float)[..., None]
-    hedge = np.asarray(z, dtype=float)[..., None]
+    start, hedge = np.asarray(y, dtype=float), np.asarray(z, dtype=float)
+    if start.ndim > 1 or start.shape != hedge.shape:
+        raise StepOutOfRange(f"probe y and z must be two floats or two (P,) arrays, "
+                             f"got shapes {start.shape} and {hedge.shape}")
+    start, hedge = start[..., None], hedge[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         children = _euler_step(start, -mu * (np.abs(start) + np.abs(hedge)), hedge,
                                lattice.dt, lattice.sqrt_dt)

@@ -16,10 +16,11 @@ surface of one claim with its dividends, and the ``_batch`` hook of an
 keeping the step-``s`` values (``price_rows``) or every step's
 (``price_surfaces``).  The handle's ``price_at`` and
 :func:`solve_terminal_batch` are views of that batch: one row, and the root
-values of many.  A closed-form driver steps from the next slice into per-call
-column-major scratch arrays that the built-in closed forms overwrite in place
-(see :func:`_sweep`); its input is never written and its results are fresh
-row-major arrays.  ``z`` is never stored, and no built-in closed form forms
+values of many.  ``doob_meyer``'s rebuild runs the kernel's step loop,
+:func:`_sweep`, itself and keeps one step at a time.  A closed-form driver
+steps from the next slice into per-call column-major scratch arrays that the
+built-in closed forms overwrite in place (see :func:`_sweep`); its input is
+never written and its results are fresh row-major arrays.  ``z`` is never stored, and no built-in closed form forms
 it.  Under a linear driver a root price is also one binomial sum,
 :func:`_linear_root`, which the chain audit uses for the payoff rows that keep
 the extremal driver linear.  A :class:`MechanismHandle` is built from a black-box
@@ -35,6 +36,7 @@ order verdicts are unreliable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -168,9 +170,12 @@ class DividendStream:
 
     @classmethod
     def from_rate(cls, lattice: Lattice, rate: float) -> "DividendStream":
-        """Constant payout rate: every node of every step pays ``rate * dt``."""
-        dk = _finite("rate", rate) * lattice.dt
-        return cls.from_arrays(lattice, [np.full(i + 1, dk) for i in range(lattice.n_steps)])
+        """Constant payout rate: every node of every step pays ``rate * dt``.
+        The slice of step ``i`` is the first ``i + 1`` entries of one read-only
+        row, so the stream holds ``n`` values, not ``n (n + 1) / 2``."""
+        row = np.full(lattice.n_steps, _finite("rate", rate) * lattice.dt)
+        row.flags.writeable = False
+        return cls.from_arrays(lattice, [row[:i + 1] for i in range(lattice.n_steps)])
 
     @classmethod
     def from_arrays(cls, lattice: Lattice, arrays: Sequence, start: int = 0) -> "DividendStream":
@@ -289,8 +294,9 @@ def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
 # -- the backward kernel ----------------------------------------------------------
 
 def _sweep(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
-           dividends: Optional[DividendStream]):
-    """Yield ``(i, y_i, iters, resid)`` for steps ``n - 1`` down to ``s``.
+           payout: Callable):
+    """Yield ``(i, y_i, iters, resid)`` for steps ``n - 1`` down to ``s``,
+    where ``payout(i)`` is the increment paid over step ``i``.
 
     For a closed form, ``cur`` is copied once into a column-major work array,
     so the node slice ``[..., :k]`` of a ``(rows, nodes)`` batch is one
@@ -308,7 +314,7 @@ def _sweep(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
         work = cur = np.array(cur, dtype=float, order="F")
         y_buf, spare = np.empty_like(work), np.empty_like(work)
     for i in range(n - 1, s - 1, -1):
-        t, dk = lattice.grid.time(i), _increment_at(dividends, i)
+        t, dk = lattice.grid.time(i), payout(i)
         if exact_step is None:
             cur, iters, resid = _implicit_step(g, i, t, *one_step_mz(cur, sqrt_dt), dk, dt)
         else:
@@ -344,13 +350,14 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
     Every node feeds the step-``s`` slice, so one check there catches any
     NaN or inf.  That, or a :class:`ContractionViolation` or
     :class:`NonFiniteValue` in one of two or more blocks, re-sweeps the whole
-    batch once through :func:`_check_finite`, naming the failing step and
+    batch once through :func:`_name_failure`, naming the failing step and
     batch row.  The sweeps run with numpy's overflow and invalid warnings off.
     """
     if not g.mu * lattice.dt < 1.0:
         raise ContractionViolation(
             f"mu * dt = {g.mu * lattice.dt:.6g} >= 1; refine the grid"
         )
+    payout = functools.partial(_increment_at, dividends)
     y_slices = [np.array(cur, dtype=float, order="C")] if keep_surface or s == n else []
     worst_iters, worst_resid = 0, 0.0
     blocks = 1
@@ -360,7 +367,7 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for part in np.array_split(cur, blocks) if blocks > 1 else (cur,):
-                for i, y, iters, resid in _sweep(g, part, lattice, n, s, dividends):
+                for i, y, iters, resid in _sweep(g, part, lattice, n, s, payout):
                     worst_iters = max(worst_iters, iters)
                     worst_resid = max(worst_resid, resid)
                     if keep_surface or i == s:
@@ -373,8 +380,16 @@ def _backward(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
             if np.isfinite(y_slices[-1]).all():
                 y_slices.reverse()
                 return y_slices, worst_iters, worst_resid
-        for i, y, *_ in _sweep(g, cur, lattice, n, s, dividends):
-            _check_finite(y, i, "price")
+        _name_failure(g, cur, lattice, n, s, payout)
+
+
+def _name_failure(g: Generator, cur: np.ndarray, lattice: Lattice, n: int, s: int,
+                  payout: Callable):
+    """Re-sweep ``cur`` as :func:`_sweep` and raise at the first failure: a
+    NaN or inf slice is :class:`NonFiniteValue` naming its step, row and node.
+    Call it with numpy's overflow and invalid warnings off."""
+    for i, y, *_ in _sweep(g, cur, lattice, n, s, payout):
+        _check_finite(y, i, "price")
     raise RuntimeError("the whole-batch re-sweep met no failure: is the driver deterministic?")
 
 

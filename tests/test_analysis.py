@@ -48,9 +48,10 @@ from gmech import (
 from gmech import engine
 from gmech.analysis import _packed_rows, _reach_mask, grid_points
 from gmech.engine import _backward
-from gmech.lattice import one_step_mz
+from gmech.lattice import _max_gap, one_step_mz
 
 from util import (
+    add_streams,
     increasing_stream,
     paste,
     random_lipschitz_generator,
@@ -384,6 +385,58 @@ class TestDoobMeyer:
         for i in range(8):
             assert np.allclose(result.increments.at(i), extra.increment(i),
                                atol=1e-10, rtol=0)
+
+
+def _spelled_out_decomposition(g, y, dividends, lat):
+    """Each step's defect ``y - m - g(t, y, z) dt - dK``, and the gap of the
+    rebuild as a whole-surface solve: ``solve_bsde`` of ``y``'s terminal slice
+    under the payouts ``dK + a``, compared slice by slice with ``y``."""
+    steps = range(y.start, y.stop)
+    dks = [0.0 if dividends is None else dividends.increment(i) for i in steps]
+    incs = []
+    for i, dk in zip(steps, dks):
+        m, z = one_step_mz(y.at(i + 1), lat.sqrt_dt)
+        incs.append(y.at(i) - m - g(lat.grid.time(i), y.at(i), z) * lat.dt - dk)
+    total = DividendStream.from_arrays(lat, [dk + a for dk, a in zip(dks, incs)], start=y.start)
+    rebuilt = solve_bsde(g, claim_from_values(lat, y.stop, y.slices[-1]), total, lat,
+                         t_step=y.stop, s_step=y.start).y
+    return incs, _max_gap(rebuilt.slices, y.slices)
+
+
+REBUILD_DRIVERS = {
+    "gmu": lambda: domination_generator(0.3),
+    "abs_z": lambda: abs_z_generator(0.3),
+    "linear": lambda: linear_generator(-0.2, 0.1),
+    **{f"random_{seed}": (lambda seed=seed: random_lipschitz_generator(
+        np.random.default_rng(seed))) for seed in (3401, 3402, 3403)},
+}
+
+
+class TestStreamedRebuild:
+    """doob_meyer's one-sweep rebuild against the whole-surface solve."""
+
+    @pytest.mark.parametrize("steps", [8, 64, 512])
+    @pytest.mark.parametrize("driver", list(REBUILD_DRIVERS))
+    def test_rebuild_is_the_whole_surface_solve_bitwise(self, driver, steps):
+        rng = np.random.default_rng([steps, list(REBUILD_DRIVERS).index(driver)])
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        g = REBUILD_DRIVERS[driver]()
+        for payouts in (None, DividendStream.from_rate(lat, float(rng.uniform(-0.5, 0.5))),
+                        signed_stream(rng, lat)):
+            # the extra increasing stream is what the decomposition recovers
+            extra = increasing_stream(rng, lat)
+            paid = extra if payouts is None else add_streams(lat, payouts, extra)
+            for start in (0, steps // 3 + 1):
+                y = solve_bsde(g, random_pwl_claim(rng), paid, lat, s_step=start).y
+                got = doob_meyer(g, y, payouts, lat)
+                incs, err = _spelled_out_decomposition(g, y, payouts, lat)
+                where = (payouts is None, start)
+                assert (np.float64(got.reconstruction_error).tobytes()
+                        == np.float64(err).tobytes()), where
+                assert err <= 1e-9, where
+                assert got.increments.start == start
+                assert ([a.tobytes() for a in got.increments.slices]
+                        == [a.tobytes() for a in incs]), where
 
 
 # -- representation -----------------------------------------------------------
@@ -1167,6 +1220,14 @@ BAD_ARGUMENTS = {
     "build_probe_path_last_step": (
         lambda mech, lat: build_probe_path(lat, 16, 0.0, 1.0, 0.3),
         StepOutOfRange, "probe step must fit inside the lattice"),
+    "build_probe_path_unequal_lengths": (
+        lambda mech, lat: build_probe_path(lat, 4, [1.0, 2.0], [1.0, 2.0, 3.0], 0.3),
+        StepOutOfRange, r"probe y and z must be two floats or two \(P,\) arrays, "
+                        r"got shapes \(2,\) and \(3,\)"),
+    "build_probe_path_column_y": (
+        lambda mech, lat: build_probe_path(lat, 4, np.zeros((2, 1)), np.zeros(3), 0.3),
+        StepOutOfRange, r"probe y and z must be two floats or two \(P,\) arrays, "
+                        r"got shapes \(2, 1\) and \(3,\)"),
     "recover_generator_no_mu": (
         lambda mech, lat: recover_generator(_no_mu(mech), 4, [(0.0, 1.0)], lat),
         InvalidParams, "mechanism must declare a domination constant mu"),

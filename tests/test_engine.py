@@ -1168,6 +1168,18 @@ class TestDividendStream:
             for i, s in enumerate(slices):
                 assert s.tobytes() == np.full(i + 1, rate * lat8.dt).tobytes(), (rate, i)
 
+    def test_from_rate_slices_are_read_only_views_of_one_row(self):
+        lat = build_lattice(build_grid(0.0, 1.0, 64))
+        slices = DividendStream.from_rate(lat, 0.37).increments.slices
+        row = slices[-1].base
+        assert row is not None and row.shape == (64,)
+        for i, s in enumerate(slices):
+            assert s.base is row
+            assert s.tobytes() == np.full(i + 1, 0.37 * lat.dt).tobytes()
+        for s in (slices[0], slices[40], row):
+            with pytest.raises(ValueError, match="read-only"):
+                s[0] = 1.0
+
     def test_increment_outside_range_is_zero(self, lat8):
         s = DividendStream.from_arrays(lat8, [np.ones(3)], start=2)
         assert np.array_equal(s.increment(0), np.zeros(1))
