@@ -505,38 +505,38 @@ def build_probe_path(lattice: Lattice, t_step: int, y, z, mu: float) -> np.ndarr
     return _check_finite(children, t_step + 1, "probe child")
 
 
-def _decompose_probe(lattice: Lattice, t_step: int, points: np.ndarray, mu: float,
+def _decompose_probe(lattice: Lattice, steps: Sequence[int], points: np.ndarray, mu: float,
                      children: np.ndarray, one_step: np.ndarray,
                      anchors: np.ndarray) -> np.ndarray:
     """Decompose ``P`` probes, their ``(P, 2)`` ``points`` and ``children``,
-    under the mechanism's one-step operator.
+    under the mechanism's one-step operator at each of the ``T`` ``steps``.
 
-    ``one_step`` is the ``(P,)`` vector of the mechanism's step-``t_step``
-    prices at ``anchors``, each probe's own anchor node above its children.
+    ``one_step`` is the ``(T, P)`` table of the mechanism's prices at
+    ``anchors``, each probe's anchor node above its children at that step.
     Returns the realized drivers there after checking that each probe's
     ``_ONE_STEP`` values are finite (:class:`NonFiniteValue`), then the
     supermartingale property and then the driver envelope; the first failing
-    probe in point order raises, its witness naming its own anchor.
+    probe in (step, point) order raises, its witness naming that step and anchor.
     """
     y, z = points[:, 0], points[:, 1]
-    m, hedge = one_step_mz(children, lattice.sqrt_dt)
+    m, hedge = (v[:, 0] for v in one_step_mz(children, lattice.sqrt_dt))
     defect = y - one_step
-    driver, excess = _realized_driver(one_step, m[:, 0], hedge[:, 0], 0.0, lattice.dt, mu)
+    driver, excess = _realized_driver(one_step, m, hedge, 0.0, lattice.dt, mu)
     low = defect < -PRICE_TOL
     # excess is NaN or inf wherever the mean, hedge or driver is, and may be
     # where only the envelope overflows: such a probe passes every check
     finite = np.isfinite(excess) & np.isfinite(defect)
-    for p in np.flatnonzero(~finite | low | (excess > ENVELOPE_TOL)):
+    for i, p in np.argwhere(~finite | low | (excess > ENVELOPE_TOL)):
         what = f"probe (y={y[p]:g}, z={z[p]:g})"
-        at = _witness(t_step, (anchors[p],))
-        for name, v in zip(_ONE_STEP, (m[:, 0], hedge[:, 0], driver, defect)):
-            _check_finite(v[p:p + 1], t_step, f"{what} {name}", at)
-        if low[p]:
-            raise DominationViolated(f"{what} has defect {defect[p]:.3g} at {at}; "
+        at = _witness(steps[i], (anchors[i, p],))
+        for name, v in zip(_ONE_STEP, (m, hedge, driver[i], defect[i])):
+            _check_finite(v[p:p + 1], steps[i], f"{what} {name}", at)
+        if low[i, p]:
+            raise DominationViolated(f"{what} has defect {defect[i, p]:.3g} at {at}; "
                                      f"mechanism is not dominated at mu={mu:g}")
-        if excess[p] > ENVELOPE_TOL:
-            raise BoundViolated(f"{what} driver {driver[p]:.6g} escapes mu-envelope "
-                                f"by {excess[p]:.3g} at {at}")
+        if excess[i, p] > ENVELOPE_TOL:
+            raise BoundViolated(f"{what} driver {driver[i, p]:.6g} escapes mu-envelope "
+                                f"by {excess[i, p]:.3g} at {at}")
     return driver
 
 
@@ -703,6 +703,16 @@ def grid_points(ys, zs) -> list:
     return [(float(a), float(b)) for a in ys for b in zs]
 
 
+def _dyadic_stride(level: int, lattice: Lattice) -> int:
+    """Steps between the dyadic times ``i T / 2^level``; raises :class:`InvalidParams`
+    unless ``level >= 0`` and ``2^level`` divides the lattice's step count."""
+    if level < 0:
+        raise InvalidParams(f"level must be >= 0, got {level}")
+    if lattice.n_steps % (1 << level) != 0:
+        raise InvalidParams(f"lattice step count {lattice.n_steps} is not divisible by 2^{level}")
+    return lattice.n_steps >> level
+
+
 def recover_generator(
     mech: MechanismHandle,
     level: int,
@@ -715,14 +725,15 @@ def recover_generator(
     ``(y, z)``: launch the one-step extremal-drift probe from ``(t_i, y)`` at
     hedge level ``z``, decompose it as a supermartingale under the mechanism's
     one-step operator, and record the realized driver at the probe's start.
-    Each dyadic time is one array probe build for all sample points, one
-    ``price_rows`` call that prices them, up to ``t // 2 + 1`` probes side by
-    side in each row (:func:`_packed_rows`), and one array decomposition.  A
-    closed-form driver prices each node on its own, so its table does not
-    depend on the packing; a Picard row stops when all its nodes meet the
-    stop test, so a probe's last bits may depend on its row-mates.
-    ``lattice`` defaults to the handle's own; any other raises
-    :class:`InvalidParams`.
+    One array probe build serves every dyadic time, and each time is one
+    ``price_rows`` call, up to ``t // 2 + 1`` probes side by side in a row
+    (:func:`_packed_rows`).  One decomposition of the table raises the first
+    failure in (time, point) order, after every time is priced; an error of
+    ``price_rows`` waits for the earlier times to pass.  A closed-form
+    driver prices each node on its own, so its table does not depend on the
+    packing; a Picard row stops when all its nodes meet the stop test, so a
+    probe's last bits may depend on its row-mates.  ``lattice`` defaults to
+    the handle's own; any other raises :class:`InvalidParams`.
 
     The lattice step count must be divisible by ``2^level`` so dyadic times
     sit on the grid.  A probe whose one-step defect dips below
@@ -731,29 +742,30 @@ def recover_generator(
     """
     lat = _own_lattice(mech, lattice)
     mu = _declared_mu(mech)
-    if level < 0:
-        raise InvalidParams(f"level must be >= 0, got {level}")
-    if lat.n_steps % (1 << level) != 0:
-        raise InvalidParams(
-            f"lattice step count {lat.n_steps} is not divisible by 2^{level}"
-        )
+    steps = range(0, lat.n_steps, _dyadic_stride(level, lat))
     require_monotone(mu, lat)
     points = [(float(a), float(b)) for a, b in sample_points]
     if not points:
         raise InvalidParams("need at least one sample point")
 
-    steps = range(0, lat.n_steps, lat.n_steps >> level)
-
     # numpy stays silent on overflow: the probe build, price_rows or decomposition names it
     pts = np.asarray(points)
-    table = np.zeros((len(steps), len(points)))
+    one_steps, anchors = (np.zeros((len(steps), len(points)), dtype) for dtype in (float, int))
+    failure = None
     with np.errstate(over="ignore", invalid="ignore"):
+        children = build_probe_path(lat, 0, pts[:, 0], pts[:, 1], mu)
         for i, t_step in enumerate(steps):
-            children = build_probe_path(lat, t_step, pts[:, 0], pts[:, 1], mu)
             rows, (row, anchor) = _packed_rows(children, t_step)
-            one_steps = mech.price_rows(t_step, t_step + 1, rows)
-            table[i] = _decompose_probe(lat, t_step, pts, mu, children,
-                                        one_steps[row, anchor], anchor)
+            anchors[i] = anchor
+            try:
+                prices = mech.price_rows(t_step, t_step + 1, rows)
+            except Exception as err:  # raised once the earlier dyadic times pass
+                failure, steps = err, steps[:i]
+                break
+            one_steps[i] = prices[row, anchor]
+        table = _decompose_probe(lat, steps, pts, mu, children, one_steps[:len(steps)], anchors)
+    if failure is not None:
+        raise failure
 
     times = np.array([lat.grid.time(t_step) for t_step in steps])
     return RecoveredGenerator(level=level, mu=float(mu), times=times, points=points, table=table)
@@ -791,8 +803,8 @@ def verify_main_theorem(
     steps is reported.  ``lattice`` defaults to the handle's own; any other
     raises :class:`InvalidParams`.  ``level`` defaults to the largest whose
     ``2**level`` divides the step count.  ``ys`` and ``zs``, the recovery
-    grid's axes, must be strictly increasing (else :class:`InvalidParams`,
-    before any price is asked).
+    grid's axes, must be strictly increasing; they, ``level`` and ``mu`` are
+    checked as :func:`recover_generator` checks them, before any price is asked.
     """
     lat = _own_lattice(mech, lattice)
     mu = _declared_mu(mech)
@@ -803,6 +815,8 @@ def verify_main_theorem(
             raise InvalidParams(f"{name} must be strictly increasing, got {axis}")
     if level is None:
         level = (lat.n_steps & -lat.n_steps).bit_length() - 1
+    _dyadic_stride(level, lat)
+    require_monotone(mu, lat)
     rng = np.random.default_rng(seed)
 
     report = axiom_suite(mech, lat, samples=max(4, samples // 2), seed=seed)

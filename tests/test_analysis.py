@@ -19,6 +19,7 @@ from gmech import (
     NegativeMu,
     NonFiniteValue,
     NotSupermartingale,
+    SchemeNotMonotone,
     StepOutOfRange,
     TerminalClaim,
     abs_z_generator,
@@ -45,7 +46,7 @@ from gmech import (
     z_probe,
     zero_generator,
 )
-from gmech import engine
+from gmech import analysis, engine
 from gmech.analysis import _packed_rows, _reach_mask, grid_points
 from gmech.engine import _backward
 from gmech.lattice import _max_gap, one_step_mz
@@ -1136,6 +1137,89 @@ class TestPackedRecovery:
             _recover_per_probe(mech, 4, pts)
 
 
+def _late_rogue(lat, kind, fn):
+    """A Picard driver ``fn`` declared at mu = 0.3, as its own handle or as
+    a ``price_at``-only handle that counts its calls (``None`` for a driver)."""
+    driver = as_mechanism(Generator(fn=fn, mu=0.3, name="late_rogue"), lat)
+    if kind == "driver":
+        return driver, None
+    calls = []
+
+    def price_at(s, t, claim, dividends=None):
+        calls.append((s, t))
+        return driver.price_at(s, t, claim, dividends)
+
+    return MechanismHandle(lat, price_at, mu=0.3), calls
+
+
+class TestOnePassRecovery:
+    """One probe build per recovery, one price_rows call per dyadic time and
+    one decomposition of the whole table."""
+
+    @pytest.mark.parametrize("kind", ["driver", "price_at_only"])
+    def test_earlier_violation_precedes_a_later_nan(self, kind, lat16):
+        # |z| at mu = 0.3 is not dominated at t = 0; from step 4 the driver is
+        # NaN, and price_rows raises there before the table is decomposed
+        mech, calls = _late_rogue(
+            lat16, kind, lambda t, y, z: np.where(t >= 0.25, np.nan, np.abs(z)))
+        with pytest.raises(DominationViolated, match=r"^probe \(y=0, z=1\) has defect -\S+ at "
+                           r"step 0, node 0; mechanism is not dominated at mu=0\.3$") as err:
+            recover_generator(mech, 4, [(0.0, 1.0), (0.0, 2.0)], lat16)
+        assert err.value.__context__ is None
+        if calls is not None:
+            # every dyadic time up to the NaN is priced before the table is
+            # decomposed: 2 + 2 + 1 + 1 + 1 rows at steps 0..4, where one
+            # decomposition per time stopped after the 2 rows of step 0
+            assert [s for s, _ in calls] == [0, 0, 1, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("kind", ["driver", "price_at_only"])
+    @pytest.mark.parametrize("level, step", [(4, 8), (3, 6), (2, 12)])
+    def test_nan_at_a_dyadic_step_is_named_by_price_rows(self, kind, level, step, lat16):
+        # 0.3 |z| is dominated: every time before the NaN passes
+        mech, _ = _late_rogue(lat16, kind, lambda t, y, z: np.where(
+            t >= step / 16, np.nan, 0.3 * np.abs(z)))
+        with pytest.raises(NonFiniteValue, match=rf"^Picard update is nan at step {step}, "
+                           r"(row 0, )?node 0$") as err:
+            recover_generator(mech, level, grid_points([-1, 1], [-1, 1]), lat16)
+        assert err.value.__context__ is None
+
+    @pytest.mark.parametrize("kind", ["driver", "price_at_only"])
+    def test_later_envelope_violation_names_its_step_and_anchor(self, kind, lat16):
+        # -|z| from step 8 escapes the envelope for z != 0; a NaN from step 12
+        # comes later.  At step 8 the three probes share one row with base
+        # 8 // 2 - 2 = 2, so the third is anchored at node 2 + 2 * 2 = 6
+        mech, _ = _late_rogue(lat16, kind, lambda t, y, z: np.where(
+            t >= 0.75, np.nan, np.where(t >= 0.5, -np.abs(z), 0.0)))
+        with pytest.raises(BoundViolated, match=r"^probe \(y=0, z=2\) driver -2 escapes "
+                           r"mu-envelope by \S+ at step 8, node 6$") as err:
+            recover_generator(mech, 4, [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)], lat16)
+        assert err.value.__context__ is None
+
+    @pytest.mark.parametrize("level", [4, 6, 8])
+    def test_probes_are_built_once_and_priced_once_per_dyadic_time(self, level, monkeypatch):
+        lat = build_lattice(build_grid(0.0, 1.0, 256))
+        mech = as_mechanism(domination_generator(0.5), lat)
+        pts = grid_points(*[[-2.0, -1.0, 0.0, 1.0, 2.0]] * 2)
+        want = recover_generator(mech, level, pts, lat).table
+        builds, priced = [], []
+        build, price_rows = analysis.build_probe_path, MechanismHandle.price_rows
+
+        def counted_build(lattice, t_step, *args):
+            builds.append(t_step)
+            return build(lattice, t_step, *args)
+
+        def counted_price_rows(self, s_step, t_step, rows, dividends=None):
+            priced.append((s_step, t_step))
+            return price_rows(self, s_step, t_step, rows, dividends)
+
+        monkeypatch.setattr(analysis, "build_probe_path", counted_build)
+        monkeypatch.setattr(MechanismHandle, "price_rows", counted_price_rows)
+        got = recover_generator(mech, level, pts, lat)
+        assert builds == [0]
+        assert priced == [(t, t + 1) for t in range(0, 256, 256 >> level)]
+        assert got.table.tobytes() == want.tobytes()
+
+
 def _bits(obj):
     """A verdict as nested plain values with every float and array as its
     dtype, shape and bytes: two are equal exactly when they are bitwise."""
@@ -1376,6 +1460,28 @@ class TestVerifyMainTheorem:
         verdict = verify_main_theorem(as_mechanism(abs_z_generator(0.3), lat), samples=2)
         assert verdict.recovered.level == level
         assert verdict.passed()
+
+    @pytest.mark.parametrize("steps, level, mu, error, message", [
+        (16, 5, 0.3, InvalidParams, r"lattice step count 16 is not divisible by 2\^5"),
+        (16, -1, 0.3, InvalidParams, "level must be >= 0, got -1"),
+        (4, 2, 1.9, SchemeNotMonotone, r"mu \* \(sqrt\(dt\) \+ dt\) = 1\.425 > 1; "
+                                       "refine the grid or lower mu"),
+    ], ids=["level_off_the_grid", "negative_level", "scheme_not_monotone"])
+    def test_bad_level_or_mu_raises_before_any_price(self, steps, level, mu, error, message):
+        # the recovery's own checks run before the law suite and domination
+        # legs ask the black box for prices
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        base = as_mechanism(zero_generator(), lat)
+        calls = []
+
+        def price_at(s, t, claim, dividends=None):
+            calls.append((s, t))
+            return base.price_at(s, t, claim, dividends)
+
+        with pytest.raises(error, match=rf"^{message}$"):
+            verify_main_theorem(MechanismHandle(lat, price_at, mu=mu), lat, samples=4,
+                                level=level)
+        assert calls == []
 
     def test_undominated_black_box_fails_domination(self, lat16):
         # its one-step prices are the extremal driver's, so recovery returns a
