@@ -46,6 +46,8 @@ from .engine import (
     TerminalClaim,
     _check_finite,
     _check_steps,
+    _claim_rows,
+    _draw_claim,
     _increment_at,
     _name_failure,
     _own_lattice,
@@ -104,12 +106,18 @@ class AxiomReport:
                 for c in self.checks()}
 
 
-def _reach_mask(step_s: int, step_t: int, nodes_s: np.ndarray) -> np.ndarray:
-    """Terminal-node mask of the cone reachable from the given step-s nodes,
-    an index array or a boolean mask."""
-    hit = np.zeros(step_s + 1)
-    hit[nodes_s] = 1.0
-    return np.convolve(hit, np.ones(step_t - step_s + 1)) > 0
+def _reach_mask(step_s: int, step_t: int, nodes_s) -> np.ndarray:
+    """Terminal-node mask of the cone reachable from the given step-s nodes, an
+    index array or a boolean mask, or of each mask of a ``(k, step_s + 1)`` batch:
+    terminal node ``j`` is reached from nodes ``j - (step_t - step_s) .. j``,
+    whose count is a difference of two running counts."""
+    hit = np.asarray(nodes_s)
+    if hit.dtype != bool:
+        hit = np.isin(np.arange(step_s + 1), hit)
+    counts = np.zeros(hit.shape[:-1] + (step_s + 2,), dtype=int)
+    np.cumsum(hit, axis=-1, out=counts[..., 1:])
+    j = np.arange(step_t + 1)
+    return counts[..., np.minimum(j, step_s) + 1] > counts[..., np.maximum(j - step_t + step_s, 0)]
 
 
 def _price_legs(mech: MechanismHandle, legs: list) -> list:
@@ -127,6 +135,11 @@ def _price_legs(mech: MechanismHandle, legs: list) -> list:
     return out
 
 
+def _row_max(values: np.ndarray, where=True) -> np.ndarray:
+    """Each row's largest value among ``where``; ``-inf`` where it holds none."""
+    return np.max(values, axis=-1, where=where, initial=-np.inf)
+
+
 def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
                 seed: int = 0) -> AxiomReport:
     """Randomized falsification suite for the pricing-system laws.
@@ -135,14 +148,16 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
     subsets at the evaluation step.  Deterministic given ``seed``.
     ``lattice`` is the handle's own or ``None``.
 
-    Every sample is drawn first and kept as terminal node rows (all samples'
-    rows are held at once).  The rows are then priced in two waves with one
+    Every sample is drawn first, its claims as parameters.  The claims that
+    mature at ``t`` are evaluated in one array pass, and the samples that
+    share ``(s, t)`` build their rows as one array each (all samples' rows are
+    held at once).  The rows are then priced in two waves with one
     ``price_rows`` call per distinct ``(s, t)`` in each: first the rows that
     need no price (the ``(s, t)`` legs, the identity leg ``(t, t)`` and the
     direct leg ``(r, t)``), then the nested leg ``(r, s)`` on the step-``s``
-    prices of the claim.  The laws are tallied in sample order.  A black box
-    is therefore called in a different order than sample by sample; it must
-    be pure, as every handle must.
+    prices of the claim.  Each law is a row maximum per ``(s, t)`` group,
+    tallied in sample order.  A black box is therefore called in a different
+    order than sample by sample; it must be pure, as every handle must.
     """
     lattice = _own_lattice(mech, lattice)
     _count("samples", samples)
@@ -151,63 +166,81 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
     if n < 3:
         raise InvalidParams("lattice must have at least 3 steps for nested checks")
 
-    draws, legs = [], []
+    # a sample is drawn as (r, s, t, claim parameters, event, bump normals)
+    draws = []
     for _ in range(samples):
         t = int(rng.integers(2, n + 1))
         s = int(rng.integers(1, t))
         r = int(rng.integers(0, s))
-        x_vals = random_claim(rng).values(lattice, t)
-        # monotonicity: subtract a nonnegative payoff
-        lower = x_vals - np.abs(random_claim(rng, bound=0.5, slope=0.5).values(lattice, t))
+        claims = [_draw_claim(rng), _draw_claim(rng, bound=0.5, slope=0.5)]
         event = rng.random(s + 1) < 0.5  # a mask of the step-s nodes
         if not event.any():
             event[int(rng.integers(0, s + 1))] = True
+        normals = rng.normal(size=t + 1)
+        draws.append((r, s, t, claims + [_draw_claim(rng)], event, normals))
+    by_t, by_st = {}, {}
+    for k, (_, s, t, *_) in enumerate(draws):
+        by_t.setdefault(t, []).append(k)
+        by_st.setdefault((s, t), []).append(k)
+    # payoffs[t][i, c] is claim c of the i-th sample maturing at t
+    payoffs = {t: _claim_rows(lattice, t, [c for k in ks for c in draws[k][3]]).reshape(
+        len(ks), 3, t + 1) for t, ks in by_t.items()}
+    slot = {k: i for ks in by_t.values() for i, k in enumerate(ks)}
+
+    groups, legs = [], [None] * samples
+    for (s, t), ks in by_st.items():
+        x, nonneg, other = payoffs[t][[slot[k] for k in ks]].transpose(1, 0, 2)
+        event = np.array([draws[k][4] for k in ks])
         cone = _reach_mask(s, t, event)
-        # locality: perturb the payoff outside the event's cone
-        bump = np.where(cone, 0.0, rng.normal(size=t + 1))
-        other_vals = random_claim(rng).values(lattice, t)
-        rows = [x_vals, lower, x_vals + bump, np.zeros(t + 1), np.where(cone, x_vals, 0.0)]
-        # splitting: a claim assembled from two claims along the event cone
-        # (the claims agree where the cones overlap, which is the
-        # measurability constraint of the lattice)
-        if not event.all():
-            other_vals = np.where(cone & _reach_mask(s, t, ~event), x_vals, other_vals)
-            rows += [other_vals, np.where(cone, x_vals, other_vals)]
-        draws.append((s, t, r, x_vals, event, cone))
-        legs.append([(s, t, row) for row in rows] + [(t, t, x_vals), (r, t, x_vals)])
+        # monotonicity: subtract a nonnegative payoff; locality: perturb the
+        # payoff outside the event's cone; splitting: a claim assembled from
+        # two claims along the event cone (the claims agree where the cones
+        # overlap, which is the measurability constraint of the lattice)
+        bump = np.where(cone, 0.0, np.array([draws[k][5] for k in ks]))
+        other = np.where(cone & _reach_mask(s, t, ~event), x, other)
+        rows = [x, x - np.abs(nonneg), x + bump, np.zeros_like(x), np.where(cone, x, 0.0),
+                other, np.where(cone, x, other)]
+        split = ~event.all(axis=1)
+        for i, k in enumerate(ks):
+            legs[k] = ([(s, t, row[i]) for row in rows[:7 if split[i] else 5]]
+                       + [(t, t, x[i]), (draws[k][0], t, x[i])])
+        groups.append((s, t, ks, x, event, cone, split))
     priced = _price_legs(mech, legs)
-    nested = _price_legs(mech, [[(r, s, p[0])] for (s, t, r, *_), p in zip(draws, priced)])
+    nested = _price_legs(mech, [[(r, s, p[0])] for (r, s, *_), p in zip(draws, priced)])
+
+    # each law's violation by sample; NaN where a sample has no splitting check
+    mono, ident, tower, local, split_v, zero, local0 = viol = np.full((7, len(draws)), np.nan)
+    for s, t, ks, x, event, cone, split in groups:
+        pa, pb, pp, pz, pk, same = (np.array([priced[k][m] for k in ks])
+                                    for m in (0, 1, 2, 3, 4, -2))
+        # the nested and direct legs hold r + 1 <= s prices, padded with zeros
+        pn, direct = np.zeros((2, len(ks), s))
+        for i, k in enumerate(ks):
+            pn[i, :draws[k][0] + 1], direct[i, :draws[k][0] + 1] = nested[k][0], priced[k][-1]
+        mono[ks] = _row_max(pb - pa)  # the lowered claim prices lower
+        ident[ks] = _row_max(np.abs(same - x))  # its own maturity returns the payoff
+        tower[ks] = _row_max(np.abs(pn - direct))  # the step-s value slice re-prices
+        local[ks] = _row_max(np.abs(pp - pa), event)  # the event ignores the bump
+        zero[ks] = _row_max(np.abs(pz))
+        # locality with zero: prices on the event are unchanged, and prices on
+        # nodes whose cones miss the event's cone vanish; node j is one if no
+        # event node lies within t - s of it, as the event's cone over
+        # 2 (t - s) steps shows at its node j + t - s
+        outside = ~_reach_mask(s, 2 * t - s, event)[:, t - s:t + 1]
+        local0[ks] = np.maximum(_row_max(np.abs(pk - pa), event), _row_max(np.abs(pk), outside))
+        if split.any():
+            ss = [k for k, one in zip(ks, split) if one]
+            po, pblend = (np.array([priced[k][m] for k in ss]) for m in (5, 6))
+            split_v[ss] = _row_max(np.abs(pblend - np.where(event[split], pa[split], po)))
 
     tallies = _tallies(AxiomReport)
-    mono, ident, tower, local, split, zero, local0 = tallies
-    for k, ((s, t, r, x_vals, event, cone), p, (pn,)) in enumerate(zip(draws, priced, nested)):
-        pa, pb, pp, pz, pk, *split_prices, same, direct = p
-        # monotonicity: the lowered claim prices lower
-        mono.record(float(np.max(pb - pa)), PRICE_TOL, k)
-        # identity: pricing at its own maturity returns the payoff
-        ident.record(float(np.max(np.abs(same - x_vals))), PRICE_TOL, k)
-        # time consistency: price of the intermediate value slice re-prices
-        tower.record(float(np.max(np.abs(pn - direct))), PRICE_TOL, k)
-        # locality: prices on the event ignore the payoff outside its cone
-        local.record(float(np.max(np.abs(pp[event] - pa[event]))), PRICE_TOL, k)
-
-        if split_prices:
-            po, pblend = split_prices
-            expected = np.where(event, pa, po)
-            split.record(float(np.max(np.abs(pblend - expected))), PRICE_TOL, k)
-
-        zero.record(float(np.max(np.abs(pz))), PRICE_TOL, k)
-
-        # locality with zero: kill the payoff outside the cone; prices on the
-        # event are unchanged and prices on nodes whose cones miss it vanish
-        viol = float(np.max(np.abs(pk[event] - pa[event])))
-        outside = np.convolve(cone, np.ones(t - s + 1), "valid") == 0
-        if outside.any():
-            viol = max(viol, float(np.max(np.abs(pk[outside]))))
-        local0.record(viol, PRICE_TOL, k)
+    for tally, values in zip(tallies, viol.tolist()):
+        for k, v in enumerate(values):
+            if not math.isnan(v):
+                tally.record(v, PRICE_TOL, k)
 
     def named(k, worst):
-        s, t, r, _, event, _ = draws[k]
+        r, s, t, _, event, _ = draws[k]
         return {"sample": k, "r": r, "s": s, "t": t, "event": np.flatnonzero(event).tolist(),
                 "violation": worst}
 
@@ -803,14 +836,17 @@ def verify_main_theorem(
     steps is reported.  ``lattice`` defaults to the handle's own; any other
     raises :class:`InvalidParams`.  ``level`` defaults to the largest whose
     ``2**level`` divides the step count.  ``ys`` and ``zs``, the recovery
-    grid's axes, must be strictly increasing; they, ``level`` and ``mu`` are
-    checked as :func:`recover_generator` checks them, before any price is asked.
+    grid's axes, must be nonempty and strictly increasing; they, ``level`` and
+    ``mu`` are checked as :func:`recover_generator` checks them, before any
+    price is asked.
     """
     lat = _own_lattice(mech, lattice)
     mu = _declared_mu(mech)
     _count("samples", samples)
     for name, axis in (("ys", ys), ("zs", zs)):
         axis = [float(v) for v in axis]
+        if not axis:
+            raise InvalidParams(f"{name} must hold at least one value")
         if not all(b > a for a, b in zip(axis, axis[1:])):
             raise InvalidParams(f"{name} must be strictly increasing, got {axis}")
     if level is None:
@@ -833,7 +869,7 @@ def verify_main_theorem(
     # both sides price every claim in one price_surfaces batch, the rebuilt
     # side in one kept-surface kernel pass; each row is bitwise its own surface
     n = lat.n_steps
-    rows = np.array([random_claim(rng).values(lat, n) for _ in range(samples)])
+    rows = _claim_rows(lat, n, [_draw_claim(rng) for _ in range(samples)])
     blackbox = mech.price_surfaces(n, rows)
     rebuilt = as_mechanism(recovered.to_generator(), lat).price_surfaces(n, rows)
     worst = _max_gap(blackbox, rebuilt)

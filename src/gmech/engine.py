@@ -117,6 +117,36 @@ def make_underlying_map(s0: float, sigma: float, horizon: float, drift: float = 
     return terminal_price
 
 
+def _draw_claim(rng, bound: float = 1.0, slope: float = 1.0) -> tuple:
+    """The parameters ``(knots, w, const, bound)`` of a :func:`random_claim`,
+    drawn from ``rng`` in its order."""
+    knots = rng.uniform(-2.0, 2.0, size=3)
+    w = rng.normal(size=4)
+    w *= slope / max(float(np.abs(w).sum()), 1e-12)
+    const = float(rng.uniform(-0.5 * bound, 0.5 * bound))
+    return knots, w, const, bound
+
+
+def _claim_payoff(b, knots, w, const, bound):
+    """The payoff of :func:`random_claim` at walk values ``b``.  With ``(3, k, 1)``
+    knots, ``(4, k, 1)`` weights and ``(k, 1)`` const and bound it is ``k``
+    claims' payoffs, one row each, every entry formed in the one claim's order."""
+    out = const + w[0] * b
+    for k in range(3):
+        out = out + w[k + 1] * (np.abs(b - knots[k]) - abs(knots[k]))
+    return np.clip(out, -bound, bound)
+
+
+def _claim_rows(lattice: Lattice, step: int, params: Sequence[tuple]) -> np.ndarray:
+    """The ``(k, step + 1)`` node values of ``k`` random claims given by their
+    :func:`_draw_claim` parameters: row ``i`` is bitwise claim ``i``'s ``values``."""
+    knots, w, const, bound = (np.array(p, dtype=float) for p in zip(*params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _claim_payoff(lattice.node_values(step), knots.T[..., None], w.T[..., None],
+                             const[:, None], bound[:, None])
+    return _check_finite(rows, step, "claim 'random'")
+
+
 def random_claim(rng, bound: float = 1.0, slope: float = 1.0) -> TerminalClaim:
     """Random bounded piecewise-linear payoff of the terminal walk value.
 
@@ -124,19 +154,9 @@ def random_claim(rng, bound: float = 1.0, slope: float = 1.0) -> TerminalClaim:
     ``[-bound, bound]`` and has total slope at most ``slope``; clipping
     preserves the Lipschitz bound.
     """
-    knots = rng.uniform(-2.0, 2.0, size=3)
-    w = rng.normal(size=4)
-    w *= slope / max(float(np.sum(np.abs(w))), 1e-12)
-    const = float(rng.uniform(-0.5 * bound, 0.5 * bound))
-
-    def payoff(b):
-        b = np.asarray(b, dtype=float)
-        out = const + w[0] * b
-        for k in range(3):
-            out = out + w[k + 1] * (np.abs(b - knots[k]) - abs(knots[k]))
-        return np.clip(out, -bound, bound)
-
-    return TerminalClaim(payoff, name="random")
+    params = _draw_claim(rng, bound, slope)
+    return TerminalClaim(lambda b: _claim_payoff(np.asarray(b, dtype=float), *params),
+                         name="random")
 
 
 class DividendStream:

@@ -11,6 +11,7 @@ inf raises :class:`~gmech.errors.NonFiniteValue` naming its ``t``, ``y`` and ``z
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Callable, Optional
 
@@ -100,7 +101,12 @@ def _declared(name: str, value) -> float:
 
 
 def _count(name: str, value) -> None:
-    """Raise :class:`InvalidParams` if the count ``value`` is below 1."""
+    """Raise :class:`InvalidParams` unless the count ``value`` is an integer
+    (``operator.index`` takes it, as it takes numpy's) of at least 1."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"{name} must be an integer >= 1") from None
     if value < 1:
         raise InvalidParams(f"{name} must be >= 1")
 

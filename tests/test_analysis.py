@@ -32,6 +32,7 @@ from gmech import (
     build_probe_path,
     check_domination,
     claim_from_values,
+    classify_generator,
     doob_meyer,
     domination_generator,
     infinitesimal_probe,
@@ -42,6 +43,7 @@ from gmech import (
     represent,
     solve_bsde,
     solve_terminal_batch,
+    verify_lipschitz,
     verify_main_theorem,
     z_probe,
     zero_generator,
@@ -1332,6 +1334,29 @@ BAD_ARGUMENTS = {
     "verify_main_theorem_repeated_zs": (
         lambda mech, lat: verify_main_theorem(mech, lat, samples=4, level=4, zs=(0, 0)),
         InvalidParams, r"zs must be strictly increasing, got \[0\.0, 0\.0\]"),
+    "verify_main_theorem_no_ys": (
+        lambda mech, lat: verify_main_theorem(mech, lat, samples=4, level=4, ys=()),
+        InvalidParams, "ys must hold at least one value"),
+    "verify_main_theorem_no_zs": (
+        lambda mech, lat: verify_main_theorem(mech, lat, samples=4, level=4, zs=[]),
+        InvalidParams, "zs must hold at least one value"),
+    # a count that is not an integer, also a float numpy scalar, is named
+    "axiom_suite_fractional_samples": (lambda mech, lat: axiom_suite(mech, lat, samples=2.5),
+                                       InvalidParams, "samples must be an integer >= 1"),
+    "axiom_suite_numpy_float_samples": (
+        lambda mech, lat: axiom_suite(mech, lat, samples=np.float64(3.0)),
+        InvalidParams, "samples must be an integer >= 1"),
+    "verify_main_theorem_fractional_samples": (
+        lambda mech, lat: verify_main_theorem(mech, lat, samples=2.5, level=4),
+        InvalidParams, "samples must be an integer >= 1"),
+    "classify_generator_fractional_samples": (
+        lambda mech, lat: classify_generator(abs_z_generator(0.3), 2.5),
+        InvalidParams, "samples must be an integer >= 1"),
+    "verify_lipschitz_fractional_samples": (
+        lambda mech, lat: verify_lipschitz(abs_z_generator(0.3), np.float64(3.0)),
+        InvalidParams, "samples must be an integer >= 1"),
+    "infinitesimal_probe_fractional_steps": (lambda mech, lat: _probe(mech, eps_steps=2.5),
+                                             InvalidParams, "eps_steps must be an integer >= 1"),
     "handle_nan_mu": (lambda mech, lat: MechanismHandle(lat, mech.price_at, mu=float("nan")),
                       InvalidParams, "mu must be finite, got nan"),
     "handle_inf_mu": (lambda mech, lat: MechanismHandle(lat, mech.price_at, mu=float("inf")),
@@ -1384,6 +1409,15 @@ def test_bad_argument_is_named(name, lat16):
     call, error, message = BAD_ARGUMENTS[name]
     with pytest.raises(error, match=rf"^{message}$"):
         call(as_mechanism(abs_z_generator(0.3), lat16), lat16)
+
+
+def test_a_numpy_integer_count_is_a_count(lat16):
+    mech = as_mechanism(abs_z_generator(0.3), lat16)
+    assert (axiom_suite(mech, lat16, samples=np.int64(3), seed=2).as_dict()
+            == axiom_suite(mech, lat16, samples=3, seed=2).as_dict())
+    g = abs_z_generator(0.3)
+    assert verify_lipschitz(g, np.int32(5)) == verify_lipschitz(g, 5)
+    assert classify_generator(g, np.uint8(5)) == classify_generator(g, 5)
 
 
 @pytest.mark.parametrize("name", ["mu", "lattice"])
@@ -1481,6 +1515,24 @@ class TestVerifyMainTheorem:
         with pytest.raises(error, match=rf"^{message}$"):
             verify_main_theorem(MechanismHandle(lat, price_at, mu=mu), lat, samples=4,
                                 level=level)
+        assert calls == []
+
+    @pytest.mark.parametrize("axis", ["ys", "zs"])
+    @pytest.mark.parametrize("steps", [8, 16])
+    def test_empty_axis_raises_before_any_price(self, axis, steps):
+        # an empty axis is named before the law suite and the domination legs
+        # ask the black box for any price
+        lat = build_lattice(build_grid(0.0, 1.0, steps))
+        base = as_mechanism(zero_generator(), lat)
+        calls = []
+
+        def price_at(s, t, claim, dividends=None):
+            calls.append((s, t))
+            return base.price_at(s, t, claim, dividends)
+
+        with pytest.raises(InvalidParams, match=rf"^{axis} must hold at least one value$"):
+            verify_main_theorem(MechanismHandle(lat, price_at, mu=0.3), lat, samples=4,
+                                level=2, **{axis: ()})
         assert calls == []
 
     def test_undominated_black_box_fails_domination(self, lat16):

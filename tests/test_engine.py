@@ -39,7 +39,8 @@ from gmech import (
 )
 
 from gmech.engine import (
-    PICARD_CAP, PICARD_TOL, PICARD_ULPS, _backward, _payout_gap, require_monotone,
+    PICARD_CAP, PICARD_TOL, PICARD_ULPS, _backward, _claim_rows, _draw_claim, _payout_gap,
+    require_monotone,
 )
 from gmech.lattice import AdaptedProcess, one_step_mz
 from gmech.market import bs_call, bs_put
@@ -1209,6 +1210,23 @@ def test_random_claim_is_the_test_mirror(lat8):
                 assert (lib.values(lat8, i).tobytes()
                         == mirror.values(lat8, i).tobytes()), (seed, bound, slope, i)
             assert rng_lib.random() == rng_mirror.random()
+
+
+def test_random_claim_and_the_batched_rows_share_one_payoff(lat8):
+    # the law suite draws claim parameters and evaluates every claim of one
+    # maturity in one pass, bounds mixed: each row is bitwise the claim's own
+    # values from the same stream
+    shapes = ((1.0, 1.0), (0.5, 0.5), (1.0, 1.0))
+    for seed in range(30):
+        rng_claim, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        claims = [random_claim(rng_claim, bound, slope) for bound, slope in shapes]
+        params = [_draw_claim(rng_rows, bound, slope) for bound, slope in shapes]
+        for i in (0, 1, 2, 5, 8):
+            rows = _claim_rows(lat8, i, params)
+            assert rows.shape == (3, i + 1)
+            for row, claim in zip(rows, claims):
+                assert row.tobytes() == claim.values(lat8, i).tobytes(), (seed, i)
+        assert rng_claim.random() == rng_rows.random()
 
 
 def test_claim_from_values_needs_one_value_per_node(lat8):

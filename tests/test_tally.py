@@ -240,16 +240,43 @@ def _constant_box(lattice):
     return MechanismHandle(lattice, lambda s, t, c, d=None: np.ones(s + 1), mu=0.0)
 
 
-def _black_boxes():
-    lat4 = build_lattice(build_grid(0.0, 1.0, 4))
-    lat8 = build_lattice(build_grid(0.0, 1.0, 8))
-    base = as_mechanism(domination_generator(0.3), lat8)
-    boxes = [(as_mechanism(g, lat8), lat8) for g in LAWFUL]
-    # mu sqrt(dt) = 1.5: the one-step map decreases in a child value
-    boxes.append((as_mechanism(abs_z_generator(3.0), lat4), lat4))
-    boxes.append((_peeker(base), lat8))
-    boxes.append((_constant_box(lat8), lat8))
+def _black_boxes(steps=8):
+    half = build_lattice(build_grid(0.0, 1.0, steps // 2))
+    lat = build_lattice(build_grid(0.0, 1.0, steps))
+    base = as_mechanism(domination_generator(0.3), lat)
+    boxes = [(as_mechanism(g, lat), lat) for g in LAWFUL]
+    # mu sqrt(dt) = 1.5 at 4 steps: the one-step map decreases in a child value
+    boxes.append((as_mechanism(abs_z_generator(3.0), half), half))
+    boxes.append((_peeker(base), lat))
+    boxes.append((_constant_box(lat), lat))
     return boxes
+
+
+def _price_at_only(mech):
+    """The handle as a black box, whose ``price_rows`` calls ``price_at`` row by row."""
+    return MechanismHandle(mech.lattice, mech.price_at, mu=mech.mu)
+
+
+def _wave_calls(n, samples, seed):
+    """The ``(s, t)`` of every ``price_at`` call the suite asks of a black box on
+    ``n`` steps: per wave, each distinct ``(s, t)`` in order of first use, once
+    per row; the draws are the reference loop's."""
+    rng = np.random.default_rng(seed)
+    legs, nested = {}, {}
+    for _ in range(samples):
+        t = int(rng.integers(2, n + 1))
+        s = int(rng.integers(1, t))
+        r = int(rng.integers(0, s))
+        random_claim(rng), random_claim(rng, bound=0.5, slope=0.5)
+        event = rng.random(s + 1) < 0.5
+        if not event.any():
+            event[int(rng.integers(0, s + 1))] = True
+        rng.normal(size=t + 1)
+        random_claim(rng)
+        for key, rows in (((s, t), 5 if event.all() else 7), ((t, t), 1), ((r, t), 1)):
+            legs[key] = legs.get(key, 0) + rows
+        nested[(r, s)] = nested.get((r, s), 0) + 1
+    return [key for wave in (legs, nested) for key, rows in wave.items() for _ in range(rows)]
 
 
 # -- tests ----------------------------------------------------------------------
@@ -279,15 +306,41 @@ def test_lipschitz_matches_the_worst_ratio_loop(g):
 
 @pytest.mark.parametrize("case", range(len(LAWFUL) + 3))
 def test_axiom_suite_matches_the_per_law_loop(case):
-    mech, lat = _black_boxes()[case]
-    for seed, samples in ((0, 1), (13, 40)):
-        report = axiom_suite(mech, lat, samples=samples, seed=seed)
-        want = _reference_axioms(mech, lat, samples, seed)
-        assert repr(report.checks()) == repr(want)
-        assert json.dumps(report.as_dict()) == json.dumps(
-            {c.name: {"passed": c.passed, "samples": c.samples, "failures": c.failures,
-                      "worst_margin": c.worst_margin, "witness": c.witness}
-             for c in want})
+    # the suite evaluates claims per maturity and reduces each law per (s, t)
+    # group; at 8 steps also at the bench's shape (200 samples, three seeds
+    # through the handle, one through its price_at alone), and at 16 and 64
+    # steps; a failing box's witnesses match bit for bit (repr round-trips)
+    for steps, runs, blind_runs in (
+            (8, ((0, 1), (13, 40), (3, 200), (5, 200), (7, 200)), ((0, 1), (13, 40), (5, 200))),
+            (16, ((2, 24),), ((2, 24),)), (64, ((4, 8),), ((4, 8),))):
+        mech, lat = _black_boxes(steps)[case]
+        for handle, seeds in ((mech, runs), (_price_at_only(mech), blind_runs)):
+            for seed, samples in seeds:
+                report = axiom_suite(handle, lat, samples=samples, seed=seed)
+                want = _reference_axioms(handle, lat, samples, seed)
+                assert repr(report.checks()) == repr(want), (steps, seed)
+                assert json.dumps(report.as_dict()) == json.dumps(
+                    {c.name: {"passed": c.passed, "samples": c.samples, "failures": c.failures,
+                              "worst_margin": c.worst_margin, "witness": c.witness}
+                     for c in want})
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_a_black_box_sees_one_call_per_row_in_two_waves(seed):
+    # one price_rows call per distinct (s, t) in each wave, rows in sample
+    # order: 1,950 price_at calls at seed 7, the sample-by-sample row build's count
+    lat = build_lattice(build_grid(0.0, 1.0, 8))
+    base = as_mechanism(domination_generator(0.5), lat)
+    calls = []
+
+    def price_at(s, t, claim, dividends=None):
+        calls.append((s, t))
+        return base.price_at(s, t, claim, dividends)
+
+    axiom_suite(MechanismHandle(lat, price_at, mu=0.5), lat, samples=200, seed=seed)
+    assert calls == _wave_calls(8, 200, seed)
+    if seed == 7:
+        assert len(calls) == 1950
 
 
 def test_a_tie_keeps_the_first_sample():
