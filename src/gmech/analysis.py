@@ -36,7 +36,7 @@ from .errors import (
     NotSupermartingale,
     StepOutOfRange,
 )
-from .generators import Generator, _count, _tallies, _witnessed
+from .generators import Generator, _count, _integer, _seed, _tallies, _witnessed
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 from .engine import (
     PICARD_TOL,
@@ -161,6 +161,7 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
     """
     lattice = _own_lattice(mech, lattice)
     _count("samples", samples)
+    _seed(seed)
     rng = np.random.default_rng(seed)
     n = lattice.n_steps
     if n < 3:
@@ -438,7 +439,7 @@ def pairwise_representation_gap(a: RepresentationResult, b: RepresentationResult
 
 def _anchor_node(t_step: int) -> int:
     """A lone probe's anchor: the middle step-``t_step`` node."""
-    if t_step < 0:
+    if _integer("t_step", t_step) < 0:
         raise StepOutOfRange(f"probe step {t_step} is negative")
     return t_step // 2
 
@@ -739,7 +740,7 @@ def grid_points(ys, zs) -> list:
 def _dyadic_stride(level: int, lattice: Lattice) -> int:
     """Steps between the dyadic times ``i T / 2^level``; raises :class:`InvalidParams`
     unless ``level >= 0`` and ``2^level`` divides the lattice's step count."""
-    if level < 0:
+    if _integer("level", level) < 0:
         raise InvalidParams(f"level must be >= 0, got {level}")
     if lattice.n_steps % (1 << level) != 0:
         raise InvalidParams(f"lattice step count {lattice.n_steps} is not divisible by 2^{level}")
@@ -843,6 +844,7 @@ def verify_main_theorem(
     lat = _own_lattice(mech, lattice)
     mu = _declared_mu(mech)
     _count("samples", samples)
+    _seed(seed)
     for name, axis in (("ys", ys), ("zs", zs)):
         axis = [float(v) for v in axis]
         if not axis:

@@ -52,7 +52,8 @@ from .errors import (
     SchemeNotMonotone,
     StepOutOfRange,
 )
-from .generators import _LIPSCHITZ_SLACK, Generator, _declared, _finite, domination_generator
+from .generators import (_LIPSCHITZ_SLACK, Generator, _declared, _finite, _integer,
+                         domination_generator)
 from .lattice import AdaptedProcess, Lattice, _worst_node, one_step_mz
 
 PICARD_TOL = 1e-12
@@ -251,14 +252,17 @@ def _same_lattice(lattice: Lattice, own: Lattice, owner: str, what: str = "latti
         raise InvalidParams(f"{what} {lattice.grid} is not the {owner} lattice {own.grid}")
 
 
-def _check_steps(s_step: int, t_step: int, lattice: Lattice, *streams) -> None:
-    """Raise unless ``0 <= s <= t <= n`` and each payout stream (or ``None``)
-    is built on ``lattice``: its increments are amounts per step of its ``dt``."""
+def _check_steps(s_step: int, t_step: int, lattice: Lattice, *streams) -> tuple:
+    """The steps as ints; raises unless they are integers, ``0 <= s <= t <= n``,
+    and each payout stream (or ``None``) is built on ``lattice``: its
+    increments are amounts per step of its ``dt``."""
+    s_step, t_step = _integer("s_step", s_step), _integer("t_step", t_step)
     if not 0 <= s_step <= t_step <= lattice.n_steps:
         raise BadStepOrder(f"need 0 <= s={s_step} <= t={t_step} <= {lattice.n_steps}")
     for d in streams:
         if d is not None:
             _same_lattice(d.lattice, lattice, "pricing", what="dividend stream lattice")
+    return s_step, t_step
 
 
 def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
@@ -445,7 +449,7 @@ def solve_bsde(
 ) -> PricingResult:
     """Backward-solve the claim plus dividend stream from ``t_step`` to ``s_step``."""
     n = lattice.n_steps if t_step is None else t_step
-    _check_steps(s_step, n, lattice, dividends)
+    s_step, n = _check_steps(s_step, n, lattice, dividends)
     y_slices, iters, resid = _backward(
         g, claim.values(lattice, n), lattice, n, s_step, dividends, keep_surface=True)
     return PricingResult(y=AdaptedProcess(lattice, s_step, y_slices),
@@ -496,12 +500,13 @@ class MechanismHandle:
     unknown; it and ``lattice`` are read-only, fixed where the handle is
     built.  :meth:`price_rows` and :meth:`price_surface` call ``price_at``
     once per row or step, and :meth:`price_surfaces` prices one surface per
-    row.  Every price is checked for shape and finiteness, so a NaN or inf
-    raises :class:`NonFiniteValue` instead of becoming a result; a batch is
-    checked for NaN and inf once it is whole, so its witness names the row.
-    No result shares memory with the input rows, and each black-box answer
-    is copied as it arrives, so a black box that writes every answer into
-    one buffer is judged on the answers it gave, not on the buffer's last.
+    row.  ``price_at`` is called in one place, ``_answer``, which checks
+    each answer's shape and copies it as it arrives, so a black box that
+    writes every answer into one buffer is judged on the answers it gave, not
+    on the buffer's last.  Every step's prices are checked for NaN and inf,
+    which raise :class:`NonFiniteValue` instead of becoming a result; a batch
+    is checked once it is whole, so its witness names the row.  No result
+    shares memory with the input rows.
 
     :func:`as_mechanism` overrides only the hooks ``_answer``, ``_batch`` and
     ``_surface``, whose results are arrays of their own, and its ``price_at``
@@ -525,9 +530,9 @@ class MechanismHandle:
 
     def price_at(self, s_step: int, t_step: int, claim: TerminalClaim,
                  dividends: Optional[DividendStream] = None) -> np.ndarray:
-        _check_steps(s_step, t_step, self.lattice, dividends)
-        return _checked_prices(self._answer(s_step, t_step, claim, dividends),
-                               (s_step + 1,), s_step)
+        s_step, t_step = _check_steps(s_step, t_step, self.lattice, dividends)
+        return _check_finite(self._answer(s_step, t_step, claim, dividends), s_step,
+                             "mechanism price")
 
     def price_rows(self, s_step: int, t_step: int, rows,
                    dividends: Optional[DividendStream] = None) -> np.ndarray:
@@ -540,7 +545,7 @@ class MechanismHandle:
     def price_surface(self, t_step: int, claim: TerminalClaim,
                       dividends: Optional[DividendStream] = None) -> AdaptedProcess:
         """Prices at every step 0..t_step."""
-        _check_steps(0, t_step, self.lattice, dividends)
+        t_step = _check_steps(0, t_step, self.lattice, dividends)[1]
         return self._surface(t_step, claim, dividends)
 
     def price_surfaces(self, t_step: int, rows,
@@ -552,33 +557,35 @@ class MechanismHandle:
         return self._checked_batch(0, t_step, rows, dividends, keep_surface=True)
 
     def _checked_batch(self, s_step, t_step, rows, dividends, keep_surface):
-        _check_steps(s_step, t_step, self.lattice, dividends)
+        s_step, t_step = _check_steps(s_step, t_step, self.lattice, dividends)
         rows = _terminal_rows(rows, t_step)
-        return [_checked_prices(v, (rows.shape[0], i + 1), i) for i, v in
+        return [_check_finite(v, i, "mechanism price") for i, v in
                 enumerate(self._batch(s_step, t_step, rows, dividends, keep_surface), s_step)]
 
     def _answer(self, s_step, t_step, claim, dividends):
-        # the black box's answer, copied as it arrives: a buffer it reuses
-        # cannot change a price already checked
-        return np.array(self._price_at(s_step, t_step, claim, dividends), dtype=float)
+        # the one call of the black box; its answer is copied as it arrives, so
+        # a buffer it reuses cannot change a price already checked
+        vals = np.array(self._price_at(s_step, t_step, claim, dividends), dtype=float)
+        if vals.shape != (s_step + 1,):
+            raise StepOutOfRange(f"mechanism returned shape {vals.shape} at step {s_step}, "
+                                 f"expected {(s_step + 1,)}")
+        return vals
 
     def _batch(self, s_step, t_step, rows, dividends, keep_surface):
-        # one price_at call per row and kept step, row by row, each answer
-        # copied into its batch as it arrives; the public methods check each
-        # step's batch for NaN and inf, so a witness names the row
+        # one answer per row and kept step, row by row; the public methods check
+        # each step's batch for NaN and inf, so a witness names the row
         steps = range(s_step, t_step + 1) if keep_surface else (s_step,)
         out = [np.empty((len(rows), s + 1)) for s in steps]
         for r, row in enumerate(rows):
             claim = claim_from_values(self.lattice, t_step, row)
             for prices, s in zip(out, steps):
-                prices[r] = _checked_prices(self._price_at(s, t_step, claim, dividends),
-                                            (s + 1,), s, finite=False)
+                prices[r] = self._answer(s, t_step, claim, dividends)
         return out
 
     def _surface(self, t_step, claim, dividends):
-        # one price_at call per step
+        # one answer per step
         return AdaptedProcess(self.lattice, 0, [
-            _checked_prices(self._answer(s, t_step, claim, dividends), (s + 1,), s)
+            _check_finite(self._answer(s, t_step, claim, dividends), s, "mechanism price")
             for s in range(t_step + 1)])
 
 
@@ -605,16 +612,6 @@ def _float_array(values, need: str) -> np.ndarray:
         except ValueError:
             raise StepOutOfRange(f"{need}, got a ragged sequence") from None
         raise
-
-
-def _checked_prices(values, shape: tuple, step: int, finite: bool = True) -> np.ndarray:
-    """A black box's step-``step`` prices as floats; raises unless they have
-    ``shape`` and, if ``finite``, no NaN or inf, naming its step, row and node."""
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != shape:
-        raise StepOutOfRange(f"mechanism returned shape {vals.shape} at step {step}, "
-                             f"expected {shape}")
-    return _check_finite(vals, step, "mechanism price") if finite else vals
 
 
 def _own_lattice(mech: MechanismHandle, lattice: Optional[Lattice]) -> Lattice:
@@ -714,9 +711,10 @@ def check_domination(
     """Check that the mechanism's price spread is capped by the mu-driver price.
 
     At every node of every step the spread ``mech(A) - mech(B)`` must not
-    exceed the extremal-driver price of the difference claim (with the
-    difference payout stream) by more than ``PRICE_TOL``; the worst margin
-    ``cap - spread`` is reported.  ``lattice`` is the handle's own or ``None``.
+    exceed the extremal-driver price of the two claims' terminal node values'
+    difference (with the difference payout stream) by more than ``PRICE_TOL``;
+    the worst margin ``cap - spread`` is reported.  ``lattice`` is the
+    handle's own or ``None``.
     """
     lattice = _own_lattice(mech, lattice)
     require_monotone(mu, lattice)
@@ -724,13 +722,11 @@ def check_domination(
     sa = mech.price_surface(n, claim_a, dividends_a)
     sb = mech.price_surface(n, claim_b, dividends_b)
 
-    diff_claim = TerminalClaim(
-        lambda b: np.asarray(claim_a.payoff(b), dtype=float)
-        - np.asarray(claim_b.payoff(b), dtype=float),
-        name="difference",
-    )
-    cap = solve_bsde(domination_generator(mu), diff_claim,
-                     _payout_gap(dividends_a, dividends_b, lattice), lattice).y
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = claim_a.values(lattice, n) - claim_b.values(lattice, n)
+    cap = solve_bsde(domination_generator(mu), claim_from_values(
+        lattice, n, _check_finite(diff, n, "claim 'difference'")),
+        _payout_gap(dividends_a, dividends_b, lattice), lattice).y
 
     worst_margin, worst_node = _worst_node(c - (a - b) for c, a, b in zip(
         cap.slices, sa.slices, sb.slices, strict=True))

@@ -100,15 +100,29 @@ def _declared(name: str, value) -> float:
     return value
 
 
+def _integer(name: str, value, message: Optional[str] = None) -> int:
+    """``value`` as an int if it is an integer that is no bool (``operator.index``
+    takes it, as it takes numpy's); else :class:`InvalidParams` with ``message``,
+    by default "{name} must be an integer, got {value}"."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParams(message or f"{name} must be an integer, got {value}")
+
+
 def _count(name: str, value) -> None:
-    """Raise :class:`InvalidParams` unless the count ``value`` is an integer
-    (``operator.index`` takes it, as it takes numpy's) of at least 1."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise InvalidParams(f"{name} must be an integer >= 1") from None
-    if value < 1:
+    """Raise :class:`InvalidParams` unless the count ``value`` is an integer of at least 1."""
+    if _integer(name, value, f"{name} must be an integer >= 1") < 1:
         raise InvalidParams(f"{name} must be >= 1")
+
+
+def _seed(seed) -> None:
+    """Raise :class:`InvalidParams` unless ``seed`` is an integer of at least 0."""
+    message = f"seed must be an integer >= 0, got {seed}"
+    if _integer("seed", seed, message) < 0:
+        raise InvalidParams(message)
 
 
 def _closed_form(a_abs: float, a: float, coef: float, *, abs_z: bool) -> Callable:
@@ -234,17 +248,16 @@ class _Tally:
     ``names`` are the check's witness entries, in order.
     """
 
-    def __init__(self, names=()):
+    def __init__(self, names):
         self.names = names
         self.samples = self.failures = 0
         self.worst, self.key = 0.0, None
 
     def record(self, v, limit, key) -> None:
         self.samples += 1
-        if v > limit:
+        if v > limit:  # every limit is at least 0, so a failure beats the start
             self.failures += 1
-            # the first failure is kept even below 0, where a limit is negative
-            if self.failures == 1 or v > self.worst:
+            if v > self.worst:
                 self.worst, self.key = v, key
 
     def witness(self, named: Callable) -> Optional[dict]:
@@ -304,22 +317,22 @@ def verify_lipschitz(
     not prove the Lipschitz property.
     """
     _count("samples", samples)
+    _seed(seed)
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, 1.0, size=samples)
     y1, z1 = _sample_box(rng, box, samples)
     y2, z2 = _sample_box(rng, box, samples)
 
     # every positive ratio competes for the worst, which is then held to mu
-    tally = _Tally()
-    for k in range(samples):
-        sep = abs(y1[k] - y2[k]) + abs(z1[k] - z2[k])
+    worst, k = 0.0, None
+    for i, (t, y, z, y_2, z_2) in enumerate(zip(ts, y1, z1, y2, z2)):
+        sep = abs(y - y_2) + abs(z - z_2)
         if sep < _MIN_SEPARATION:
             continue
-        g1, g2 = float(g(ts[k], y1[k], z1[k])), float(g(ts[k], y2[k], z2[k]))
-        if not math.isfinite(g1 - g2):  # evaluate the pair again to name the NaN or inf
-            _driver_values(g, ts[k], ((y1[k], z1[k]), (y2[k], z2[k])))
-        tally.record(abs(g1 - g2) / sep, 0.0, k)
-    worst, k = tally.worst, tally.key
+        g1, g2 = _driver_values(g, t, ((y, z), (y_2, z_2)))
+        ratio = abs(g1 - g2) / sep
+        if ratio > worst:
+            worst, k = ratio, i
     ok = worst <= g.mu * (1.0 + _LIPSCHITZ_SLACK)
     witness = None if ok else {
         "t": float(ts[k]),
@@ -369,6 +382,7 @@ def classify_generator(
     ``_LIPSCHITZ_SLACK`` times the scale of the driver values it compares.
     """
     _count("samples", samples)
+    _seed(seed)
     rng = np.random.default_rng(seed)
 
     tallies = _tallies(StructureReport)

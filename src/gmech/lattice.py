@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NonPositiveHorizon, StepOutOfRange, ZeroSteps
+from .generators import _integer
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class TimeGrid:
 
     def time(self, i: int) -> float:
         """Grid time ``t_i``; the last grid time is ``T`` exactly."""
-        if not 0 <= i <= self.n_steps:
+        if not 0 <= _integer("step", i) <= self.n_steps:
             raise StepOutOfRange(f"step {i} outside [0, {self.n_steps}]")
         if i == self.n_steps:
             return float(self.T)
@@ -39,7 +40,7 @@ class TimeGrid:
 
 def build_grid(t0: float, T: float, n_steps: int) -> TimeGrid:
     """Validate and build a uniform time grid."""
-    if n_steps < 1:
+    if _integer("n_steps", n_steps) < 1:
         raise ZeroSteps(f"n_steps must be >= 1, got {n_steps}")
     if not np.isfinite([t0, T]).all():
         raise InvalidParams(f"t0 and T must be finite, got t0={t0}, T={T}")
@@ -73,6 +74,7 @@ class Lattice:
 
     def node_values(self, i: int) -> np.ndarray:
         """Walk values at every node of step ``i``, ordered bottom to top."""
+        i = _integer("step", i)  # a plain int: -i of an unsigned numpy integer wraps
         if not 0 <= i <= self.n_steps:
             raise StepOutOfRange(f"step {i} outside [0, {self.n_steps}]")
         return np.arange(-i, i + 1, 2, dtype=float) * self.sqrt_dt

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .generators import BSMarketParams, _finite, domination_generator
+from .generators import BSMarketParams, _finite, _seed, domination_generator
 from .engine import (
     PRICE_TOL,
     _linear_root,
@@ -178,10 +178,12 @@ def synth_chain(
 
     ``noise`` (finite, >= 0) adds centred gaussian perturbations (clipped at
     zero) for fault-detection experiments; the noiseless chain satisfies
-    put-call parity row by row.  A NaN or inf argument, or strikes that are
-    not finite, > 0 and strictly increasing, raise :class:`InvalidParams`
-    naming them.
+    put-call parity row by row.  A NaN or inf argument, a seed that is not an
+    integer >= 0, or strikes that are not finite, > 0 and strictly
+    increasing, raise :class:`InvalidParams` naming them.
     """
+    if seed is not None:
+        _seed(seed)
     s0, as_of, expiry, noise = (_finite(name, v) for name, v in (
         ("s0", s0), ("as_of", as_of), ("expiry", expiry), ("noise", noise)))
     if s0 <= 0:

@@ -42,10 +42,12 @@ from gmech.engine import PRICE_TOL
 from util import (
     BS_CALL_ATM,
     binomial_expectation,
+    far_node_peeker,
     increasing_stream,
     ordered_claim_pair,
     random_lipschitz_generator,
     random_pwl_claim,
+    shift_at_maturity,
     signed_stream,
     add_streams,
 )
@@ -307,22 +309,6 @@ def test_criterion_09_chain_audit():
            f"{detected}/50, {elapsed:.1f}s (< 60s)")
 
 
-def _shift_at_maturity(base):
-    def price_at(s, t, claim, dividends=None):
-        vals = base.price_at(s, t, claim, dividends)
-        return vals + 1.0 if s == t else vals
-    return MechanismHandle(base.lattice, price_at, mu=base.mu)
-
-
-def _far_node_peeker(base):
-    def price_at(s, t, claim, dividends=None):
-        vals = base.price_at(s, t, claim, dividends)
-        if s == t:
-            return vals
-        return vals + 0.05 * float(claim.values(base.lattice, t)[0])
-    return MechanismHandle(base.lattice, price_at, mu=base.mu)
-
-
 def test_criterion_10_axiom_suite():
     """10 random drivers pass all laws at 200 samples; corrupted wrappers
     fail exactly their target law with a witness."""
@@ -338,7 +324,7 @@ def test_criterion_10_axiom_suite():
     base = as_mechanism(domination_generator(0.3), lat)
     details = []
 
-    rep = axiom_suite(_shift_at_maturity(base), lat, samples=120, seed=11)
+    rep = axiom_suite(shift_at_maturity(base), lat, samples=120, seed=11)
     shift_ok = (not rep.identity.passed and rep.identity.witness is not None
                 and all(c.passed for c in rep.checks() if c.name != "identity"))
     details.append(f"maturity-shift isolates identity={shift_ok}")
@@ -352,7 +338,7 @@ def test_criterion_10_axiom_suite():
                        if c.name != "monotonicity"))
     details.append(f"non-monotone scheme isolates monotonicity={mono_ok}")
 
-    rep = axiom_suite(_far_node_peeker(base), lat, samples=120, seed=13)
+    rep = axiom_suite(far_node_peeker(base), lat, samples=120, seed=13)
     peek_ok = (not rep.locality.passed and rep.locality.witness is not None
                and rep.monotonicity.passed and rep.identity.passed
                and rep.zero_preservation.passed)

@@ -43,6 +43,7 @@ from gmech import (
     represent,
     solve_bsde,
     solve_terminal_batch,
+    synth_chain,
     verify_lipschitz,
     verify_main_theorem,
     z_probe,
@@ -55,10 +56,13 @@ from gmech.lattice import _max_gap, one_step_mz
 
 from util import (
     add_streams,
+    far_node_peeker,
     increasing_stream,
     paste,
+    price_at_only,
     random_lipschitz_generator,
     random_pwl_claim,
+    shift_at_maturity,
     signed_stream,
 )
 
@@ -143,26 +147,6 @@ class TestAxiomSuite:
             axiom_suite(MechanismHandle(lat8, price_at, mu=0.3), lat8, samples=40, seed=3)
 
 
-def _shift_at_maturity(base):
-    """Corruption: +1 only when pricing at the claim's own maturity."""
-    def price_at(s, t, claim, dividends=None):
-        vals = base.price_at(s, t, claim, dividends)
-        return vals + 1.0 if s == t else vals
-    return MechanismHandle(base.lattice, price_at, mu=base.mu)
-
-
-def _far_node_peeker(base):
-    """Corruption: every price leans on the claim's value at the lowest
-    terminal node, inside or outside the pricing node's cone."""
-    def price_at(s, t, claim, dividends=None):
-        vals = base.price_at(s, t, claim, dividends)
-        if s == t:
-            return vals
-        peek = float(claim.values(base.lattice, t)[0])
-        return vals + 0.05 * peek
-    return MechanismHandle(base.lattice, price_at, mu=base.mu)
-
-
 def _linear_black_box(lat, up, down, reuse):
     """Backward induction of the one-step map ``up * upper child + down *
     lower child``, answering with fresh arrays or, if ``reuse``, with views
@@ -184,7 +168,7 @@ def _linear_black_box(lat, up, down, reuse):
 class TestCorruptedWrappers:
     def test_maturity_shift_fails_identity_only(self, lat8):
         base = as_mechanism(domination_generator(0.3), lat8)
-        report = axiom_suite(_shift_at_maturity(base), lat8, samples=60, seed=3)
+        report = axiom_suite(shift_at_maturity(base), lat8, samples=60, seed=3)
         assert not report.identity.passed
         assert report.identity.witness is not None
         for law in (report.monotonicity, report.time_consistency,
@@ -218,7 +202,7 @@ class TestCorruptedWrappers:
 
     def test_peeker_fails_locality_with_witness(self, lat8):
         base = as_mechanism(domination_generator(0.3), lat8)
-        report = axiom_suite(_far_node_peeker(base), lat8, samples=60, seed=5)
+        report = axiom_suite(far_node_peeker(base), lat8, samples=60, seed=5)
         assert not report.locality.passed
         assert report.locality.witness is not None
         # the corruption is order- and zero-preserving and maturity-exact
@@ -1401,6 +1385,72 @@ BAD_ARGUMENTS = {
     "price_rows_wrong_width": (
         lambda mech, lat: mech.price_rows(0, 16, np.zeros((2, 16))),
         StepOutOfRange, r"rows must have 17 entries, got shape \(2, 16\)"),
+    # a step, level or count index must be an integer that is no bool
+    "price_at_fractional_step": (lambda mech, lat: mech.price_at(1.5, 4, WALK),
+                                 InvalidParams, "s_step must be an integer, got 1.5"),
+    "price_rows_fractional_step": (lambda mech, lat: mech.price_rows(1.5, 4, np.zeros((1, 5))),
+                                   InvalidParams, "s_step must be an integer, got 1.5"),
+    "price_surface_float_step": (lambda mech, lat: mech.price_surface(2.0, WALK),
+                                 InvalidParams, "t_step must be an integer, got 2.0"),
+    "price_surfaces_bool_step": (lambda mech, lat: mech.price_surfaces(True, np.zeros((1, 2))),
+                                 InvalidParams, "t_step must be an integer, got True"),
+    "solve_bsde_fractional_step": (
+        lambda mech, lat: solve_bsde(abs_z_generator(0.3), WALK, None, lat, t_step=3.5),
+        InvalidParams, "t_step must be an integer, got 3.5"),
+    "grid_time_fractional_step": (lambda mech, lat: lat.grid.time(2.5),
+                                  InvalidParams, "step must be an integer, got 2.5"),
+    "node_values_fractional_step": (lambda mech, lat: lat.node_values(1.5),
+                                    InvalidParams, "step must be an integer, got 1.5"),
+    "claim_values_numpy_bool_step": (lambda mech, lat: WALK.values(lat, np.True_),
+                                     InvalidParams, "step must be an integer, got True"),
+    "build_grid_fractional_steps": (lambda mech, lat: build_grid(0.0, 1.0, 2.7),
+                                    InvalidParams, "n_steps must be an integer, got 2.7"),
+    "recover_generator_float_level": (
+        lambda mech, lat: recover_generator(mech, 1.0, [(0.0, 1.0)], lat),
+        InvalidParams, "level must be an integer, got 1.0"),
+    "recover_generator_bool_level": (
+        lambda mech, lat: recover_generator(mech, True, [(0.0, 1.0)], lat),
+        InvalidParams, "level must be an integer, got True"),
+    "verify_main_theorem_bool_level": (
+        lambda mech, lat: verify_main_theorem(mech, lat, samples=4, level=True),
+        InvalidParams, "level must be an integer, got True"),
+    "axiom_suite_bool_samples": (lambda mech, lat: axiom_suite(mech, lat, samples=True),
+                                 InvalidParams, "samples must be an integer >= 1"),
+    "verify_lipschitz_bool_samples": (
+        lambda mech, lat: verify_lipschitz(abs_z_generator(0.3), True),
+        InvalidParams, "samples must be an integer >= 1"),
+    "classify_generator_numpy_bool_samples": (
+        lambda mech, lat: classify_generator(abs_z_generator(0.3), np.True_),
+        InvalidParams, "samples must be an integer >= 1"),
+    "infinitesimal_probe_bool_steps": (lambda mech, lat: _probe(mech, eps_steps=True),
+                                       InvalidParams, "eps_steps must be an integer >= 1"),
+    "infinitesimal_probe_fractional_step": (
+        lambda mech, lat: _probe(mech, eps_steps=2, t_step=1.5),
+        InvalidParams, "t_step must be an integer, got 1.5"),
+    "build_probe_path_fractional_step": (
+        lambda mech, lat: build_probe_path(lat, 2.5, 0.0, 1.0, 0.3),
+        InvalidParams, "t_step must be an integer, got 2.5"),
+    "z_probe_fractional_step": (lambda mech, lat: z_probe(mech, 1.0, 2.5, 8),
+                                InvalidParams, "t_step must be an integer, got 2.5"),
+    # a seed must be an integer >= 0
+    "axiom_suite_negative_seed": (lambda mech, lat: axiom_suite(mech, lat, samples=4, seed=-1),
+                                  InvalidParams, "seed must be an integer >= 0, got -1"),
+    "axiom_suite_fractional_seed": (
+        lambda mech, lat: axiom_suite(mech, lat, samples=4, seed=2.5),
+        InvalidParams, r"seed must be an integer >= 0, got 2\.5"),
+    "verify_main_theorem_negative_seed": (
+        lambda mech, lat: verify_main_theorem(mech, lat, samples=4, seed=-1, level=4),
+        InvalidParams, "seed must be an integer >= 0, got -1"),
+    "verify_lipschitz_negative_seed": (
+        lambda mech, lat: verify_lipschitz(abs_z_generator(0.3), 4, seed=-1),
+        InvalidParams, "seed must be an integer >= 0, got -1"),
+    "classify_generator_bool_seed": (
+        lambda mech, lat: classify_generator(abs_z_generator(0.3), 4, seed=True),
+        InvalidParams, "seed must be an integer >= 0, got True"),
+    "synth_chain_negative_seed": (
+        lambda mech, lat: synth_chain(BSMarketParams(r=0.05, b=0.05, sigma=0.2), 100.0,
+                                      [90.0, 110.0], 0.0, 0.25, seed=-1, noise=0.5),
+        InvalidParams, "seed must be an integer >= 0, got -1"),
 }
 
 
@@ -1411,6 +1461,16 @@ def test_bad_argument_is_named(name, lat16):
         call(as_mechanism(abs_z_generator(0.3), lat16), lat16)
 
 
+def test_a_bad_seed_asks_no_price(lat16):
+    # the seed is checked with the other arguments, before the black box is called
+    box, calls = price_at_only(as_mechanism(abs_z_generator(0.3), lat16))
+    for run in (lambda: axiom_suite(box, lat16, samples=4, seed=-1),
+                lambda: verify_main_theorem(box, lat16, samples=4, seed=2.5, level=4)):
+        with pytest.raises(InvalidParams, match="^seed must be an integer >= 0, got "):
+            run()
+    assert calls == []
+
+
 def test_a_numpy_integer_count_is_a_count(lat16):
     mech = as_mechanism(abs_z_generator(0.3), lat16)
     assert (axiom_suite(mech, lat16, samples=np.int64(3), seed=2).as_dict()
@@ -1418,6 +1478,10 @@ def test_a_numpy_integer_count_is_a_count(lat16):
     g = abs_z_generator(0.3)
     assert verify_lipschitz(g, np.int32(5)) == verify_lipschitz(g, 5)
     assert classify_generator(g, np.uint8(5)) == classify_generator(g, 5)
+    # and so is a numpy integer step or seed, also an unsigned one
+    assert (mech.price_rows(np.uint8(2), np.uint8(4), np.ones((1, 5))).tobytes()
+            == mech.price_rows(2, 4, np.ones((1, 5))).tobytes())
+    assert verify_lipschitz(g, 5, seed=np.uint8(3)) == verify_lipschitz(g, 5, seed=3)
 
 
 @pytest.mark.parametrize("name", ["mu", "lattice"])

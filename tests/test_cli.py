@@ -499,6 +499,17 @@ class TestAuditAndSynth:
         assert capsys.readouterr().err == f"error: {name} must be finite, got {shown}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--gen", "gmu:0.5", "--seed", "-1"],
+        ["synth", "--noise", "0.5", "--seed", "-1", "--out", "chain.csv"]], ids=["axioms", "synth"])
+    def test_negative_seed_is_named(self, capsys, tmp_path, monkeypatch, argv):
+        # numpy's "expected non-negative integer" exited 2; a bad seed exits 1, as
+        # --samples 0 does, and synth writes no chain
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "chain.csv").exists()
+
     def test_negative_synth_noise_is_named(self, capsys, tmp_path):
         code = main(["synth", "--noise", "-1", "--out", str(tmp_path / "chain.csv")])
         assert code == 1

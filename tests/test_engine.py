@@ -51,6 +51,7 @@ from util import (
     increasing_stream,
     ordered_claim_pair,
     paste,
+    price_at_only,
     random_lipschitz_generator,
     random_pwl_claim,
     sign_flip_check,
@@ -420,21 +421,10 @@ def test_price_rows_matches_price_at(g, lat16):
         assert got.tobytes() == want.tobytes(), (s, t)
 
 
-def _price_at_only(mech):
-    """The same mechanism behind a handle that has ``price_at`` alone."""
-    calls = []
-
-    def price_at(s, t, claim, dividends=None):
-        calls.append((s, t))
-        return mech.price_at(s, t, claim, dividends)
-
-    return MechanismHandle(mech.lattice, price_at, mu=mech.mu), calls
-
-
 def test_price_rows_default_loops_over_price_at(lat8):
     rng = np.random.default_rng(31)
     mech = as_mechanism(random_lipschitz_generator(rng), lat8)
-    plain, calls = _price_at_only(mech)
+    plain, calls = price_at_only(mech)
     for s, t in ((2, 6), (0, 8), (5, 5)):
         rows = rng.uniform(-2.0, 2.0, size=(3, t + 1))
         calls.clear()
@@ -479,10 +469,10 @@ def test_rows_price_at_and_surface_agree_with_dividends(lat16):
     picard = as_mechanism(g, lat16)
     abs_z = as_mechanism(abs_z_generator(0.3), lat16)
     handles = {"picard": picard, "abs_z": abs_z,
-               "picard_price_at_only": _price_at_only(picard)[0],
-               "abs_z_price_at_only": _price_at_only(abs_z)[0],
+               "picard_price_at_only": price_at_only(picard)[0],
+               "abs_z_price_at_only": price_at_only(abs_z)[0],
                "paste": paste([picard, abs_z], [0, 6, 16]),
-               "paste_price_at_only": paste([_price_at_only(picard)[0], abs_z], [0, 6, 16])}
+               "paste_price_at_only": paste([price_at_only(picard)[0], abs_z], [0, 6, 16])}
     drivers = {"picard": g, "abs_z": abs_z_generator(0.3)}
     stream = signed_stream(rng, lat16)
     pairs = [(0, 0), (5, 5), (16, 16), (0, 16), (0, 7), (6, 6), (3, 12)]
@@ -515,8 +505,8 @@ def test_zero_step_rows_do_not_alias_the_input(lat8):
     # no handle result shares memory with its input rows, also at s == t
     rng = np.random.default_rng(39)
     mech = as_mechanism(domination_generator(0.3), lat8)
-    handles = {"driver": mech, "black box": _price_at_only(mech)[0],
-               "paste": paste([mech, _price_at_only(mech)[0]], [0, 4, 8])}
+    handles = {"driver": mech, "black box": price_at_only(mech)[0],
+               "paste": paste([mech, price_at_only(mech)[0]], [0, 4, 8])}
     for name, handle in handles.items():
         for t in (0, 4, 8):
             rows = rng.uniform(-2.0, 2.0, size=(2, t + 1))
@@ -569,7 +559,7 @@ def test_single_claims_build_no_surface(lat16, monkeypatch):
 
 def test_price_rows_validation(lat8):
     mech = as_mechanism(domination_generator(0.3), lat8)
-    for handle in (mech, _price_at_only(mech)[0]):
+    for handle in (mech, price_at_only(mech)[0]):
         with pytest.raises(BadStepOrder):
             handle.price_rows(5, 4, np.zeros((1, 5)))
         with pytest.raises(BadStepOrder):
@@ -594,7 +584,7 @@ def test_price_rows_validation(lat8):
 def test_price_surface_validation(lat8):
     # a black box used to return an empty surface for a negative maturity
     mech = as_mechanism(domination_generator(0.3), lat8)
-    for handle in (mech, _price_at_only(mech)[0]):
+    for handle in (mech, price_at_only(mech)[0]):
         for t in (-1, 9):
             with pytest.raises(BadStepOrder, match=rf"^need 0 <= s=0 <= t={t} <= 8$"):
                 handle.price_surface(t, WALK)
@@ -609,7 +599,7 @@ def test_price_surfaces_match_per_row_surfaces(t, lat16):
     rng = np.random.default_rng(67)
     picard = as_mechanism(random_lipschitz_generator(rng), lat16)
     abs_z = as_mechanism(abs_z_generator(0.3), lat16)
-    plain, calls = _price_at_only(picard)
+    plain, calls = price_at_only(picard)
     handles = {"picard": picard, "abs_z": abs_z, "picard_price_at_only": plain,
                "paste": paste([plain, abs_z], [0, 6, 16])}
     stream = signed_stream(rng, lat16)
@@ -658,6 +648,47 @@ def test_black_box_output_is_checked(lat8):
         short.price_rows(2, 4, np.zeros((1, 5)))
     with pytest.raises(StepOutOfRange, match=r"shape \(0,\) at step 0, expected \(1,\)"):
         short.price_surfaces(4, np.zeros((1, 5)))
+
+
+# each public form of a price_at-only handle on a step-3 rogue: the call, the
+# black-box calls up to the first failing step (wrong shape, NaN) and the NaN's witness
+ROGUE_FORMS = {
+    "price_at": (lambda box, claim, rows: box.price_at(3, 6, claim), (1, 1), "step 3, node 1"),
+    "price_rows": (lambda box, claim, rows: box.price_rows(3, 6, rows), (1, 2),
+                   "step 3, row 1, node 1"),
+    "price_surface": (lambda box, claim, rows: box.price_surface(6, claim), (4, 4),
+                      "step 3, node 1"),
+    "price_surfaces": (lambda box, claim, rows: box.price_surfaces(6, rows), (4, 14),
+                       "step 3, row 1, node 1"),
+}
+
+
+@pytest.mark.parametrize("form", list(ROGUE_FORMS))
+def test_every_form_reads_a_black_box_through_one_check(form, lat8):
+    # a step-3 answer one entry too long, or NaN at node 1 for the claim that
+    # pays 1 everywhere, raises the same text from each form at the same call
+    call, counts, witness = ROGUE_FORMS[form]
+    base = as_mechanism(domination_generator(0.5), lat8)
+    rows = np.stack([np.zeros(7), np.ones(7)])
+    claim = claim_from_values(lat8, 6, rows[1])
+    for (error, message), count in zip(
+            ((StepOutOfRange, r"mechanism returned shape \(5,\) at step 3, expected \(4,\)"),
+             (NonFiniteValue, f"mechanism price is nan at {witness}")), counts):
+        calls = []
+
+        def price_at(s, t, c, dividends=None):
+            calls.append((s, t))
+            vals = base.price_at(s, t, c, dividends)
+            if s == 3 and error is StepOutOfRange:
+                return np.append(vals, 0.0)
+            if s == 3 and c.values(lat8, t)[0] == 1.0:
+                vals[1] = np.nan
+            return vals
+
+        box = MechanismHandle(lat8, price_at, mu=0.5)
+        with pytest.raises(error, match=rf"^{message}$"):
+            call(box, claim, rows)
+        assert len(calls) == count, (form, error.__name__)
 
 
 class TestNonFiniteValues:
@@ -896,7 +927,7 @@ class TestPaste:
         rng = np.random.default_rng(53)
         stream = signed_stream(rng, lat16)
         kernel = as_mechanism(random_lipschitz_generator(rng), lat16)
-        plain = _price_at_only(as_mechanism(abs_z_generator(0.3), lat16))[0]
+        plain = price_at_only(as_mechanism(abs_z_generator(0.3), lat16))[0]
         for mechs in ([kernel, plain], [plain, kernel]):
             pasted = paste(mechs, [0, 6, 16])
             for t in (16, 11, 6, 3, 0):
@@ -964,6 +995,25 @@ class TestDomination:
             verdict = check_domination(mech, a, b, g.mu, lat8,
                                        dividends_a=ka, dividends_b=kb)
             assert verdict.passed
+
+    def test_payoffs_are_named_under_a_black_box_that_never_reads_them(self, lat8):
+        # the cap reads each claim's node values, so a bad payoff is named by its
+        # own claim (numpy's broadcast error and "claim 'difference' is nan" before)
+        blind = MechanismHandle(lat8, lambda s, t, claim, dividends=None: np.zeros(s + 1),
+                                mu=0.5)
+        long = TerminalClaim(lambda b: np.zeros(len(b) + 1), name="long")
+        half_nan = TerminalClaim(lambda b: np.where(np.asarray(b) > 0, np.nan, 0.0),
+                                 name="half-nan")
+        top, bottom = (TerminalClaim(lambda b, c=c: c + 0.0 * b) for c in (1e308, -1e308))
+        cases = ((long, ZERO, StepOutOfRange,
+                  r"claim 'long' returned shape \(10,\) at step 8, need 9 values"),
+                 (ZERO, half_nan, NonFiniteValue, "claim 'half-nan' is nan at step 8, node 5"),
+                 (top, bottom, NonFiniteValue, "claim 'difference' is inf at step 8, node 0"))
+        for a, b, error, message in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error, match=rf"^{message}$"):
+                    check_domination(blind, a, b, 0.5, lat8)
 
     def test_understated_mu_fails_on_steep_claims(self, lat8):
         # a 0.6-Lipschitz mechanism audited at mu = 0.1 must breach the cap

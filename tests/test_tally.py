@@ -8,6 +8,7 @@ reports must match them byte for byte, witness key order included.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gmech import (
     PropertyVerdict,
     StructureReport,
     LipschitzReport,
+    NonFiniteValue,
     abs_z_generator,
     as_mechanism,
     axiom_suite,
@@ -35,7 +37,7 @@ from gmech import (
 from gmech.analysis import AxiomCheck, _reach_mask
 from gmech.engine import PRICE_TOL
 
-from util import random_lipschitz_generator
+from util import price_at_only, random_lipschitz_generator
 
 LAWFUL = [zero_generator(), domination_generator(0.5), abs_z_generator(0.3),
           linear_generator(-0.2, 0.4),
@@ -59,6 +61,14 @@ CONSTANT = Generator(fn=lambda t, y, z: 1.0 + 0.0 * np.asarray(y, float), mu=0.0
 IDENTITY_Y = Generator(fn=lambda t, y, z: np.asarray(y, float) + 0.0 * np.asarray(z, float),
                        mu=0.5, name="y")
 DRIVERS = LAWFUL + [ROGUE, CONSTANT, IDENTITY_Y]
+# drivers at the float edges: +/-1e308 by the sign of y, so a pair of opposite
+# signs overflows to a ratio of inf; inf at both points of every pair; NaN at
+# the points with y > 4.5 only
+EDGES = [Generator(fn=lambda t, y, z: 1e308 * np.sign(np.asarray(y, float)), mu=1.0,
+                   name="overflowing"),
+         Generator(fn=lambda t, y, z: np.inf + 0.0 * np.asarray(y, float), mu=1.0, name="inf"),
+         Generator(fn=lambda t, y, z: np.where(np.asarray(y, float) > 4.5, np.nan, 0.0),
+                   mu=1.0, name="nan-above-4.5")]
 
 
 # -- reference loops ------------------------------------------------------------
@@ -136,8 +146,12 @@ def _reference_lipschitz(g, samples, box=((-5.0, 5.0), (-5.0, 5.0)), seed=0,
         sep = abs(y1[k] - y2[k]) + abs(z1[k] - z2[k])
         if sep < 1e-12:
             continue
-        dg = abs(float(g(ts[k], y1[k], z1[k])) - float(g(ts[k], y2[k], z2[k])))
-        ratio = dg / sep
+        g1, g2 = float(g(ts[k], y1[k], z1[k])), float(g(ts[k], y2[k], z2[k]))
+        for v, y, z in ((g1, y1[k], z1[k]), (g2, y2[k], z2[k])):
+            if not math.isfinite(v):
+                raise NonFiniteValue(f"driver value is {v} at t={float(ts[k])!r}, "
+                                     f"y={float(y)!r}, z={float(z)!r}")
+        ratio = abs(g1 - g2) / sep
         if ratio > worst:
             worst = ratio
             witness = {"t": float(ts[k]), "y": float(y1[k]), "z": float(z1[k]),
@@ -252,11 +266,6 @@ def _black_boxes(steps=8):
     return boxes
 
 
-def _price_at_only(mech):
-    """The handle as a black box, whose ``price_rows`` calls ``price_at`` row by row."""
-    return MechanismHandle(mech.lattice, mech.price_at, mu=mech.mu)
-
-
 def _wave_calls(n, samples, seed):
     """The ``(s, t)`` of every ``price_at`` call the suite asks of a black box on
     ``n`` steps: per wave, each distinct ``(s, t)`` in order of first use, once
@@ -304,6 +313,24 @@ def test_lipschitz_matches_the_worst_ratio_loop(g):
             == repr(_reference_lipschitz(understated, 200, seed=9)))
 
 
+def _outcome(check, *args, **kwargs) -> str:
+    """The repr of ``check``'s report, or the type and text of its error."""
+    try:
+        return repr(check(*args, **kwargs))
+    except NonFiniteValue as err:
+        return f"NonFiniteValue: {err}"
+
+
+@pytest.mark.parametrize("g", EDGES, ids=lambda g: g.name)
+def test_lipschitz_matches_the_worst_ratio_loop_at_the_float_edges(g):
+    # an overflowing pair is a ratio of inf, not an error; a NaN or inf driver
+    # value is named by its t, y and z
+    for seed, samples in ((5, 300), (7, 50)):
+        got = _outcome(verify_lipschitz, g, samples, seed=seed)
+        assert got == _outcome(_reference_lipschitz, g, samples, seed=seed)
+        assert ("NonFiniteValue" in got) == (g.name != "overflowing")
+
+
 @pytest.mark.parametrize("case", range(len(LAWFUL) + 3))
 def test_axiom_suite_matches_the_per_law_loop(case):
     # the suite evaluates claims per maturity and reduces each law per (s, t)
@@ -314,7 +341,7 @@ def test_axiom_suite_matches_the_per_law_loop(case):
             (8, ((0, 1), (13, 40), (3, 200), (5, 200), (7, 200)), ((0, 1), (13, 40), (5, 200))),
             (16, ((2, 24),), ((2, 24),)), (64, ((4, 8),), ((4, 8),))):
         mech, lat = _black_boxes(steps)[case]
-        for handle, seeds in ((mech, runs), (_price_at_only(mech), blind_runs)):
+        for handle, seeds in ((mech, runs), (price_at_only(mech)[0], blind_runs)):
             for seed, samples in seeds:
                 report = axiom_suite(handle, lat, samples=samples, seed=seed)
                 want = _reference_axioms(handle, lat, samples, seed)

@@ -149,6 +149,40 @@ def paste(mechs, cuts) -> MechanismHandle:
     return MechanismHandle(lattice, price_at, mu=max(m.mu for m in mechs))
 
 
+# -- rogue black boxes: each wraps a handle and breaks one law ----------------------
+
+def price_at_only(mech):
+    """The same mechanism behind a handle that has ``price_at`` alone, whose
+    ``price_rows`` calls ``price_at`` row by row, and the ``(s, t)`` log of
+    its calls."""
+    calls = []
+
+    def price_at(s, t, claim, dividends=None):
+        calls.append((s, t))
+        return mech.price_at(s, t, claim, dividends)
+
+    return MechanismHandle(mech.lattice, price_at, mu=mech.mu), calls
+
+
+def shift_at_maturity(base):
+    """Corruption: +1 only when pricing at the claim's own maturity."""
+    def price_at(s, t, claim, dividends=None):
+        vals = base.price_at(s, t, claim, dividends)
+        return vals + 1.0 if s == t else vals
+    return MechanismHandle(base.lattice, price_at, mu=base.mu)
+
+
+def far_node_peeker(base):
+    """Corruption: every price leans on the claim's value at the lowest
+    terminal node, inside or outside the pricing node's cone."""
+    def price_at(s, t, claim, dividends=None):
+        vals = base.price_at(s, t, claim, dividends)
+        if s == t:
+            return vals
+        return vals + 0.05 * float(claim.values(base.lattice, t)[0])
+    return MechanismHandle(base.lattice, price_at, mu=base.mu)
+
+
 SIGN_FLIP_TOL = 1e-10  # node gap allowed in the sign-flip identity
 
 
