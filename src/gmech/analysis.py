@@ -33,10 +33,12 @@ from .errors import (
     ContractionViolation,
     DominationViolated,
     InvalidParams,
+    NonFiniteValue,
     NotSupermartingale,
     StepOutOfRange,
 )
-from .generators import Generator, _count, _integer, _seed, _tallies, _witnessed
+from .generators import (Generator, _answer_shape, _count, _integer, _seed, _tally,
+                         _witnessed)
 from .lattice import AdaptedProcess, Lattice, _max_gap, _worst_node, one_step_mz
 from .engine import (
     PICARD_TOL,
@@ -156,8 +158,8 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
     need no price (the ``(s, t)`` legs, the identity leg ``(t, t)`` and the
     direct leg ``(r, t)``), then the nested leg ``(r, s)`` on the step-``s``
     prices of the claim.  Each law is a row maximum per ``(s, t)`` group,
-    tallied in sample order.  A black box is therefore called in a different
-    order than sample by sample; it must be pure, as every handle must.
+    reduced once over all samples.  A black box is therefore called in a
+    different order than sample by sample; it must be pure, as every handle must.
     """
     lattice = _own_lattice(mech, lattice)
     _count("samples", samples)
@@ -234,21 +236,16 @@ def axiom_suite(mech: MechanismHandle, lattice: Lattice | None, samples: int,
             po, pblend = (np.array([priced[k][m] for k in ss]) for m in (5, 6))
             split_v[ss] = _row_max(np.abs(pblend - np.where(event[split], pa[split], po)))
 
-    tallies = _tallies(AxiomReport)
-    for tally, values in zip(tallies, viol.tolist()):
-        for k, v in enumerate(values):
-            if not math.isnan(v):
-                tally.record(v, PRICE_TOL, k)
-
     def named(k, worst):
         r, s, t, _, event, _ = draws[k]
         return {"sample": k, "r": r, "s": s, "t": t, "event": np.flatnonzero(event).tolist(),
                 "violation": worst}
 
-    return AxiomReport(*(AxiomCheck(name=f.name, passed=not tally.failures,
-                                    samples=tally.samples, failures=tally.failures,
-                                    worst_margin=tally.worst, witness=tally.witness(named))
-                         for f, tally in zip(fields(AxiomReport), tallies)))
+    def check(f, values):
+        n, failures, worst, witness = _tally(values, PRICE_TOL, f.metadata["witness"], named)
+        return AxiomCheck(f.name, not failures, n, failures, worst, witness)
+
+    return AxiomReport(*map(check, fields(AxiomReport), viol))
 
 
 # =====================================================================
@@ -315,7 +312,11 @@ def doob_meyer(
         for i, (cur, nxt, dk) in enumerate(zip(y.slices, y.slices[1:], dks), y.start):
             m, zz = one_step_mz(nxt, lattice.sqrt_dt)
             drv = g(lattice.grid.time(i), cur, zz)
-            a = cur - m - drv * dt - dk
+            try:
+                a = cur - m - drv * dt - dk
+            except ValueError:  # numpy refused to broadcast the driver's answer
+                _answer_shape("driver", drv, cur.shape, f"step {i}")
+                raise
             seen = np.isfinite(zz).all() or not np.isfinite(a[~np.isfinite(zz)]).any()
             yield (i, (m, zz, drv, a)) if named else (a, seen)
 
@@ -472,6 +473,19 @@ def _euler_step(state, b, sigma, dt: float, sqrt_dt: float) -> np.ndarray:
                            up[..., -1:]], axis=-1)
 
 
+def _state_answer(name: str, fn: Callable, state: np.ndarray, step: int, j0: int):
+    """``fn`` of the Euler ``state`` at nodes ``j0, j0 + 1, ...`` of ``step``
+    as floats; :class:`StepOutOfRange` unless it broadcasts to the state,
+    :class:`NonFiniteValue` naming the first NaN or inf by step and node."""
+    v = np.asarray(fn(state), float)
+    _answer_shape(name, v, state.shape, f"step {step}")
+    each = np.broadcast_to(v, state.shape)
+    bad = np.flatnonzero(~np.isfinite(each))
+    if bad.size:
+        raise NonFiniteValue(f"{name} is {each[bad[0]]} at {_witness(step, (j0 + bad[0],))}")
+    return v
+
+
 def infinitesimal_probe(
     mech: MechanismHandle,
     x: float,
@@ -487,7 +501,9 @@ def infinitesimal_probe(
     Runs the forward Euler state process from the middle step-``t`` node, prices
     ``y + p (X_{t+eps} - x)`` over ``eps_steps`` lattice steps and returns
     ``(price - y) / eps``.  The caller extrapolates ``eps -> 0``; the limit is
-    the driver at ``(t, y, sigma(x) p)`` plus ``p b(x)``.
+    the driver at ``(t, y, sigma(x) p)`` plus ``p b(x)``.  ``b_fn`` and
+    ``sigma_fn`` take the states of one step and answer per state or with one
+    value; any other shape, or a NaN or inf, raises naming the function.
     """
     _count("eps_steps", eps_steps)
     lat = mech.lattice
@@ -502,9 +518,10 @@ def infinitesimal_probe(
     state = np.array([float(x)])
     t_end = t_step + eps_steps
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(eps_steps):
-            state = _euler_step(state, np.asarray(b_fn(state), float),
-                                np.asarray(sigma_fn(state), float), dt, sdt)
+        for i in range(t_step, t_end):
+            b = _state_answer("b_fn", b_fn, state, i, j0)
+            sigma = _state_answer("sigma_fn", sigma_fn, state, i, j0)
+            state = _euler_step(state, b, sigma, dt, sdt)
         row = (y + p * (state - x))[np.clip(np.arange(t_end + 1) - j0, 0, eps_steps)]
     vals = mech.price_rows(t_step, t_end, [row])[0]
     eps = eps_steps * dt

@@ -52,8 +52,8 @@ from .errors import (
     SchemeNotMonotone,
     StepOutOfRange,
 )
-from .generators import (_LIPSCHITZ_SLACK, Generator, _declared, _finite, _integer,
-                         domination_generator)
+from .generators import (_LIPSCHITZ_SLACK, Generator, _answer_shape, _declared, _finite,
+                         _integer, domination_generator)
 from .lattice import AdaptedProcess, Lattice, _worst_node, one_step_mz
 
 PICARD_TOL = 1e-12
@@ -223,7 +223,7 @@ def _payout_gap(a: Optional[DividendStream], b: Optional[DividendStream],
 # -- one-step kernel -----------------------------------------------------------
 
 def require_monotone(mu: float, lattice: Lattice) -> None:
-    lhs = _finite("mu", mu) * (lattice.sqrt_dt + lattice.dt)
+    lhs = _declared("mu", mu) * (lattice.sqrt_dt + lattice.dt)
     if not lhs <= 1.0:
         raise SchemeNotMonotone(
             f"mu * (sqrt(dt) + dt) = {lhs:.6g} > 1; refine the grid or lower mu")
@@ -283,7 +283,12 @@ def _implicit_step(g: Generator, step: int, t: float, m, z, dk, dt: float):
     batched = y.ndim > 1 and len(y) > 1
     done = d2 = None
     for iters in range(1, PICARD_CAP + 1):
-        y_next = m + g(t, y, z) * dt + dk
+        drv = g(t, y, z)
+        try:
+            y_next = m + drv * dt + dk
+        except ValueError:  # numpy refused to broadcast the driver's answer
+            _answer_shape("driver", drv, y.shape, f"step {step}")
+            raise
         if done is not None:
             y_next[done] = y[done]
         d1, d2 = d2, y_next - y

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParams, NegativeMu, NonFiniteValue
+from .errors import InvalidParams, NegativeMu, NonFiniteValue, StepOutOfRange
 
 # Pairs closer than this in the sum norm are skipped in Lipschitz sampling.
 _MIN_SEPARATION = 1e-12
@@ -241,42 +241,25 @@ def black_scholes_generator(params: BSMarketParams) -> Generator:
 
 # -- sampled structural checks -----------------------------------------------
 
-class _Tally:
-    """One sampled check: the samples recorded, the failures ``v > limit``,
-    and the worst failing ``v`` with the key of the first sample to reach it.
-
-    ``names`` are the check's witness entries, in order.
-    """
-
-    def __init__(self, names):
-        self.names = names
-        self.samples = self.failures = 0
-        self.worst, self.key = 0.0, None
-
-    def record(self, v, limit, key) -> None:
-        self.samples += 1
-        if v > limit:  # every limit is at least 0, so a failure beats the start
-            self.failures += 1
-            if v > self.worst:
-                self.worst, self.key = v, key
-
-    def witness(self, named: Callable) -> Optional[dict]:
-        """The entries ``names`` of ``named(key, worst)``, the kept sample's
-        values by name; ``None`` when no sample failed."""
-        if not self.failures:
-            return None
-        values = named(self.key, self.worst)
-        return {k: values[k] for k in self.names}
-
-
 def _witnessed(*names):
     """A report field whose verdict's witness holds ``names``, in order."""
     return field(metadata={"witness": names})
 
 
-def _tallies(report) -> list:
-    """One tally per field of the report dataclass, in field order."""
-    return [_Tally(f.metadata["witness"]) for f in fields(report)]
+def _tally(values, limits, names, named: Callable) -> tuple:
+    """One check's ``(samples, failures, worst, witness)`` from its per-sample
+    float row ``values`` and ``limits`` (a row or one number): a NaN is no
+    sample, a failure is ``v > limit`` (every limit is >= 0) and ``worst`` the
+    largest failure or 0.0.  The witness is the entries ``names`` of ``named(k,
+    worst)`` for the first sample ``k`` to reach ``worst``; ``None`` if none fails."""
+    fails = values > limits
+    samples, failures = int(np.count_nonzero(~np.isnan(values))), int(np.count_nonzero(fails))
+    if not failures:
+        return samples, 0, 0.0, None
+    k = int(np.argmax(np.where(fails, values, -np.inf)))
+    worst = float(values[k])
+    kept = named(k, worst)
+    return samples, failures, worst, {name: kept[name] for name in names}
 
 
 @dataclass(frozen=True)
@@ -287,14 +270,31 @@ class LipschitzReport:
     samples: int = 0
 
 
+def _answer_shape(what: str, value, need: tuple, at: str) -> None:
+    """Raise :class:`StepOutOfRange` unless the shape of ``what``'s answer
+    ``value`` broadcasts to ``need``: "{what} returned shape ... at {at}, expected ..."."""
+    shape = np.shape(value)
+    if len(shape) > len(need) or any(k not in (1, m) for k, m in zip(shape[::-1], need[::-1])):
+        raise StepOutOfRange(f"{what} returned shape {shape} at {at}, expected {need}")
+
+
+def _point(t, y, z) -> str:
+    return f"t={float(t)!r}, y={float(y)!r}, z={float(z)!r}"
+
+
 def _driver_values(g: Generator, t, points) -> list:
-    """``g(t, y, z)`` at one sample's points; a NaN or inf raises :class:`NonFiniteValue`."""
-    values = [float(g(t, y, z)) for y, z in points]
+    """``g(t, y, z)`` at one sample's points; a NaN or inf raises
+    :class:`NonFiniteValue` and an answer that is no scalar :class:`StepOutOfRange`."""
+    try:
+        values = [float(g(t, y, z)) for y, z in points]
+    except TypeError:  # float() refused an answer: ask the pure driver again for its shape
+        for y, z in points:
+            _answer_shape("driver", g(t, y, z), (), _point(t, y, z))
+        raise
     if not math.isfinite(sum(values)):  # one test per sample; a finite sum may overflow
         for (y, z), v in zip(points, values):
             if not math.isfinite(v):
-                raise NonFiniteValue(f"driver value is {v} at t={float(t)!r}, "
-                                     f"y={float(y)!r}, z={float(z)!r}")
+                raise NonFiniteValue(f"driver value is {v} at {_point(t, y, z)}")
     return values
 
 
@@ -385,8 +385,7 @@ def classify_generator(
     _seed(seed)
     rng = np.random.default_rng(seed)
 
-    tallies = _tallies(StructureReport)
-    zero, conv, conc, hom, sub, yind, zind, zr, sell = tallies
+    keys, rows = [], []
     slack = _LIPSCHITZ_SLACK
     for _ in range(samples):
         t = float(rng.uniform(0.0, 1.0))
@@ -394,28 +393,26 @@ def classify_generator(
         (y2,), (z2,) = _sample_box(rng, box, 1)
         alpha = float(rng.uniform(0.0, 1.0))
         lam = float(rng.uniform(0.0, 3.0))
-        key = (t, y1, z1, y2, z2, alpha, lam)
+        keys.append((t, y1, z1, y2, z2, alpha, lam))
 
         g11, g22, g00, mix, g_lam, g_sum, g21, g12, g10, g_neg = _driver_values(g, t, (
             (y1, z1), (y2, z2), (0.0, 0.0),
             (alpha * y1 + (1 - alpha) * y2, alpha * z1 + (1 - alpha) * z2),
             (lam * y1, lam * z1), (y1 + y2, z1 + z2), (y2, z1), (y1, z2), (y1, 0.0), (-y1, -z1)))
         scale = 1.0 + abs(g11) + abs(g22)
-
-        zero.record(abs(g00), slack, key)
         blend = alpha * g11 + (1 - alpha) * g22
-        conv.record(mix - blend, slack * scale, key)
-        conc.record(blend - mix, slack * scale, key)
-        hom.record(abs(g_lam - lam * g11), slack * (1.0 + lam) * scale, key)
-        sub.record(g_sum - (g11 + g22), slack * scale, key)
-        yind.record(abs(g21 - g11), slack * scale, key)
-        zind.record(abs(g12 - g11), slack * scale, key)
-        zr.record(abs(g10), slack * scale, key)
-        sell.record(-g_neg - g11, slack * scale, key)
+        lim = slack * scale
+        # the violations, then their limits, of the StructureReport fields in order
+        rows.append((abs(g00), mix - blend, blend - mix, abs(g_lam - lam * g11),
+                     g_sum - (g11 + g22), abs(g21 - g11), abs(g12 - g11), abs(g10),
+                     -g_neg - g11, slack, lim, lim, slack * (1.0 + lam) * scale) + (lim,) * 5)
 
-    def named(key, worst):
-        return dict(zip(("t", "y", "z", "y2", "z2", "alpha", "lambda"), key), value=worst)
+    def named(k, worst):
+        return dict(zip(("t", "y", "z", "y2", "z2", "alpha", "lambda"), keys[k]), value=worst)
 
-    return StructureReport(*(PropertyVerdict(holds=not tally.failures, checks=samples,
-                                             witness=tally.witness(named))
-                             for tally in tallies))
+    def verdict(f, values, limits):
+        _, failures, _, witness = _tally(values, limits, f.metadata["witness"], named)
+        return PropertyVerdict(holds=not failures, checks=samples, witness=witness)
+
+    table = np.array(rows).T
+    return StructureReport(*map(verdict, fields(StructureReport), table[:9], table[9:]))

@@ -570,6 +570,32 @@ class TestInfinitesimalProbe:
                 infinitesimal_probe(mech, x=0.0, p=1e308, y=0.0, b_fn=lambda x: 0.0 * x,
                                     sigma_fn=lambda x: 10.0 + 0.0 * x, eps_steps=1)
 
+    def test_b_fn_and_sigma_fn_answers_are_named(self):
+        # each Euler step reads both functions once: an answer that does not
+        # broadcast to the states, or holds a NaN or inf, is named by its
+        # function, step and node; a scalar reads as the array of its value
+        lat = build_lattice(build_grid(0.0, 1.0, 64))
+        mech = as_mechanism(abs_z_generator(0.3), lat)
+        one, zero = (lambda x: 1.0), (lambda x: 0.0)
+        cases = (
+            (lambda x: np.zeros(len(x) + 1), one, 0, StepOutOfRange,
+             r"b_fn returned shape \(2,\) at step 0, expected \(1,\)"),
+            (zero, lambda x: np.ones((2, len(x))), 2, StepOutOfRange,
+             r"sigma_fn returned shape \(2, 1\) at step 2, expected \(1,\)"),
+            (zero, lambda x: np.nan, 0, NonFiniteValue, "sigma_fn is nan at step 0, node 0"),
+            (lambda x: np.inf, one, 0, NonFiniteValue, "b_fn is inf at step 0, node 0"),
+            (lambda x: np.where(x > 0.1, np.nan, 0.0), one, 4, NonFiniteValue,
+             "b_fn is nan at step 5, node 3"))
+        for b_fn, sigma_fn, t_step, error, message in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error, match=rf"^{message}$"):
+                    infinitesimal_probe(mech, x=0.0, p=1.0, y=0.0, b_fn=b_fn,
+                                        sigma_fn=sigma_fn, eps_steps=4, t_step=t_step)
+        assert (infinitesimal_probe(mech, 0.0, 1.0, 0.0, zero, one, 4)
+                == infinitesimal_probe(mech, 0.0, 1.0, 0.0, lambda x: 0.0 * x,
+                                       lambda x: 1.0 + 0.0 * x, 4))
+
 
 # -- recovery ---------------------------------------------------------------------
 
@@ -1482,6 +1508,32 @@ def test_a_numpy_integer_count_is_a_count(lat16):
     assert (mech.price_rows(np.uint8(2), np.uint8(4), np.ones((1, 5))).tobytes()
             == mech.price_rows(2, 4, np.ones((1, 5))).tobytes())
     assert verify_lipschitz(g, 5, seed=np.uint8(3)) == verify_lipschitz(g, 5, seed=3)
+
+
+# each reader of a driver's answers on 8 steps: its call and the place it names
+DRIVER_READERS = {
+    "verify_lipschitz": (lambda g, lat, y: verify_lipschitz(g, 10).worst_ratio,
+                         r"t=\S+, y=\S+, z=\S+, expected \(\)"),
+    "classify_generator": (lambda g, lat, y: classify_generator(g, 10).as_dict(),
+                           r"t=\S+, y=\S+, z=\S+, expected \(\)"),
+    "price_rows": (lambda g, lat, y: as_mechanism(g, lat).price_rows(
+        0, 8, np.zeros((2, 9))).tolist(), r"step 7, expected \(2, 8\)"),
+    "doob_meyer": (lambda g, lat, y: [v.tolist() for v in doob_meyer(
+        g, y, None, lat).increments.slices], r"step 1, expected \(2,\)"),
+}
+
+
+@pytest.mark.parametrize("reader", list(DRIVER_READERS))
+def test_a_driver_answer_of_another_shape_is_named(reader, lat8):
+    # an answer numpy cannot use is named by its shape, its place and the shape
+    # needed; a scalar answer reads as the array of its value
+    call, at = DRIVER_READERS[reader]
+    scalar = Generator(fn=lambda t, y, z: 0.05, mu=0.1)
+    full = Generator(fn=lambda t, y, z: np.full(np.broadcast(y, z).shape, 0.05), mu=0.1)
+    y = solve_bsde(scalar, WALK, None, lat8).y
+    with pytest.raises(StepOutOfRange, match=rf"^driver returned shape \(3,\) at {at}$"):
+        call(Generator(fn=lambda t, y, z: np.zeros(3), mu=0.1), lat8, y)
+    assert call(scalar, lat8, y) == call(full, lat8, y)
 
 
 @pytest.mark.parametrize("name", ["mu", "lattice"])

@@ -15,6 +15,7 @@ from gmech import (
     Generator,
     InvalidParams,
     MechanismHandle,
+    NegativeMu,
     NonFiniteValue,
     PicardDivergence,
     SchemeNotMonotone,
@@ -1014,6 +1015,16 @@ class TestDomination:
                 warnings.simplefilter("error")
                 with pytest.raises(error, match=rf"^{message}$"):
                     check_domination(blind, a, b, 0.5, lat8)
+
+    @pytest.mark.parametrize("mu, error, message", [
+        (-0.5, NegativeMu, "mu must be >= 0, got -0.5"),
+        (float("nan"), InvalidParams, "mu must be finite, got nan")])
+    def test_a_bad_mu_asks_no_price(self, lat8, mu, error, message):
+        # the audit's mu is checked before the black box is asked for a price
+        box, calls = price_at_only(as_mechanism(domination_generator(0.5), lat8))
+        with pytest.raises(error, match=rf"^{message}$"):
+            check_domination(box, WALK, ZERO, mu, lat8)
+        assert calls == []
 
     def test_understated_mu_fails_on_steep_claims(self, lat8):
         # a 0.6-Lipschitz mechanism audited at mu = 0.1 must breach the cap

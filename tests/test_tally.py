@@ -36,6 +36,7 @@ from gmech import (
 )
 from gmech.analysis import AxiomCheck, _reach_mask
 from gmech.engine import PRICE_TOL
+from gmech.generators import _tally
 
 from util import price_at_only, random_lipschitz_generator
 
@@ -383,3 +384,49 @@ def test_a_tie_keeps_the_first_sample():
     lat8 = build_lattice(build_grid(0.0, 1.0, 8))
     law = axiom_suite(_constant_box(lat8), lat8, samples=30, seed=4).zero_preservation
     assert (law.failures, law.worst_margin, law.witness["sample"]) == (30, 1.0, 0)
+
+
+def _reference_tally(values, limits, names, named):
+    """The sample-by-sample recorder the table reduction replaced: a NaN is
+    skipped, a failure is ``v > limit``, and only a larger failure replaces
+    the kept sample."""
+    samples = failures = 0
+    worst, key = 0.0, None
+    for k, (v, limit) in enumerate(zip(values, np.broadcast_to(limits, len(values)).tolist())):
+        if math.isnan(v):
+            continue
+        samples += 1
+        if v > limit:
+            failures += 1
+            if v > worst:
+                worst, key = v, k
+    kept = named(key, worst) if failures else None
+    return samples, failures, worst, kept and {name: kept[name] for name in names}
+
+
+TALLY_TABLES = {
+    "tie_at_the_worst": ([0.5, 2.0, 1.0, 2.0, 2.0], PRICE_TOL),
+    "several_inf": ([1.0, np.inf, 3.0, np.inf, -np.inf], PRICE_TOL),
+    "nan_entries": ([np.nan, 0.3, np.nan, 0.0, 0.7, np.nan], 0.5),
+    "all_pass": ([0.0, 1e-10, -3.0, -np.inf], PRICE_TOL),
+    "all_nan": ([np.nan, np.nan], PRICE_TOL),
+    "per_sample_limits": ([1.0, 2.0, 3.0, 2.5, 2.5, np.nan], [2.0, 1.0, 5.0, 1.0, 0.5, 0.0]),
+}
+
+
+@pytest.mark.parametrize("table", list(TALLY_TABLES))
+def test_tally_reduces_a_row_as_the_sample_loop(table):
+    # the first sample at the worst failure is kept, NaN is no sample, a failure
+    # beats an unchecked or passing larger value; counts are ints, worst a float
+    values, limits = TALLY_TABLES[table]
+
+    def named(k, worst):
+        return {"extra": None, "violation": worst, "sample": k}
+
+    got = _tally(np.array(values), np.asarray(limits), ("sample", "violation"), named)
+    assert repr(got) == repr(_reference_tally(values, limits, ("sample", "violation"), named))
+    samples, failures, worst, witness = got
+    assert type(samples) is int and type(failures) is int and type(worst) is float
+    if witness is not None:
+        assert list(witness) == ["sample", "violation"] and type(witness["sample"]) is int
+    assert (failures == 0) == (witness is None) == (worst == 0.0)
